@@ -33,12 +33,15 @@ from .distribution import (
     annihilator_basis,
     membership_residual,
     rank_at,
+    span_residual,
+    svd_rank,
 )
 from .errors import InputError, VerificationError
 from .invariant_gen import (
     FoliatedProblem,
     InvariantFrameResult,
     leaf_directional_derivative,
+    require_vanishing,
     run,
 )
 from .report import CheckRecord, Report, record_from_samples
@@ -98,7 +101,8 @@ class DiracStructure:
             (0.0 if rank_at(dist, m, tol) == self.chart.n else 1.0, m) for m in samples
         ]
         report.add(record_from_samples("lagrangian-rank", rank_pairs, 0.0,
-                                       detail=f"rank equals chart dimension {self.chart.n}"))
+                                       detail=f"rank equals chart dimension {self.chart.n}",
+                                       stage="validity"))
         iso = []
         exprs = [
             pairing(a, b)
@@ -108,7 +112,7 @@ class DiracStructure:
         for m in samples:
             worst = max(abs(e.eval(m)) for e in exprs)
             iso.append((worst, m))
-        report.add(record_from_samples("lagrangian-isotropy", iso, tol))
+        report.add(record_from_samples("lagrangian-isotropy", iso, tol, stage="validity"))
         return report
 
 
@@ -179,7 +183,7 @@ class InfinitesimalAction:
                     residual = residual + float(c[a][b][d]) * xd
                 for m in samples:
                     pairs.append((float(np.abs(residual(m)).max(initial=0.0)), m))
-        report.add(record_from_samples("action-anti-homomorphism", pairs, tol))
+        report.add(record_from_samples("action-anti-homomorphism", pairs, tol, stage="validity"))
         return report
 
 
@@ -216,16 +220,14 @@ class QuotientMap:
         vert_pairs = []
         for m in samples:
             J = self.jacobian(m)
-            sv = np.linalg.svd(J, compute_uv=False)
-            rank_pairs.append(
-                (0.0 if sv.size and sv[-1] > DEFAULT_RANK_TOL * sv[0] else 1.0, m)
-            )
+            rank_pairs.append((0.0 if svd_rank(J) == self.target.n else 1.0, m))
             worst = 0.0
             for xi in action.generators:
                 worst = max(worst, float(np.abs(J @ xi(m)).max(initial=0.0)))
             vert_pairs.append((worst, m))
-        report.add(record_from_samples("quotient-submersion-rank", rank_pairs, 0.0))
-        report.add(record_from_samples("quotient-constant-on-fibers", vert_pairs, tol))
+        report.add(record_from_samples("quotient-submersion-rank", rank_pairs, 0.0, stage="validity"))
+        report.add(record_from_samples("quotient-constant-on-fibers", vert_pairs, tol,
+                                       stage="validity"))
         return report
 
 
@@ -261,26 +263,8 @@ def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
                 pairs.append(
                     (membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v)), m)
                 )
-            report.add(record_from_samples(f"courant-closure[{i},{j}]", pairs, tol))
+            report.add(record_from_samples(f"courant-closure[{i},{j}]", pairs, tol, stage="validity"))
     return report
-
-
-def _column_space(M: np.ndarray, tol: float) -> list[np.ndarray]:
-    if M.size == 0:
-        return []
-    u, sv, _ = np.linalg.svd(M)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > tol * scale))
-    return [u[:, i] for i in range(rank)]
-
-
-def _null_space_cols(M: np.ndarray, dim: int, tol: float) -> np.ndarray:
-    if M.shape[0] == 0:
-        return np.eye(dim)
-    _, sv, vt = np.linalg.svd(M, full_matrices=True)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > tol * scale))
-    return vt[rank:].T
 
 
 def characteristic_distributions(D: DiracStructure, m, tol: float = DEFAULT_RANK_TOL):
@@ -290,10 +274,12 @@ def characteristic_distributions(D: DiracStructure, m, tol: float = DEFAULT_RANK
     n = D.chart.n
     M = D.matrix_at(m)
     top, bottom = M[:n], M[n:]
-    G1 = _column_space(top, tol)
-    P1 = _column_space(bottom, tol)
-    G0 = [top @ c for c in _null_space_cols(bottom, n, tol).T]
-    P0 = [bottom @ c for c in _null_space_cols(top, n, tol).T]
+    rank_top, u_top, vt_top = svd_rank(top, tol, bases=True)
+    rank_bottom, u_bottom, vt_bottom = svd_rank(bottom, tol, bases=True)
+    G1 = [u_top[:, i] for i in range(rank_top)]
+    P1 = [u_bottom[:, i] for i in range(rank_bottom)]
+    G0 = [top @ c for c in vt_bottom[rank_bottom:]]
+    P0 = [bottom @ c for c in vt_top[rank_top:]]
     G0 = [v for v in G0 if np.linalg.norm(v) > tol]
     P0 = [v for v in P0 if np.linalg.norm(v) > tol]
     return G0, G1, P0, P1
@@ -326,8 +312,8 @@ def intersect_D_Kperp(
     M = D.matrix_at(m)
     bottom = M[n:]
     rows = np.array([xi(m) @ bottom for xi in action.generators]) if action.generators else np.zeros((0, n))
-    N = _null_space_cols(rows, n, tol)
-    basis = M @ N
+    rank, _, vt = svd_rank(rows, tol, bases=True)
+    basis = M @ vt[rank:].T
     return [basis[:, i] for i in range(basis.shape[1])], basis.shape[1]
 
 
@@ -347,6 +333,7 @@ def constant_rank_scan(
             check="constant-rank-intersection",
             passed=True,
             detail=f"rank {ranks[0][1]} at all {len(ranks)} samples",
+            stage="rank scan",
         )
     else:
         lo = min(values)
@@ -359,6 +346,7 @@ def constant_rank_scan(
             worst_residual=float(hi - lo),
             failing_point=p_lo,
             detail=f"rank {lo} at {p_lo} but rank {hi} at {p_hi}",
+            stage="rank scan",
         )
     return record, ranks
 
@@ -369,34 +357,33 @@ def _fd_gradient(fn, chart: Chart, m):
     return [leaf_directional_derivative(fn, chart, m, i) for i in range(chart.n)]
 
 
-def _numeric_lie_form(xi: VectorField, form_at, chart: Chart, m) -> np.ndarray:
-    """(L_xi gamma)_j = sum_i xi^i d_i(gamma_j) + gamma_i d_j(xi^i) for a
-    numerically evaluated form field gamma."""
-    xi_val = xi(m)
-    gamma = form_at(m)
-    grads = _fd_gradient(form_at, chart, m)
-    n = chart.n
-    out = np.zeros(n)
-    for j in range(n):
-        out[j] = sum(xi_val[i] * grads[i][j] for i in range(n)) + sum(
-            gamma[i] * xi.coeffs[i].diff(j).eval(m) for i in range(n)
-        )
-    return out
+def _frame_jets(frame, chart: Chart, samples):
+    """(m, F, dF) at each sample: the frame value and its coordinate
+    gradient, one finite difference of the whole frame per coordinate."""
+    return [(m, frame(m), _fd_gradient(frame, chart, m)) for m in samples]
 
 
-def _numeric_bracket_with_field(Z_at, xi: VectorField, chart: Chart, m) -> np.ndarray:
-    """[Z, xi]^j = sum_a Z^a d_a(xi^j) - xi^a d_a(Z^j) for a numerically
-    evaluated vector field Z."""
-    Z = Z_at(m)
+def _action_defects(xi: VectorField, m, F, dF, n: int):
+    """Lie derivatives along xi of all frame columns (Z, gamma) at once,
+    from the frame value F and gradient dF at m:
+    (L_xi gamma)_j = sum_i xi^i d_i(gamma_j) + gamma_i d_j(xi^i) and
+    [Z, xi]^j = sum_a Z^a d_a(xi^j) - xi^a d_a(Z^j), each an n x r array."""
     xi_val = xi(m)
-    grads = _fd_gradient(Z_at, chart, m)
-    n = chart.n
-    out = np.zeros(n)
-    for j in range(n):
-        out[j] = sum(Z[a] * xi.coeffs[j].diff(a).eval(m) for a in range(n)) - sum(
-            xi_val[a] * grads[a][j] for a in range(n)
-        )
-    return out
+    dxi = [[c.diff(j).eval(m) for j in range(n)] for c in xi.coeffs]  # dxi[i][j] = d_j xi^i
+    lie_form = np.array([
+        sum(xi_val[i] * dF[i][n + j] for i in range(n))
+        + sum(F[n + i] * dxi[i][j] for i in range(n))
+        for j in range(n)
+    ])
+    bracket = np.array([
+        sum(F[a] * dxi[j][a] for a in range(n)) - sum(xi_val[a] * dF[a][j] for a in range(n))
+        for j in range(n)
+    ])
+    return lie_form, bracket
+
+
+def _max_abs(a) -> float:
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
@@ -415,8 +402,7 @@ def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedP
                 "chart is not foliated for this action: a generator has components "
                 f"beyond the leaf block at {list(m)}"
             )
-        sv = np.linalg.svd(vals[:, :k], compute_uv=False)
-        if int(np.sum(sv > DEFAULT_RANK_TOL * max(sv[0], 1e-300))) != k:
+        if svd_rank(vals[:, :k]) != k:
             raise InputError(
                 f"action generators do not span the leaf block at {list(m)}"
             )
@@ -462,40 +448,25 @@ def descending_generators(
         span_pairs.append((worst_span, m))
 
     result = run(problem, samples=samples, tol=tol)
-    result.report.add(
-        record_from_samples("supplied-family-in-intersection", member_pairs, tol)
-    )
-    result.report.add(
-        record_from_samples("supplied-family-spans-intersection", span_pairs, tol)
-    )
+    result.report.add(record_from_samples(
+        "supplied-family-in-intersection", member_pairs, tol, stage="rank scan"))
+    result.report.add(record_from_samples(
+        "supplied-family-spans-intersection", span_pairs, tol, stage="rank scan"))
 
-    frame = result.frame
+    jets = _frame_jets(result.frame, problem.chart, samples)
     for idx_xi, xi in enumerate(action.generators):
         pairs_form = []
         pairs_vf = []
-        for m in samples:
-            F = frame(m)
-            scale = 1.0 + float(np.abs(F).max(initial=0.0))
-            worst_form = 0.0
-            worst_vf = 0.0
-            for col in range(F.shape[1]):
-                form_at = lambda q, c=col: frame(q)[n:, c]
-                vf_at = lambda q, c=col: frame(q)[:n, c]
-                worst_form = max(
-                    worst_form,
-                    float(np.abs(_numeric_lie_form(xi, form_at, problem.chart, m)).max(initial=0.0)),
-                )
-                bracket = _numeric_bracket_with_field(vf_at, xi, problem.chart, m)
-                # vertical means: no components beyond the leaf block
-                worst_vf = max(worst_vf, float(np.abs(bracket[k:]).max(initial=0.0)))
-            pairs_form.append((worst_form / scale, m))
-            pairs_vf.append((worst_vf / scale, m))
-        result.report.add(
-            record_from_samples(f"frame-forms-action-invariant[{idx_xi}]", pairs_form, tol)
-        )
-        result.report.add(
-            record_from_samples(f"frame-vectors-preserve-vertical[{idx_xi}]", pairs_vf, tol)
-        )
+        for m, F, dF in jets:
+            scale = 1.0 + _max_abs(F)
+            lie_form, bracket = _action_defects(xi, m, F, dF, n)
+            pairs_form.append((_max_abs(lie_form) / scale, m))
+            # vertical means: no components beyond the leaf block
+            pairs_vf.append((_max_abs(bracket[k:]) / scale, m))
+        result.report.add(record_from_samples(
+            f"frame-forms-action-invariant[{idx_xi}]", pairs_form, tol, stage="descending"))
+        result.report.add(record_from_samples(
+            f"frame-vectors-preserve-vertical[{idx_xi}]", pairs_vf, tol, stage="descending"))
     return result
 
 
@@ -513,28 +484,15 @@ def invariant_annihilator_generators(
     _check_foliated_presentation(action, problem, samples)
     n = problem.n
     for g in problem.generators:
-        if any(c != ZERO for c in g.vf.coeffs):
-            probe = samples[0]
-            if float(np.abs(g.vf(probe)).max(initial=0.0)) > 1e-12:
-                raise InputError("annihilator generators must have zero vector part")
+        for c in g.vf.coeffs:
+            require_vanishing(c, problem.chart, "annihilator generators must have zero vector part")
     result = run(problem, samples=samples, tol=tol)
-    frame = result.frame
+    jets = _frame_jets(result.frame, problem.chart, samples)
     for idx_xi, xi in enumerate(action.generators):
-        pairs = []
-        for m in samples:
-            F = frame(m)
-            scale = 1.0 + float(np.abs(F).max(initial=0.0))
-            worst = 0.0
-            for col in range(F.shape[1]):
-                form_at = lambda q, c=col: frame(q)[n:, c]
-                worst = max(
-                    worst,
-                    float(np.abs(_numeric_lie_form(xi, form_at, problem.chart, m)).max(initial=0.0)),
-                )
-            pairs.append((worst / scale, m))
-        result.report.add(
-            record_from_samples(f"annihilator-frame-action-invariant[{idx_xi}]", pairs, tol)
-        )
+        pairs = [(_max_abs(_action_defects(xi, m, F, dF, n)[0]) / (1.0 + _max_abs(F)), m)
+                 for m, F, dF in jets]
+        result.report.add(record_from_samples(
+            f"annihilator-frame-action-invariant[{idx_xi}]", pairs, tol, stage="descending"))
     return result
 
 
@@ -616,28 +574,22 @@ def pushforward_check(
     basic_pairs = []
     rank_pairs = []
     iso_pairs = []
-    pushed_at = {}
     for m in samples:
         Xbar, abar, residual = push_frame(q, frame, m, tol)
         basic_pairs.append((residual, m))
         stacked = np.vstack([Xbar, abar])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.sum(sv > DEFAULT_RANK_TOL * max(sv[0], 1e-300))) if sv.size else 0
-        rank_pairs.append((0.0 if rank == nbar else 1.0, m))
+        rank_pairs.append((0.0 if svd_rank(stacked) == nbar else 1.0, m))
         worst = 0.0
         for i in range(stacked.shape[1]):
             for j in range(stacked.shape[1]):
                 val = abar[:, j] @ Xbar[:, i] + abar[:, i] @ Xbar[:, j]
                 worst = max(worst, abs(float(val)))
         iso_pairs.append((worst, m))
-        pushed_at[tuple(m)] = stacked
-    report.add(record_from_samples("pushed-forms-are-pullbacks", basic_pairs, tol))
-    report.add(
-        record_from_samples(
-            "reduced-rank", rank_pairs, 0.0, detail=f"pushed family has rank {nbar}"
-        )
-    )
-    report.add(record_from_samples("reduced-isotropy", iso_pairs, tol))
+    report.add(record_from_samples("pushed-forms-are-pullbacks", basic_pairs, tol,
+                                   stage="pushforward"))
+    report.add(record_from_samples("reduced-rank", rank_pairs, 0.0,
+                                   detail=f"pushed family has rank {nbar}", stage="pushforward"))
+    report.add(record_from_samples("reduced-isotropy", iso_pairs, tol, stage="pushforward"))
 
     # fiber consistency: perturb leaf coordinates, compare pushed values
     rng = np.random.default_rng(seed)
@@ -658,7 +610,7 @@ def pushforward_check(
         s2 = np.hstack([*push_frame(q, frame, m2, tol)[:2]])
         scale = 1.0 + float(np.abs(s1).max(initial=0.0))
         fiber_pairs.append((float(np.abs(s1 - s2).max(initial=0.0)) / scale, m2))
-    report.add(record_from_samples("fiber-consistency", fiber_pairs, tol))
+    report.add(record_from_samples("fiber-consistency", fiber_pairs, tol, stage="pushforward"))
 
     if check_closedness:
         lift = _Lift(q, samples[0])
@@ -682,11 +634,9 @@ def pushforward_check(
                     if i == j:
                         continue
                     bracket = _target_courant(S, grads, nbar, i, j)
-                    coeff, *_ = np.linalg.lstsq(S, bracket, rcond=None)
-                    res = np.linalg.norm(S @ coeff - bracket)
-                    worst = max(worst, float(res) / (1.0 + np.linalg.norm(bracket)))
+                    worst = max(worst, span_residual(S, bracket) / (1.0 + np.linalg.norm(bracket)))
             closure_pairs.append((worst, ybar))
-        report.add(record_from_samples("reduced-closure", closure_pairs, tol))
+        report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
     return report
 
 

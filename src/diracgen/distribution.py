@@ -15,13 +15,12 @@ import numpy as np
 
 from .calculus import PontryaginSection, VectorField, skew_bracket
 from .errors import ChartMismatchError, InputError
-from .report import CheckRecord, Report, record_from_samples
+from .report import Report, record_from_samples
 from .symexpr import Chart
 
 __all__ = [
     "GeneralizedDistribution",
     "TangentDistribution",
-    "SampledSubspace",
     "rank_at",
     "contains",
     "membership_residual",
@@ -58,10 +57,6 @@ class GeneralizedDistribution:
         """Evaluated generators as rows of a (#generators x 2n) matrix."""
         return np.array([g(m) for g in self.generators])
 
-    def sample(self, m, tol: float = DEFAULT_RANK_TOL) -> "SampledSubspace":
-        basis = self.matrix_at(m)
-        return SampledSubspace(np.asarray(m, dtype=float), basis, _num_rank(basis, tol))
-
 
 @dataclass(frozen=True)
 class TangentDistribution:
@@ -78,34 +73,39 @@ class TangentDistribution:
         return np.array([g(m) for g in self.generators])
 
 
-@dataclass(frozen=True)
-class SampledSubspace:
-    point: np.ndarray
-    basis: np.ndarray
-    rank: int
-
-
-def _num_rank(matrix: np.ndarray, tol: float) -> int:
+def svd_rank(matrix, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
+    """Numerical rank: the number of singular values above tol * sigma_max,
+    and 0 for an empty or zero matrix.  With ``bases`` set, returns
+    (rank, U, Vt) from the full SVD, so that U[:, :rank] spans the column
+    space and the rows Vt[rank:] span the null space."""
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
-        return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+        rows, cols = matrix.shape
+        return (0, np.eye(rows), np.eye(cols)) if bases else 0
+    if bases:
+        u, sv, vt = np.linalg.svd(matrix)
+    else:
+        sv = np.linalg.svd(matrix, compute_uv=False)
+    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+    return (rank, u, vt) if bases else rank
 
 
 def rank_at(delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the evaluated generator family at m."""
-    return _num_rank(delta.matrix_at(m), tol)
+    return svd_rank(delta.matrix_at(m), tol)
+
+
+def span_residual(A: np.ndarray, v) -> float:
+    """Least-squares residual of expressing v in the columns of A."""
+    v = np.asarray(v, dtype=float)
+    coeff, *_ = np.linalg.lstsq(A, v, rcond=None)
+    return float(np.linalg.norm(A @ coeff - v))
 
 
 def membership_residual(delta: GeneralizedDistribution, m, v) -> float:
     """Least-squares residual of expressing the 2n-vector v in the
     evaluated generators at m."""
-    A = delta.matrix_at(m).T
-    v = np.asarray(v, dtype=float)
-    coeff, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(np.linalg.norm(A @ coeff - v))
+    return span_residual(delta.matrix_at(m).T, v)
 
 
 def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
@@ -113,15 +113,6 @@ def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
     residual tolerance tol*(1 + |v|)."""
     v = np.asarray(v, dtype=float)
     return membership_residual(delta, m, v) <= tol * (1.0 + np.linalg.norm(v))
-
-
-def _null_space(matrix: np.ndarray, dim: int, tol: float) -> list[np.ndarray]:
-    if matrix.shape[0] == 0:
-        return [row for row in np.eye(dim)]
-    _, sv, vt = np.linalg.svd(matrix)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    rank = int(np.sum(sv > tol * scale))
-    return [vt[i] for i in range(rank, dim)]
 
 
 def pointwise_orthogonal_basis(
@@ -136,8 +127,8 @@ def pointwise_orthogonal_basis(
     """
     n = delta.chart.n
     G = delta.matrix_at(m)
-    swapped = np.hstack([G[:, n:], G[:, :n]])
-    return _null_space(swapped, 2 * n, tol)
+    rank, _, vt = svd_rank(np.hstack([G[:, n:], G[:, :n]]), tol, bases=True)
+    return list(vt[rank:])
 
 
 def annihilator_basis(
@@ -145,7 +136,8 @@ def annihilator_basis(
 ) -> list[np.ndarray]:
     """Basis of the covectors annihilating all generator values at m.
     Caller asserts locally constant rank of T near m."""
-    return _null_space(T.matrix_at(m), T.chart.n, tol)
+    rank, _, vt = svd_rank(T.matrix_at(m), tol, bases=True)
+    return list(vt[rank:])
 
 
 def check_bracket_hypothesis(
@@ -178,6 +170,7 @@ def check_bracket_hypothesis(
                         pairs,
                         tol,
                         detail="bracket of generator with leaf field stays in leaf+distribution span",
+                        stage="hypotheses",
                     )
                 )
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import OneForm, PontryaginSection, VectorField
-from .distribution import GeneralizedDistribution, membership_residual
+from .distribution import GeneralizedDistribution, membership_residual, span_residual
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -40,7 +40,7 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .report import CheckRecord, Report, record_from_samples
-from .symexpr import ZERO, Chart, Expr
+from .symexpr import ZERO, Chart
 
 __all__ = [
     "FoliatedProblem",
@@ -71,19 +71,28 @@ def coordinate_derivative(s: PontryaginSection, l: int) -> PontryaginSection:
     )
 
 
+def require_vanishing(expr, chart: Chart, message: str):
+    """Raise InputError with message unless expr is structurally zero or
+    vanishes at every default sample of the chart."""
+    if expr == ZERO:
+        return
+    for probe in chart.sample_points():
+        value = expr.eval(probe)
+        if abs(value) > 1e-12:
+            raise InputError(f"{message} (value {value:.3e} at {list(map(float, probe))})")
+
+
 def split_tilde(s: PontryaginSection, k: int) -> tuple[VectorField, PontryaginSection]:
     """Split s into its leaf-tangent vector part (first k coordinates) and
     the transverse remainder.  The form must have no components on the
-    first k coordinate differentials."""
+    first k coordinate differentials (checked by require_vanishing)."""
     chart = s.chart
     for j in range(k):
-        if s.form.coeffs[j] != ZERO:
-            probe = np.array([0.5 * (lo + hi) for lo, hi in chart.box])
-            if abs(s.form.coeffs[j].eval(probe)) > 1e-12:
-                raise InputError(
-                    f"form component {j} of a section over the leaf block is nonzero; "
-                    "sections must annihilate the leaf fields"
-                )
+        require_vanishing(
+            s.form.coeffs[j], chart,
+            f"form component {j} of a section over the leaf block is nonzero; "
+            "sections must annihilate the leaf fields",
+        )
     leaf = VectorField(chart, tuple(s.vf.coeffs[:k]) + (ZERO,) * (chart.n - k))
     tilde = PontryaginSection(
         VectorField(chart, (ZERO,) * k + tuple(s.vf.coeffs[k:])),
@@ -496,6 +505,26 @@ class InvariantFrameResult:
     report: Report = field(default_factory=Report)
 
 
+def _leaf_invariance(fn, p: FoliatedProblem, samples, tol: float, check: str, stage: str) -> Report:
+    """One record per leaf coordinate l: the l-th leaf derivative of the
+    section (or frame) evaluator fn must have vanishing transverse vector
+    components and vanishing form components."""
+    n, k = p.n, p.k
+    report = Report()
+    for l in range(k):
+        pairs = []
+        for m in samples:
+            d = leaf_directional_derivative(fn, p.chart, m, l)
+            scale = 1.0 + float(np.abs(fn(m)).max(initial=0.0))
+            defect = max(
+                float(np.abs(d[k:n]).max(initial=0.0)),
+                float(np.abs(d[n:]).max(initial=0.0)),
+            )
+            pairs.append((defect / scale, m))
+        report.add(record_from_samples(f"{check}[{l}]", pairs, tol, stage=stage))
+    return report
+
+
 def run(
     p: FoliatedProblem,
     samples=None,
@@ -510,7 +539,7 @@ def run(
     if samples is None:
         samples = p.chart.sample_points(seed=seed, margin=0.1)
     report = Report()
-    n, k, r = p.n, p.k, p.r
+    k, r = p.k, p.r
 
     if k == 0:
         frame = solver.generator_matrix
@@ -541,37 +570,13 @@ def run(
         worst = 0.0
         for col in F.T:
             worst = max(worst, membership_residual(D, m, col) / (1.0 + np.linalg.norm(col)))
-        frame_dist = GeneralizedDistribution(
-            p.chart,
-            tuple(
-                PontryaginSection(
-                    VectorField(p.chart, tuple(map(float, col[:n]))),
-                    OneForm(p.chart, tuple(map(float, col[n:]))),
-                )
-                for col in F.T
-            ),
-        )
         for col in G.T:
-            worst = max(
-                worst, membership_residual(frame_dist, m, col) / (1.0 + np.linalg.norm(col))
-            )
+            worst = max(worst, span_residual(F, col) / (1.0 + np.linalg.norm(col)))
         pairs.append((worst, m))
-    report.add(record_from_samples("frame-spans-distribution", pairs, tol))
+    report.add(record_from_samples("frame-spans-distribution", pairs, tol, stage="Step 3"))
 
-    # (ii) brackets of the frame with the leaf fields stay tangent to the
-    # leaves: the leaf derivative of each frame column must have vanishing
-    # transverse vector components and vanishing form components.
-    for l in range(k):
-        pairs = []
-        for m in samples:
-            dF = leaf_directional_derivative(solver.frame, p.chart, m, l)
-            scale = 1.0 + float(np.abs(solver.frame(m)).max(initial=0.0))
-            defect = max(
-                float(np.abs(dF[k:n]).max(initial=0.0)),
-                float(np.abs(dF[n:]).max(initial=0.0)),
-            )
-            pairs.append((defect / scale, m))
-        report.add(record_from_samples(f"frame-leaf-invariance[{l}]", pairs, tol))
+    # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
+    report.extend(_leaf_invariance(solver.frame, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
     correction = combined = Pi_field = None
     if p.extra is not None:
@@ -580,20 +585,11 @@ def run(
         combined = solver.combined
         pairs = []
         for m in samples:
-            res = membership_residual(D, m, solver.correction(m))
-            pairs.append((res / (1.0 + np.linalg.norm(solver.correction(m))), m))
-        report.add(record_from_samples("correction-in-distribution", pairs, tol))
-        for l in range(k):
-            pairs = []
-            for m in samples:
-                dC = leaf_directional_derivative(solver.combined, p.chart, m, l)
-                scale = 1.0 + float(np.abs(solver.combined(m)).max(initial=0.0))
-                defect = max(
-                    float(np.abs(dC[k:n]).max(initial=0.0)),
-                    float(np.abs(dC[n:]).max(initial=0.0)),
-                )
-                pairs.append((defect / scale, m))
-            report.add(record_from_samples(f"corrected-leaf-invariance[{l}]", pairs, tol))
+            c = solver.correction(m)
+            pairs.append((membership_residual(D, m, c) / (1.0 + np.linalg.norm(c)), m))
+        report.add(record_from_samples("correction-in-distribution", pairs, tol, stage="Step 4"))
+        report.extend(_leaf_invariance(
+            solver.combined, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
 
     return InvariantFrameResult(
         problem=p,

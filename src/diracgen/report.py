@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -18,15 +19,7 @@ class CheckRecord:
     stage: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "worst_residual": self.worst_residual,
-            "tol": self.tol,
-            "failing_point": self.failing_point,
-            "detail": self.detail,
-            "stage": self.stage,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -54,16 +47,18 @@ class Report:
         return len(self.records)
 
 
-def record_from_samples(check, residuals_points, tol, detail="") -> CheckRecord:
+def record_from_samples(check, residuals_points, tol, detail="", stage="") -> CheckRecord:
     """Build a record from (residual, point) pairs: pass iff the worst
-    residual stays within tol."""
+    residual stays within tol.  A NaN or infinite residual fails."""
     worst = 0.0
     worst_point = None
     for residual, point in residuals_points:
-        if residual > worst:
+        if not residual <= worst:  # larger, or NaN
             worst = residual
             worst_point = list(map(float, point))
-    passed = bool(worst <= tol)
+            if math.isnan(worst):
+                break
+    passed = bool(math.isfinite(worst) and worst <= tol)
     return CheckRecord(
         check=check,
         passed=passed,
@@ -71,4 +66,5 @@ def record_from_samples(check, residuals_points, tol, detail="") -> CheckRecord:
         tol=float(tol),
         failing_point=None if passed else worst_point,
         detail=detail,
+        stage=stage,
     )

@@ -89,8 +89,8 @@ class Chart:
         if len(box) != n:
             raise InputError(f"box needs {n} intervals, got {len(box)}")
         for i, (lo, hi) in enumerate(box):
-            if not lo <= hi:
-                raise InputError(f"empty box interval for {names[i]}: [{lo}, {hi}]")
+            if not lo < hi:
+                raise InputError(f"box interval for {names[i]} is not open: [{lo}, {hi}]")
             if i < self.leaf_count and not lo <= 0.0 <= hi:
                 raise InputError(
                     f"leaf coordinate {names[i]} has box [{lo}, {hi}] not containing 0"
@@ -159,7 +159,10 @@ class Expr:
     __slots__ = ()
 
     def eval(self, point) -> float:
-        value = self._eval(point)
+        try:
+            value = self._eval(point)
+        except OverflowError:
+            raise EvalDomainError(f"overflow evaluating {self} at {list(point)}") from None
         if not math.isfinite(value):
             raise EvalDomainError(f"non-finite value for {self} at {list(point)}")
         return value

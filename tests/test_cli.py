@@ -28,6 +28,21 @@ def problem(name: str) -> str:
     return os.path.join(PROBLEMS, name)
 
 
+def edited(tmp_path, name: str, edit) -> str:
+    """Path of a copy of a shipped problem with ``edit`` applied to its data."""
+    data = json.load(open(problem(name)))
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def readme_problem() -> dict:
+    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
 class TestCheck:
     def test_e1_passes(self):
         out = run_cli("check", problem("e1.json"))
@@ -44,6 +59,15 @@ class TestCheck:
         out = run_cli("check", str(path))
         assert out.returncode == 2
         assert "sections.D[0]" in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "invariant-generators"])
+    def test_leaf_form_component_vanishing_at_midpoint_rejected(self, tmp_path, command):
+        def edit(data):
+            data["sections"]["D"][0]["form"][0] = "x2"
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
 
     def test_malformed_expression_reports_position(self, tmp_path):
         data = json.load(open(problem("e1.json")))
@@ -69,6 +93,37 @@ class TestCheck:
         path.write_text(json.dumps(data))
         out = run_cli("check", str(path))
         assert out.returncode == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["check", "invariant-generators"])
+    @pytest.mark.parametrize("expr", ["exp(exp(exp(10*x2)))", "1/x2"])
+    def test_undefined_value_is_numerical_breakdown(self, tmp_path, command, expr):
+        def edit(data):
+            data["sections"]["D"][0]["vector"][1] = f"exp(x1)*({expr})"
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.strip().splitlines()) == 1
+
+    def test_degenerate_box_is_input_error(self, tmp_path):
+        def edit(data):
+            data["chart"]["box"][1] = [0.5, 0.5]
+
+        out = run_cli("dirac-reduce", edited(tmp_path, "translation_reduce.json", edit))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+
+
+class TestReadmeExample:
+    @pytest.mark.parametrize("command", ["check", "invariant-generators", "dirac-reduce"])
+    def test_readme_problem_runs(self, tmp_path, command):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(readme_problem()))
+        out = run_cli(command, str(path), "--samples", "8")
+        assert out.returncode == 0, out.stderr
+        assert records(out.stdout)[-1]["passed"] is True
 
 
 class TestInvariantGenerators:

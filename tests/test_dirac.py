@@ -15,6 +15,7 @@ from diracgen.dirac import (
     InfinitesimalAction,
     PoissonBivector,
     QuotientMap,
+    _Lift,
     characteristic_distributions,
     constant_rank_scan,
     descending_generators,
@@ -27,7 +28,7 @@ from diracgen.dirac import (
     vertical_and_K,
 )
 from diracgen.distribution import annihilator_basis, contains
-from diracgen.errors import InputError
+from diracgen.errors import InputError, VerificationError
 from diracgen.invariant_gen import FoliatedProblem, run
 from diracgen.symexpr import Chart, parse
 
@@ -280,6 +281,8 @@ class TestInvariantAnnihilator:
         problem = FoliatedProblem(chart=chart, generators=(gen,))
         result = invariant_annihilator_generators(action, problem)
         assert result.report.passed
+        assert all(r.stage for r in result.report)
+        assert result.report.records[-1].stage == "descending"
         for m in random_points(rng, chart, 3):
             assert np.allclose(result.frame(m).ravel(), [0.0, 0.0, 0.0, 1.0])
 
@@ -330,6 +333,57 @@ class TestPushforward:
         assert np.allclose(Xbar, 0.0, atol=1e-9)
         assert abar[0, 0] == pytest.approx(1.0)
         assert residual < 1e-9
+
+    def test_nonlinear_quotient_lift(self):
+        chart, D, action, problem = translation_setup()
+        result = descending_generators(D, action, problem)
+        target = Chart(coord_names=("y",), leaf_count=0, box=((-2.0, 2.0),))
+        q = QuotientMap(chart, target, (parse("x2 + x2^3", chart),))
+        report = pushforward_check(D, action, q, result)
+        assert report.passed
+        assert "reduced-closure" in [r.check for r in report]
+        lift = _Lift(q, np.array([0.0, 0.0]))
+        x = lift(np.array([1.0]))
+        # the real root of t^3 + t - 1
+        assert x[1] == pytest.approx(0.6823278038280193, abs=1e-9)
+        assert q(x)[0] == pytest.approx(1.0, abs=1e-8)
+        # y = 5 needs x2 > 1, outside the source box
+        with pytest.raises(VerificationError):
+            lift(np.array([5.0]))
+
+    def test_every_record_names_its_stage(self):
+        chart, D, action, problem = translation_setup()
+        samples = chart.sample_points(n_random=4, margin=0.1)
+        result = descending_generators(D, action, problem, samples=samples)
+        q = QuotientMap(chart, Chart(coord_names=("y",), leaf_count=0), (parse("x2", chart),))
+        pushed = pushforward_check(D, action, q, result, samples=samples)
+        validity = D.validate(samples)
+        validity.extend(action.validate(samples))
+        validity.extend(q.validate(action, samples))
+        validity.extend(is_closed(D, samples))
+        scan, _ = constant_rank_scan(D, action, samples)
+        stages = {r.check: r.stage for rep in (result.report, pushed, validity) for r in rep}
+        stages[scan.check] = scan.stage
+        assert stages == {
+            "frame-spans-distribution": "Step 3",
+            "frame-leaf-invariance[0]": "Step 2",
+            "supplied-family-in-intersection": "rank scan",
+            "supplied-family-spans-intersection": "rank scan",
+            "frame-forms-action-invariant[0]": "descending",
+            "frame-vectors-preserve-vertical[0]": "descending",
+            "pushed-forms-are-pullbacks": "pushforward",
+            "reduced-rank": "pushforward",
+            "reduced-isotropy": "pushforward",
+            "fiber-consistency": "pushforward",
+            "reduced-closure": "pushforward",
+            "lagrangian-rank": "validity",
+            "lagrangian-isotropy": "validity",
+            "quotient-submersion-rank": "validity",
+            "quotient-constant-on-fibers": "validity",
+            "courant-closure[0,1]": "validity",
+            "courant-closure[1,0]": "validity",
+            "constant-rank-intersection": "rank scan",
+        }
 
     def test_trivial_action_identity_quotient(self, chart2, rng):
         D = graph_of_poisson(canonical_pi(chart2))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.distribution import (
@@ -13,6 +14,7 @@ from diracgen.distribution import (
     membership_residual,
     pointwise_orthogonal_basis,
     rank_at,
+    svd_rank,
 )
 from diracgen.errors import InputError
 from diracgen.symexpr import parse
@@ -80,6 +82,40 @@ class TestRank:
     def test_empty_generators_rejected(self, chart2):
         with pytest.raises(InputError):
             GeneralizedDistribution(chart2, ())
+
+
+class TestSvdRank:
+    def test_zero_and_empty_matrices_have_rank_zero(self):
+        assert svd_rank(np.zeros((3, 2))) == 0
+        rank, u, vt = svd_rank(np.zeros((0, 3)), bases=True)
+        assert rank == 0 and u.shape == (0, 0)
+        assert np.array_equal(vt, np.eye(3))
+
+    def test_threshold_is_relative_to_largest_singular_value(self):
+        M = np.diag([1e6, 1e-2, 1e-5])
+        assert svd_rank(M, tol=1e-12) == 3
+        assert svd_rank(M, tol=1e-9) == 2
+        assert svd_rank(M, tol=1e-7) == 1
+        assert svd_rank(1e-12 * M, tol=1e-9) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 6),
+        rank=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_low_rank_products(self, rows, cols, rank, seed):
+        rank = min(rank, rows, cols)
+        r = np.random.default_rng(seed)
+        M = r.standard_normal((rows, rank)) @ r.standard_normal((rank, cols))
+        got, u, vt = svd_rank(M, bases=True)
+        assert got == rank == svd_rank(M)
+        # U[:, :rank] spans the columns, Vt[rank:] spans the null space
+        scale = 1.0 + np.abs(M).max()
+        assert np.abs(M @ vt[rank:].T).max(initial=0.0) <= 1e-10 * scale
+        col_basis = u[:, :rank]
+        assert np.abs(M - col_basis @ (col_basis.T @ M)).max() <= 1e-10 * scale
 
 
 class TestMembership:

@@ -67,6 +67,16 @@ class TestSplitTilde:
         with pytest.raises(InputError):
             split_tilde(s, 1)
 
+    def test_leaf_form_component_zero_at_midpoint_rejected(self, chart3):
+        # x2 on dx1 vanishes at the box midpoint but not on the box
+        g = section(chart3, ("0", "exp(x1)", "0"), ("x2", "exp(x1)", "0"))
+        with pytest.raises(InputError):
+            FoliatedProblem(chart=chart3, generators=(g,))
+
+    def test_leaf_form_component_vanishing_everywhere_accepted(self, chart3):
+        s = section(chart3, ("0", "1", "0"), ("x2 - x2", "0", "0"))
+        split_tilde(s, 1)
+
 
 class TestSolveCoefficients:
     def test_e1_coefficients(self, chart3, rng):
@@ -290,6 +300,15 @@ class TestRun:
         for m in random_points(rng, chart3, 4):
             assert np.allclose(result.combined(m), 0.0, atol=1e-8)
 
+    def test_every_record_names_its_stage(self, chart3):
+        stages = {r.check: r.stage for r in run(e2_problem(chart3)).report}
+        assert stages == {
+            "frame-spans-distribution": "Step 3",
+            "frame-leaf-invariance[0]": "Step 2",
+            "correction-in-distribution": "Step 4",
+            "corrected-leaf-invariance[0]": "Step 4",
+        }
+
     def test_violation_aborts_with_stage(self, chart3):
         g = section(chart3, ("0", "1", "x1"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart3, generators=(g,))
@@ -303,6 +322,7 @@ class TestRun:
         p = FoliatedProblem(chart=chart, generators=(g,))
         result = run(p)
         assert result.report.passed
+        assert [(r.check, r.stage) for r in result.report] == [("trivial-foliation", "")]
         m = np.array([0.3, 0.4])
         assert np.allclose(result.frame(m).ravel(), g(m))
 

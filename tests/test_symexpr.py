@@ -42,6 +42,12 @@ class TestParseEval:
         with pytest.raises(EvalDomainError):
             e.eval(np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("text", ["exp(exp(exp(10*x2)))", "(1e6*x2+2e6)^100"])
+    def test_overflow_is_a_domain_error(self, text):
+        chart = make_chart(2)
+        with pytest.raises(EvalDomainError):
+            parse(text, chart).eval(np.array([0.0, 1.0]))
+
     def test_exp_at_zero(self, chart3):
         assert parse("exp(x1)", chart3).eval(np.zeros(3)) == pytest.approx(1.0)
 
@@ -141,6 +147,11 @@ class TestChart:
     def test_transverse_box_need_not_contain_zero(self):
         chart = Chart(coord_names=("a", "b"), leaf_count=1, box=((-1.0, 1.0), (1.0, 2.0)))
         assert chart.box[1] == (1.0, 2.0)
+
+    @pytest.mark.parametrize("interval", [(0.5, 0.5), (1.0, -1.0), (float("nan"), 1.0)])
+    def test_box_interval_must_be_open(self, interval):
+        with pytest.raises(InputError):
+            Chart(coord_names=("a", "b"), leaf_count=1, box=((-1.0, 1.0), interval))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(InputError):
