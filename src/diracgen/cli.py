@@ -243,6 +243,23 @@ class _Emitter:
         print("verdict:", "pass" if passed else f"FAIL ({failed_stage or 'checks'})", file=sys.stderr)
         return code
 
+    def error(self, code: int, kind: str, exc: DiracgenError) -> int:
+        """The final verdict of a run stopped by an exception: one stderr
+        line, and a record with the stage, point and message."""
+        stage = exc.stage or ""
+        print(f"{kind}{f' [{stage}]' if stage else ''}: {exc}", file=sys.stderr)
+        self.line(
+            {
+                "record": "verdict",
+                "passed": False,
+                "exit_code": code,
+                "failed_stage": stage,
+                "point": exc.point,
+                "message": str(exc),
+            }
+        )
+        return code
+
 
 def _sample_points(chart: Chart, numerics: dict):
     return chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
@@ -280,97 +297,90 @@ def _check_leaf_annihilation(sections, chart: Chart, where: str):
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_check(data: dict, args) -> int:
+def cmd_check(data: dict, args, out: _Emitter) -> int:
     numerics = _numerics(data, args)
+    out.provenance("check", data["_raw_text"], numerics)
     chart = _chart_from(_require(data, "chart", "problem"))
     samples = _sample_points(chart, numerics)
-    out = _Emitter(args.output)
-    try:
-        out.provenance("check", data["_raw_text"], numerics)
-        report = Report()
-        sections = data.get("sections") or {}
-        action = _action_from(data, chart)
-        tol = numerics["tol"]
+    report = Report()
+    sections = data.get("sections") or {}
+    action = _action_from(data, chart)
+    tol = numerics["tol"]
 
-        gens_block = sections.get("D")
-        if gens_block:
-            gens = _section_list(gens_block, chart, "sections.D")
-            _check_leaf_annihilation(gens, chart, "sections.D")
-            extra = sections.get("extra")
-            if extra is not None:
-                extra = _section_from(extra, chart, "sections.extra")
-                _check_leaf_annihilation([extra], chart, "sections.extra")
-            if chart.leaf_count > 0:
-                theta = GeneralizedDistribution(
-                    chart,
-                    tuple(
-                        PontryaginSection.from_vector(VectorField.coordinate(chart, l))
-                        for l in range(chart.leaf_count)
-                    ),
-                )
-                D = GeneralizedDistribution(chart, gens)
-                report.extend(check_bracket_hypothesis(D, theta, extra, samples, tol))
+    gens_block = sections.get("D")
+    if gens_block:
+        gens = _section_list(gens_block, chart, "sections.D")
+        _check_leaf_annihilation(gens, chart, "sections.D")
+        extra = sections.get("extra")
+        if extra is not None:
+            extra = _section_from(extra, chart, "sections.extra")
+            _check_leaf_annihilation([extra], chart, "sections.extra")
+        if chart.leaf_count > 0:
+            theta = GeneralizedDistribution(
+                chart,
+                tuple(
+                    PontryaginSection.from_vector(VectorField.coordinate(chart, l))
+                    for l in range(chart.leaf_count)
+                ),
+            )
+            D = GeneralizedDistribution(chart, gens)
+            report.extend(check_bracket_hypothesis(D, theta, extra, samples, tol))
 
-        pi = _poisson_from(data, chart)
-        if pi is not None:
-            D_pi = graph_of_poisson(pi, samples)
-            report.extend(D_pi.validate(samples))
-            report.extend(is_closed(D_pi, samples, tol))
-        dirac_block = data.get("dirac")
-        if dirac_block is not None:
-            D_d = DiracStructure(chart, _section_list(dirac_block, chart, "dirac"))
-            report.extend(D_d.validate(samples))
-        if action is not None:
-            report.extend(action.validate(samples))
-            quotient = _quotient_from(data, chart)
-            if quotient is not None:
-                report.extend(quotient.validate(action, samples, tol))
-        out.checks(report)
-        return out.verdict(report.passed)
-    finally:
-        out.close()
+    pi = _poisson_from(data, chart)
+    if pi is not None:
+        D_pi = graph_of_poisson(pi, samples)
+        report.extend(D_pi.validate(samples))
+        report.extend(is_closed(D_pi, samples, tol))
+    dirac_block = data.get("dirac")
+    if dirac_block is not None:
+        D_d = DiracStructure(chart, _section_list(dirac_block, chart, "dirac"))
+        report.extend(D_d.validate(samples))
+    if action is not None:
+        report.extend(action.validate(samples))
+        quotient = _quotient_from(data, chart)
+        if quotient is not None:
+            report.extend(quotient.validate(action, samples, tol))
+    out.checks(report)
+    return out.verdict(report.passed)
 
 
-def cmd_invariant_generators(data: dict, args) -> int:
+def cmd_invariant_generators(data: dict, args, out: _Emitter) -> int:
     numerics = _numerics(data, args)
+    out.provenance("invariant-generators", data["_raw_text"], numerics)
     chart = _chart_from(_require(data, "chart", "problem"))
     samples = _sample_points(chart, numerics)
     problem = _foliated_problem(data, chart, numerics)
-    out = _Emitter(args.output)
-    try:
-        out.provenance("invariant-generators", data["_raw_text"], numerics)
-        result = run_invariant(problem, samples=samples)
-        out.checks(result.report)
+    result = run_invariant(problem, samples=samples)
+    out.checks(result.report)
+    for m in samples:
+        F = result.frame(m)
+        rec = {
+            "record": "frame",
+            "point": [float(v) for v in m],
+            "columns": [[float(v) for v in col] for col in F.T],
+        }
+        if result.combined is not None:
+            rec["combined"] = [float(v) for v in result.combined(m)]
+        out.line(rec)
+    if args.dump_intermediates:
+        from .invariant_gen import build_B, build_H, compute_Pi
+
         for m in samples:
-            F = result.frame(m)
             rec = {
-                "record": "frame",
+                "record": "intermediates",
                 "point": [float(v) for v in m],
-                "columns": [[float(v) for v in col] for col in F.T],
+                "H": [[float(v) for v in row] for row in build_H(problem, m)],
+                "B": [[float(v) for v in row] for row in build_B(problem, m)],
             }
-            if result.combined is not None:
-                rec["combined"] = [float(v) for v in result.combined(m)]
+            if problem.extra is not None:
+                rec["Pi"] = [float(v) for v in compute_Pi(problem, m)]
             out.line(rec)
-        if args.dump_intermediates:
-            from .invariant_gen import build_B, build_H, compute_Pi
-
-            for m in samples:
-                rec = {
-                    "record": "intermediates",
-                    "point": [float(v) for v in m],
-                    "H": [[float(v) for v in row] for row in build_H(problem, m)],
-                    "B": [[float(v) for v in row] for row in build_B(problem, m)],
-                }
-                if problem.extra is not None:
-                    rec["Pi"] = [float(v) for v in compute_Pi(problem, m)]
-                out.line(rec)
-        return out.verdict(result.report.passed)
-    finally:
-        out.close()
+    return out.verdict(result.report.passed)
 
 
-def cmd_dirac_reduce(data: dict, args) -> int:
+def cmd_dirac_reduce(data: dict, args, out: _Emitter) -> int:
     numerics = _numerics(data, args)
+    out.provenance("dirac-reduce", data["_raw_text"], numerics)
     chart = _chart_from(_require(data, "chart", "problem"))
     samples = _sample_points(chart, numerics)
     tol = numerics["tol"]
@@ -394,60 +404,54 @@ def cmd_dirac_reduce(data: dict, args) -> int:
         raise InputError("sections.dkperp: a spanning family of the intersection is required")
     family = _section_list(dkperp, chart, "sections.dkperp")
 
-    out = _Emitter(args.output)
-    try:
-        out.provenance("dirac-reduce", data["_raw_text"], numerics)
+    validity = Report()
+    validity.extend(D.validate(samples))
+    validity.extend(action.validate(samples))
+    validity.extend(quotient.validate(action, samples, tol))
+    out.checks(validity)
+    if not validity.passed:
+        return out.verdict(False, "validity")
 
-        validity = Report()
-        validity.extend(D.validate(samples))
-        validity.extend(action.validate(samples))
-        validity.extend(quotient.validate(action, samples, tol))
-        out.checks(validity)
-        if not validity.passed:
-            return out.verdict(False, "validity")
+    scan_record, _ = constant_rank_scan(D, action, samples)
+    scan = Report([scan_record])
+    out.checks(scan)
+    if not scan.passed:
+        return out.verdict(False, "rank scan")
 
-        scan_record, _ = constant_rank_scan(D, action, samples)
-        scan = Report([scan_record])
-        out.checks(scan)
-        if not scan.passed:
-            return out.verdict(False, "rank scan")
+    problem = FoliatedProblem(
+        chart=chart,
+        generators=family,
+        ode_step=numerics["ode_step"],
+        quad_step=numerics["quad_step"],
+        tol=tol,
+    )
+    result = descending_generators(D, action, problem, samples=samples, tol=tol)
+    out.checks(result.report)
+    if not result.report.passed:
+        return out.verdict(False, "descending")
 
-        problem = FoliatedProblem(
-            chart=chart,
-            generators=family,
-            ode_step=numerics["ode_step"],
-            quad_step=numerics["quad_step"],
-            tol=tol,
-        )
-        result = descending_generators(D, action, problem, samples=samples, tol=tol)
-        out.checks(result.report)
-        if not result.report.passed:
-            return out.verdict(False, "descending")
+    pushed = pushforward_check(
+        D, action, quotient, result, samples=samples, tol=max(tol, 1e-6),
+        seed=numerics["seed"],
+    )
+    out.checks(pushed)
+    if args.dump_intermediates:
+        from .dirac import push_frame
 
-        pushed = pushforward_check(
-            D, action, quotient, result, samples=samples, tol=max(tol, 1e-6),
-            seed=numerics["seed"],
-        )
-        out.checks(pushed)
-        if args.dump_intermediates:
-            from .dirac import push_frame
-
-            for m in samples:
-                Xbar, abar, _ = push_frame(quotient, result.frame, m, tol)
-                out.line(
-                    {
-                        "record": "pushed-frame",
-                        "point": [float(v) for v in m],
-                        "target_point": [float(v) for v in quotient(m)],
-                        "vectors": [[float(v) for v in col] for col in Xbar.T],
-                        "forms": [[float(v) for v in col] for col in abar.T],
-                    }
-                )
-        if not pushed.passed:
-            return out.verdict(False, "pushforward")
-        return out.verdict(True)
-    finally:
-        out.close()
+        for m in samples:
+            Xbar, abar, _ = push_frame(quotient, result.frame, m, tol)
+            out.line(
+                {
+                    "record": "pushed-frame",
+                    "point": [float(v) for v in m],
+                    "target_point": [float(v) for v in quotient(m)],
+                    "vectors": [[float(v) for v in col] for col in Xbar.T],
+                    "forms": [[float(v) for v in col] for col in abar.T],
+                }
+            )
+    if not pushed.passed:
+        return out.verdict(False, "pushforward")
+    return out.verdict(True)
 
 
 # -- entry point ------------------------------------------------------------
@@ -479,23 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = _Emitter(args.output)
     try:
         data = load_problem(args.problem)
-        return args.fn(data, args)
+        return args.fn(data, args, out)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalBreakdownError as exc:
-        stage = f" [{exc.stage}]" if getattr(exc, "stage", None) else ""
-        print(f"numerical breakdown{stage}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except EvalDomainError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return out.error(EXIT_INPUT, "input error", exc)
+    except (NumericalBreakdownError, EvalDomainError) as exc:
+        return out.error(EXIT_NUMERICAL, "numerical breakdown", exc)
     except VerificationError as exc:
-        stage = f" [{exc.stage}]" if getattr(exc, "stage", None) else ""
-        print(f"verification failure{stage}: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return out.error(EXIT_VERIFICATION, "verification failure", exc)
+    finally:
+        out.close()
 
 
 if __name__ == "__main__":

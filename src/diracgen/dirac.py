@@ -40,12 +40,14 @@ from .errors import InputError, VerificationError
 from .invariant_gen import (
     FoliatedProblem,
     InvariantFrameResult,
+    _difference,
+    _stencil,
     leaf_directional_derivative,
     require_vanishing,
     run,
 )
 from .report import CheckRecord, Report, record_from_samples
-from .symexpr import ZERO, Chart, Expr, _coerce
+from .symexpr import ZERO, Chart, Expr, _coerce, plain
 
 __all__ = [
     "DiracStructure",
@@ -203,14 +205,13 @@ class QuotientMap:
                 f"quotient map needs {self.target.n} components, got {len(comps)}"
             )
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_jacobian_exprs", _partials(comps, self.source.n))
 
     def __call__(self, m) -> np.ndarray:
         return np.array([c.eval(m) for c in self.components])
 
     def jacobian(self, m) -> np.ndarray:
-        return np.array(
-            [[c.diff(j).eval(m) for j in range(self.source.n)] for c in self.components]
-        )
+        return np.array([[d.eval(m) for d in row] for row in self._jacobian_exprs])
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
         if samples is None:
@@ -357,19 +358,37 @@ def _fd_gradient(fn, chart: Chart, m):
     return [leaf_directional_derivative(fn, chart, m, i) for i in range(chart.n)]
 
 
-def _frame_jets(frame, chart: Chart, samples):
+def _frame_jets(frames, chart: Chart, samples):
     """(m, F, dF) at each sample: the frame value and its coordinate
-    gradient, one finite difference of the whole frame per coordinate."""
-    return [(m, frame(m), _fd_gradient(frame, chart, m)) for m in samples]
+    gradient, one finite difference of the whole frame per coordinate.  The
+    frames at all samples and stencil points are one batch, in the order a
+    point-by-point pass evaluates them."""
+    stencils = [[_stencil(chart, m, i) for i in range(chart.n)] for m in samples]
+    values = frames([
+        q for m, stencil in zip(samples, stencils) for q in (m, *(q for points, _ in stencil for q in points))
+    ])
+    size = 1 + 4 * chart.n
+    jets = []
+    for s, (m, stencil) in enumerate(zip(samples, stencils)):
+        at = values[size * s : size * (s + 1)]
+        dF = [_difference(at[1 + 4 * i : 5 + 4 * i], delta) for i, (_, delta) in enumerate(stencil)]
+        jets.append((m, at[0], dF))
+    return jets
 
 
-def _action_defects(xi: VectorField, m, F, dF, n: int):
+def _partials(exprs, n: int) -> tuple:
+    """All first partial derivatives: row i holds d_j of exprs[i], j < n."""
+    return tuple(tuple(e.diff(j) for j in range(n)) for e in exprs)
+
+
+def _action_defects(xi: VectorField, dxi_exprs, m, F, dF, n: int):
     """Lie derivatives along xi of all frame columns (Z, gamma) at once,
-    from the frame value F and gradient dF at m:
+    from the frame value F and gradient dF at m (dxi_exprs are the partials
+    of xi, see _partials):
     (L_xi gamma)_j = sum_i xi^i d_i(gamma_j) + gamma_i d_j(xi^i) and
     [Z, xi]^j = sum_a Z^a d_a(xi^j) - xi^a d_a(Z^j), each an n x r array."""
     xi_val = xi(m)
-    dxi = [[c.diff(j).eval(m) for j in range(n)] for c in xi.coeffs]  # dxi[i][j] = d_j xi^i
+    dxi = [[d.eval(m) for d in row] for row in dxi_exprs]  # dxi[i][j] = d_j xi^i
     lie_form = np.array([
         sum(xi_val[i] * dF[i][n + j] for i in range(n))
         + sum(F[n + i] * dxi[i][j] for i in range(n))
@@ -400,11 +419,11 @@ def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedP
         if transverse > 1e-9 * (1.0 + np.abs(vals).max()):
             raise InputError(
                 "chart is not foliated for this action: a generator has components "
-                f"beyond the leaf block at {list(m)}"
+                f"beyond the leaf block at {plain(m)}"
             )
         if svd_rank(vals[:, :k]) != k:
             raise InputError(
-                f"action generators do not span the leaf block at {list(m)}"
+                f"action generators do not span the leaf block at {plain(m)}"
             )
 
 
@@ -453,13 +472,14 @@ def descending_generators(
     result.report.add(record_from_samples(
         "supplied-family-spans-intersection", span_pairs, tol, stage="rank scan"))
 
-    jets = _frame_jets(result.frame, problem.chart, samples)
+    jets = _frame_jets(result.frames, problem.chart, samples)
     for idx_xi, xi in enumerate(action.generators):
+        dxi = _partials(xi.coeffs, n)
         pairs_form = []
         pairs_vf = []
         for m, F, dF in jets:
             scale = 1.0 + _max_abs(F)
-            lie_form, bracket = _action_defects(xi, m, F, dF, n)
+            lie_form, bracket = _action_defects(xi, dxi, m, F, dF, n)
             pairs_form.append((_max_abs(lie_form) / scale, m))
             # vertical means: no components beyond the leaf block
             pairs_vf.append((_max_abs(bracket[k:]) / scale, m))
@@ -487,9 +507,10 @@ def invariant_annihilator_generators(
         for c in g.vf.coeffs:
             require_vanishing(c, problem.chart, "annihilator generators must have zero vector part")
     result = run(problem, samples=samples, tol=tol)
-    jets = _frame_jets(result.frame, problem.chart, samples)
+    jets = _frame_jets(result.frames, problem.chart, samples)
     for idx_xi, xi in enumerate(action.generators):
-        pairs = [(_max_abs(_action_defects(xi, m, F, dF, n)[0]) / (1.0 + _max_abs(F)), m)
+        dxi = _partials(xi.coeffs, n)
+        pairs = [(_max_abs(_action_defects(xi, dxi, m, F, dF, n)[0]) / (1.0 + _max_abs(F)), m)
                  for m, F, dF in jets]
         result.report.add(record_from_samples(
             f"annihilator-frame-action-invariant[{idx_xi}]", pairs, tol, stage="descending"))
@@ -522,7 +543,7 @@ class _Lift:
         residual = np.linalg.norm(self.q(sol.x) - np.asarray(ybar, dtype=float))
         if residual > 1e-8:
             raise VerificationError(
-                f"could not lift target point {list(ybar)} through the quotient map "
+                f"could not lift target point {plain(ybar)} through the quotient map "
                 f"(residual {residual:.3e})"
             )
         self._cache[key] = sol.x

@@ -2,7 +2,11 @@
 
 
 class DiracgenError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``point`` and ``stage`` say where
+    the error arose, when known."""
+
+    point = None
+    stage = None
 
 
 class InputError(DiracgenError):
@@ -34,6 +38,10 @@ class OutsideBoxError(InputError):
 class EvalDomainError(DiracgenError):
     """Division by zero or non-finite value during evaluation."""
 
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
+
 
 class VerificationError(DiracgenError):
     """A hypothesis or output property failed numerically (exit code 1)."""
@@ -53,9 +61,10 @@ class NonUniqueCoefficients(VerificationError):
     """The transverse component matrix of the generators is rank deficient,
     so the coefficient matrices of the linear system are not determined."""
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point=None, stage=None):
         super().__init__(message)
         self.point = point
+        self.stage = stage
 
 
 class NumericalBreakdownError(DiracgenError):

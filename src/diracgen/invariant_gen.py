@@ -20,6 +20,9 @@ The pipeline is numeric-by-evaluation on top of exact symbolic brackets:
 4. the correction coefficients Pi = -B R come from nested composite
    Simpson integrals of H^T beta_l along coordinate lines.
 
+Steps 1, 2 and 4 work on whole coordinate lines and batches of points,
+with values bit-identical to evaluating one point at a time.
+
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,13 +38,14 @@ import numpy as np
 from .calculus import OneForm, PontryaginSection, VectorField
 from .distribution import GeneralizedDistribution, membership_residual, span_residual
 from .errors import (
+    DiracgenError,
     HypothesisViolated,
     InputError,
     NonUniqueCoefficients,
     NumericalBreakdownError,
 )
 from .report import CheckRecord, Report, record_from_samples
-from .symexpr import ZERO, Chart
+from .symexpr import ZERO, Chart, CompiledExprs, plain
 
 __all__ = [
     "FoliatedProblem",
@@ -79,7 +84,7 @@ def require_vanishing(expr, chart: Chart, message: str):
     for probe in chart.sample_points():
         value = expr.eval(probe)
         if abs(value) > 1e-12:
-            raise InputError(f"{message} (value {value:.3e} at {list(map(float, probe))})")
+            raise InputError(f"{message} (value {value:.3e} at {plain(probe)})")
 
 
 def split_tilde(s: PontryaginSection, k: int) -> tuple[VectorField, PontryaginSection]:
@@ -150,113 +155,313 @@ class FoliatedProblem:
         return len(self.generators)
 
 
+# Coordinate lines each solver keeps: Step-2 integration grids and Step-4
+# Simpson running totals, each in its own cache.  Past this many, the least
+# recently used line is dropped; it is recomputed from the zero slice, with
+# the same values, when it is needed again.
+LINE_CACHE_SIZE = 128
+
+
+def _lru_get(cache: OrderedDict, key, make):
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+        if len(cache) > LINE_CACHE_SIZE:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return value
+
+
+def _group_flags(bad, sizes, n_points: int) -> list:
+    """For each group of consecutive expressions (of the given sizes), the
+    points where one of them fails to evaluate."""
+    if bad is None:
+        return [np.zeros(n_points, dtype=bool)] * len(sizes)
+    bounds = np.cumsum([0] + sizes)
+    return [bad[a:b].any(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _first_failure(checks) -> tuple[int, int] | None:
+    """(point, check) of the first failure: points in order, and at a point
+    the checks in the order given (each a boolean array over the points)."""
+    failed = np.array(checks)
+    hits = np.flatnonzero(failed.any(axis=0))
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    return i, int(np.flatnonzero(failed[:, i])[0])
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each trailing-axis vector, with the same dot product
+    (so bit-identical to it)."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+# What evaluating a batch can raise at a failing point.
+_POINT_ERRORS = (DiracgenError, np.linalg.LinAlgError)
+
+
+def _batch(points, compute, one):
+    """compute(points) on a batch of points.  If it fails, one(m) runs at
+    each point in turn, so the error raised is the one a point-by-point pass
+    meets first."""
+    points = np.asarray(points, dtype=float)
+    if len(points) == 0:
+        return points
+    try:
+        return compute(points)
+    except _POINT_ERRORS:
+        if len(points) > 1:
+            for m in points:
+                one(m)
+        raise
+
+
+def _line_points(point: np.ndarray, j: int, xs) -> np.ndarray:
+    """Copies of point with coordinate j set to each of xs."""
+    out = np.repeat(point[None], len(xs), axis=0)
+    out[:, j] = xs
+    return out
+
+
+class _Panels:
+    """Composite-Simpson state of one Step-4 line: the panel boundaries, the
+    integrand there (from the zero slice on, once the line first grows), and
+    the running total after each full panel."""
+
+    def __init__(self, r: int):
+        self.x = [0.0]
+        self.f = []
+        self.total = [np.zeros(r)]
+
+
 class _Solver:
-    """Point evaluators for every stage, with trajectory caching for the
-    fundamental matrices (re-evaluations along a coordinate line reuse the
-    integration grid)."""
+    """Batched evaluators for every stage.  Expressions are compiled and
+    differentiated once, here.  Step 1 runs on all RK4 nodes of a line in
+    one stacked solve; Step 2 keeps the integration grid of each coordinate
+    line and Step 4 the Simpson totals of each quadrature line, so every
+    later point on a line only adds its own last partial step or panel.
+
+    Batches check every node.  When one fails, the work is redone point by
+    point with the same code, so the error raised is the one the per-point
+    order meets first."""
 
     def __init__(self, problem: FoliatedProblem):
-        self.p = problem
-        p = problem
-        self.tilde = [split_tilde(g, p.k)[1] for g in p.generators]
+        self.p = p = problem
+        n, k = p.n, p.k
+        self.tilde = [split_tilde(g, k)[1] for g in p.generators]
         # transverse coefficient expressions, stacked as in the linear system:
         # rows are vector components k..n-1 then form components k..n-1,
         # columns index the generators.
         self.tilde_exprs = [
-            [t.vf.coeffs[j] for t in self.tilde] for j in range(p.k, p.n)
-        ] + [[t.form.coeffs[j] for t in self.tilde] for j in range(p.k, p.n)]
-        self.dtilde_exprs = [
-            [[e.diff(l) for e in row] for row in self.tilde_exprs] for l in range(p.k)
-        ]
-        self.constant_tilde = all(
-            e is ZERO or e == ZERO for row in self.dtilde_exprs for cell in row for e in cell
-        )
+            [t.vf.coeffs[j] for t in self.tilde] for j in range(k, n)
+        ] + [[t.form.coeffs[j] for t in self.tilde] for j in range(k, n)]
+        T = [e for row in self.tilde_exprs for e in row]
+        dT = [e.diff(l) for l in range(k) for e in T]
+        self.constant_tilde = all(e == ZERO for e in dT)
+        X_leaf = [g.vf.coeffs[j] for j in range(k) for g in p.generators]  # k x r
+        dX = [g.vf.coeffs[j].diff(l) for l in range(k) for g in p.generators for j in range(k)]
+        # Step 1 at a node evaluates T, then each dT_l, then the leaf parts for A
+        self._step1_exprs = CompiledExprs(([] if self.constant_tilde else T + dT) + X_leaf + dX)
         if p.extra is not None:
-            _, extra_tilde = split_tilde(p.extra, p.k)
-            self.extra_tilde_exprs = [extra_tilde.vf.coeffs[j] for j in range(p.k, p.n)] + [
-                extra_tilde.form.coeffs[j] for j in range(p.k, p.n)
+            _, extra_tilde = split_tilde(p.extra, k)
+            d_extra = [
+                e.diff(l)
+                for l in range(k)
+                for e in (
+                    [extra_tilde.vf.coeffs[j] for j in range(k, n)]
+                    + [extra_tilde.form.coeffs[j] for j in range(k, n)]
+                    + list(p.extra.vf.coeffs[:k])
+                )
             ]
-        self._coeff_cache: dict = {}
-        self._beta_cache: dict = {}
-        self._lines: dict = {}
+            # Step 4 at a node evaluates T, the leaf parts, then per l the
+            # transverse and the leaf derivatives of the extra section
+            self._beta_exprs = CompiledExprs(T + X_leaf + d_extra)
+        self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
+        self._panels: OrderedDict = OrderedDict()  # (l, frozen, sign) -> _Panels
 
     # -- Step 1 -----------------------------------------------------------
 
     def tilde_matrix(self, m) -> np.ndarray:
         return np.array([[e.eval(m) for e in row] for row in self.tilde_exprs])
 
-    def _coefficients(self, m) -> tuple[np.ndarray, list[np.ndarray]]:
-        """A (k x r x k) and the matrices B_0..B_{k-1} at m."""
-        key = tuple(np.asarray(m, dtype=float))
-        hit = self._coeff_cache.get(key)
-        if hit is not None:
-            return hit
+    def _step1(self, nodes: np.ndarray, with_A: bool = False):
+        """B_0..B_{k-1} at each node, shape (N, k, r, r), and A (N, k, r, k)
+        when asked for.  Every check runs at every node; the first failure
+        (nodes in order, at a node in the per-point order) raises."""
         p = self.p
-        m = np.asarray(m, dtype=float)
-        p.chart.require_inside(m)
+        N, k, r = len(nodes), p.k, p.r
+        M = 2 * (p.n - k)
+        vals, bad = self._step1_exprs.evaluate(nodes)
+        tilde_rows = 0 if self.constant_tilde else M * r * (k + 1)
+        flags = _group_flags(bad, ([] if self.constant_tilde else [M * r] * (k + 1)) + [k * r, k * k * r], N)
         if self.constant_tilde:
-            Bs = [np.zeros((p.r, p.r)) for _ in range(p.k)]
+            B = np.zeros((N, k, r, r))
+            checks = flags
         else:
-            T = self.tilde_matrix(m)
-            q, rfac = np.linalg.qr(T)
-            diag = np.abs(np.diag(rfac))
-            scale = max(diag.max(initial=0.0), 1.0e-300)
-            if diag.size < p.r or diag.min() <= 1e-12 * scale:
+            T = vals[: M * r].T.reshape(N, M, r)
+            dT = vals[M * r : M * r * (k + 1)].T.reshape(N, k, M, r)
+            q, R = np.linalg.qr(T)
+            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            if diag.shape[1] < r:
+                degenerate = np.ones(N, dtype=bool)
+                B = violated = None
+            else:
+                scale = np.maximum(diag.max(axis=1), 1.0e-300)
+                degenerate = diag.min(axis=1) <= 1e-12 * scale
+                R[flags[0] | degenerate] = np.eye(r)  # unused there: a check fails first
+                B = np.linalg.solve(R[:, None], np.swapaxes(q, 1, 2)[:, None] @ dT)
+                residual = _norms((T[:, None] @ B - dT).reshape(N, k, M * r))
+                violated = residual > p.tol * (1.0 + _norms(dT.reshape(N, k, M * r)))
+            checks = [flags[0], degenerate]
+            for l in range(k):
+                checks += [flags[1 + l], np.zeros(N, dtype=bool) if violated is None else violated[:, l]]
+            checks += flags[-2:]
+        failure = _first_failure(checks)
+        if failure is not None:
+            i, c = failure
+            point = nodes[i]
+            if not self.constant_tilde and c == 1:
                 raise NonUniqueCoefficients(
                     "transverse components of the generators are pointwise dependent; "
                     "re-present the family with an independent local frame",
-                    point=list(m),
+                    point=plain(point),
+                    stage="Step 1",
                 )
-            Bs = []
-            for l in range(p.k):
-                dT = np.array([[e.eval(m) for e in row] for row in self.dtilde_exprs[l]])
-                B_l = np.linalg.solve(rfac, q.T @ dT)
-                residual = np.linalg.norm(T @ B_l - dT)
-                if residual > p.tol * (1.0 + np.linalg.norm(dT)):
-                    raise HypothesisViolated(
-                        f"leaf derivative of a generator leaves the span "
-                        f"(residual {residual:.3e})",
-                        point=list(m),
-                        stage="Step 1",
-                    )
-                Bs.append(B_l)
-        A = np.zeros((p.k, p.r, p.k))
-        X_leaf = np.array(
-            [[g.vf.coeffs[j].eval(m) for g in p.generators] for j in range(p.k)]
-        )  # k x r
-        for l in range(p.k):
-            for i in range(p.r):
-                dX = np.array(
-                    [p.generators[i].vf.coeffs[j].diff(l).eval(m) for j in range(p.k)]
+            if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
+                l = (c - 3) // 2
+                residual = np.linalg.norm(T[i] @ B[i, l] - dT[i, l])
+                raise HypothesisViolated(
+                    f"leaf derivative of a generator leaves the span (residual {residual:.3e})",
+                    point=plain(point),
+                    stage="Step 1",
                 )
-                A[l, i] = dX - X_leaf @ Bs[l][:, i]
-        result = (A, Bs)
-        self._coeff_cache[key] = result
-        return result
+            self._step1_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), point)
+        if not with_A:
+            return B, None
+        leaf = vals[tilde_rows:].T.reshape(N, k * r + k * k * r)
+        X_leaf = leaf[:, : k * r].reshape(N, k, r)
+        dX = leaf[:, k * r :].reshape(N, k, r, k)
+        A = np.zeros((N, k, r, k))
+        for i in range(N):
+            for l in range(k):
+                for g in range(r):
+                    A[i, l, g] = dX[i, l, g] - X_leaf[i] @ B[i, l][:, g]
+        return B, A
+
+    def coefficients(self, m) -> tuple[np.ndarray, np.ndarray]:
+        """A (k x r x k) and the matrices B_0..B_{k-1} (k x r x r) at m."""
+        m = np.asarray(m, dtype=float)
+        self.p.chart.require_inside(m)
+        B, A = self._step1(m[None], with_A=True)
+        return A[0], B[0]
 
     def B_matrix(self, m, l: int) -> np.ndarray:
-        return self._coefficients(m)[1][l]
+        return self.coefficients(m)[1][l]
 
     # -- Step 2 -----------------------------------------------------------
 
-    def _rk4_step(self, j: int, point: np.ndarray, x0: float, h: float, W: np.ndarray):
-        def rhs(x):
-            q = point.copy()
-            q[j] = x
-            return self.B_matrix(q, j).T
+    @staticmethod
+    def _rk4(B: np.ndarray, W: np.ndarray, h) -> np.ndarray:
+        """One classical RK4 step of dY/dx = B^T Y for a stack of lines: B
+        (L, 3, r, r) holds B at the start, midpoint and end of each step."""
+        Bt = np.swapaxes(B, -1, -2)
+        k1 = Bt[:, 0] @ W
+        k2 = Bt[:, 1] @ (W + 0.5 * h * k1)
+        k3 = Bt[:, 1] @ (W + 0.5 * h * k2)
+        k4 = Bt[:, 2] @ (W + h * k3)
+        return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        k1 = rhs(x0) @ W
-        mid = rhs(x0 + 0.5 * h)
-        k2 = mid @ (W + 0.5 * h * k1)
-        k3 = mid @ (W + 0.5 * h * k2)
-        k4 = rhs(x0 + h) @ (W + h * k3)
-        out = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(out)):
-            raise NumericalBreakdownError(
-                "non-finite values while integrating a fundamental matrix",
-                point=list(point),
-                stage="Step 2",
-            )
+    def _B_on_line(self, nodes: np.ndarray, j: int) -> np.ndarray:
+        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r)."""
+        r = self.p.r
+        return self._step1(nodes)[0][:, j].reshape(-1, 3, r, r)
+
+    def _breakdown(self, point):
+        return NumericalBreakdownError(
+            "non-finite values while integrating a fundamental matrix",
+            point=plain(point),
+            stage="Step 2",
+        )
+
+    def _extend(self, j: int, lines: list, h: float):
+        """Grow each grid Ws of lines (Ws, point, target), which holds W at
+        i*h on the x^j line through point, to index target.  Step 1 runs at
+        the new RK4 nodes of all lines in one stacked call, and each RK4 step
+        is one stacked step over the lines still growing."""
+        lines = [line for line in lines if line[2] >= len(line[0])]
+        if not lines:
+            return
+        counts = [target - len(Ws) + 1 for Ws, _, target in lines]
+        nodes = []
+        for (Ws, point, _), count in zip(lines, counts):
+            x0 = np.arange(len(Ws) - 1, len(Ws) - 1 + count) * h
+            nodes.append(_line_points(point, j, np.stack([x0, x0 + 0.5 * h, x0 + h], axis=1).ravel()))
+        try:
+            B = self._B_on_line(np.concatenate(nodes), j)
+        except _POINT_ERRORS:
+            if len(lines) > 1:
+                raise  # the caller redoes its points one at a time
+            B = None  # redone step by step below, where the per-point order raises
+        starts = np.cumsum([0] + counts)
+        for s in range(max(counts)):
+            grow = [a for a, count in enumerate(counts) if s < count]
+            if B is None:
+                Bs = self._B_on_line(nodes[0][3 * s : 3 * s + 3], j)
+            else:
+                Bs = B[[starts[a] + s for a in grow]]
+            W = self._rk4(Bs, np.stack([lines[a][0][-1] for a in grow]), h)
+            for a, Wa in zip(grow, W):
+                if not np.all(np.isfinite(Wa)):
+                    raise self._breakdown(lines[a][1])
+                lines[a][0].append(Wa)
+
+    def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
+        """W_j at each point (N x n).  The grids of all lines through the
+        points grow in one batch per direction, then the last partial step
+        of every point runs in one more."""
+        p = self.p
+        r = p.r
+        out = np.empty((len(points), r, r))
+        out[:] = np.eye(r)
+        if self.constant_tilde:
+            return out
+        xs = points[:, j].tolist()
+        live = [i for i, x in enumerate(xs) if x != 0.0]
+        n_full = {i: int(abs(xs[i]) // p.ode_step) for i in live}
+        grids, lines = {}, {}
+        for i in live:
+            m = points[i]
+            key = (j, tuple(m[:j]) + tuple(m[j + 1 :]), xs[i] > 0.0)
+            if key not in lines:  # looked up once: a big batch may evict it from the cache
+                lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), m, 0]
+            line = lines[key]
+            line[2] = max(line[2], n_full[i])
+            grids[i] = line[0]
+        for positive in (True, False):
+            h = math.copysign(p.ode_step, 1.0 if positive else -1.0)
+            self._extend(j, [line for key, line in lines.items() if key[2] == positive], h)
+        for i in live:
+            out[i] = grids[i][n_full[i]]
+        steps = {}  # point -> (start, length) of its last partial step
+        for i in live:
+            h = math.copysign(p.ode_step, xs[i])
+            rem = xs[i] - n_full[i] * h
+            if abs(rem) > 1e-15 * max(1.0, abs(xs[i])):
+                steps[i] = (n_full[i] * h, rem)
+        if steps:
+            todo = list(steps)
+            nodes = np.repeat(points[todo], 3, axis=0)
+            nodes[:, j] = [x for x0, dx in steps.values() for x in (x0, x0 + 0.5 * dx, x0 + dx)]
+            B = self._B_on_line(nodes, j)
+            last = self._rk4(B, out[todo], np.array([dx for _, dx in steps.values()])[:, None, None])
+            for i, W in zip(todo, last):
+                if not np.all(np.isfinite(W)):
+                    raise self._breakdown(points[i])
+            out[todo] = last
         return out
 
     def fundamental_matrix(self, j: int, m) -> np.ndarray:
@@ -267,60 +472,55 @@ class _Solver:
             raise InputError(f"leaf index {j} out of range 0..{p.k - 1}")
         m = np.asarray(m, dtype=float)
         p.chart.require_inside(m)
-        if self.constant_tilde:
-            return np.eye(p.r)
-        x = float(m[j])
-        if x == 0.0:
-            return np.eye(p.r)
-        h = math.copysign(p.ode_step, x)
-        frozen = tuple(v for i, v in enumerate(m) if i != j)
-        line = self._lines.setdefault((j, frozen), {0: np.eye(p.r)})
-        n_full = int(abs(x) // p.ode_step)
-        sign = 1 if x > 0 else -1
-        # extend the cached grid along this line as far as needed
-        grown = max((sign * i for i in line if sign * i >= 0), default=0)
-        point = m.copy()
-        while grown < n_full:
-            W = line[sign * grown]
-            line[sign * (grown + 1)] = self._rk4_step(j, point, grown * h, h, W)
-            grown += 1
-        W = line[sign * n_full]
-        rem = x - n_full * h
-        if abs(rem) > 1e-15 * max(1.0, abs(x)):
-            W = self._rk4_step(j, point, n_full * h, rem, W)
-        return W
+        return self._fundamental(j, m[None])[0]
 
-    def build_H(self, m) -> np.ndarray:
-        """Nested product of fundamental-matrix ratios with successively
-        zeroed leaf coordinates; reduces to W of the last leaf index for a
-        one-dimensional foliation."""
-        p = self.p
-        m = np.asarray(m, dtype=float)
-        if p.k == 0:
-            return np.eye(p.r)
-        H = self.fundamental_matrix(p.k - 1, m)
-        for j in range(p.k - 1, 0, -1):
-            q = m.copy()
-            q[j : p.k] = 0.0
-            Wj = self.fundamental_matrix(j, q)
-            Wprev = self.fundamental_matrix(j - 1, q)
-            H = H @ self._solve_square(Wj, Wprev, q, "Step 2")
-        return H
-
-    def _solve_square(self, A, B, point, stage):
+    def _solve_square(self, A, B, points, stage):
         cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1.0 / self.p.tol:
+        singular = ~np.isfinite(cond) | (cond > 1.0 / self.p.tol)
+        if singular.any():
+            i = int(np.flatnonzero(singular)[0])
             raise NumericalBreakdownError(
-                f"singular matrix (condition number {cond:.3e})",
-                point=list(point),
+                f"singular matrix (condition number {cond[i]:.3e})",
+                point=plain(points[i]),
                 stage=stage,
             )
         return np.linalg.solve(A, B)
 
+    def _H(self, points: np.ndarray) -> np.ndarray:
+        """Nested product of fundamental-matrix ratios with successively
+        zeroed leaf coordinates, at each point; reduces to W of the last
+        leaf index for a one-dimensional foliation."""
+        p = self.p
+        if p.k == 0:
+            return np.broadcast_to(np.eye(p.r), (len(points), p.r, p.r)).copy()
+        H = self._fundamental(p.k - 1, points)
+        for j in range(p.k - 1, 0, -1):
+            q = points.copy()
+            q[:, j : p.k] = 0.0
+            Wj = self._fundamental(j, q)
+            Wprev = self._fundamental(j - 1, q)
+            H = H @ self._solve_square(Wj, Wprev, q, "Step 2")
+        return H
+
+    def _B(self, points: np.ndarray) -> np.ndarray:
+        H = self._H(points)
+        eye = np.broadcast_to(np.eye(self.p.r), H.shape)
+        return self._solve_square(np.swapaxes(H, 1, 2), eye, points, "Step 2")
+
+    def _checked(self, points) -> np.ndarray:
+        """points (N x n) as floats, each checked to lie in the box when the
+        fundamental matrices will be integrated there."""
+        points = np.asarray(points, dtype=float)
+        if self.p.k:
+            for m in points:
+                self.p.chart.require_inside(m)
+        return points
+
+    def build_H(self, m) -> np.ndarray:
+        return self._H(self._checked([m]))[0]
+
     def build_B(self, m) -> np.ndarray:
-        H = self.build_H(m)
-        B = self._solve_square(H.T, np.eye(self.p.r), m, "Step 2")
-        return B
+        return self._B(self._checked([m]))[0]
 
     # -- Step 3 -----------------------------------------------------------
 
@@ -328,107 +528,205 @@ class _Solver:
         """Evaluated generators as columns of a 2n x r matrix."""
         return np.column_stack([g(m) for g in self.p.generators])
 
+    def _frames(self, points: np.ndarray) -> np.ndarray:
+        G = [self.generator_matrix(m) for m in points]
+        return np.stack([g @ b for g, b in zip(G, self._B(self._checked(points)))])
+
+    def frames(self, points) -> np.ndarray:
+        """The straightened frame at each point (N, 2n, r), with the lines of
+        all points integrated together."""
+        return _batch(points, self._frames, self.frame)
+
     def frame(self, m) -> np.ndarray:
         """The straightened frame: columns i are the values of (Z_i, gamma_i)."""
-        return self.generator_matrix(m) @ self.build_B(m)
+        return self._frames(np.asarray([m], dtype=float))[0]
 
     # -- Step 4 -----------------------------------------------------------
+
+    def _beta(self, points: np.ndarray, with_sigma: bool = False):
+        """Decomposition coefficients of the leaf derivatives of the extra
+        section at each point: beta (N, k, r, over the generators) and, when
+        asked for, sigma (N, k, k, over the leaf fields).  Every check runs
+        at every point; the first failure (points in order, at a point in
+        the per-point order) raises."""
+        p = self.p
+        if p.extra is None:
+            raise InputError("no extra section in this problem")
+        N, k, r = len(points), p.k, p.r
+        M = 2 * (p.n - k)
+        vals, bad = self._beta_exprs.evaluate(points)
+        flags = _group_flags(bad, [M * r, k * r] + [M, k] * k, N)
+        T = vals[: M * r].T.reshape(N, M, r)
+        X_leaf = vals[M * r : (M + k) * r].T.reshape(N, k, r)
+        d_extra = vals[(M + k) * r :].T.reshape(N, k, M + k)
+        beta = np.zeros((N, k, r))
+        residual = np.zeros((N, k))
+        for i in range(N):
+            for l in range(k):
+                if not (flags[0][i] or flags[2 + 2 * l][i]):
+                    d = d_extra[i, l, :M]
+                    beta[i, l], *_ = np.linalg.lstsq(T[i], d, rcond=None)
+                    residual[i, l] = np.linalg.norm(T[i] @ beta[i, l] - d)
+        violated = residual > p.tol * (1.0 + _norms(d_extra[:, :, :M]))
+        checks = flags[:2]
+        for l in range(k):
+            checks += [flags[2 + 2 * l], violated[:, l], flags[3 + 2 * l]]
+        failure = _first_failure(checks)
+        if failure is not None:
+            i, c = failure
+            if c >= 2 and c % 3 == 0:
+                raise HypothesisViolated(
+                    f"leaf derivative of the extra section leaves the span "
+                    f"(residual {residual[i, (c - 3) // 3]:.3e})",
+                    point=plain(points[i]),
+                    stage="Step 4",
+                )
+            self._beta_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), points[i])
+        if not with_sigma:
+            return beta, None
+        sigma = np.zeros((N, k, k))
+        for i in range(N):
+            for l in range(k):
+                for j in range(k):
+                    sigma[i, l, j] = d_extra[i, l, M + j] - X_leaf[i, j] @ beta[i, l]
+        return beta, sigma
 
     def beta_sigma(self, m) -> tuple[np.ndarray, np.ndarray]:
         """Decomposition coefficients of the leaf derivatives of the extra
         section: sigma (k x k, over the leaf fields) and beta (k x r, over
         the generators)."""
-        p = self.p
-        if p.extra is None:
+        if self.p.extra is None:
             raise InputError("no extra section in this problem")
-        key = tuple(np.asarray(m, dtype=float))
-        hit = self._beta_cache.get(key)
-        if hit is not None:
-            return hit
         m = np.asarray(m, dtype=float)
-        p.chart.require_inside(m)
-        T = self.tilde_matrix(m)
-        beta = np.zeros((p.k, p.r))
-        sigma = np.zeros((p.k, p.k))
-        X_leaf = np.array(
-            [[g.vf.coeffs[j].eval(m) for g in p.generators] for j in range(p.k)]
-        )
-        for l in range(p.k):
-            d_ex = np.array([e.diff(l).eval(m) for e in self.extra_tilde_exprs])
-            sol, *_ = np.linalg.lstsq(T, d_ex, rcond=None)
-            residual = np.linalg.norm(T @ sol - d_ex)
-            if residual > p.tol * (1.0 + np.linalg.norm(d_ex)):
-                raise HypothesisViolated(
-                    f"leaf derivative of the extra section leaves the span "
-                    f"(residual {residual:.3e})",
-                    point=list(m),
-                    stage="Step 4",
-                )
-            beta[l] = sol
-            for j in range(p.k):
-                sigma[l, j] = p.extra.vf.coeffs[j].diff(l).eval(m) - X_leaf[j] @ sol
-        self._beta_cache[key] = (sigma, beta)
-        return sigma, beta
+        self.p.chart.require_inside(m)
+        beta, sigma = self._beta(m[None], with_sigma=True)
+        return sigma[0], beta[0]
 
-    def _Hbeta(self, q, l: int) -> np.ndarray:
-        _, beta = self.beta_sigma(q)
-        return self.build_H(q).T @ beta[l]
+    def _Hbeta(self, points: np.ndarray, l: int) -> np.ndarray:
+        beta = self._beta(points)[0][:, l]
+        return (np.swapaxes(self._H(points), 1, 2) @ beta[..., None])[..., 0]
 
-    def R_vector(self, m) -> np.ndarray:
-        """Sum over leaf coordinates of line integrals of H^T beta_l: the
-        l-th integral runs along x^l from the zero slice, with all later
-        leaf coordinates zeroed."""
+    def _integrand(self, l: int, points: np.ndarray) -> np.ndarray:
+        """H^T beta_l at each point, in one batch."""
+        return _batch(points, lambda q: self._Hbeta(q, l), lambda m: self._Hbeta(m[None], l))
+
+    def _simpson(self, l: int, bases: np.ndarray) -> np.ndarray:
+        """For each base point, composite Simpson quadrature of H^T beta_l
+        along x^l from 0 to its x^l, panels of width 2*quad_step, final
+        partial panel allowed.  Full panels are computed once per line and
+        shared by every upper limit on it, and the running total keeps the
+        per-panel summation order.  The new panels of all lines, then the
+        partial panels of all points, are evaluated in one batch each."""
         p = self.p
-        m = np.asarray(m, dtype=float)
-        R = np.zeros(p.r)
+        step = p.quad_step
+        panel = 2.0 * step
+        out = np.zeros((len(bases), p.r))
+        queries, lines = [], {}
+        for i, upper in enumerate(bases[:, l].tolist()):
+            if upper == 0.0:
+                continue
+            sign = math.copysign(1.0, upper)
+            length = abs(upper)
+            n_full = int(length // panel)
+            if n_full == 0 and length <= 1e-15 * max(1.0, length):
+                out[i] *= sign
+                continue
+            p.chart.require_inside(bases[i])
+            key = (l, tuple(bases[i, :l]) + tuple(bases[i, l + 1 :]), sign)
+            if key not in lines:  # looked up once: a big batch may evict it from the cache
+                lines[key] = [_lru_get(self._panels, key, lambda: _Panels(p.r)), bases[i], sign, 0]
+            grow = lines[key]
+            grow[3] = max(grow[3], n_full)
+            queries.append((i, grow[0], sign, length, n_full))
+        plans, nodes = [], []
+        for line, base, sign, n_full in lines.values():
+            taus = [] if line.f else [sign * 0.0]
+            x = line.x[-1]
+            bounds = []
+            for _ in range(len(line.x) - 1, n_full):
+                taus += [sign * (x + step), sign * (x + panel)]
+                x += panel
+                bounds.append(x)
+            if taus:
+                plans.append((line, bounds, len(taus)))
+                nodes.append(_line_points(base, l, taus))
+        if nodes:
+            values = self._integrand(l, np.concatenate(nodes))
+            start = 0
+            for line, bounds, count in plans:
+                f = values[start : start + count]
+                start += count
+                if not line.f:
+                    line.f.append(f[0])
+                    f = f[1:]
+                if bounds:
+                    f = f.reshape(-1, 2, p.r)
+                    fa = np.concatenate([line.f[-1][None], f[:-1, 1]])
+                    part = (panel / 6.0) * (fa + 4.0 * f[:, 0] + f[:, 1])
+                    line.x += bounds
+                    line.f += list(f[:, 1])
+                    line.total += list(np.cumsum(np.concatenate([line.total[-1][None], part]), axis=0)[1:])
+        partial, nodes = [], []
+        for i, line, sign, length, n_full in queries:
+            x = line.x[n_full]
+            rem = length - x
+            if rem > 1e-15 * max(1.0, length):
+                partial.append((i, line, sign, n_full, rem))
+                nodes.append(_line_points(bases[i], l, [sign * (x + 0.5 * rem), sign * length]))
+            else:
+                out[i] = sign * line.total[n_full]
+        if nodes:
+            f = self._integrand(l, np.concatenate(nodes)).reshape(-1, 2, p.r)
+            for (i, line, sign, n_full, rem), (fmid, fb) in zip(partial, f):
+                total = line.total[n_full] + (rem / 6.0) * (line.f[n_full] + 4.0 * fmid + fb)
+                out[i] = sign * total
+        return out
+
+    def _R(self, points: np.ndarray) -> np.ndarray:
+        """Sum over leaf coordinates of line integrals of H^T beta_l, at each
+        point: the l-th integral runs along x^l from the zero slice, with all
+        later leaf coordinates zeroed."""
+        p = self.p
+        R = np.zeros((len(points), p.r))
         for l in range(p.k - 1, -1, -1):
-            base = m.copy()
-            base[l + 1 : p.k] = 0.0
-
-            def integrand(tau, _l=l, _base=base):
-                q = _base.copy()
-                q[_l] = tau
-                return self._Hbeta(q, _l)
-
-            R += _simpson_line(integrand, float(m[l]), p.quad_step, p.r)
+            bases = points.copy()
+            bases[:, l + 1 : p.k] = 0.0
+            R += self._simpson(l, bases)
         return R
 
+    def R_vector(self, m) -> np.ndarray:
+        return self._R(np.asarray([m], dtype=float))[0]
+
+    def _Pi(self, points: np.ndarray) -> np.ndarray:
+        B = self._B(self._checked(points))
+        return np.stack([-b @ R for b, R in zip(B, self._R(points))])
+
     def Pi(self, m) -> np.ndarray:
-        return -self.build_B(m) @ self.R_vector(m)
+        return self._Pi(np.asarray([m], dtype=float))[0]
+
+    def _corrections(self, points: np.ndarray) -> np.ndarray:
+        G = [self.generator_matrix(m) for m in points]
+        return np.stack([g @ pi for g, pi in zip(G, self._Pi(points))])
+
+    def corrections(self, points) -> np.ndarray:
+        """Values of (Z, gamma) at each point (N, 2n)."""
+        return _batch(points, self._corrections, self.correction)
 
     def correction(self, m) -> np.ndarray:
         """Value of (Z, gamma) at m."""
-        return self.generator_matrix(m) @ self.Pi(m)
+        return self._corrections(np.asarray([m], dtype=float))[0]
+
+    def _combined(self, points: np.ndarray) -> np.ndarray:
+        E = [self.p.extra(m) for m in points]
+        return np.stack([e + c for e, c in zip(E, self._corrections(points))])
+
+    def combined_values(self, points) -> np.ndarray:
+        """Values of (X + Z, alpha + gamma) at each point (N, 2n)."""
+        return _batch(points, self._combined, self.combined)
 
     def combined(self, m) -> np.ndarray:
         """Value of (X + Z, alpha + gamma) at m."""
-        return self.p.extra(m) + self.correction(m)
-
-
-def _simpson_line(f, upper: float, step: float, dim: int) -> np.ndarray:
-    """Composite Simpson quadrature of a vector-valued integrand from 0 to
-    upper, panels of width 2*step, final partial panel allowed."""
-    total = np.zeros(dim)
-    if upper == 0.0:
-        return total
-    sign = math.copysign(1.0, upper)
-    length = abs(upper)
-    panel = 2.0 * step
-    n_full = int(length // panel)
-    x = 0.0
-    for _ in range(n_full):
-        a = sign * x
-        mid = sign * (x + step)
-        b = sign * (x + panel)
-        total += (panel / 6.0) * (f(a) + 4.0 * f(mid) + f(b))
-        x += panel
-    rem = length - x
-    if rem > 1e-15 * max(1.0, length):
-        a = sign * x
-        mid = sign * (x + 0.5 * rem)
-        b = sign * length
-        total += (rem / 6.0) * (f(a) + 4.0 * f(mid) + f(b))
-    return sign * total
+        return self._combined(np.asarray([m], dtype=float))[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -439,7 +737,7 @@ def _solver(problem: FoliatedProblem) -> _Solver:
 def solve_coefficients(p: FoliatedProblem, m):
     """The matrices (A, B_0..B_{k-1}) of the pointwise linear system for
     the leaf derivatives of the generators."""
-    A, Bs = _solver(p)._coefficients(np.asarray(m, dtype=float))
+    A, Bs = _solver(p).coefficients(m)
     return A, list(Bs)
 
 
@@ -469,25 +767,32 @@ def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
     return _solver(p).Pi(np.asarray(m, dtype=float))
 
 
-def leaf_directional_derivative(fn, chart: Chart, m, l: int, delta: float | None = None):
-    """Fourth-order central finite difference of a point evaluator along
-    the l-th coordinate, with the probe clamped into the box interior so
-    the stencil fits."""
+def _stencil(chart: Chart, m, l: int, delta: float | None = None):
+    """The four points of the fourth-order central difference along the l-th
+    coordinate (offsets +2d, +d, -d, -2d), with the probe clamped into the
+    box interior so the stencil fits; returns (points, d)."""
     m = np.asarray(m, dtype=float).copy()
     lo, hi = chart.box[l]
     width = hi - lo
     if delta is None:
         delta = 0.01 * width
     m[l] = min(max(m[l], lo + 2 * delta), hi - 2 * delta)
+    points = np.repeat(m[None], 4, axis=0)
+    points[:, l] += [2 * delta, delta, -delta, -2 * delta]
+    return points, delta
 
-    def at(offset):
-        q = m.copy()
-        q[l] += offset
-        return fn(q)
 
-    return (-at(2 * delta) + 8.0 * at(delta) - 8.0 * at(-delta) + at(-2 * delta)) / (
-        12.0 * delta
-    )
+def _difference(values, delta: float):
+    """The derivative from the values at the points of _stencil."""
+    return (-values[0] + 8.0 * values[1] - 8.0 * values[2] + values[3]) / (12.0 * delta)
+
+
+def leaf_directional_derivative(fn, chart: Chart, m, l: int, delta: float | None = None):
+    """Fourth-order central finite difference of a point evaluator along
+    the l-th coordinate, with the probe clamped into the box interior so
+    the stencil fits."""
+    points, delta = _stencil(chart, m, l, delta)
+    return _difference([fn(q) for q in points], delta)
 
 
 @dataclass
@@ -503,19 +808,25 @@ class InvariantFrameResult:
     correction: object | None  # m -> 2n vector (Z, gamma)
     combined: object | None  # m -> 2n vector (X + Z, alpha + gamma)
     report: Report = field(default_factory=Report)
+    frames: object = None  # points (N x n) -> N x 2n x r, evaluated as one batch
 
 
-def _leaf_invariance(fn, p: FoliatedProblem, samples, tol: float, check: str, stage: str) -> Report:
+def _leaf_invariance(fns, p: FoliatedProblem, samples, tol: float, check: str, stage: str) -> Report:
     """One record per leaf coordinate l: the l-th leaf derivative of the
-    section (or frame) evaluator fn must have vanishing transverse vector
-    components and vanishing form components."""
+    section (or frame) must have vanishing transverse vector components and
+    vanishing form components.  fns evaluates a batch of points; the
+    stencils and the samples of one leaf coordinate form one batch, in the
+    order a point-by-point pass evaluates them."""
     n, k = p.n, p.k
     report = Report()
     for l in range(k):
+        stencils = [_stencil(p.chart, m, l) for m in samples]
+        values = fns([q for (points, _), m in zip(stencils, samples) for q in (*points, m)])
         pairs = []
-        for m in samples:
-            d = leaf_directional_derivative(fn, p.chart, m, l)
-            scale = 1.0 + float(np.abs(fn(m)).max(initial=0.0))
+        for i, (m, (_, delta)) in enumerate(zip(samples, stencils)):
+            at = values[5 * i : 5 * i + 5]
+            d = _difference(at, delta)
+            scale = 1.0 + float(np.abs(at[4]).max(initial=0.0))
             defect = max(
                 float(np.abs(d[k:n]).max(initial=0.0)),
                 float(np.abs(d[n:]).max(initial=0.0)),
@@ -558,14 +869,14 @@ def run(
             correction=None,
             combined=None,
             report=report,
+            frames=lambda points: np.array([frame(m) for m in points]),
         )
 
     D = GeneralizedDistribution(p.chart, p.generators)
 
     # (i) span equality at each sample, by mutual membership
     pairs = []
-    for m in samples:
-        F = solver.frame(m)
+    for m, F in zip(samples, solver.frames(samples)):
         G = solver.generator_matrix(m)
         worst = 0.0
         for col in F.T:
@@ -576,7 +887,7 @@ def run(
     report.add(record_from_samples("frame-spans-distribution", pairs, tol, stage="Step 3"))
 
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
-    report.extend(_leaf_invariance(solver.frame, p, samples, tol, "frame-leaf-invariance", "Step 2"))
+    report.extend(_leaf_invariance(solver.frames, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
     correction = combined = Pi_field = None
     if p.extra is not None:
@@ -584,12 +895,11 @@ def run(
         correction = solver.correction
         combined = solver.combined
         pairs = []
-        for m in samples:
-            c = solver.correction(m)
+        for m, c in zip(samples, solver.corrections(samples)):
             pairs.append((membership_residual(D, m, c) / (1.0 + np.linalg.norm(c)), m))
         report.add(record_from_samples("correction-in-distribution", pairs, tol, stage="Step 4"))
         report.extend(_leaf_invariance(
-            solver.combined, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
+            solver.combined_values, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
 
     return InvariantFrameResult(
         problem=p,
@@ -599,4 +909,5 @@ def run(
         correction=correction,
         combined=combined,
         report=report,
+        frames=solver.frames,
     )

@@ -25,6 +25,7 @@ Coordinate indices are 0-based throughout the library.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ __all__ = [
     "Expr",
     "Const",
     "Var",
+    "CompiledExprs",
     "parse",
     "const",
     "var",
@@ -54,6 +56,15 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def plain(point) -> list[float]:
+    """A point as a list of Python floats, for messages and records."""
+    return [float(v) for v in point]
+
+
+def _domain_error(what: str, expr, point) -> EvalDomainError:
+    return EvalDomainError(f"{what} {expr} at {plain(point)}", plain(point))
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,7 @@ class Chart:
 
     def require_inside(self, point):
         if not self.contains(point):
-            raise OutsideBoxError(f"point {list(point)} outside chart box {self.box}")
+            raise OutsideBoxError(f"point {plain(point)} outside chart box {self.box}")
 
     def widths(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.box])
@@ -162,9 +173,11 @@ class Expr:
         try:
             value = self._eval(point)
         except OverflowError:
-            raise EvalDomainError(f"overflow evaluating {self} at {list(point)}") from None
+            raise _domain_error("overflow evaluating", self, point) from None
+        except ValueError:  # sin or cos of an infinite intermediate
+            raise _domain_error("non-finite value inside", self, point) from None
         if not math.isfinite(value):
-            raise EvalDomainError(f"non-finite value for {self} at {list(point)}")
+            raise _domain_error("non-finite value for", self, point)
         return value
 
     def _eval(self, point) -> float:
@@ -319,7 +332,7 @@ class Div(Expr):
     def _eval(self, point):
         denom = self.right._eval(point)
         if denom == 0.0:
-            raise EvalDomainError(f"division by zero in {self} at {list(point)}")
+            raise _domain_error("division by zero in", self, point)
         return self.left._eval(point) / denom
 
     def diff(self, index):
@@ -355,7 +368,7 @@ class Pow(Expr):
     def _eval(self, point):
         base = self.base._eval(point)
         if base == 0.0 and self.exponent < 0:
-            raise EvalDomainError(f"division by zero in {self} at {list(point)}")
+            raise _domain_error("division by zero in", self, point)
         return base**self.exponent
 
     def diff(self, index):
@@ -495,6 +508,149 @@ def exp(arg: Expr) -> Expr:
 
 
 _FUNC_BUILDERS = {"sin": sin, "cos": cos, "exp": exp}
+
+
+# -- compiled evaluation ------------------------------------------------------
+
+# instruction kinds of a compiled program
+_BINARY, _DIV, _NEG, _ELEMENTWISE = range(4)
+_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+# what math.sin/cos/exp and float power raise where Expr.eval fails
+_ELEMENT_ERRORS = (ArithmeticError, ValueError)
+
+
+def _elementwise(fn, x):
+    """fn on each element as a Python float, with a mask of the elements
+    where it raises (None when none does).  math.exp and float power are
+    used instead of numpy's, which differ from them in the last bit."""
+    items = x.tolist()
+    if not isinstance(items, list):  # a constant
+        items = [items]
+    try:
+        return np.array([fn(v) for v in items]), None
+    except _ELEMENT_ERRORS:
+        pass
+    out = np.empty(len(items))
+    bad = np.zeros(len(items), dtype=bool)
+    for i, v in enumerate(items):
+        try:
+            out[i] = fn(v)
+        except _ELEMENT_ERRORS:
+            out[i] = math.nan
+            bad[i] = True
+    return out, bad
+
+
+def _either(a, b):
+    if a is None:
+        return b
+    return a if b is None else a | b
+
+
+class CompiledExprs:
+    """A fixed list of expressions compiled once into a straight-line
+    program over batches of points.  Equal subtrees are computed once.
+
+    Arithmetic is numpy's on whole batches; sin, cos, exp and powers run
+    per element on Python floats.  Every value is therefore bit-identical
+    to :meth:`Expr.eval`, and a point is flagged exactly where
+    ``Expr.eval`` raises there.
+    """
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self._init: list = []  # slot values before a run: constants, else None
+        self._vars: list = []  # (slot, coordinate index)
+        self._code: list = []  # (slot, kind, function, operand, operand)
+        slots: dict = {}  # structural key -> slot
+        seen: dict = {}  # id(node) -> slot
+
+        def slot(e) -> int:
+            s = seen.get(id(e))
+            if s is not None:
+                return s
+            if isinstance(e, Const):
+                key = ("const", float(e.value).hex())
+            elif isinstance(e, Var):
+                key = ("var", e.index)
+            elif isinstance(e, Func):
+                key = ("func", e.name, slot(e.arg))
+            elif isinstance(e, Pow):
+                key = ("pow", e.exponent, slot(e.base))
+            elif isinstance(e, Neg):
+                key = ("neg", slot(e.arg))
+            else:
+                key = (type(e).__name__, slot(e.left), slot(e.right))
+            s = slots.get(key)
+            if s is None:
+                s = slots[key] = len(self._init)
+                self._init.append(np.float64(e.value) if isinstance(e, Const) else None)
+                if isinstance(e, Var):
+                    self._vars.append((s, e.index))
+                elif isinstance(e, Func):
+                    self._code.append((s, _ELEMENTWISE, e.fn, key[2], None))
+                elif isinstance(e, Pow):
+                    self._code.append((s, _ELEMENTWISE, lambda v, k=e.exponent: v**k, key[2], None))
+                elif isinstance(e, Neg):
+                    self._code.append((s, _NEG, None, key[1], None))
+                elif isinstance(e, Div):
+                    self._code.append((s, _DIV, None, key[1], key[2]))
+                elif not isinstance(e, Const):
+                    self._code.append((s, _BINARY, _BINARY_OPS[type(e)], key[1], key[2]))
+            seen[id(e)] = s
+            return s
+
+        self._out = [slot(e) for e in self.exprs]
+
+    def evaluate(self, points):
+        """(values, bad) at a batch of points (N x n): ``values[e, i]`` is
+        expression e at point i, and ``bad[e, i]`` marks where
+        ``Expr.eval`` raises instead (``bad`` is None when it never does)."""
+        pts = np.asarray(points, dtype=float)
+        vals = list(self._init)
+        bad = [None] * len(vals)
+        for s, index in self._vars:
+            vals[s] = pts[:, index]
+        with np.errstate(all="ignore"):
+            for s, kind, fn, a, b in self._code:
+                if kind == _BINARY:
+                    vals[s] = fn(vals[a], vals[b])
+                    flag = None
+                elif kind == _ELEMENTWISE:
+                    vals[s], flag = _elementwise(fn, vals[a])
+                elif kind == _NEG:
+                    vals[s] = -vals[a]
+                    flag = None
+                else:
+                    zero = vals[b] == 0.0
+                    flag = zero if zero.any() else None
+                    vals[s] = vals[a] / vals[b]
+                if flag is not None or bad[a] is not None or (b is not None and bad[b] is not None):
+                    bad[s] = _either(_either(flag, bad[a]), None if b is None else bad[b])
+        out = np.empty((len(self._out), len(pts)))
+        for e, s in enumerate(self._out):
+            out[e] = vals[s]
+        flags = ~np.isfinite(out)
+        for e, s in enumerate(self._out):
+            if bad[s] is not None:
+                flags[e] |= bad[s]
+        return out, (flags if flags.any() else None)
+
+    def raise_at(self, e: int, point):
+        """Raise what ``Expr.eval`` raises for expression e at a flagged point."""
+        self.exprs[e].eval(point)
+        raise AssertionError(f"{self.exprs[e]} was flagged at {plain(point)} but evaluates")
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at a batch of points; raises the error ``Expr.eval``
+        raises at the first point, and there at the first expression,
+        where it fails."""
+        values, bad = self.evaluate(points)
+        if bad is not None:
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            self.raise_at(int(np.flatnonzero(bad[:, i])[0]), np.asarray(points, dtype=float)[i])
+        return values
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"

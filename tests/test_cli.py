@@ -116,6 +116,48 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
 
 
+class TestVerdictOnError:
+    """Every non-zero exit ends the report with a verdict record that names
+    the exit code, stage, point and message."""
+
+    @pytest.mark.parametrize(
+        "slot, expr, command, code",
+        [
+            ("form", "x2", "check", 2),
+            ("form", "x2", "invariant-generators", 2),
+            ("vector", "1/x2", "check", 3),
+            ("vector", "1/x2", "invariant-generators", 1),
+        ],
+    )
+    def test_failed_run_ends_with_verdict(self, tmp_path, slot, expr, command, code):
+        index = 0 if slot == "form" else 1
+
+        def edit(data):
+            data["sections"]["D"][0][slot][index] = expr
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == code
+        recs = records(out.stdout)
+        assert recs[0]["record"] == "provenance"
+        verdict = recs[-1]
+        assert verdict["record"] == "verdict" and verdict["passed"] is False
+        assert verdict["exit_code"] == code
+        assert verdict["message"] and verdict["message"] in out.stderr
+        assert set(verdict) == {"record", "passed", "exit_code", "failed_stage", "point", "message"}
+        assert "np.float64" not in out.stderr + out.stdout
+        if code == 3:  # 1/x2 at the first sample with x2 = 0
+            assert verdict["point"] == [-0.5, 0.0, -0.5]
+        if code == 1:
+            assert verdict["failed_stage"] == "Step 1"
+
+    def test_unreadable_input_still_gets_a_verdict(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{ not json")
+        out = run_cli("check", str(path))
+        assert out.returncode == 2
+        assert [r["record"] for r in records(out.stdout)] == ["verdict"]
+
+
 class TestReadmeExample:
     @pytest.mark.parametrize("command", ["check", "invariant-generators", "dirac-reduce"])
     def test_readme_problem_runs(self, tmp_path, command):

@@ -316,6 +316,11 @@ class TestRun:
             run(p)
         assert exc.value.stage == "Step 1"
 
+    def test_empty_sample_list_passes_vacuously(self, chart3):
+        result = run(e2_problem(chart3), samples=[])
+        assert result.report.passed and len(result.report) == 4
+        assert len(result.frames([])) == 0
+
     def test_k0_returns_generators(self):
         chart = make_chart(2, k=0)
         g = section(chart, ("x1", "0"), ("0", "1"))
@@ -342,3 +347,192 @@ class TestLeafDirectionalDerivative:
         # clamped to 1 - 2*delta inside the box
         delta = 0.01 * 2.0
         assert d[0] == pytest.approx(2.0 * (1.0 - 2 * delta), abs=1e-9)
+
+
+class PointwiseReference:
+    """Steps 1-4 one point at a time, as the construction reads: scalar
+    Expr.eval, one small np.linalg call per point, no caches."""
+
+    def __init__(self, p):
+        self.p = p
+        n, k = p.n, p.k
+        tilde = [split_tilde(g, k)[1] for g in p.generators]
+        self.T = [[t.vf.coeffs[j] for t in tilde] for j in range(k, n)] + [
+            [t.form.coeffs[j] for t in tilde] for j in range(k, n)
+        ]
+        if p.extra is not None:
+            _, et = split_tilde(p.extra, k)
+            self.ex = [et.vf.coeffs[j] for j in range(k, n)] + [et.form.coeffs[j] for j in range(k, n)]
+
+    def B(self, m, l):
+        T = np.array([[e.eval(m) for e in row] for row in self.T])
+        dT = np.array([[e.diff(l).eval(m) for e in row] for row in self.T])
+        q, r = np.linalg.qr(T)
+        return np.linalg.solve(r, q.T @ dT)
+
+    def W(self, j, m):
+        p = self.p
+        x = float(m[j])
+        W = np.eye(p.r)
+        if x == 0.0:
+            return W
+        h = np.copysign(p.ode_step, x)
+        n_full = int(abs(x) // p.ode_step)
+
+        def rhs(y):
+            q = np.array(m, dtype=float)
+            q[j] = y
+            return self.B(q, j).T
+
+        def step(x0, dx, W):
+            k1 = rhs(x0) @ W
+            mid = rhs(x0 + 0.5 * dx)
+            k2 = mid @ (W + 0.5 * dx * k1)
+            k3 = mid @ (W + 0.5 * dx * k2)
+            k4 = rhs(x0 + dx) @ (W + dx * k3)
+            return W + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        for i in range(n_full):
+            W = step(i * h, h, W)
+        rem = x - n_full * h
+        if abs(rem) > 1e-15 * max(1.0, abs(x)):
+            W = step(n_full * h, rem, W)
+        return W
+
+    def H(self, m):
+        k = self.p.k
+        H = self.W(k - 1, m)
+        for j in range(k - 1, 0, -1):
+            q = np.array(m, dtype=float)
+            q[j:k] = 0.0
+            H = H @ np.linalg.solve(self.W(j, q), self.W(j - 1, q))
+        return H
+
+    def Bmat(self, m):
+        return np.linalg.solve(self.H(m).T, np.eye(self.p.r))
+
+    def frame(self, m):
+        return np.column_stack([g(m) for g in self.p.generators]) @ self.Bmat(m)
+
+    def integrand(self, q, l):
+        T = np.array([[e.eval(q) for e in row] for row in self.T])
+        beta, *_ = np.linalg.lstsq(T, np.array([e.diff(l).eval(q) for e in self.ex]), rcond=None)
+        return self.H(q).T @ beta
+
+    def Pi(self, m):
+        p = self.p
+        R = np.zeros(p.r)
+        for l in range(p.k - 1, -1, -1):
+            base = np.array(m, dtype=float)
+            base[l + 1 : p.k] = 0.0
+
+            def f(tau):
+                q = base.copy()
+                q[l] = tau
+                return self.integrand(q, l)
+
+            upper = float(m[l])
+            if upper == 0.0:
+                continue
+            sign, length, panel = np.copysign(1.0, upper), abs(upper), 2.0 * p.quad_step
+            total, x = np.zeros(p.r), 0.0
+            for _ in range(int(length // panel)):
+                total += (panel / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + p.quad_step)) + f(sign * (x + panel)))
+                x += panel
+            rem = length - x
+            if rem > 1e-15 * max(1.0, length):
+                total += (rem / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + 0.5 * rem)) + f(sign * length))
+            R += sign * total
+        return -self.Bmat(m) @ R
+
+
+def k2_problem():
+    chart = make_chart(4, k=2)
+    a = "exp(0.7*x1 - 0.4*x2)"
+    b = "exp(-0.3*x1 + 0.5*x2)*(1 + 0.2*sin(x3))"
+    g1 = section(chart, ("0", "0", a, f"0.5*{b}"), ("0", "0", "0", "0"))
+    g2 = section(chart, ("0", "0", f"0.2*{a}", b), ("0", "0", "0", "0"))
+    extra = section(chart, ("0", "0", f"sin(x1)*{a}", f"sin(x1)*0.5*{b}"), ("0", "0", "0", "0"))
+    return FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra, ode_step=0.05, quad_step=0.05)
+
+
+class TestBatchedAgainstPointwise:
+    """The line-batched solver gives the per-point construction's values."""
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "k2"])
+    def test_steps_match_reference(self, chart3, rng, name):
+        if name == "k2":
+            p = k2_problem()
+        else:
+            make = e1_problem if name == "e1" else e2_problem
+            p = make(chart3, ode_step=0.05, quad_step=0.05)
+        ref = PointwiseReference(p)
+        # repeated and nearby points reuse cached lines and panels
+        points = random_points(rng, p.chart, 4)
+        points += [m + 0.01 * np.eye(p.n)[0] for m in points[:2]] + points[:1]
+        for m in points:
+            for j in range(p.k):
+                np.testing.assert_allclose(fundamental_matrix(p, j, m), ref.W(j, m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(build_B(p, m), ref.Bmat(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(transformed_frame(p)(m), ref.frame(m), rtol=1e-13, atol=0)
+            if p.extra is not None:
+                np.testing.assert_allclose(compute_Pi(p, m), ref.Pi(m), rtol=1e-13, atol=0)
+
+    def test_step1_violation_raises_at_first_node_past_it(self, chart3):
+        # the leaf derivative of 5e-9 exp(20 x1 - 10) passes tol = 1e-7 just
+        # past x1 = 0.5: nodes up to 0.5 pass, the next node (0.525) fails
+        g = section(chart3, ("0", "1", "5e-9*exp(20*x1 - 10)"), ("0", "0", "0"))
+        p = FoliatedProblem(chart=chart3, generators=(g,), ode_step=0.05)
+        h = 0.05
+        with pytest.raises(HypothesisViolated) as exc:
+            fundamental_matrix(p, 0, np.array([0.9, 0.1, 0.2]))
+        assert exc.value.stage == "Step 1"
+        assert exc.value.point == [10 * h + 0.5 * h, 0.1, 0.2]
+        # the grid up to the failing step was kept: points before it still evaluate
+        W = fundamental_matrix(p, 0, np.array([0.45, 0.1, 0.2]))
+        np.testing.assert_allclose(W, PointwiseReference(p).W(0, np.array([0.45, 0.1, 0.2])), rtol=1e-13)
+
+    def test_batch_raises_the_per_point_first_error(self, chart3):
+        # a batch checks the box of every point before integrating, but point
+        # by point the Step-1 failure on the first point's line comes first
+        g = section(chart3, ("0", "1", "5e-9*exp(20*x1 - 10)"), ("0", "0", "0"))
+        p = FoliatedProblem(chart=chart3, generators=(g,), ode_step=0.05)
+        with pytest.raises(HypothesisViolated) as exc:
+            _solver(p).frames([[0.9, 0.1, 0.2], [0.0, 2.0, 0.0]])
+        assert exc.value.point == [10 * 0.05 + 0.5 * 0.05, 0.1, 0.2]
+
+
+class TestLineCachesAreBounded:
+    def test_many_points_keep_the_caches_bounded(self, chart3, rng):
+        from diracgen.invariant_gen import LINE_CACHE_SIZE, _Solver
+
+        g = section(chart3, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
+        extra = section(chart3, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
+        p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
+        solver = _Solver(p)
+        points = random_points(rng, chart3, 2000)
+        first = [(solver.frame(m), solver.Pi(m)) for m in points[:5]]
+        for m in points[5:]:
+            solver.frame(m)
+            solver.Pi(m)
+        assert len(solver._lines) <= LINE_CACHE_SIZE
+        assert len(solver._panels) <= LINE_CACHE_SIZE
+        fresh = _Solver(p)
+        for m, (F, Pi) in zip(points[:5], first):  # long evicted: recomputed from the zero slice
+            assert np.array_equal(solver.frame(m), F) and np.array_equal(fresh.frame(m), F)
+            assert np.array_equal(solver.Pi(m), Pi) and np.array_equal(fresh.Pi(m), Pi)
+
+    def test_batch_with_more_lines_than_the_cache_holds(self, chart3, rng):
+        from diracgen.invariant_gen import LINE_CACHE_SIZE, _Solver
+
+        g = section(chart3, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
+        extra = section(chart3, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
+        p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
+        points = random_points(rng, chart3, LINE_CACHE_SIZE + 40)
+        # every line twice, the second time further out
+        points += [np.array([0.5 * m[0], m[1], m[2]]) for m in points]
+        solver = _Solver(p)
+        frames, combined = solver.frames(points), solver.combined_values(points)
+        fresh = _Solver(p)
+        for m, F, c in zip(points, frames, combined):
+            assert np.array_equal(fresh.frame(m), F) and np.array_equal(fresh.combined(m), c)

@@ -13,7 +13,23 @@ from diracgen.errors import (
     OutsideBoxError,
     UnknownIdentifierError,
 )
-from diracgen.symexpr import Chart, Const, Var, cos, exp, parse, sin
+from diracgen.symexpr import (
+    Add,
+    Chart,
+    CompiledExprs,
+    Const,
+    Div,
+    Func,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    cos,
+    exp,
+    parse,
+    sin,
+)
 
 from conftest import make_chart, random_expr, random_points
 
@@ -132,6 +148,93 @@ class TestRoundTrip:
         back = parse(str(e), chart)
         for m in random_points(r, chart, 2):
             assert back.eval(m) == pytest.approx(e.eval(m), rel=1e-12, abs=1e-12)
+
+
+# Literals and coordinates that reach every failure Expr.eval has: zero
+# denominators (signed zeros too), 0^-k, and exp or powers that overflow.
+_LITERALS = (0.0, -0.0, 1.0, -2.5, 0.3, 40.0, 1e150, -1e300)
+_COORDS = (0.0, -0.0, 0.7, -1.3, 2.0, 25.0, 710.0, -1e160)
+_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _trees(n_vars: int):
+    """Unfolded expression trees over every node kind."""
+    leaves = st.one_of(
+        st.sampled_from(_LITERALS).map(Const),
+        st.integers(0, n_vars - 1).map(lambda i: Var(i, f"x{i + 1}")),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), children, children),
+            children.map(Neg),
+            st.builds(Pow, children, st.integers(-3, 4)),
+            st.builds(lambda name, a: Func(name, a, _FUNCS[name]), st.sampled_from(sorted(_FUNCS)), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _reference(expr, point):
+    """Expr.eval at point, or the message of the EvalDomainError it raises."""
+    try:
+        return expr.eval(point)
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+class TestCompiledExprs:
+    @given(
+        st.lists(_trees(3), min_size=1, max_size=4),
+        st.lists(st.tuples(*[st.sampled_from(_COORDS)] * 3), min_size=1, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_and_fails_where_eval_fails(self, exprs, coords):
+        points = np.array(coords, dtype=float)
+        values, bad = CompiledExprs(exprs).evaluate(points)
+        bad = np.zeros(values.shape, dtype=bool) if bad is None else bad
+        for e, expr in enumerate(exprs):
+            for i, m in enumerate(points):
+                want = _reference(expr, m)
+                assert bad[e, i] == isinstance(want, str)
+                if not bad[e, i]:
+                    # bit for bit, signed zeros included
+                    assert np.array_equal(values[e, i : i + 1].view(np.int64),
+                                          np.array([want]).view(np.int64))
+
+    @given(
+        st.lists(_trees(2), min_size=1, max_size=3),
+        st.lists(st.tuples(*[st.sampled_from(_COORDS)] * 2), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_call_raises_what_eval_raises_first(self, exprs, coords):
+        points = np.array(coords, dtype=float)
+        first = next(
+            (want for m in points for want in (_reference(e, m) for e in exprs) if isinstance(want, str)),
+            None,
+        )
+        compiled = CompiledExprs(exprs)
+        if first is None:
+            values = compiled(points)
+            assert np.array_equal(values, [[e.eval(m) for m in points] for e in exprs])
+        else:
+            with pytest.raises(EvalDomainError) as exc:
+                compiled(points)
+            assert str(exc.value) == first
+
+    def test_shared_subtrees_are_computed_once(self, chart3):
+        e = parse("exp(x1)*sin(x2) + exp(x1)", chart3)
+        compiled = CompiledExprs([e, e.diff(0)])
+        assert len([c for c in compiled._code if c[2] is math.exp]) == 1
+        m = np.array([[0.3, -0.2, 0.1]])
+        assert np.array_equal(compiled(m)[:, 0], [e.eval(m[0]), e.diff(0).eval(m[0])])
+
+    def test_error_points_are_plain_floats(self):
+        chart = make_chart(2)
+        with pytest.raises(EvalDomainError) as exc:
+            CompiledExprs([parse("1/x2", chart)])(np.array([[0.5, 0.0]]))
+        assert "np.float64" not in str(exc.value)
+        assert exc.value.point == [0.5, 0.0]
 
 
 class TestChart:
