@@ -77,8 +77,53 @@ def load_problem(path: str) -> dict:
         raise InputError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})"
         )
+    _check_types(data, path)
     data["_raw_text"] = text
     return data
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_types(data: dict, path: str):
+    """Reject chart and numerics values of the wrong JSON type, which the
+    loaders below would otherwise meet as a Python TypeError or ValueError."""
+    charts = [("chart", data.get("chart"))]
+    if isinstance(data.get("quotient"), dict):
+        charts.append(("quotient.target", data["quotient"].get("target")))
+    for where, block in charts:
+        if block is None:
+            continue
+        if not isinstance(block, dict):
+            raise InputError(f"{path}: {where} must be an object")
+        names, box = block.get("names", []), block.get("box") or []
+        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+            raise InputError(f"{path}: {where}.names must be a list of coordinate names")
+        if not _is_int(block.get("k", 0)):
+            raise InputError(f"{path}: {where}.k must be an integer")
+        if not (isinstance(box, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in box
+        )):
+            raise InputError(f"{path}: {where}.box must be a list of [lo, hi] number pairs")
+    numerics = data.get("numerics")
+    if numerics is None:
+        return
+    if not isinstance(numerics, dict):
+        raise InputError(f"{path}: numerics must be an object")
+    for key, ok, kind in (
+        ("tol", _is_number, "a number"),
+        ("ode_step", lambda v: v is None or _is_number(v), "a number or null"),
+        ("quad_step", lambda v: v is None or _is_number(v), "a number or null"),
+        ("samples", _is_int, "an integer"),
+        ("seed", _is_int, "an integer"),
+    ):
+        if key in numerics and not ok(numerics[key]):
+            raise InputError(f"{path}: numerics.{key} must be {kind}, got {numerics[key]!r}")
 
 
 def _chart_from(block: dict, where: str = "chart") -> Chart:

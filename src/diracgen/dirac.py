@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .calculus import (
     OneForm,
@@ -38,11 +37,11 @@ from .distribution import (
 )
 from .errors import InputError, VerificationError
 from .invariant_gen import (
+    _POINT_ERRORS,
     FoliatedProblem,
     InvariantFrameResult,
     _difference,
     _stencil,
-    leaf_directional_derivative,
     require_vanishing,
     run,
 )
@@ -352,12 +351,6 @@ def constant_rank_scan(
     return record, ranks
 
 
-def _fd_gradient(fn, chart: Chart, m):
-    """All coordinate derivatives of a point evaluator, by fourth-order
-    central differences; returns a list indexed by coordinate."""
-    return [leaf_directional_derivative(fn, chart, m, i) for i in range(chart.n)]
-
-
 def _frame_jets(frames, chart: Chart, samples):
     """(m, F, dF) at each sample: the frame value and its coordinate
     gradient, one finite difference of the whole frame per coordinate.  The
@@ -517,47 +510,65 @@ def invariant_annihilator_generators(
     return result
 
 
+# Gauss–Newton steps of one lift, and halvings of one step.
+LIFT_MAX_ITER = 50
+LIFT_MAX_HALVINGS = 30
+
+
+def least_squares(q: QuotientMap, ybar, x0) -> np.ndarray:
+    """Box-clamped Gauss–Newton solve of q(x) = ybar from x0, with the exact
+    Jacobian of q.  Each step is the minimum-norm least-squares step,
+    clipped to the source box and halved until the residual norm falls.
+    Stops when no halving lowers it, when it is 0, or after LIFT_MAX_ITER
+    steps; returns the last point reached."""
+    lo, hi = np.array(q.source.box).T
+    ybar = np.asarray(ybar, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = q(x) - ybar
+    norm = np.linalg.norm(r)
+    for _ in range(LIFT_MAX_ITER):
+        if norm == 0.0:
+            break
+        step = np.linalg.lstsq(q.jacobian(x), -r, rcond=None)[0]
+        for _ in range(LIFT_MAX_HALVINGS):
+            trial = np.clip(x + step, lo, hi)
+            if np.array_equal(trial, x):  # a shorter step cannot move either
+                return x
+            r_trial = q(trial) - ybar
+            norm_trial = np.linalg.norm(r_trial)
+            if norm_trial < norm:
+                break
+            step = 0.5 * step
+        else:
+            return x
+        x, r, norm = trial, r_trial, norm_trial
+    return x
+
+
 class _Lift:
-    """Numerically invert a quotient map near a reference source point."""
+    """Numerically invert a quotient map from a reference source point.
+    Keeps no state per point: a repeated target lifts to the same point."""
 
     def __init__(self, q: QuotientMap, reference: np.ndarray):
         self.q = q
         self.reference = np.asarray(reference, dtype=float)
-        self._cache: dict = {}
 
     def __call__(self, ybar) -> np.ndarray:
-        key = tuple(np.round(np.asarray(ybar, dtype=float), 12))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        lo = [b[0] for b in self.q.source.box]
-        hi = [b[1] for b in self.q.source.box]
-        sol = least_squares(
-            lambda x: self.q(x) - np.asarray(ybar, dtype=float),
-            self.reference,
-            bounds=(lo, hi),
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-        )
-        residual = np.linalg.norm(self.q(sol.x) - np.asarray(ybar, dtype=float))
+        ybar = np.asarray(ybar, dtype=float)
+        x = least_squares(self.q, ybar, self.reference)
+        residual = np.linalg.norm(self.q(x) - ybar)
         if residual > 1e-8:
             raise VerificationError(
                 f"could not lift target point {plain(ybar)} through the quotient map "
                 f"(residual {residual:.3e})"
             )
-        self._cache[key] = sol.x
-        return sol.x
+        return x
 
 
-def push_frame(q: QuotientMap, frame, m, tol: float):
-    """Push one frame value through the quotient map: target vectors are
-    Jacobian images, target forms solve the pull-back equations by least
-    squares.  Returns (target vectors, target forms, worst pull-back
-    residual)."""
+def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
+    """Push an evaluated frame value F through the quotient map, whose
+    Jacobian at the frame's point is J (see push_frame)."""
     n = q.source.n
-    F = np.asarray(frame(m), dtype=float)
-    J = q.jacobian(m)
     Xbar = J @ F[:n]
     abar = np.zeros((q.target.n, F.shape[1]))
     worst = 0.0
@@ -567,6 +578,15 @@ def push_frame(q: QuotientMap, frame, m, tol: float):
         worst = max(worst, float(np.linalg.norm(J.T @ sol - gamma)) / (1.0 + np.linalg.norm(gamma)))
         abar[:, i] = sol
     return Xbar, abar, worst
+
+
+def push_frame(q: QuotientMap, frame, m, tol: float):
+    """Push one frame value through the quotient map: target vectors are
+    Jacobian images, target forms solve the pull-back equations by least
+    squares.  Returns (target vectors, target forms, worst pull-back
+    residual)."""
+    F = np.asarray(frame(m), dtype=float)
+    return _push(q, F, q.jacobian(m))
 
 
 def pushforward_check(
@@ -583,20 +603,80 @@ def pushforward_check(
     """Certify the reduced structure: frame forms are pull-backs, pushed
     values are constant on fibers, the pushed family has target rank and
     is isotropic, and (when requested) target Courant brackets of the
-    pushed sections stay in their span."""
-    if isinstance(frame, InvariantFrameResult):
-        frame = frame.frame
+    pushed sections stay in their span.
+
+    Every frame value the checks need (samples, fiber pairs, lifted closure
+    targets and their stencils) is evaluated in one batch when frame is an
+    InvariantFrameResult, else point by point."""
+    if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
+        frames = frame.frames
+    else:
+        one = frame.frame if isinstance(frame, InvariantFrameResult) else frame
+
+        def frames(points):
+            return [one(m) for m in points]
+
     chart = q.source
     if samples is None:
         samples = chart.sample_points(margin=0.1)
     report = Report()
     nbar = q.target.n
+    k = chart.leaf_count
+    rng = np.random.default_rng(seed)
+
+    # The points whose frame values the checks need and the Jacobian there,
+    # in the order a point-by-point pass meets them.  An error on the way is
+    # raised once the frames before it are evaluated, so the error raised is
+    # that pass's first.
+    points, jacobians = [], []
+
+    def need(m) -> int:
+        points.append(m)
+        jacobians.append(q.jacobian(m))
+        return len(points) - 1
+
+    fibers = []  # (m2, q difference, index of m or None off the fiber)
+    closure = []  # (ybar, index of its lift, stencil deltas)
+    error = None
+    try:
+        for m in samples:
+            need(m)
+        # fiber consistency: perturb leaf coordinates, compare pushed values
+        for i in range(n_fiber_pairs):
+            m = samples[i % len(samples)]
+            m2 = np.asarray(m, dtype=float).copy()
+            for l in range(k):
+                lo, hi = chart.box[l]
+                w = hi - lo
+                m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
+            qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
+            if qdiff > 1e-9:
+                fibers.append((m2, qdiff, None))
+                continue
+            fibers.append((m2, qdiff, need(m)))
+            need(m2)
+        if check_closedness:
+            lift = _Lift(q, samples[0])
+            for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
+                at = need(lift(ybar))
+                deltas = []
+                for i in range(nbar):
+                    stencil, delta = _stencil(q.target, ybar, i)
+                    for y in stencil:
+                        need(lift(y))
+                    deltas.append(delta)
+                closure.append((ybar, at, deltas))
+    except _POINT_ERRORS as exc:
+        error = exc
+    values = frames(points)
+    if error is not None:
+        raise error
+    pushed = [_push(q, np.asarray(F, dtype=float), J) for F, J in zip(values, jacobians)]
 
     basic_pairs = []
     rank_pairs = []
     iso_pairs = []
-    for m in samples:
-        Xbar, abar, residual = push_frame(q, frame, m, tol)
+    for m, (Xbar, abar, residual) in zip(samples, pushed):
         basic_pairs.append((residual, m))
         stacked = np.vstack([Xbar, abar])
         rank_pairs.append((0.0 if svd_rank(stacked) == nbar else 1.0, m))
@@ -612,42 +692,28 @@ def pushforward_check(
                                    detail=f"pushed family has rank {nbar}", stage="pushforward"))
     report.add(record_from_samples("reduced-isotropy", iso_pairs, tol, stage="pushforward"))
 
-    # fiber consistency: perturb leaf coordinates, compare pushed values
-    rng = np.random.default_rng(seed)
-    k = chart.leaf_count
     fiber_pairs = []
-    base_points = [samples[i % len(samples)] for i in range(n_fiber_pairs)]
-    for m in base_points:
-        m2 = np.asarray(m, dtype=float).copy()
-        for l in range(k):
-            lo, hi = chart.box[l]
-            w = hi - lo
-            m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
-        qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
-        if qdiff > 1e-9:
+    for m2, qdiff, at in fibers:
+        if at is None:
             fiber_pairs.append((1.0 + qdiff, m2))
             continue
-        s1 = np.hstack([*push_frame(q, frame, m, tol)[:2]])
-        s2 = np.hstack([*push_frame(q, frame, m2, tol)[:2]])
+        s1 = np.hstack([*pushed[at][:2]])
+        s2 = np.hstack([*pushed[at + 1][:2]])
         scale = 1.0 + float(np.abs(s1).max(initial=0.0))
         fiber_pairs.append((float(np.abs(s1 - s2).max(initial=0.0)) / scale, m2))
     report.add(record_from_samples("fiber-consistency", fiber_pairs, tol, stage="pushforward"))
 
     if check_closedness:
-        lift = _Lift(q, samples[0])
+        def section(i):
+            return np.vstack(pushed[i][:2])
 
-        def pushed(ybar):
-            m = lift(ybar)
-            Xbar, abar, _ = push_frame(q, frame, m, tol)
-            return np.vstack([Xbar, abar])
-
-        target_points = []
-        for m in samples[: min(len(samples), 6)]:
-            target_points.append(q(m))
         closure_pairs = []
-        for ybar in target_points:
-            S = pushed(ybar)
-            grads = _fd_gradient(pushed, q.target, ybar)
+        for ybar, at, deltas in closure:
+            S = section(at)
+            grads = [
+                _difference([section(at + 1 + 4 * i + s) for s in range(4)], delta)
+                for i, delta in enumerate(deltas)
+            ]
             worst = 0.0
             r = S.shape[1]
             for i in range(r):

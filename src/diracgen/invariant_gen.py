@@ -162,6 +162,11 @@ class FoliatedProblem:
 LINE_CACHE_SIZE = 128
 
 
+def _components(s: PontryaginSection) -> list:
+    """The 2n coefficient expressions of a section, vector part first."""
+    return [*s.vf.coeffs, *s.form.coeffs]
+
+
 def _lru_get(cache: OrderedDict, key, make):
     value = cache.get(key)
     if value is None:
@@ -280,6 +285,10 @@ class _Solver:
             # Step 4 at a node evaluates T, the leaf parts, then per l the
             # transverse and the leaf derivatives of the extra section
             self._beta_exprs = CompiledExprs(T + X_leaf + d_extra)
+            self._extra_exprs = CompiledExprs(_components(p.extra))
+        # every generator component, generator by generator, in the order
+        # evaluating one generator at a point takes them
+        self._generator_exprs = CompiledExprs([c for g in p.generators for c in _components(g)])
         self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
         self._panels: OrderedDict = OrderedDict()  # (l, frozen, sign) -> _Panels
 
@@ -524,12 +533,18 @@ class _Solver:
 
     # -- Step 3 -----------------------------------------------------------
 
+    def generator_matrices(self, points) -> np.ndarray:
+        """Evaluated generators as columns of a 2n x r matrix at each point
+        (N, 2n, r), from one compiled batch."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.p.n)
+        values = self._generator_exprs(points).reshape(self.p.r, 2 * self.p.n, len(points))
+        return np.ascontiguousarray(values.transpose(2, 1, 0))
+
     def generator_matrix(self, m) -> np.ndarray:
-        """Evaluated generators as columns of a 2n x r matrix."""
-        return np.column_stack([g(m) for g in self.p.generators])
+        return self.generator_matrices([m])[0]
 
     def _frames(self, points: np.ndarray) -> np.ndarray:
-        G = [self.generator_matrix(m) for m in points]
+        G = self.generator_matrices(points)
         return np.stack([g @ b for g, b in zip(G, self._B(self._checked(points)))])
 
     def frames(self, points) -> np.ndarray:
@@ -705,7 +720,7 @@ class _Solver:
         return self._Pi(np.asarray([m], dtype=float))[0]
 
     def _corrections(self, points: np.ndarray) -> np.ndarray:
-        G = [self.generator_matrix(m) for m in points]
+        G = self.generator_matrices(points)
         return np.stack([g @ pi for g, pi in zip(G, self._Pi(points))])
 
     def corrections(self, points) -> np.ndarray:
@@ -717,7 +732,7 @@ class _Solver:
         return self._corrections(np.asarray([m], dtype=float))[0]
 
     def _combined(self, points: np.ndarray) -> np.ndarray:
-        E = [self.p.extra(m) for m in points]
+        E = self._extra_exprs(points).T
         return np.stack([e + c for e, c in zip(E, self._corrections(points))])
 
     def combined_values(self, points) -> np.ndarray:
@@ -869,15 +884,14 @@ def run(
             correction=None,
             combined=None,
             report=report,
-            frames=lambda points: np.array([frame(m) for m in points]),
+            frames=solver.generator_matrices,
         )
 
     D = GeneralizedDistribution(p.chart, p.generators)
 
     # (i) span equality at each sample, by mutual membership
     pairs = []
-    for m, F in zip(samples, solver.frames(samples)):
-        G = solver.generator_matrix(m)
+    for m, F, G in zip(samples, solver.frames(samples), solver.generator_matrices(samples)):
         worst = 0.0
         for col in F.T:
             worst = max(worst, membership_residual(D, m, col) / (1.0 + np.linalg.norm(col)))

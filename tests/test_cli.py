@@ -150,6 +150,22 @@ class TestVerdictOnError:
         if code == 1:
             assert verdict["failed_stage"] == "Step 1"
 
+    @pytest.mark.parametrize("command", ["check", "invariant-generators"])
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("chart", "names", 5), ("numerics", "samples", "many")],
+    )
+    def test_wrongly_typed_value_is_input_error(self, tmp_path, command, block, key, value):
+        def edit(data):
+            data[block][key] = value
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        [verdict] = records(out.stdout)
+        assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
+        assert f"{block}.{key}" in verdict["message"]
+
     def test_unreadable_input_still_gets_a_verdict(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{ not json")

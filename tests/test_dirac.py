@@ -1,7 +1,12 @@
 """Dirac structures, characteristic data, and the reduction pipeline."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diracgen.calculus import (
     OneForm,
@@ -10,6 +15,7 @@ from diracgen.calculus import (
     lie_bracket,
     lie_derivative_form,
 )
+from diracgen import dirac
 from diracgen.dirac import (
     DiracStructure,
     InfinitesimalAction,
@@ -28,7 +34,7 @@ from diracgen.dirac import (
     vertical_and_K,
 )
 from diracgen.distribution import annihilator_basis, contains
-from diracgen.errors import InputError, VerificationError
+from diracgen.errors import InputError, NumericalBreakdownError, VerificationError
 from diracgen.invariant_gen import FoliatedProblem, run
 from diracgen.symexpr import Chart, parse
 
@@ -351,6 +357,45 @@ class TestPushforward:
         with pytest.raises(VerificationError):
             lift(np.array([5.0]))
 
+    def test_one_frame_batch_matches_point_by_point(self):
+        chart, D, action, problem = translation_setup()
+        result = descending_generators(D, action, problem)
+        target = Chart(coord_names=("y",), leaf_count=0, box=((-2.0, 2.0),))
+        q = QuotientMap(chart, target, (parse("x2 + x2^3", chart),))
+        batches = []
+        frames = result.frames
+
+        def counted(points):
+            batches.append(len(points))
+            return frames(points)
+
+        result.frames = counted
+        batched = pushforward_check(D, action, q, result)
+        pointwise = pushforward_check(D, action, q, result.frame)
+        assert [r.as_dict() for r in batched] == [r.as_dict() for r in pointwise]
+        # samples, 10 fiber pairs, 6 lifted targets with a 4-point stencil each
+        assert batches == [len(chart.sample_points(margin=0.1)) + 2 * 10 + 6 * 5]
+
+    def test_errors_keep_the_point_by_point_order(self):
+        # the stencil of the first target reaches past q(box) = [-2, 2], so
+        # its lift fails; point by point, the frame error at the second
+        # sample comes first
+        chart, D, action, problem = translation_setup()
+        target = Chart(coord_names=("y",), leaf_count=0, box=((-3.0, 3.0),))
+        q = QuotientMap(chart, target, (parse("x2 + x2^3", chart),))
+        samples = [np.array([0.0, 0.99]), np.array([0.2, 0.5])]
+        F = np.array([[0.0], [0.0], [0.0], [1.0]])
+
+        def frame(m):
+            if m[1] == 0.5:
+                raise NumericalBreakdownError("frame fails here", point=list(m))
+            return F
+
+        with pytest.raises(NumericalBreakdownError):
+            pushforward_check(D, action, q, frame, samples=samples)
+        with pytest.raises(VerificationError):
+            pushforward_check(D, action, q, lambda m: F, samples=samples)
+
     def test_every_record_names_its_stage(self):
         chart, D, action, problem = translation_setup()
         samples = chart.sample_points(n_random=4, margin=0.1)
@@ -427,6 +472,106 @@ class TestPushforward:
                     source = F[n:, j] @ F[:n, i] + F[n:, i] @ F[:n, j]
                     target_val = abar[:, j] @ Xbar[:, i] + abar[:, i] @ Xbar[:, j]
                     assert target_val == pytest.approx(source, abs=1e-9)
+
+
+_unit = st.floats(0.0, 1.0)
+_coeff = st.floats(0.1, 10.0)
+_interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 3.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def _cubic_quotient(a, b, box2):
+    chart = Chart(coord_names=("x1", "x2"), leaf_count=1, box=((-1.0, 1.0), box2))
+    target = Chart(coord_names=("y",), leaf_count=0)
+    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x2^3", chart),))
+
+
+def _linear_quotient(A, box2, box3):
+    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
+    target = Chart(coord_names=("y1", "y2"), leaf_count=0)
+    rows = tuple(parse(f"{row[0]!r}*x2 + {row[1]!r}*x3", chart) for row in A)
+    return QuotientMap(chart, target, rows)
+
+
+def _box_point(chart, fractions):
+    return np.array([lo + t * (hi - lo) for (lo, hi), t in zip(chart.box, fractions)])
+
+
+def _assert_lifts(q, reference, m):
+    y = q(m)
+    x = _Lift(q, reference)(y)
+    assert q.source.contains(x, slack=0.0)
+    assert np.linalg.norm(q(x) - y) <= 1e-8
+
+
+class TestLift:
+    """The box-clamped Gauss-Newton lift through a quotient map."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coeff, _coeff, _interval, st.tuples(_unit, _unit), st.tuples(_unit, _unit))
+    def test_cubic_lifts_every_source_point(self, a, b, box2, at, ref):
+        q = _cubic_quotient(a, b, box2)
+        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coeff, _coeff, _interval, st.tuples(_unit, _unit), st.floats(1e-6, 10.0), st.booleans())
+    def test_cubic_rejects_targets_outside_the_image(self, a, b, box2, ref, gap, above):
+        q = _cubic_quotient(a, b, box2)
+        lo, hi = box2
+        y = q(np.array([0.0, hi]))[0] + gap if above else q(np.array([0.0, lo]))[0] - gap
+        with pytest.raises(VerificationError):
+            _Lift(q, _box_point(q.source, ref))(np.array([y]))
+
+    _matrix = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(lambda v: (v[:2], v[2:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrix, _interval, _interval, st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit))
+    def test_linear_map_lifts_every_source_point(self, A, box2, box3, at, ref):
+        assume(abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) >= 0.25)
+        q = _linear_quotient(A, box2, box3)
+        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrix, _interval, _interval, st.tuples(_unit, _unit, _unit),
+           st.tuples(_unit, _unit), st.floats(0.01, 2.0), st.integers(0, 3))
+    def test_linear_map_rejects_targets_outside_the_image(self, A, box2, box3, ref, at, gap, side):
+        assume(abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) >= 0.25)
+        q = _linear_quotient(A, box2, box3)
+        # a source point beyond one face of the (x2, x3) box: its image is
+        # at least sigma_min * gap > 1e-8 away from the image of the box
+        z = _box_point(q.source, (0.5, *at))
+        lo, hi = q.source.box[1 + side // 2]
+        z[1 + side // 2] = hi + gap if side % 2 else lo - gap
+        with pytest.raises(VerificationError):
+            _Lift(q, _box_point(q.source, ref))(q(z))
+
+    def test_repeated_target_lifts_to_the_same_point(self):
+        q = _cubic_quotient(1.0, 1.0, (-1.0, 1.0))
+        lift = _Lift(q, np.array([0.0, 0.0]))
+        state = dict(vars(lift))
+        first = lift(np.array([1.0]))
+        second = lift(np.array([1.0]))
+        assert np.array_equal(first, second) and first is not second
+        assert vars(lift).keys() == state.keys()
+        assert all(vars(lift)[key] is value for key, value in state.items())
+
+    def test_lift_calls_the_module_solver(self, monkeypatch):
+        calls = []
+        solver = dirac.least_squares
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(dirac, "least_squares", counted)
+        q = _cubic_quotient(1.0, 1.0, (-1.0, 1.0))
+        _Lift(q, np.array([0.0, 0.0]))(np.array([1.0]))
+        assert len(calls) == 1
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, diracgen, diracgen.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=root)
+        assert out.stdout.strip() == "False"
 
 
 class TestActionSymmetryIdentities:

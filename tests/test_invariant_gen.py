@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
-from diracgen.errors import HypothesisViolated, InputError, NonUniqueCoefficients
+from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients
 from diracgen.invariant_gen import (
     FoliatedProblem,
     build_B,
@@ -491,6 +491,41 @@ class TestBatchedAgainstPointwise:
         # the grid up to the failing step was kept: points before it still evaluate
         W = fundamental_matrix(p, 0, np.array([0.45, 0.1, 0.2]))
         np.testing.assert_allclose(W, PointwiseReference(p).W(0, np.array([0.45, 0.1, 0.2])), rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["e2", "k2"])
+    def test_section_values_match_reference(self, chart3, rng, name):
+        # generator and extra values come from one compiled batch
+        p = k2_problem() if name == "k2" else e2_problem(chart3, ode_step=0.05, quad_step=0.05)
+        ref = PointwiseReference(p)
+        points = random_points(rng, p.chart, 5)
+        solver = _solver(p)
+        frames = solver.frames(points)
+        corrections = solver.corrections(points)
+        combined = solver.combined_values(points)
+        for m, F, c, e in zip(points, frames, corrections, combined):
+            G = np.column_stack([g(m) for g in p.generators])
+            np.testing.assert_allclose(F, ref.frame(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(c, G @ ref.Pi(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(e, p.extra(m) + G @ ref.Pi(m), rtol=1e-13, atol=0)
+            assert np.array_equal(solver.frame(m), F) and np.array_equal(solver.combined(m), e)
+
+    def test_section_value_errors_match_pointwise(self, chart3):
+        # 1/x2 in a generator and 1/x3 in the extra section: the batch raises
+        # what evaluating the section at the first failing point raises
+        g = section(chart3, ("0", "1", "0"), ("0", "0", "1/x2"))
+        extra = section(chart3, ("0", "0", "0"), ("0", "0", "1/x3"))
+        p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.05, quad_step=0.05)
+        points = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.0], [0.1, 0.0, 0.4]])
+        for evaluate, bad, value in (
+            (_solver(p).frames, points[2], g),
+            (_solver(p).combined_values, points[1], extra),
+        ):
+            with pytest.raises(EvalDomainError) as expected:
+                value(bad)
+            with pytest.raises(EvalDomainError) as raised:
+                evaluate(points)
+            assert str(raised.value) == str(expected.value)
+            assert raised.value.point == expected.value.point
 
     def test_batch_raises_the_per_point_first_error(self, chart3):
         # a batch checks the box of every point before integrating, but point
