@@ -77,61 +77,25 @@ def load_problem(path: str) -> dict:
         raise InputError(
             f"{path}: unsupported format_version {version!r} (expected {FORMAT_VERSION})"
         )
-    _check_types(data, path)
     data["_raw_text"] = text
     return data
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_types(data: dict, path: str):
-    """Reject chart and numerics values of the wrong JSON type, which the
-    loaders below would otherwise meet as a Python TypeError or ValueError."""
-    charts = [("chart", data.get("chart"))]
-    if isinstance(data.get("quotient"), dict):
-        charts.append(("quotient.target", data["quotient"].get("target")))
-    for where, block in charts:
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            raise InputError(f"{path}: {where} must be an object")
-        names, box = block.get("names", []), block.get("box") or []
-        if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
-            raise InputError(f"{path}: {where}.names must be a list of coordinate names")
-        if not _is_int(block.get("k", 0)):
-            raise InputError(f"{path}: {where}.k must be an integer")
-        if not (isinstance(box, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in box
-        )):
-            raise InputError(f"{path}: {where}.box must be a list of [lo, hi] number pairs")
-    numerics = data.get("numerics")
-    if numerics is None:
-        return
-    if not isinstance(numerics, dict):
-        raise InputError(f"{path}: numerics must be an object")
-    for key, ok, kind in (
-        ("tol", _is_number, "a number"),
-        ("ode_step", lambda v: v is None or _is_number(v), "a number or null"),
-        ("quad_step", lambda v: v is None or _is_number(v), "a number or null"),
-        ("samples", _is_int, "an integer"),
-        ("seed", _is_int, "an integer"),
-    ):
-        if key in numerics and not ok(numerics[key]):
-            raise InputError(f"{path}: numerics.{key} must be {kind}, got {numerics[key]!r}")
+def _convert(kind, value, where: str):
+    """kind(value) for a JSON value, or an input error naming the key where
+    the value has no such reading."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: cannot read {value!r}: {exc}") from exc
 
 
 def _chart_from(block: dict, where: str = "chart") -> Chart:
-    names = tuple(_require(block, "names", where))
-    k = int(block.get("k", 0))
+    names = _convert(tuple, _require(block, "names", where), f"{where}.names")
+    k = _convert(int, block.get("k", 0), f"{where}.k")
     box = block.get("box")
     if box is not None:
-        box = tuple(tuple(float(v) for v in pair) for pair in box)
+        box = _convert(lambda b: tuple(tuple(float(v) for v in pair) for pair in b), box, f"{where}.box")
     try:
         if box is None:
             return Chart(coord_names=names, leaf_count=k)
@@ -216,7 +180,7 @@ def _quotient_from(data: dict, chart: Chart) -> QuotientMap | None:
 
 
 def _numerics(data: dict, args) -> dict:
-    block = dict(data.get("numerics") or {})
+    block = _convert(dict, data.get("numerics") or {}, "numerics")
     out = {
         "tol": block.get("tol", 1e-7),
         "ode_step": block.get("ode_step"),
@@ -227,12 +191,11 @@ def _numerics(data: dict, args) -> dict:
     for key in out:
         if getattr(args, key) is not None:
             out[key] = getattr(args, key)
-    out["tol"] = float(out["tol"])
-    out["samples"] = int(out["samples"])
-    out["seed"] = int(out["seed"])
+    for key, kind in (("tol", float), ("samples", int), ("seed", int)):
+        out[key] = _convert(kind, out[key], f"numerics.{key}")
     for key in ("ode_step", "quad_step"):
         if out[key] is not None:
-            out[key] = float(out[key])
+            out[key] = _convert(float, out[key], f"numerics.{key}")
     return out
 
 

@@ -515,12 +515,29 @@ LIFT_MAX_ITER = 50
 LIFT_MAX_HALVINGS = 30
 
 
+def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
+    """Minimum-norm least-squares step for J step = -r that leaves fixed the
+    coordinates sitting at a bound of the box and pointing out of it,
+    re-solved over the free coordinates until none points out."""
+    step = np.linalg.lstsq(J, -r, rcond=None)[0]
+    free = np.ones(x.shape, dtype=bool)
+    while True:
+        out = free & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
+        if not out.any():
+            return step
+        free &= ~out
+        step = np.zeros_like(x)
+        if free.any():
+            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+
+
 def least_squares(q: QuotientMap, ybar, x0) -> np.ndarray:
-    """Box-clamped Gauss–Newton solve of q(x) = ybar from x0, with the exact
-    Jacobian of q.  Each step is the minimum-norm least-squares step,
-    clipped to the source box and halved until the residual norm falls.
-    Stops when no halving lowers it, when it is 0, or after LIFT_MAX_ITER
-    steps; returns the last point reached."""
+    """Box-constrained Gauss–Newton solve of q(x) = ybar from x0, with the
+    exact Jacobian of q.  Each step is the minimum-norm least-squares step
+    over the coordinates not held at a bound (_projected_step), clipped to
+    the source box and halved until the residual norm falls.  Stops when no
+    halving lowers it, when it is 0, or after LIFT_MAX_ITER steps; returns
+    the last point reached."""
     lo, hi = np.array(q.source.box).T
     ybar = np.asarray(ybar, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -529,7 +546,7 @@ def least_squares(q: QuotientMap, ybar, x0) -> np.ndarray:
     for _ in range(LIFT_MAX_ITER):
         if norm == 0.0:
             break
-        step = np.linalg.lstsq(q.jacobian(x), -r, rcond=None)[0]
+        step = _projected_step(q.jacobian(x), r, x, lo, hi)
         for _ in range(LIFT_MAX_HALVINGS):
             trial = np.clip(x + step, lo, hi)
             if np.array_equal(trial, x):  # a shorter step cannot move either

@@ -162,9 +162,20 @@ class TestVerdictOnError:
         out = run_cli(command, edited(tmp_path, "e1.json", edit))
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
-        [verdict] = records(out.stdout)
+        *before, verdict = records(out.stdout)
+        assert [r["record"] for r in before] in ([], ["provenance"])
         assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
         assert f"{block}.{key}" in verdict["message"]
+
+    def test_values_that_convert_are_still_read(self, tmp_path):
+        def edit(data):
+            data["chart"]["k"] = 1.0
+            data["chart"]["box"] = [["-1", "1"]] * 3
+            data["numerics"].update(samples=20.0, tol="1e-7")
+
+        out = run_cli("check", edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 0
+        assert records(out.stdout)[-1] == {"record": "verdict", "passed": True, "exit_code": 0}
 
     def test_unreadable_input_still_gets_a_verdict(self, tmp_path):
         path = tmp_path / "broken.json"

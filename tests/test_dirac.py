@@ -492,6 +492,14 @@ def _linear_quotient(A, box2, box3):
     return QuotientMap(chart, target, rows)
 
 
+def _wide_quotient(a, b, box2, box3):
+    """One target coordinate from two transverse ones: a Jacobian wider than
+    the target, so the minimum-norm step splits between x2 and x3."""
+    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
+    target = Chart(coord_names=("y",), leaf_count=0)
+    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x3", chart),))
+
+
 def _box_point(chart, fractions):
     return np.array([lo + t * (hi - lo) for (lo, hi), t in zip(chart.box, fractions)])
 
@@ -543,6 +551,31 @@ class TestLift:
         z[1 + side // 2] = hi + gap if side % 2 else lo - gap
         with pytest.raises(VerificationError):
             _Lift(q, _box_point(q.source, ref))(q(z))
+
+    _signed = st.tuples(_coeff, st.booleans()).map(lambda t: t[0] if t[1] else -t[0])
+    _skewed = st.tuples(st.floats(-50.0, 50.0), st.floats(0.1, 100.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signed, _signed, _skewed, _skewed, st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit))
+    def test_wide_jacobian_lifts_every_source_point(self, a, b, box2, box3, at, ref):
+        q = _wide_quotient(a, b, box2, box3)
+        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_signed, _signed, _skewed, _skewed, st.tuples(_unit, _unit, _unit), st.floats(1e-6, 10.0),
+           st.booleans())
+    def test_wide_jacobian_rejects_targets_outside_the_image(self, a, b, box2, box3, ref, gap, above):
+        q = _wide_quotient(a, b, box2, box3)
+        ends = [a * x2 + b * x3 for x2 in box2 for x3 in box3]
+        y = max(ends) + gap if above else min(ends) - gap
+        with pytest.raises(VerificationError):
+            _Lift(q, _box_point(q.source, ref))(np.array([y]))
+
+    def test_clipped_first_step_still_reaches_the_target(self):
+        # the minimum-norm step moves mostly x2, which the box stops at 1;
+        # x3 alone must then carry the rest of the residual
+        q = _wide_quotient(1.0, 0.01, (0.0, 1.0), (0.0, 100.0))
+        _assert_lifts(q, np.array([0.0, 0.5, 50.0]), np.array([0.0, 0.9, 90.0]))
 
     def test_repeated_target_lifts_to_the_same_point(self):
         q = _cubic_quotient(1.0, 1.0, (-1.0, 1.0))
