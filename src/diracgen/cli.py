@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .calculus import OneForm, PontryaginSection, VectorField
@@ -52,8 +53,20 @@ EXIT_NUMERICAL = 3
 # -- problem file loading ---------------------------------------------------
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _require(block: dict, key: str, where: str):
-    if key not in block:
+    if key not in _object(block, where):
         raise InputError(f"{where}: missing required key '{key}'")
     return block[key]
 
@@ -86,16 +99,26 @@ def _convert(kind, value, where: str):
     the value has no such reading."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: cannot read {value!r}: {exc}") from exc
+
+
+def _box_interval(pair) -> tuple[float, float]:
+    lo, hi = (float(v) for v in pair)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bounds must be finite")
+    return lo, hi
 
 
 def _chart_from(block: dict, where: str = "chart") -> Chart:
     names = _convert(tuple, _require(block, "names", where), f"{where}.names")
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"{where}.names: coordinate name {name!r} is not a string")
     k = _convert(int, block.get("k", 0), f"{where}.k")
     box = block.get("box")
     if box is not None:
-        box = _convert(lambda b: tuple(tuple(float(v) for v in pair) for pair in b), box, f"{where}.box")
+        box = _convert(lambda b: tuple(_box_interval(pair) for pair in b), box, f"{where}.box")
     try:
         if box is None:
             return Chart(coord_names=names, leaf_count=k)
@@ -112,8 +135,8 @@ def _expr(text, chart: Chart, where: str):
 
 
 def _section_from(block: dict, chart: Chart, where: str) -> PontryaginSection:
-    vec = _require(block, "vector", where)
-    form = _require(block, "form", where)
+    vec = _list(_require(block, "vector", where), f"{where}.vector")
+    form = _list(_require(block, "form", where), f"{where}.form")
     if len(vec) != chart.n or len(form) != chart.n:
         raise InputError(f"{where}: vector and form need {chart.n} components each")
     return PontryaginSection(
@@ -124,7 +147,7 @@ def _section_from(block: dict, chart: Chart, where: str) -> PontryaginSection:
 
 def _section_list(blocks, chart: Chart, where: str) -> tuple[PontryaginSection, ...]:
     return tuple(
-        _section_from(b, chart, f"{where}[{i}]") for i, b in enumerate(blocks)
+        _section_from(b, chart, f"{where}[{i}]") for i, b in enumerate(_list(blocks, where))
     )
 
 
@@ -133,8 +156,8 @@ def _action_from(data: dict, chart: Chart) -> InfinitesimalAction | None:
     if block is None:
         return None
     gens = []
-    for i, coeffs in enumerate(_require(block, "generators", "action")):
-        if len(coeffs) != chart.n:
+    for i, coeffs in enumerate(_list(_require(block, "generators", "action"), "action.generators")):
+        if len(_list(coeffs, f"action.generators[{i}]")) != chart.n:
             raise InputError(f"action.generators[{i}]: needs {chart.n} components")
         gens.append(
             VectorField(
@@ -147,7 +170,13 @@ def _action_from(data: dict, chart: Chart) -> InfinitesimalAction | None:
         )
     constants = block.get("structure_constants")
     if constants is not None:
-        constants = tuple(tuple(tuple(float(v) for v in row) for row in mat) for mat in constants)
+        where = "action.structure_constants"
+        constants = _convert(
+            lambda c: tuple(tuple(tuple(float(v) for v in row) for row in mat) for mat in c), constants, where
+        )
+        d = len(gens)
+        if len(constants) != d or any(len(mat) != d or any(len(r) != d for r in mat) for mat in constants):
+            raise InputError(f"{where}: needs {d} x {d} x {d} numbers")
     return InfinitesimalAction(chart, tuple(gens), constants)
 
 
@@ -155,11 +184,12 @@ def _poisson_from(data: dict, chart: Chart) -> PoissonBivector | None:
     block = data.get("poisson")
     if block is None:
         return None
-    if len(block) != chart.n or any(len(row) != chart.n for row in block):
+    rows = [_list(row, f"poisson[{i}]") for i, row in enumerate(_list(block, "poisson"))]
+    if len(rows) != chart.n or any(len(row) != chart.n for row in rows):
         raise InputError(f"poisson: components must form an {chart.n} x {chart.n} matrix")
     comps = tuple(
         tuple(_expr(c, chart, f"poisson[{i}][{j}]") for j, c in enumerate(row))
-        for i, row in enumerate(block)
+        for i, row in enumerate(rows)
     )
     return PoissonBivector(chart, comps)
 
@@ -171,7 +201,7 @@ def _quotient_from(data: dict, chart: Chart) -> QuotientMap | None:
     target = _chart_from(_require(block, "target", "quotient"), "quotient.target")
     comps = tuple(
         _expr(c, chart, f"quotient.components[{i}]")
-        for i, c in enumerate(_require(block, "components", "quotient"))
+        for i, c in enumerate(_list(_require(block, "components", "quotient"), "quotient.components"))
     )
     try:
         return QuotientMap(chart, target, comps)
@@ -196,6 +226,8 @@ def _numerics(data: dict, args) -> dict:
     for key in ("ode_step", "quad_step"):
         if out[key] is not None:
             out[key] = _convert(float, out[key], f"numerics.{key}")
+    if out["seed"] < 0:  # numpy's generators take no negative seed
+        raise InputError(f"numerics.seed: must be non-negative, got {out['seed']}")
     return out
 
 
@@ -274,7 +306,7 @@ def _sample_points(chart: Chart, numerics: dict):
 
 
 def _foliated_problem(data: dict, chart: Chart, numerics: dict) -> FoliatedProblem:
-    sections = data.get("sections") or {}
+    sections = _object(data.get("sections") or {}, "sections")
     gens = sections.get("D")
     if not gens:
         raise InputError("sections.D: a spanning family is required")
@@ -311,7 +343,7 @@ def cmd_check(data: dict, args, out: _Emitter) -> int:
     chart = _chart_from(_require(data, "chart", "problem"))
     samples = _sample_points(chart, numerics)
     report = Report()
-    sections = data.get("sections") or {}
+    sections = _object(data.get("sections") or {}, "sections")
     action = _action_from(data, chart)
     tol = numerics["tol"]
 
@@ -406,7 +438,7 @@ def cmd_dirac_reduce(data: dict, args, out: _Emitter) -> int:
         D = DiracStructure(chart, _section_list(dirac_block, chart, "dirac"))
     else:
         raise InputError("dirac-reduce needs a poisson or dirac block")
-    sections = data.get("sections") or {}
+    sections = _object(data.get("sections") or {}, "sections")
     dkperp = sections.get("dkperp")
     if not dkperp:
         raise InputError("sections.dkperp: a spanning family of the intersection is required")

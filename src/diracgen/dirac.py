@@ -601,7 +601,8 @@ def push_frame(q: QuotientMap, frame, m, tol: float):
     """Push one frame value through the quotient map: target vectors are
     Jacobian images, target forms solve the pull-back equations by least
     squares.  Returns (target vectors, target forms, worst pull-back
-    residual)."""
+    residual).  ``tol`` is not used; it stays in the signature for the
+    callers that pass it."""
     F = np.asarray(frame(m), dtype=float)
     return _push(q, F, q.jacobian(m))
 

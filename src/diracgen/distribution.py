@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .calculus import PontryaginSection, VectorField, skew_bracket
 from .errors import ChartMismatchError, InputError
@@ -95,11 +96,38 @@ def rank_at(delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL) ->
     return svd_rank(delta.matrix_at(m), tol)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each trailing-axis vector, with the same dot product
+    (so bit-identical to it)."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def span_residuals(A, v) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients and residuals of expressing each vector
+    v[..., :] in the columns of the matrix A[..., :, :] (stacks broadcast).
+
+    One call of the gufunc that ``np.linalg.lstsq`` itself calls, with its
+    ``rcond``, so each coefficient vector is bit-identical to
+    ``np.linalg.lstsq(A[i], v[i], rcond=None)[0]``, and each residual to
+    ``np.linalg.norm(A[i] @ x - v[i])``."""
+    A = np.asarray(A, dtype=float)
+    v = np.asarray(v, dtype=float)
+    rcond = np.finfo(float).eps * max(A.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        coeff = _umath_linalg.lstsq(A, v[..., None], rcond, signature="ddd->ddid")[0]
+    if A.shape[-2] == 0:
+        coeff[...] = 0.0
+    return coeff[..., 0], _norms((A @ coeff)[..., 0] - v)
+
+
 def span_residual(A: np.ndarray, v) -> float:
     """Least-squares residual of expressing v in the columns of A."""
-    v = np.asarray(v, dtype=float)
-    coeff, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(np.linalg.norm(A @ coeff - v))
+    return float(span_residuals(np.asarray(A, dtype=float)[None], np.asarray(v, dtype=float)[None])[1][0])
 
 
 def membership_residual(delta: GeneralizedDistribution, m, v) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import OneForm, PontryaginSection, VectorField
-from .distribution import GeneralizedDistribution, membership_residual, span_residual
+from .distribution import _norms, span_residuals
 from .errors import (
     DiracgenError,
     HypothesisViolated,
@@ -198,13 +198,6 @@ def _first_failure(checks) -> tuple[int, int] | None:
     return i, int(np.flatnonzero(failed[:, i])[0])
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each trailing-axis vector, with the same dot product
-    (so bit-identical to it)."""
-    x = np.ascontiguousarray(x)
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
-
-
 # What evaluating a batch can raise at a failing point.
 _POINT_ERRORS = (DiracgenError, np.linalg.LinAlgError)
 
@@ -214,8 +207,6 @@ def _batch(points, compute, one):
     each point in turn, so the error raised is the one a point-by-point pass
     meets first."""
     points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        return points
     try:
         return compute(points)
     except _POINT_ERRORS:
@@ -399,8 +390,9 @@ class _Solver:
     def _extend(self, j: int, lines: list, h: float):
         """Grow each grid Ws of lines (Ws, point, target), which holds W at
         i*h on the x^j line through point, to index target.  Step 1 runs at
-        the new RK4 nodes of all lines in one stacked call, and each RK4 step
-        is one stacked step over the lines still growing."""
+        the new RK4 nodes of all lines in one stacked call.  The lines step
+        in lockstep on one array, longest first, so the lines still growing
+        are its leading rows."""
         lines = [line for line in lines if line[2] >= len(line[0])]
         if not lines:
             return
@@ -416,17 +408,23 @@ class _Solver:
                 raise  # the caller redoes its points one at a time
             B = None  # redone step by step below, where the per-point order raises
         starts = np.cumsum([0] + counts)
-        for s in range(max(counts)):
-            grow = [a for a, count in enumerate(counts) if s < count]
-            if B is None:
-                Bs = self._B_on_line(nodes[0][3 * s : 3 * s + 3], j)
-            else:
-                Bs = B[[starts[a] + s for a in grow]]
-            W = self._rk4(Bs, np.stack([lines[a][0][-1] for a in grow]), h)
-            for a, Wa in zip(grow, W):
-                if not np.all(np.isfinite(Wa)):
-                    raise self._breakdown(lines[a][1])
-                lines[a][0].append(Wa)
+        order = sorted(range(len(lines)), key=lambda a: -counts[a])
+        # growing[s]: how many lines take step s (the leading ones in order)
+        growing = np.searchsorted(-np.array(sorted(counts, reverse=True)), -np.arange(max(counts)))
+        first = starts[order]  # row in B (and in grown) of each line's first step
+        grown = np.empty((starts[-1], self.p.r, self.p.r))
+        W = np.stack([lines[a][0][-1] for a in order])
+        for s, live in enumerate(growing):
+            rows = first[:live] + s
+            Bs = self._B_on_line(nodes[0][3 * s : 3 * s + 3], j) if B is None else B[rows]
+            W = self._rk4(Bs, W[:live], h)
+            finite = np.isfinite(W).all(axis=(1, 2))
+            if not finite.all():
+                raise self._breakdown(lines[min(order[a] for a in np.flatnonzero(~finite))][1])
+            grown[rows] = W
+        for (Ws, _, _), start, count in zip(lines, starts, counts):
+            # a copy: a line dropped from the cache frees its own steps
+            Ws.extend(grown[start : start + count].copy())
 
     def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
         """W_j at each point (N x n).  The grids of all lines through the
@@ -438,15 +436,16 @@ class _Solver:
         out[:] = np.eye(r)
         if self.constant_tilde:
             return out
+        rows = points.tolist()
         xs = points[:, j].tolist()
         live = [i for i, x in enumerate(xs) if x != 0.0]
         n_full = {i: int(abs(xs[i]) // p.ode_step) for i in live}
         grids, lines = {}, {}
         for i in live:
-            m = points[i]
-            key = (j, tuple(m[:j]) + tuple(m[j + 1 :]), xs[i] > 0.0)
+            row = rows[i]
+            key = (j, tuple(row[:j] + row[j + 1 :]), xs[i] > 0.0)
             if key not in lines:  # looked up once: a big batch may evict it from the cache
-                lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), m, 0]
+                lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), points[i], 0]
             line = lines[key]
             line[2] = max(line[2], n_full[i])
             grids[i] = line[0]
@@ -544,13 +543,12 @@ class _Solver:
         return self.generator_matrices([m])[0]
 
     def _frames(self, points: np.ndarray) -> np.ndarray:
-        G = self.generator_matrices(points)
-        return np.stack([g @ b for g, b in zip(G, self._B(self._checked(points)))])
+        return self.generator_matrices(points) @ self._B(self._checked(points))
 
     def frames(self, points) -> np.ndarray:
         """The straightened frame at each point (N, 2n, r), with the lines of
         all points integrated together."""
-        return _batch(points, self._frames, self.frame)
+        return _batch(np.reshape(points, (-1, self.p.n)), self._frames, self.frame)
 
     def frame(self, m) -> np.ndarray:
         """The straightened frame: columns i are the values of (Z_i, gamma_i)."""
@@ -576,12 +574,9 @@ class _Solver:
         d_extra = vals[(M + k) * r :].T.reshape(N, k, M + k)
         beta = np.zeros((N, k, r))
         residual = np.zeros((N, k))
-        for i in range(N):
-            for l in range(k):
-                if not (flags[0][i] or flags[2 + 2 * l][i]):
-                    d = d_extra[i, l, :M]
-                    beta[i, l], *_ = np.linalg.lstsq(T[i], d, rcond=None)
-                    residual[i, l] = np.linalg.norm(T[i] @ beta[i, l] - d)
+        # one stacked least-squares solve for every (point, l) that evaluates
+        at = np.nonzero(~(flags[0][:, None] | np.stack(flags[2 : 2 + 2 * k : 2], axis=1)))
+        beta[at], residual[at] = span_residuals(T[at[0]], d_extra[at][:, :M])
         violated = residual > p.tol * (1.0 + _norms(d_extra[:, :, :M]))
         checks = flags[:2]
         for l in range(k):
@@ -714,30 +709,34 @@ class _Solver:
 
     def _Pi(self, points: np.ndarray) -> np.ndarray:
         B = self._B(self._checked(points))
-        return np.stack([-b @ R for b, R in zip(B, self._R(points))])
+        return (-B @ self._R(points)[..., None])[..., 0]
 
     def Pi(self, m) -> np.ndarray:
         return self._Pi(np.asarray([m], dtype=float))[0]
 
     def _corrections(self, points: np.ndarray) -> np.ndarray:
         G = self.generator_matrices(points)
-        return np.stack([g @ pi for g, pi in zip(G, self._Pi(points))])
+        return (G @ self._Pi(points)[..., None])[..., 0]
 
     def corrections(self, points) -> np.ndarray:
         """Values of (Z, gamma) at each point (N, 2n)."""
-        return _batch(points, self._corrections, self.correction)
+        return _batch(np.reshape(points, (-1, self.p.n)), self._corrections, self.correction)
 
     def correction(self, m) -> np.ndarray:
         """Value of (Z, gamma) at m."""
         return self._corrections(np.asarray([m], dtype=float))[0]
 
+    def extra_values(self, points) -> np.ndarray:
+        """Values of the extra section (X, alpha) at each point (N, 2n)."""
+        return self._extra_exprs(points).T
+
     def _combined(self, points: np.ndarray) -> np.ndarray:
-        E = self._extra_exprs(points).T
-        return np.stack([e + c for e, c in zip(E, self._corrections(points))])
+        E = self.extra_values(points)
+        return E + self._corrections(points)
 
     def combined_values(self, points) -> np.ndarray:
         """Values of (X + Z, alpha + gamma) at each point (N, 2n)."""
-        return _batch(points, self._combined, self.combined)
+        return _batch(np.reshape(points, (-1, self.p.n)), self._combined, self.combined)
 
     def combined(self, m) -> np.ndarray:
         """Value of (X + Z, alpha + gamma) at m."""
@@ -785,15 +784,16 @@ def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
 def _stencil(chart: Chart, m, l: int, delta: float | None = None):
     """The four points of the fourth-order central difference along the l-th
     coordinate (offsets +2d, +d, -d, -2d), with the probe clamped into the
-    box interior so the stencil fits; returns (points, d)."""
-    m = np.asarray(m, dtype=float).copy()
+    box interior so the stencil fits; returns (points, d).  For a stack of
+    probes (N x n) the points are N x 4 x n."""
+    m = np.array(m, dtype=float)
     lo, hi = chart.box[l]
     width = hi - lo
     if delta is None:
         delta = 0.01 * width
-    m[l] = min(max(m[l], lo + 2 * delta), hi - 2 * delta)
-    points = np.repeat(m[None], 4, axis=0)
-    points[:, l] += [2 * delta, delta, -delta, -2 * delta]
+    m[..., l] = np.minimum(np.maximum(m[..., l], lo + 2 * delta), hi - 2 * delta)
+    points = np.repeat(m[..., None, :], 4, axis=-2)
+    points[..., l] += [2 * delta, delta, -delta, -2 * delta]
     return points, delta
 
 
@@ -826,29 +826,31 @@ class InvariantFrameResult:
     frames: object = None  # points (N x n) -> N x 2n x r, evaluated as one batch
 
 
-def _leaf_invariance(fns, p: FoliatedProblem, samples, tol: float, check: str, stage: str) -> Report:
+def _leaf_invariance(
+    values, deltas, p: FoliatedProblem, samples, tol: float, check: str, stage: str
+) -> Report:
     """One record per leaf coordinate l: the l-th leaf derivative of the
     section (or frame) must have vanishing transverse vector components and
-    vanishing form components.  fns evaluates a batch of points; the
-    stencils and the samples of one leaf coordinate form one batch, in the
-    order a point-by-point pass evaluates them."""
-    n, k = p.n, p.k
+    vanishing form components.  values holds the section at the N samples,
+    then at the _stencil points of every sample for each leaf coordinate in
+    turn (N x 4 rows each, with step deltas[l])."""
+    n, N = p.n, len(samples)
+    axes = tuple(range(1, values.ndim))
+    scale = 1.0 + np.abs(values[:N]).max(axis=axes, initial=0.0)
     report = Report()
-    for l in range(k):
-        stencils = [_stencil(p.chart, m, l) for m in samples]
-        values = fns([q for (points, _), m in zip(stencils, samples) for q in (*points, m)])
-        pairs = []
-        for i, (m, (_, delta)) in enumerate(zip(samples, stencils)):
-            at = values[5 * i : 5 * i + 5]
-            d = _difference(at, delta)
-            scale = 1.0 + float(np.abs(at[4]).max(initial=0.0))
-            defect = max(
-                float(np.abs(d[k:n]).max(initial=0.0)),
-                float(np.abs(d[n:]).max(initial=0.0)),
-            )
-            pairs.append((defect / scale, m))
-        report.add(record_from_samples(f"{check}[{l}]", pairs, tol, stage=stage))
+    for l, delta in enumerate(deltas):
+        stencil = values[N * (1 + 4 * l) : N * (5 + 4 * l)].reshape(N, 4, *values.shape[1:])
+        d = np.abs(_difference(np.moveaxis(stencil, 1, 0), delta))
+        defect = np.maximum(d[:, p.k : n].max(axis=axes, initial=0.0), d[:, n:].max(axis=axes, initial=0.0))
+        report.add(record_from_samples(f"{check}[{l}]", zip(defect / scale, samples), tol, stage=stage))
     return report
+
+
+def _span_defects(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """For each point i and column c of V[i], the least-squares residual of
+    V[i][:, c] in the columns of A[i], over 1 + its norm: shape (N, c)."""
+    V = np.swapaxes(V, 1, 2)
+    return span_residuals(A[:, None], V)[1] / (1.0 + _norms(V))
 
 
 def run(
@@ -859,7 +861,10 @@ def run(
 ) -> InvariantFrameResult:
     """Full pipeline with verification: span equality of the frame and the
     generators, leaf-invariance of the frame brackets, and (when an extra
-    section is present) leaf-invariance of the corrected section."""
+    section is present) leaf-invariance of the corrected section.
+
+    The frame (and the correction) is evaluated once, in one batch, at the
+    samples and at the stencil points of every leaf-invariance check."""
     tol = p.tol if tol is None else tol
     solver = _solver(p)
     if samples is None:
@@ -887,33 +892,37 @@ def run(
             frames=solver.generator_matrices,
         )
 
-    D = GeneralizedDistribution(p.chart, p.generators)
+    samples = np.array(samples, dtype=float).reshape(-1, p.n)
+    N = len(samples)
+    stencils = [_stencil(p.chart, samples, l) for l in range(k)]
+    points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
+    deltas = [delta for _, delta in stencils]
+    frames = solver.frames(points)
+    G = solver.generator_matrices(samples)
+    # the generators laid out as the transpose of a row-major matrix, as
+    # membership_residual takes them, so the residuals are bit-identical
+    G_columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).swapaxes(1, 2)
 
     # (i) span equality at each sample, by mutual membership
-    pairs = []
-    for m, F, G in zip(samples, solver.frames(samples), solver.generator_matrices(samples)):
-        worst = 0.0
-        for col in F.T:
-            worst = max(worst, membership_residual(D, m, col) / (1.0 + np.linalg.norm(col)))
-        for col in G.T:
-            worst = max(worst, span_residual(F, col) / (1.0 + np.linalg.norm(col)))
-        pairs.append((worst, m))
-    report.add(record_from_samples("frame-spans-distribution", pairs, tol, stage="Step 3"))
+    F = frames[:N]
+    worst = np.maximum(_span_defects(G_columns, F).max(axis=1), _span_defects(F, G).max(axis=1))
+    report.add(record_from_samples("frame-spans-distribution", zip(worst, samples), tol, stage="Step 3"))
 
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
-    report.extend(_leaf_invariance(solver.frames, p, samples, tol, "frame-leaf-invariance", "Step 2"))
+    report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
     correction = combined = Pi_field = None
     if p.extra is not None:
         Pi_field = solver.Pi
         correction = solver.correction
         combined = solver.combined
-        pairs = []
-        for m, c in zip(samples, solver.corrections(samples)):
-            pairs.append((membership_residual(D, m, c) / (1.0 + np.linalg.norm(c)), m))
-        report.add(record_from_samples("correction-in-distribution", pairs, tol, stage="Step 4"))
+        corrections = solver.corrections(points)
+        defects = _span_defects(G_columns, corrections[:N, :, None])[:, 0]
+        report.add(record_from_samples(
+            "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))
         report.extend(_leaf_invariance(
-            solver.combined_values, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
+            solver.extra_values(points) + corrections, deltas, p, samples, tol,
+            "corrected-leaf-invariance", "Step 4"))
 
     return InvariantFrameResult(
         problem=p,

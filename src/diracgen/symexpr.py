@@ -527,7 +527,7 @@ def _elementwise(fn, x):
     if not isinstance(items, list):  # a constant
         items = [items]
     try:
-        return np.array([fn(v) for v in items]), None
+        return np.fromiter(map(fn, items), float, len(items)), None
     except _ELEMENT_ERRORS:
         pass
     out = np.empty(len(items))

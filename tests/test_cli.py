@@ -1,11 +1,17 @@
 """The batch front end: exit codes, report format, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from diracgen import cli
+from diracgen.errors import InputError
+from diracgen.symexpr import Chart
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -167,6 +173,35 @@ class TestVerdictOnError:
         assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
         assert f"{block}.{key}" in verdict["message"]
 
+    @pytest.mark.parametrize("command", ["check", "invariant-generators"])
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("chart-not-object", "chart"),
+            ("names-not-strings", "chart.names"),
+            ("D-not-list", "sections.D"),
+            ("negative-seed", "numerics.seed"),
+        ],
+    )
+    def test_wrongly_shaped_block_is_input_error(self, tmp_path, command, case, key):
+        def edit(data):
+            if case == "chart-not-object":
+                data["chart"] = 5
+            elif case == "names-not-strings":
+                data["chart"]["names"] = [1, 2, 3]
+            elif case == "negative-seed":
+                data["numerics"]["seed"] = -1
+            else:
+                data["sections"]["D"] = data["sections"]["D"][0]
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        *before, verdict = records(out.stdout)
+        assert [r["record"] for r in before] in ([], ["provenance"])
+        assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
+        assert verdict["message"].startswith(f"{key}:")
+
     def test_values_that_convert_are_still_read(self, tmp_path):
         def edit(data):
             data["chart"]["k"] = 1.0
@@ -263,3 +298,36 @@ class TestDiracReduce:
         recs = [json.loads(line) for line in target.read_text().splitlines()]
         assert recs[0]["record"] == "provenance"
         assert recs[-1]["record"] == "verdict"
+
+
+# Any JSON value, with keys the readers look for among the object keys.
+_KEYS = ["names", "k", "box", "vector", "form", "generators", "structure_constants",
+         "target", "components", "tol", "samples", "seed", "ode_step", "quad_step"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["x1", "x2", "x3", "y1", "1", "-1", "0.5", "1e400"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+_CHART = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1)
+_NO_FLAGS = argparse.Namespace(tol=None, ode_step=None, quad_step=None, samples=None, seed=None)
+_READERS = {
+    "chart": lambda v: cli._chart_from(v),
+    "sections": lambda v: cli._section_list(v, _CHART, "sections.D"),
+    "action": lambda v: cli._action_from({"action": v}, _CHART),
+    "poisson": lambda v: cli._poisson_from({"poisson": v}, _CHART),
+    "quotient": lambda v: cli._quotient_from({"quotient": v}, _CHART),
+    "numerics": lambda v: cli._numerics({"numerics": v}, _NO_FLAGS),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(_READERS)), value=_JSON)
+def test_readers_return_or_raise_input_error(reader, value):
+    """Each problem-file reader either reads a JSON value or rejects it with
+    an InputError (exit 2); it never raises anything else."""
+    try:
+        _READERS[reader](value)
+    except InputError:
+        pass

@@ -14,6 +14,7 @@ from diracgen.distribution import (
     membership_residual,
     pointwise_orthogonal_basis,
     rank_at,
+    span_residuals,
     svd_rank,
 )
 from diracgen.errors import InputError
@@ -155,6 +156,40 @@ class TestMembership:
         )
         v = np.array([0.0, 3.0, 0.0, 0.0])
         assert membership_residual(D, np.zeros(2), v) == pytest.approx(3.0)
+
+
+class TestStackedLeastSquares:
+    """span_residuals solves a whole stack in one call, bit for bit as
+    np.linalg.lstsq and np.linalg.norm solve and measure each matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 4),
+        count=st.integers(1, 6),
+        deficient=st.booleans(),
+        transposed=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_lstsq(self, rows, cols, count, deficient, transposed, log_scale, seed):
+        # rows < cols, rows == cols and rows > cols all occur
+        r = np.random.default_rng(seed)
+        A = r.standard_normal((count, rows, cols)) * 10.0**log_scale
+        if deficient and cols > 1:
+            A[..., -1] = 2.0 * A[..., 0]  # rank-deficient
+        if transposed:  # each matrix the transpose of a row-major one
+            A = np.ascontiguousarray(np.swapaxes(A, 1, 2)).swapaxes(1, 2)
+        v = r.standard_normal((count, rows)) * 10.0**log_scale
+        coeff, residual = span_residuals(A, v)
+        for i in range(count):
+            x, *_ = np.linalg.lstsq(A[i], v[i], rcond=None)
+            assert np.array_equal(coeff[i], x)
+            assert residual[i] == np.linalg.norm(A[i] @ x - v[i])
+
+    def test_empty_stack(self):
+        coeff, residual = span_residuals(np.zeros((0, 4, 2)), np.zeros((0, 4)))
+        assert coeff.shape == (0, 2) and residual.shape == (0,)
 
 
 class TestOrthogonal:

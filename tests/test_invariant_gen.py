@@ -571,3 +571,139 @@ class TestLineCachesAreBounded:
         fresh = _Solver(p)
         for m, F, c in zip(points, frames, combined):
             assert np.array_equal(fresh.frame(m), F) and np.array_equal(fresh.combined(m), c)
+
+
+class TestRunEvaluatesEachPointOnce:
+    """run() evaluates the frame (and the correction) in one batch over the
+    samples and every stencil point, and its report is the one the
+    point-by-point construction gives."""
+
+    @staticmethod
+    def problem(chart3, name):
+        if name == "k2":
+            return k2_problem()
+        make = e1_problem if name == "e1" else e2_problem
+        return make(chart3, ode_step=0.05, quad_step=0.05)
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "k2"])
+    def test_no_point_reaches_the_frame_batch_twice(self, chart3, name, monkeypatch):
+        from diracgen.invariant_gen import _Solver
+
+        p = self.problem(chart3, name)
+        calls = []
+        original = _Solver._B
+
+        def spy(solver, points):
+            calls.append(np.array(points))
+            return original(solver, points)
+
+        monkeypatch.setattr(_Solver, "_B", spy)
+        samples = p.chart.sample_points(seed=3, n_random=6, margin=0.1)
+        run(p, samples=samples)
+        # one batch for the frames, and one for the corrections when there is an extra section
+        assert len(calls) == (1 if p.extra is None else 2)
+        for points in calls:
+            assert len(points) == len(samples) * (1 + 4 * p.k)
+            assert len(np.unique(points, axis=0)) == len(points)
+
+    @pytest.mark.parametrize("name", ["e1", "e2", "k2"])
+    def test_report_matches_the_pointwise_construction(self, chart3, rng, name):
+        from diracgen.distribution import GeneralizedDistribution, membership_residual, span_residual
+        from diracgen.report import record_from_samples
+
+        p = self.problem(chart3, name)
+        ref = PointwiseReference(p)
+        samples = random_points(rng, p.chart, 2)
+        D = GeneralizedDistribution(p.chart, p.generators)
+        n, k = p.n, p.k
+
+        def generators(m):
+            return np.column_stack([g(m) for g in p.generators])
+
+        def correction(m):
+            return generators(m) @ ref.Pi(m)
+
+        def leaf_records(fn, check, stage):
+            out = []
+            for l in range(k):
+                pairs = []
+                for m in samples:
+                    d = leaf_directional_derivative(fn, p.chart, m, l)
+                    defect = max(np.abs(d[k:n]).max(initial=0.0), np.abs(d[n:]).max(initial=0.0))
+                    pairs.append((defect / (1.0 + np.abs(fn(m)).max()), m))
+                out.append(record_from_samples(f"{check}[{l}]", pairs, p.tol, stage=stage))
+            return out
+
+        pairs = []
+        for m in samples:
+            F, G = ref.frame(m), generators(m)
+            worst = max(
+                [membership_residual(D, m, c) / (1.0 + np.linalg.norm(c)) for c in F.T]
+                + [span_residual(F, c) / (1.0 + np.linalg.norm(c)) for c in G.T]
+            )
+            pairs.append((worst, m))
+        expected = [record_from_samples("frame-spans-distribution", pairs, p.tol, stage="Step 3")]
+        expected += leaf_records(ref.frame, "frame-leaf-invariance", "Step 2")
+        if p.extra is not None:
+            pairs = [(membership_residual(D, m, correction(m)) / (1.0 + np.linalg.norm(correction(m))), m)
+                     for m in samples]
+            expected.append(record_from_samples("correction-in-distribution", pairs, p.tol, stage="Step 4"))
+            expected += leaf_records(lambda m: p.extra(m) + correction(m), "corrected-leaf-invariance", "Step 4")
+
+        got = run(p, samples=samples).report.records
+        assert [(r.check, r.stage, r.passed, r.failing_point) for r in got] == [
+            (r.check, r.stage, r.passed, r.failing_point) for r in expected
+        ]
+        for r, want in zip(got, expected):
+            assert r.worst_residual == pytest.approx(want.worst_residual, rel=1e-6, abs=1e-12)
+
+
+class TestLockstepLines:
+    """_extend steps the lines of a batch together, longest first."""
+
+    @staticmethod
+    def solver(chart3):
+        from diracgen.invariant_gen import _Solver
+
+        # W = exp(1000 x2 x1) overflows near x1 = 0.71 / x2, where the
+        # generator itself still evaluates
+        g = section(chart3, ("0", "exp(x2*(1000*x1 - 700))", "0"), ("0", "0", "0"))
+        return _Solver(FoliatedProblem(chart=chart3, generators=(g,)))
+
+    @staticmethod
+    def line(point, target):
+        return [[np.eye(1)], np.array(point, dtype=float), target]
+
+    def test_lines_overflowing_at_the_same_step_raise_at_the_first(self, chart3):
+        from diracgen.errors import NumericalBreakdownError
+
+        solver = self.solver(chart3)
+        h = solver.p.ode_step
+        lines = [self.line([0.0, 1.0, 0.3], 475), self.line([0.0, 1.0, -0.4], 475)]
+        with pytest.raises(NumericalBreakdownError) as exc:
+            solver._extend(0, lines, h)
+        assert exc.value.point == [0.0, 1.0, 0.3] and exc.value.stage == "Step 2"
+
+    def test_the_line_overflowing_first_raises(self, chart3):
+        from diracgen.errors import NumericalBreakdownError
+
+        solver = self.solver(chart3)
+        h = solver.p.ode_step
+        lines = [self.line([0.0, 0.9, 0.3], 475), self.line([0.0, 1.0, -0.4], 475)]
+        with pytest.raises(NumericalBreakdownError) as exc:
+            solver._extend(0, lines, h)
+        assert exc.value.point == [0.0, 1.0, -0.4]
+
+    def test_each_line_as_if_integrated_alone(self, chart3):
+        solver = self.solver(chart3)
+        h = solver.p.ode_step
+        # lines of different lengths, one of them already part-grown
+        lines = [self.line([0.0, 0.2, 0.1], 40), self.line([0.0, 0.5, 0.0], 250), self.line([0.0, 0.7, 0.6], 7)]
+        solver._extend(0, lines[2:], h)
+        alone = [self.line(line[1], line[2]) for line in lines]
+        solver._extend(0, lines, h)
+        for line in alone:
+            solver._extend(0, [line], h)
+        for line, ref in zip(lines, alone):
+            assert len(line[0]) == line[2] + 1
+            assert all(np.array_equal(a, b) for a, b in zip(line[0], ref[0]))
