@@ -180,10 +180,6 @@ class PontryaginSection:
     def from_vector(cls, X: VectorField) -> "PontryaginSection":
         return cls(X, OneForm.zero(X.chart))
 
-    @classmethod
-    def from_form(cls, alpha: OneForm) -> "PontryaginSection":
-        return cls(VectorField.zero(alpha.chart), alpha)
-
 
 def pairing(a: PontryaginSection, b: PontryaginSection) -> Expr:
     """Symmetric fiberwise pairing <(u, alpha), (v, beta)> = beta(u) + alpha(v)."""

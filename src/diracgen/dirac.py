@@ -17,36 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    OneForm,
-    PontryaginSection,
-    VectorField,
-    courant_bracket,
-    lie_bracket,
-    pairing,
-)
+from .calculus import OneForm, PontryaginSection, VectorField, pairing
 from .distribution import (
     DEFAULT_RANK_TOL,
     GeneralizedDistribution,
     TangentDistribution,
+    _norms,
     annihilator_basis,
     membership_residual,
     rank_at,
-    span_residual,
+    span_residuals,
     svd_rank,
 )
-from .errors import InputError, VerificationError
+from .errors import EvalDomainError, InputError, VerificationError
 from .invariant_gen import (
     _POINT_ERRORS,
     FoliatedProblem,
     InvariantFrameResult,
+    _components,
     _difference,
     _stencil,
     require_vanishing,
     run,
 )
 from .report import CheckRecord, Report, record_from_samples
-from .symexpr import ZERO, Chart, Expr, _coerce, plain
+from .symexpr import ZERO, Chart, CompiledExprs, Expr, _coerce, plain
 
 __all__ = [
     "DiracStructure",
@@ -165,26 +160,26 @@ class InfinitesimalAction:
             if g.chart != self.chart:
                 raise InputError("action generator chart differs from action chart")
 
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         report = Report()
         if self.structure_constants is None or not self.generators:
             return report
         if samples is None:
             samples = self.chart.sample_points()
-        c = self.structure_constants
-        pairs = []
-        for a, xa in enumerate(self.generators):
-            for b, xb in enumerate(self.generators):
-                residual = lie_bracket(xa, xb)
-                for d, xd in enumerate(self.generators):
-                    residual = residual + float(c[a][b][d]) * xd
-                for m in samples:
-                    pairs.append((float(np.abs(residual(m)).max(initial=0.0)), m))
-        report.add(record_from_samples("action-anti-homomorphism", pairs, tol, stage="validity"))
+        n, d = self.chart.n, len(self.generators)
+        c = np.array(self.structure_constants, dtype=float).reshape(d * d, d)  # row (a, b) of each pair
+        pairs = [(a, b) for a in range(d) for b in range(d)]
+        X, dX = _jets([PontryaginSection.from_vector(x) for x in self.generators], samples)
+        residual = _pair_brackets(X, dX, pairs)[..., :n]
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by _require_finite
+            for e in range(d):
+                residual = residual + c[:, e, None] * X[:, None, e, :n]
+        _require_finite(residual, pairs, samples, "action bracket residual")
+        worst = np.abs(residual).max(axis=2, initial=0.0)
+        report.add(record_from_samples(
+            "action-anti-homomorphism",
+            ((worst[s, p], m) for p in range(len(pairs)) for s, m in enumerate(samples)),
+            tol, stage="validity"))
         return report
 
 
@@ -204,7 +199,8 @@ class QuotientMap:
                 f"quotient map needs {self.target.n} components, got {len(comps)}"
             )
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_jacobian_exprs", _partials(comps, self.source.n))
+        jacobian = tuple(tuple(c.diff(j) for j in range(self.source.n)) for c in comps)  # [i][j]: d_j of c_i
+        object.__setattr__(self, "_jacobian_exprs", jacobian)
 
     def __call__(self, m) -> np.ndarray:
         return np.array([c.eval(m) for c in self.components])
@@ -247,23 +243,23 @@ def graph_of_poisson(pi: PoissonBivector, samples=None, tol: float = 1e-9) -> Di
 
 def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
     """Sampled closure test: all pairwise Courant brackets of the
-    generators stay in the pointwise span."""
+    generators stay in the pointwise span.  The brackets at every sample
+    come from one batch of exact 1-jets, their residuals from one stacked
+    least-squares call."""
     if samples is None:
         samples = D.chart.sample_points()
-    dist = D.as_distribution()
+    S = len(D.generators)
+    pairs = [(i, j) for i in range(S) for j in range(S) if i != j]
+    V, dV = _jets(D.generators, samples)
+    brackets = _pair_brackets(V, dV, pairs)
+    _require_finite(brackets, pairs, samples, "Courant bracket of generators")
+    # the generators laid out as the transpose of row-major values, as
+    # membership_residual takes them, so the residuals are bit-identical
+    residuals = span_residuals(np.swapaxes(V, 1, 2)[:, None], brackets)[1] / (1.0 + _norms(brackets))
     report = Report()
-    for i, a in enumerate(D.generators):
-        for j, b in enumerate(D.generators):
-            if i == j:
-                continue
-            bracket = courant_bracket(a, b)
-            pairs = []
-            for m in samples:
-                v = bracket(m)
-                pairs.append(
-                    (membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v)), m)
-                )
-            report.add(record_from_samples(f"courant-closure[{i},{j}]", pairs, tol, stage="validity"))
+    for p, (i, j) in enumerate(pairs):
+        report.add(record_from_samples(
+            f"courant-closure[{i},{j}]", zip(residuals[:, p], samples), tol, stage="validity"))
     return report
 
 
@@ -351,51 +347,96 @@ def constant_rank_scan(
     return record, ranks
 
 
+def _jets(sections, points):
+    """Exact 1-jets of S sections at N points: values V (N, S, 2n), vector
+    part first, and first partials dV (N, S, n, 2n), dV[p, s, i, c] =
+    d_i V[p, s, c].  One compiled batch of every component, then every
+    Expr.diff partial, so it raises what Expr.eval raises at the first
+    point, then the first expression, that fails."""
+    points = np.asarray(points, dtype=float)
+    N, n = points.shape
+    comps = [c for s in sections for c in _components(s)]
+    S = len(comps) // (2 * n)
+    partials = [c.diff(i) for s in range(S) for i in range(n) for c in comps[2 * n * s : 2 * n * (s + 1)]]
+    out = CompiledExprs(comps + partials)(points)
+    values = np.ascontiguousarray(out[: len(comps)].T).reshape(N, S, 2 * n)
+    return values, np.ascontiguousarray(out[len(comps) :].T).reshape(N, S, n, 2 * n)
+
+
 def _frame_jets(frames, chart: Chart, samples):
-    """(m, F, dF) at each sample: the frame value and its coordinate
-    gradient, one finite difference of the whole frame per coordinate.  The
-    frames at all samples and stencil points are one batch, in the order a
+    """1-jets of the frame columns at the samples, as _jets lays them out
+    (a frame of r columns is r sections); the partials are fourth-order
+    finite differences of the whole frame, one per coordinate.  The frames
+    at all samples and stencil points are one batch, in the order a
     point-by-point pass evaluates them."""
-    stencils = [[_stencil(chart, m, i) for i in range(chart.n)] for m in samples]
-    values = frames([
-        q for m, stencil in zip(samples, stencils) for q in (m, *(q for points, _ in stencil for q in points))
-    ])
-    size = 1 + 4 * chart.n
-    jets = []
-    for s, (m, stencil) in enumerate(zip(samples, stencils)):
-        at = values[size * s : size * (s + 1)]
-        dF = [_difference(at[1 + 4 * i : 5 + 4 * i], delta) for i, (_, delta) in enumerate(stencil)]
-        jets.append((m, at[0], dF))
-    return jets
+    samples = np.asarray(samples, dtype=float)
+    N, n = samples.shape
+    stencils = [_stencil(chart, samples, i) for i in range(n)]
+    points = np.concatenate([samples[:, None], *(q for q, _ in stencils)], axis=1)
+    values = np.asarray(frames(points.reshape(-1, n)), dtype=float).reshape(N, 1 + 4 * n, 2 * n, -1)
+    return _stencil_jets(values, np.array([delta for _, delta in stencils]))
 
 
-def _partials(exprs, n: int) -> tuple:
-    """All first partial derivatives: row i holds d_j of exprs[i], j < n."""
-    return tuple(tuple(e.diff(j) for j in range(n)) for e in exprs)
+def _stencil_jets(values, deltas):
+    """1-jets from frame-like values (..., 1 + 4n, 2n, r) at a point and then
+    at the _stencil points of each coordinate i (step deltas[i]) in turn."""
+    n = len(deltas)
+    stencil = values[..., 1:, :, :].reshape(*values.shape[:-3], n, 4, *values.shape[-2:])
+    dF = _difference(np.moveaxis(stencil, -3, 0), deltas[:, None, None])
+    return np.swapaxes(values[..., 0, :, :], -1, -2), np.moveaxis(dF, -1, -3)
 
 
-def _action_defects(xi: VectorField, dxi_exprs, m, F, dF, n: int):
-    """Lie derivatives along xi of all frame columns (Z, gamma) at once,
-    from the frame value F and gradient dF at m (dxi_exprs are the partials
-    of xi, see _partials):
-    (L_xi gamma)_j = sum_i xi^i d_i(gamma_j) + gamma_i d_j(xi^i) and
-    [Z, xi]^j = sum_a Z^a d_a(xi^j) - xi^a d_a(Z^j), each an n x r array."""
-    xi_val = xi(m)
-    dxi = [[d.eval(m) for d in row] for row in dxi_exprs]  # dxi[i][j] = d_j xi^i
-    lie_form = np.array([
-        sum(xi_val[i] * dF[i][n + j] for i in range(n))
-        + sum(F[n + i] * dxi[i][j] for i in range(n))
-        for j in range(n)
-    ])
-    bracket = np.array([
-        sum(F[a] * dxi[j][a] for a in range(n)) - sum(xi_val[a] * dF[a][j] for a in range(n))
-        for j in range(n)
-    ])
-    return lie_form, bracket
+def _courant(Va, dVa, Vb, dVb) -> np.ndarray:
+    """Courant bracket ([X, Y], L_X beta - i_Y d alpha) of a = (X, alpha)
+    and b = (Y, beta) from their 1-jets, over any broadcast stack; returns
+    (..., 2n).  The sums run over i in the association of the trees that
+    calculus.lie_bracket, lie_derivative_form and exterior_interior build,
+    so on exact jets the result is bit-identical to evaluating
+    calculus.courant_bracket.  An overflow is left in the result, for the
+    caller's finiteness check or the record's non-finite residual."""
+    n = Va.shape[-1] // 2
+    X, Y, beta = Va[..., :n], Vb[..., :n], Vb[..., n:]
+    shape = np.broadcast_shapes(Va.shape, Vb.shape)[:-1] + (n,)
+    vec, lie, con = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            vec = (vec + X[..., i, None] * dVb[..., i, :n]) - Y[..., i, None] * dVa[..., i, :n]
+            lie = (lie + X[..., i, None] * dVb[..., i, n:]) + beta[..., i, None] * dVa[..., :, i]
+            con = con + Y[..., i, None] * (dVa[..., i, n:] - dVa[..., :, n + i])
+        return np.concatenate([vec, lie - con], axis=-1)
 
 
-def _max_abs(a) -> float:
-    return float(np.abs(a).max(initial=0.0))
+def _pair_brackets(V, dV, pairs) -> np.ndarray:
+    """Courant brackets of sections i and j of one jet for each pair (i, j):
+    shape (N, len(pairs), 2n)."""
+    a, b = [i for i, _ in pairs], [j for _, j in pairs]
+    return _courant(V[:, a], dV[:, a], V[:, b], dV[:, b])
+
+
+def _require_finite(values, pairs, samples, what: str):
+    """Raise EvalDomainError, as evaluating the symbolic expression does, at
+    the first pair, then sample, where values (N, pairs, m) are not finite."""
+    bad = ~np.isfinite(values).all(axis=2)
+    if bad.any():
+        p, s = np.argwhere(bad.T)[0]
+        point = plain(samples[s])
+        raise EvalDomainError(f"non-finite value for {what} {list(pairs[p])} at {point}", point)
+
+
+def _worst(a) -> np.ndarray:
+    """Largest absolute entry of a (N, ...) stack at each of its N points."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
+
+
+def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, samples):
+    """Courant brackets [(xi, 0), (Z, gamma)] = ([xi, Z], L_xi gamma) of
+    each action generator xi (exact jets) with each frame column (finite-
+    difference jets) at the samples: shape (N, #generators, r, 2n); and
+    1 + the largest absolute frame entry at each sample."""
+    F, dF = _frame_jets(result.frames, result.problem.chart, samples)
+    xi, dxi = _jets([PontryaginSection.from_vector(x) for x in action.generators], samples)
+    brackets = _courant(xi[:, :, None], dxi[:, :, None], F[:, None], dF[:, None])
+    return brackets, 1.0 + _worst(F)
 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
@@ -465,21 +506,15 @@ def descending_generators(
     result.report.add(record_from_samples(
         "supplied-family-spans-intersection", span_pairs, tol, stage="rank scan"))
 
-    jets = _frame_jets(result.frames, problem.chart, samples)
-    for idx_xi, xi in enumerate(action.generators):
-        dxi = _partials(xi.coeffs, n)
-        pairs_form = []
-        pairs_vf = []
-        for m, F, dF in jets:
-            scale = 1.0 + _max_abs(F)
-            lie_form, bracket = _action_defects(xi, dxi, m, F, dF, n)
-            pairs_form.append((_max_abs(lie_form) / scale, m))
-            # vertical means: no components beyond the leaf block
-            pairs_vf.append((_max_abs(bracket[k:]) / scale, m))
+    brackets, scale = _action_brackets(action, result, samples)
+    for idx_xi in range(len(action.generators)):
+        B = brackets[:, idx_xi]
+        # vertical means: no components beyond the leaf block
+        forms, vectors = _worst(B[..., n:]) / scale, _worst(B[..., k:n]) / scale
         result.report.add(record_from_samples(
-            f"frame-forms-action-invariant[{idx_xi}]", pairs_form, tol, stage="descending"))
+            f"frame-forms-action-invariant[{idx_xi}]", zip(forms, samples), tol, stage="descending"))
         result.report.add(record_from_samples(
-            f"frame-vectors-preserve-vertical[{idx_xi}]", pairs_vf, tol, stage="descending"))
+            f"frame-vectors-preserve-vertical[{idx_xi}]", zip(vectors, samples), tol, stage="descending"))
     return result
 
 
@@ -500,13 +535,11 @@ def invariant_annihilator_generators(
         for c in g.vf.coeffs:
             require_vanishing(c, problem.chart, "annihilator generators must have zero vector part")
     result = run(problem, samples=samples, tol=tol)
-    jets = _frame_jets(result.frames, problem.chart, samples)
-    for idx_xi, xi in enumerate(action.generators):
-        dxi = _partials(xi.coeffs, n)
-        pairs = [(_max_abs(_action_defects(xi, dxi, m, F, dF, n)[0]) / (1.0 + _max_abs(F)), m)
-                 for m, F, dF in jets]
+    brackets, scale = _action_brackets(action, result, samples)
+    for idx_xi in range(len(action.generators)):
         result.report.add(record_from_samples(
-            f"annihilator-frame-action-invariant[{idx_xi}]", pairs, tol, stage="descending"))
+            f"annihilator-frame-action-invariant[{idx_xi}]",
+            zip(_worst(brackets[:, idx_xi, ..., n:]) / scale, samples), tol, stage="descending"))
     return result
 
 
@@ -654,7 +687,7 @@ def pushforward_check(
         return len(points) - 1
 
     fibers = []  # (m2, q difference, index of m or None off the fiber)
-    closure = []  # (ybar, index of its lift, stencil deltas)
+    closure = []  # (ybar, index of its lift), its stencil lifts following
     error = None
     try:
         for m in samples:
@@ -677,26 +710,26 @@ def pushforward_check(
             lift = _Lift(q, samples[0])
             for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
                 at = need(lift(ybar))
-                deltas = []
+                deltas = []  # the same for every target
                 for i in range(nbar):
                     stencil, delta = _stencil(q.target, ybar, i)
                     for y in stencil:
                         need(lift(y))
                     deltas.append(delta)
-                closure.append((ybar, at, deltas))
+                closure.append((ybar, at))
     except _POINT_ERRORS as exc:
         error = exc
     values = frames(points)
     if error is not None:
         raise error
     pushed = [_push(q, np.asarray(F, dtype=float), J) for F, J in zip(values, jacobians)]
+    sections = np.stack([np.vstack(p[:2]) for p in pushed])  # pushed (Xbar, abar), 2 nbar x r each
 
     basic_pairs = []
     rank_pairs = []
     iso_pairs = []
-    for m, (Xbar, abar, residual) in zip(samples, pushed):
+    for m, (Xbar, abar, residual), stacked in zip(samples, pushed, sections):
         basic_pairs.append((residual, m))
-        stacked = np.vstack([Xbar, abar])
         rank_pairs.append((0.0 if svd_rank(stacked) == nbar else 1.0, m))
         worst = 0.0
         for i in range(stacked.shape[1]):
@@ -715,50 +748,18 @@ def pushforward_check(
         if at is None:
             fiber_pairs.append((1.0 + qdiff, m2))
             continue
-        s1 = np.hstack([*pushed[at][:2]])
-        s2 = np.hstack([*pushed[at + 1][:2]])
-        scale = 1.0 + float(np.abs(s1).max(initial=0.0))
-        fiber_pairs.append((float(np.abs(s1 - s2).max(initial=0.0)) / scale, m2))
+        scale = 1.0 + float(np.abs(sections[at]).max(initial=0.0))
+        fiber_pairs.append((float(np.abs(sections[at] - sections[at + 1]).max(initial=0.0)) / scale, m2))
     report.add(record_from_samples("fiber-consistency", fiber_pairs, tol, stage="pushforward"))
 
     if check_closedness:
-        def section(i):
-            return np.vstack(pushed[i][:2])
-
-        closure_pairs = []
-        for ybar, at, deltas in closure:
-            S = section(at)
-            grads = [
-                _difference([section(at + 1 + 4 * i + s) for s in range(4)], delta)
-                for i, delta in enumerate(deltas)
-            ]
-            worst = 0.0
-            r = S.shape[1]
-            for i in range(r):
-                for j in range(r):
-                    if i == j:
-                        continue
-                    bracket = _target_courant(S, grads, nbar, i, j)
-                    worst = max(worst, span_residual(S, bracket) / (1.0 + np.linalg.norm(bracket)))
-            closure_pairs.append((worst, ybar))
+        lifts = np.array([at for _, at in closure])
+        # each target's section, then its stencil sections: (targets, 1 + 4 nbar, 2 nbar, r)
+        values = sections[lifts[:, None] + np.arange(1 + 4 * nbar)]
+        V, dV = _stencil_jets(values, np.array(deltas))
+        r = V.shape[1]
+        brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
+        residuals = span_residuals(values[:, 0, None], brackets)[1] / (1.0 + _norms(brackets))
+        closure_pairs = zip(residuals.max(axis=1, initial=0.0), [ybar for ybar, _ in closure])
         report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
     return report
-
-
-def _target_courant(S: np.ndarray, grads, nbar: int, i: int, j: int) -> np.ndarray:
-    """Courant bracket of pushed sections i and j from sampled values S
-    (2 nbar x r) and coordinate gradients of the pushed field."""
-    X_i, a_i = S[:nbar, i], S[nbar:, i]
-    X_j, a_j = S[:nbar, j], S[nbar:, j]
-    dX_i = np.array([grads[b][:nbar, i] for b in range(nbar)])  # dX_i[b] = d_b X_i
-    dX_j = np.array([grads[b][:nbar, j] for b in range(nbar)])
-    da_i = np.array([grads[b][nbar:, i] for b in range(nbar)])
-    da_j = np.array([grads[b][nbar:, j] for b in range(nbar)])
-    vec = np.zeros(nbar)
-    form = np.zeros(nbar)
-    for b in range(nbar):
-        vec[b] = sum(X_i[a] * dX_j[a][b] - X_j[a] * dX_i[a][b] for a in range(nbar))
-        lie = sum(X_i[a] * da_j[a][b] + a_j[a] * dX_i[b][a] for a in range(nbar))
-        contraction = sum(X_j[a] * (da_i[a][b] - da_i[b][a]) for a in range(nbar))
-        form[b] = lie - contraction
-    return np.concatenate([vec, form])

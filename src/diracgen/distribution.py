@@ -98,9 +98,10 @@ def rank_at(delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL) ->
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each trailing-axis vector, with the same dot product
-    (so bit-identical to it)."""
+    (so bit-identical to it); a norm that overflows is inf, without a warning."""
     x = np.ascontiguousarray(x)
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore"):
+        return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 def _lstsq_failed(err, flag):
@@ -189,9 +190,10 @@ def check_bracket_hypothesis(
             for l, theta in enumerate(Theta.generators):
                 bracket = skew_bracket(theta, sec)
                 pairs = []
-                for m in samples:
-                    v = bracket(m)
-                    pairs.append((membership_residual(span, m, v) / (1.0 + np.linalg.norm(v)), m))
+                with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the record
+                    for m in samples:
+                        v = bracket(m)
+                        pairs.append((membership_residual(span, m, v) / (1.0 + np.linalg.norm(v)), m))
                 report.add(
                     record_from_samples(
                         f"{check_name}[{i},{l}]",

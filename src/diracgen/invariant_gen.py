@@ -51,7 +51,6 @@ __all__ = [
     "FoliatedProblem",
     "InvariantFrameResult",
     "split_tilde",
-    "coordinate_derivative",
     "solve_coefficients",
     "fundamental_matrix",
     "build_H",
@@ -64,16 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
-
-
-def coordinate_derivative(s: PontryaginSection, l: int) -> PontryaginSection:
-    """The bracket of the l-th coordinate leaf field with s, which is the
-    componentwise coordinate derivative of all coefficients."""
-    chart = s.chart
-    return PontryaginSection(
-        VectorField(chart, tuple(c.diff(l) for c in s.vf.coeffs)),
-        OneForm(chart, tuple(c.diff(l) for c in s.form.coeffs)),
-    )
 
 
 def require_vanishing(expr, chart: Chart, message: str):
@@ -285,9 +274,6 @@ class _Solver:
 
     # -- Step 1 -----------------------------------------------------------
 
-    def tilde_matrix(self, m) -> np.ndarray:
-        return np.array([[e.eval(m) for e in row] for row in self.tilde_exprs])
-
     def _step1(self, nodes: np.ndarray, with_A: bool = False):
         """B_0..B_{k-1} at each node, shape (N, k, r, r), and A (N, k, r, k)
         when asked for.  Every check runs at every node; the first failure
@@ -314,8 +300,9 @@ class _Solver:
                 degenerate = diag.min(axis=1) <= 1e-12 * scale
                 R[flags[0] | degenerate] = np.eye(r)  # unused there: a check fails first
                 B = np.linalg.solve(R[:, None], np.swapaxes(q, 1, 2)[:, None] @ dT)
-                residual = _norms((T[:, None] @ B - dT).reshape(N, k, M * r))
-                violated = residual > p.tol * (1.0 + _norms(dT.reshape(N, k, M * r)))
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
+                    residual = _norms((T[:, None] @ B - dT).reshape(N, k, M * r))
+                    violated = residual > p.tol * (1.0 + _norms(dT.reshape(N, k, M * r)))
             checks = [flags[0], degenerate]
             for l in range(k):
                 checks += [flags[1 + l], np.zeros(N, dtype=bool) if violated is None else violated[:, l]]
@@ -359,9 +346,6 @@ class _Solver:
         B, A = self._step1(m[None], with_A=True)
         return A[0], B[0]
 
-    def B_matrix(self, m, l: int) -> np.ndarray:
-        return self.coefficients(m)[1][l]
-
     # -- Step 2 -----------------------------------------------------------
 
     @staticmethod
@@ -369,11 +353,12 @@ class _Solver:
         """One classical RK4 step of dY/dx = B^T Y for a stack of lines: B
         (L, 3, r, r) holds B at the start, midpoint and end of each step."""
         Bt = np.swapaxes(B, -1, -2)
-        k1 = Bt[:, 0] @ W
-        k2 = Bt[:, 1] @ (W + 0.5 * h * k1)
-        k3 = Bt[:, 1] @ (W + 0.5 * h * k2)
-        k4 = Bt[:, 2] @ (W + h * k3)
-        return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        with np.errstate(over="ignore", invalid="ignore"):  # the callers check finiteness
+            k1 = Bt[:, 0] @ W
+            k2 = Bt[:, 1] @ (W + 0.5 * h * k1)
+            k3 = Bt[:, 1] @ (W + 0.5 * h * k2)
+            k4 = Bt[:, 2] @ (W + h * k3)
+            return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def _B_on_line(self, nodes: np.ndarray, j: int) -> np.ndarray:
         """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r)."""
@@ -704,9 +689,6 @@ class _Solver:
             R += self._simpson(l, bases)
         return R
 
-    def R_vector(self, m) -> np.ndarray:
-        return self._R(np.asarray([m], dtype=float))[0]
-
     def _Pi(self, points: np.ndarray) -> np.ndarray:
         B = self._B(self._checked(points))
         return (-B @ self._R(points)[..., None])[..., 0]
@@ -813,13 +795,11 @@ def leaf_directional_derivative(fn, chart: Chart, m, l: int, delta: float | None
 @dataclass
 class InvariantFrameResult:
     """Outputs of the construction: the straightened frame, the optional
-    correction, the intermediate matrix fields, and the verification
-    report for the span/invariance properties."""
+    correction, and the verification report for the span/invariance
+    properties."""
 
     problem: FoliatedProblem
     frame: object  # m -> 2n x r
-    B_field: object  # m -> r x r
-    Pi_field: object | None  # m -> r
     correction: object | None  # m -> 2n vector (Z, gamma)
     combined: object | None  # m -> 2n vector (X + Z, alpha + gamma)
     report: Report = field(default_factory=Report)
@@ -870,10 +850,9 @@ def run(
     if samples is None:
         samples = p.chart.sample_points(seed=seed, margin=0.1)
     report = Report()
-    k, r = p.k, p.r
+    k = p.k
 
     if k == 0:
-        frame = solver.generator_matrix
         report.add(
             CheckRecord(
                 check="trivial-foliation",
@@ -883,9 +862,7 @@ def run(
         )
         return InvariantFrameResult(
             problem=p,
-            frame=frame,
-            B_field=lambda m: np.eye(r),
-            Pi_field=None,
+            frame=solver.generator_matrix,
             correction=None,
             combined=None,
             report=report,
@@ -911,9 +888,8 @@ def run(
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
     report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
-    correction = combined = Pi_field = None
+    correction = combined = None
     if p.extra is not None:
-        Pi_field = solver.Pi
         correction = solver.correction
         combined = solver.combined
         corrections = solver.corrections(points)
@@ -927,8 +903,6 @@ def run(
     return InvariantFrameResult(
         problem=p,
         frame=solver.frame,
-        B_field=solver.build_B,
-        Pi_field=Pi_field,
         correction=correction,
         combined=combined,
         report=report,

@@ -17,7 +17,8 @@ Grammar accepted by :func:`parse` (EBNF)::
     atom    = number | name | name "(" expr ")" | "(" expr ")" ;
 
 where ``name`` is a chart coordinate or one of ``sin``, ``cos``, ``exp``,
-and ``^`` is right-grouping with an integer literal exponent.
+and ``^`` is right-grouping with an integer literal exponent.  A tree or a
+parenthesis nesting deeper than ``MAX_DEPTH`` levels is rejected.
 
 Coordinate indices are 0-based throughout the library.
 """
@@ -660,6 +661,24 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Deepest expression tree, and parenthesis nesting, that parse accepts: Expr
+# recursion on such a tree and its brackets stays well inside Python's default
+# recursion limit.
+MAX_DEPTH = 100
+
+
+def _height(e: Expr) -> int:
+    """Number of levels of an expression tree, counted without recursion."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        level = [c for node in level for c in (
+            (node.left, node.right) if isinstance(node, (Add, Sub, Mul, Div))
+            else (node.arg,) if isinstance(node, (Neg, Func))
+            else (node.base,) if isinstance(node, Pow) else ())]
+    return height
+
+
 class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.text = text
@@ -679,6 +698,7 @@ class _Parser:
                     break
             pos = m.end()
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         if self.i < len(self.tokens):
@@ -695,11 +715,23 @@ class _Parser:
         if text != value:
             raise ExprSyntaxError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
 
+    def nested(self, rule, pos: int):
+        """rule() inside one more level of parentheses."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_DEPTH} levels", pos)
+        out = rule()
+        self.expect(")")
+        self.nesting -= 1
+        return out
+
     def parse(self) -> Expr:
         e = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {text!r}", pos)
+        if _height(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
@@ -736,9 +768,7 @@ class _Parser:
     def exponent(self) -> int:
         kind, text, pos = self.next()
         if text == "(":
-            value = self.exponent()
-            self.expect(")")
-            return value
+            return self.nested(self.exponent, pos)
         sign = 1
         while text in ("-", "+"):
             if text == "-":
@@ -751,17 +781,13 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.next()
         if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.nested(self.expr, pos)
         if kind == "number":
             return Const(float(text))
         if kind == "name":
             if text in _FUNC_BUILDERS:
                 self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _FUNC_BUILDERS[text](arg)
+                return _FUNC_BUILDERS[text](self.nested(self.expr, pos))
             if text in self.chart.coord_names:
                 return Var(self.chart.index(text), text)
             raise UnknownIdentifierError(text, pos)
@@ -769,5 +795,5 @@ class _Parser:
 
 
 def parse(text: str, chart: Chart) -> Expr:
-    """Parse an infix expression over the chart coordinates."""
+    """Parse an infix expression over the chart coordinates, at most MAX_DEPTH deep."""
     return _Parser(text, chart).parse()

@@ -34,9 +34,14 @@ def problem(name: str) -> str:
     return os.path.join(PROBLEMS, name)
 
 
+def problem_data(name: str) -> dict:
+    with open(problem(name)) as f:
+        return json.load(f)
+
+
 def edited(tmp_path, name: str, edit) -> str:
     """Path of a copy of a shipped problem with ``edit`` applied to its data."""
-    data = json.load(open(problem(name)))
+    data = problem_data(name)
     edit(data)
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -44,7 +49,8 @@ def edited(tmp_path, name: str, edit) -> str:
 
 
 def readme_problem() -> dict:
-    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
     block = text.split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
 
@@ -58,7 +64,7 @@ class TestCheck:
         assert recs[-1] == {"record": "verdict", "passed": True, "exit_code": 0}
 
     def test_leaf_form_component_rejected(self, tmp_path):
-        data = json.load(open(problem("e1.json")))
+        data = problem_data("e1.json")
         data["sections"]["D"][0]["form"] = ["exp(x1)", "0", "0"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -76,7 +82,7 @@ class TestCheck:
         assert "Traceback" not in out.stderr
 
     def test_malformed_expression_reports_position(self, tmp_path):
-        data = json.load(open(problem("e1.json")))
+        data = problem_data("e1.json")
         data["sections"]["D"][0]["vector"][1] = "exp(x1"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -93,7 +99,7 @@ class TestCheck:
         assert "line" in out.stderr
 
     def test_wrong_format_version(self, tmp_path):
-        data = json.load(open(problem("e1.json")))
+        data = problem_data("e1.json")
         data["format_version"] = 99
         path = tmp_path / "v99.json"
         path.write_text(json.dumps(data))
@@ -112,6 +118,32 @@ class TestExitCodes:
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
         assert len(out.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "invariant-generators"])
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "x1" + ")" * 3000, " + ".join(["x1"] * 3000)])
+    def test_too_deep_expression_is_input_error(self, tmp_path, command, expr):
+        def edit(data):
+            data["sections"]["D"][0]["vector"][1] = expr
+
+        out = run_cli(command, edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "sections.D[0].vector[1]" in out.stderr and "deeper than" in out.stderr
+        verdict = records(out.stdout)[-1]
+        assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
+
+    def test_overflow_prints_no_runtime_warning(self, tmp_path):
+        # the Step-1 residual and the bracket-hypothesis scale overflow to inf
+        def edit(data):
+            data["sections"]["D"][0]["vector"][1] = "exp(x2*(1000*x1 - 700))"
+
+        path = edited(tmp_path, "e1.json", edit)
+        for command in ("check", "invariant-generators"):
+            out = run_cli(command, path)
+            assert out.returncode == 1
+            assert "RuntimeWarning" not in out.stderr
+            assert len(out.stderr.strip().splitlines()) == (2 if command == "check" else 1)
 
     def test_degenerate_box_is_input_error(self, tmp_path):
         def edit(data):

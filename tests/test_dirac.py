@@ -12,6 +12,7 @@ from diracgen.calculus import (
     OneForm,
     PontryaginSection,
     VectorField,
+    courant_bracket,
     lie_bracket,
     lie_derivative_form,
 )
@@ -22,6 +23,8 @@ from diracgen.dirac import (
     PoissonBivector,
     QuotientMap,
     _Lift,
+    _courant,
+    _jets,
     characteristic_distributions,
     constant_rank_scan,
     descending_generators,
@@ -33,12 +36,13 @@ from diracgen.dirac import (
     pushforward_check,
     vertical_and_K,
 )
-from diracgen.distribution import annihilator_basis, contains
-from diracgen.errors import InputError, NumericalBreakdownError, VerificationError
+from diracgen.distribution import annihilator_basis, contains, membership_residual
+from diracgen.errors import EvalDomainError, InputError, NumericalBreakdownError, VerificationError
 from diracgen.invariant_gen import FoliatedProblem, run
-from diracgen.symexpr import Chart, parse
+from diracgen.report import record_from_samples
+from diracgen.symexpr import Chart, Const, parse
 
-from conftest import make_chart, random_points
+from conftest import make_chart, random_expr, random_points, random_section, random_vector_field
 
 
 def section(chart, vec, form):
@@ -143,6 +147,95 @@ class TestIsClosed:
         report = is_closed(D)
         assert not report.passed
         assert any(r.failing_point is not None for r in report.failures())
+
+    def test_overflowing_bracket_is_domain_error(self, chart2):
+        big = "exp(700*x1)"
+        D = DiracStructure(chart2, (section(chart2, (big, "0"), ("0", "0")),
+                                    section(chart2, (big, "0"), ("0", "0"))))
+        with pytest.raises(EvalDomainError) as err:
+            is_closed(D, [np.array([0.0, 0.0]), np.array([1.0, 0.0])])
+        assert err.value.point == [1.0, 0.0]
+
+
+def _with_coefficients(s: PontryaginSection, replace) -> PontryaginSection:
+    """s with the coefficients at the given flat indices (vector part first)
+    replaced by constants."""
+    comps = [*s.vf.coeffs, *s.form.coeffs]
+    for index, value in replace:
+        comps[index % len(comps)] = Const(value)
+    n = s.chart.n
+    return PontryaginSection(VectorField(s.chart, comps[:n]), OneForm(s.chart, comps[n:]))
+
+
+def _closure_reference(D: DiracStructure, samples, tol) -> list:
+    """is_closed point by point: the symbolic Courant bracket of every
+    ordered pair, evaluated with Expr.eval, and membership_residual."""
+    dist = D.as_distribution()
+    records = []
+    for i, a in enumerate(D.generators):
+        for j, b in enumerate(D.generators):
+            if i != j:
+                bracket = courant_bracket(a, b)
+                pairs = [(membership_residual(dist, m, bracket(m)) / (1.0 + np.linalg.norm(bracket(m))), m)
+                         for m in samples]
+                records.append(record_from_samples(f"courant-closure[{i},{j}]", pairs, tol, stage="validity"))
+    return [r.as_dict() for r in records]
+
+
+_replacements = st.lists(st.tuples(st.integers(0, 15), st.sampled_from([0.0, 1.0, -2.5])), max_size=6)
+
+
+class TestOneBracket:
+    """dirac forms every bracket with _courant on 1-jets; on exact jets it
+    is bit-identical to the symbolic calculus.courant_bracket."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 4), st.integers(0, 4),
+           _replacements, _replacements)
+    def test_jet_bracket_equals_symbolic_bracket(self, seed, n, ann_a, ann_b, replace_a, replace_b):
+        rng = np.random.default_rng(seed)
+        chart = make_chart(n)
+        a = _with_coefficients(random_section(rng, chart, annihilate=min(ann_a, n)), replace_a)
+        b = _with_coefficients(random_section(rng, chart, annihilate=min(ann_b, n)), replace_b)
+        points = random_points(rng, chart, 4)
+        V, dV = _jets([a, b], points)
+        got = _courant(V[:, 0], dV[:, 0], V[:, 1], dV[:, 1])
+        symbolic = courant_bracket(a, b)
+        assert np.array_equal(got, np.array([symbolic(m) for m in points]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    def test_is_closed_matches_pointwise_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        chart = make_chart(n)
+        rows = [[Const(0.0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = random_expr(rng, chart, 1)
+                rows[j][i] = -rows[i][j]
+        samples = chart.sample_points(seed=seed % 1000, n_random=6)
+        D = graph_of_poisson(PoissonBivector(chart, tuple(map(tuple, rows))), samples)
+        got = [r.as_dict() for r in is_closed(D, samples, 1e-9)]
+        assert got == _closure_reference(D, samples, 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 3))
+    def test_action_validation_matches_symbolic_lie_bracket(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        chart = make_chart(n)
+        gens = [random_vector_field(rng, chart) for _ in range(d)]
+        c = rng.integers(-2, 3, size=(d, d, d)).astype(float).tolist()
+        samples = random_points(rng, chart, 5)
+        pairs = []
+        for a, xa in enumerate(gens):
+            for b, xb in enumerate(gens):
+                residual = lie_bracket(xa, xb)
+                for e, xe in enumerate(gens):
+                    residual = residual + c[a][b][e] * xe
+                pairs += [(float(np.abs(residual(m)).max(initial=0.0)), m) for m in samples]
+        want = record_from_samples("action-anti-homomorphism", pairs, 1e-9, stage="validity")
+        got = InfinitesimalAction(chart, gens, c).validate(samples)
+        assert [r.as_dict() for r in got] == [want.as_dict()]
 
 
 class TestCharacteristicDistributions:

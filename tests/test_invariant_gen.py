@@ -137,7 +137,7 @@ class TestFundamentalMatrix:
         mp[0] += d
         mm[0] -= d
         fd = (solver.fundamental_matrix(0, mp) - solver.fundamental_matrix(0, mm)) / (2 * d)
-        rhs = solver.B_matrix(m, 0).T @ solver.fundamental_matrix(0, m)
+        rhs = solver.coefficients(m)[1][0].T @ solver.fundamental_matrix(0, m)
         assert np.abs(fd - rhs).max() < 1e-6
 
 
@@ -260,8 +260,8 @@ class TestComputePi:
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra)
         solver = _solver(p)
         m = np.array([0.43, 0.1, -0.2])
-        dR = leaf_directional_derivative(solver.R_vector, chart3, m, 0, delta=1e-3)
-        T = solver.tilde_matrix(m)
+        dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
+        T = np.array([[e.eval(m) for e in row] for row in solver.tilde_exprs])
         _, beta = solver.beta_sigma(m)
         lhs = T @ solver.build_B(m) @ dR
         rhs = T @ beta[0]

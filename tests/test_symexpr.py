@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracgen.calculus import OneForm, PontryaginSection, VectorField, courant_bracket, skew_bracket
 from diracgen.errors import (
     EvalDomainError,
     ExprSyntaxError,
@@ -14,6 +15,7 @@ from diracgen.errors import (
     UnknownIdentifierError,
 )
 from diracgen.symexpr import (
+    MAX_DEPTH,
     Add,
     Chart,
     CompiledExprs,
@@ -88,6 +90,50 @@ class TestParseEval:
     def test_power_is_integer_only(self, chart3):
         with pytest.raises(InputError):
             parse("x1^1.5", chart3)
+
+
+def _nest(pattern: str, depth: int, leaf: str = "x1") -> str:
+    for _ in range(depth):
+        leaf = pattern.format(leaf)
+    return leaf
+
+
+class TestDepthCap:
+    """parse rejects a tree or a parenthesis nesting deeper than MAX_DEPTH;
+    a tree at the cap can be differentiated, bracketed, hashed, evaluated
+    and compiled."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "x1" + ")" * 3000,
+        " + ".join(["x1"] * 3000),
+        "x1^" + "(" * 3000 + "2" + ")" * 3000,
+        " + ".join(["x1"] * (MAX_DEPTH + 1)),
+        _nest("sin({})", MAX_DEPTH),
+        _nest("2*({})", MAX_DEPTH),
+        "(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1),
+    ])
+    def test_too_deep_is_a_syntax_error(self, chart3, text):
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse(text, chart3)
+
+    @pytest.mark.parametrize("text", [
+        " + ".join(["x1*x2"] * (MAX_DEPTH - 1)),
+        _nest("x2/(2 + {})", (MAX_DEPTH - 1) // 2),
+        _nest("exp(0.01*{})", (MAX_DEPTH - 1) // 2),
+        _nest("cos({})", MAX_DEPTH - 1),
+        _nest("({})^2", MAX_DEPTH - 1),
+        "/".join(["x2"] + ["(2 + x1)"] * (MAX_DEPTH - 2)),
+        "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1),
+    ])
+    def test_deepest_accepted_tree_stays_in_the_recursion_limit(self, chart3, text):
+        e = parse(text, chart3)
+        s = PontryaginSection(VectorField(chart3, (e, e, e)), OneForm(chart3, (e, e, e)))
+        exprs = [c for b in (courant_bracket(s, s), skew_bracket(s, s)) for c in (*b.vf.coeffs, *b.form.coeffs)]
+        hash(tuple(exprs))
+        m = np.array([0.1, 0.2, 0.3])
+        values, _ = CompiledExprs(exprs).evaluate(m[None])
+        for e, value in zip(exprs, values[:, 0]):
+            assert e.eval(m) == value and str(e)
 
 
 class TestDiff:
