@@ -36,9 +36,9 @@ from .calculus import (
 from .distribution import (
     GeneralizedDistribution,
     TangentDistribution,
-    rank_at,
-    contains,
-    membership_residual,
+    section_values,
+    svd_rank,
+    span_residuals,
     pointwise_orthogonal_basis,
     annihilator_basis,
     check_bracket_hypothesis,

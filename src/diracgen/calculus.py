@@ -181,6 +181,11 @@ class PontryaginSection:
         return cls(X, OneForm.zero(X.chart))
 
 
+def _components(s: PontryaginSection) -> list:
+    """The 2n coefficient expressions of a section, vector part first."""
+    return [*s.vf.coeffs, *s.form.coeffs]
+
+
 def pairing(a: PontryaginSection, b: PontryaginSection) -> Expr:
     """Symmetric fiberwise pairing <(u, alpha), (v, beta)> = beta(u) + alpha(v)."""
     _same_chart(a.vf, b.vf)

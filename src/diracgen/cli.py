@@ -38,7 +38,7 @@ from .errors import (
     NumericalBreakdownError,
     VerificationError,
 )
-from .invariant_gen import FoliatedProblem, run as run_invariant, split_tilde
+from .invariant_gen import FoliatedProblem, require_positive, run as run_invariant, split_tilde
 from .report import Report
 from .symexpr import Chart, parse
 
@@ -168,16 +168,10 @@ def _action_from(data: dict, chart: Chart) -> InfinitesimalAction | None:
                 ),
             )
         )
-    constants = block.get("structure_constants")
-    if constants is not None:
-        where = "action.structure_constants"
-        constants = _convert(
-            lambda c: tuple(tuple(tuple(float(v) for v in row) for row in mat) for mat in c), constants, where
-        )
-        d = len(gens)
-        if len(constants) != d or any(len(mat) != d or any(len(r) != d for r in mat) for mat in constants):
-            raise InputError(f"{where}: needs {d} x {d} x {d} numbers")
-    return InfinitesimalAction(chart, tuple(gens), constants)
+    try:
+        return InfinitesimalAction(chart, tuple(gens), block.get("structure_constants"))
+    except InputError as exc:
+        raise InputError(f"action.structure_constants: {exc}") from exc
 
 
 def _poisson_from(data: dict, chart: Chart) -> PoissonBivector | None:
@@ -221,13 +215,14 @@ def _numerics(data: dict, args) -> dict:
     for key in out:
         if getattr(args, key) is not None:
             out[key] = getattr(args, key)
-    for key, kind in (("tol", float), ("samples", int), ("seed", int)):
+    for key, kind in (("samples", int), ("seed", int)):
         out[key] = _convert(kind, out[key], f"numerics.{key}")
-    for key in ("ode_step", "quad_step"):
+    for key in ("tol", "ode_step", "quad_step"):
         if out[key] is not None:
-            out[key] = _convert(float, out[key], f"numerics.{key}")
-    if out["seed"] < 0:  # numpy's generators take no negative seed
-        raise InputError(f"numerics.seed: must be non-negative, got {out['seed']}")
+            out[key] = require_positive(out[key], f"numerics.{key}")
+    for key in ("samples", "seed"):  # numpy's generators take no negative seed
+        if out[key] < 0:
+            raise InputError(f"numerics.{key}: must be non-negative, got {out[key]}")
     return out
 
 

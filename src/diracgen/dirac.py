@@ -9,6 +9,10 @@ certifying the reduced structure on a user-supplied quotient chart.
 
 Everything pointwise is sampled evidence, not proof: a pass certifies the
 checked properties at the sample set to the stated tolerance.
+
+Each check reads its values from one compiled batch, its ranks from one
+stacked SVD and its residuals from one stacked least squares, bit-identical
+to one point at a time; only the lift runs one target point at a time.
 """
 
 from __future__ import annotations
@@ -17,16 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OneForm, PontryaginSection, VectorField, pairing
+from .calculus import OneForm, PontryaginSection, VectorField, _components, pairing
 from .distribution import (
     DEFAULT_RANK_TOL,
     GeneralizedDistribution,
     TangentDistribution,
     _norms,
     annihilator_basis,
-    membership_residual,
-    rank_at,
+    section_values,
     span_residuals,
+    stacked,
     svd_rank,
 )
 from .errors import EvalDomainError, InputError, VerificationError
@@ -34,7 +38,6 @@ from .invariant_gen import (
     _POINT_ERRORS,
     FoliatedProblem,
     InvariantFrameResult,
-    _components,
     _difference,
     _stencil,
     require_vanishing,
@@ -82,34 +85,24 @@ class DiracStructure:
     def as_distribution(self) -> GeneralizedDistribution:
         return GeneralizedDistribution(self.chart, self.generators)
 
-    def matrix_at(self, m) -> np.ndarray:
-        """Evaluated generators as columns of a 2n x n matrix."""
-        return np.column_stack([g(m) for g in self.generators])
-
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         """Certify rank n and pairwise isotropy of the generators at the
-        samples; together these make the span Lagrangian."""
-        if samples is None:
-            samples = self.chart.sample_points()
-        report = Report()
-        dist = self.as_distribution()
-        rank_pairs = [
-            (0.0 if rank_at(dist, m, tol) == self.chart.n else 1.0, m) for m in samples
-        ]
-        report.add(record_from_samples("lagrangian-rank", rank_pairs, 0.0,
-                                       detail=f"rank equals chart dimension {self.chart.n}",
-                                       stage="validity"))
-        iso = []
-        exprs = [
-            pairing(a, b)
-            for i, a in enumerate(self.generators)
-            for b in self.generators[i:]
-        ]
-        for m in samples:
-            worst = max(abs(e.eval(m)) for e in exprs)
-            iso.append((worst, m))
-        report.add(record_from_samples("lagrangian-isotropy", iso, tol, stage="validity"))
-        return report
+        samples; together these make the span Lagrangian.  One compiled
+        batch: the generators (ranks) at every sample, then the pairings."""
+        samples = self.chart.checked_samples(samples)
+        comps = [c for g in self.generators for c in _components(g)]
+        pairings = [pairing(a, b) for i, a in enumerate(self.generators) for b in self.generators[i:]]
+        n, N, G = self.chart.n, len(samples), len(comps)
+        compiled = CompiledExprs(comps + pairings)
+        values, bad = compiled.evaluate(samples)
+        compiled.raise_first(bad, samples, [(range(G), range(N)), (range(G, G + len(pairings)), range(N))])
+        ranks = svd_rank(stacked(values[:G], 2 * n), tol)
+        return Report([
+            record_from_samples("lagrangian-rank", zip(np.where(ranks == n, 0.0, 1.0), samples), 0.0,
+                                detail=f"rank equals chart dimension {n}", stage="validity"),
+            record_from_samples("lagrangian-isotropy", zip(np.abs(values[G:]).max(axis=0), samples), tol,
+                                stage="validity"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -125,12 +118,9 @@ class PoissonBivector:
         object.__setattr__(self, "components", rows)
 
     def antisymmetry_residual(self, samples) -> float:
-        worst = 0.0
-        n = self.chart.n
-        for m in samples:
-            M = np.array([[c.eval(m) for c in row] for row in self.components])
-            worst = max(worst, float(np.abs(M + M.T).max()))
-        return worst
+        """Largest |pi^ij + pi^ji| over the samples, from one compiled batch."""
+        M = stacked(CompiledExprs([c for row in self.components for c in row])(samples), self.chart.n)
+        return float(np.abs(M + np.swapaxes(M, 1, 2)).max(initial=0.0))
 
     def sharp(self, alpha: OneForm) -> VectorField:
         """The anchor map: (sharp alpha)^i = sum_j pi^{ij} alpha_j, so that
@@ -148,7 +138,8 @@ class PoissonBivector:
 class InfinitesimalAction:
     """Generators of a Lie algebra action; optional structure constants
     c[a][b][d] for the expansion of [xi_a, xi_b] over the generators (with
-    the anti-homomorphism sign: [xi_a, xi_b]_M + sum_d c_ab^d xi_d,M = 0)."""
+    the anti-homomorphism sign: [xi_a, xi_b]_M + sum_d c_ab^d xi_d,M = 0),
+    d x d x d finite numbers for d generators."""
 
     chart: Chart
     generators: tuple[VectorField, ...]
@@ -159,13 +150,20 @@ class InfinitesimalAction:
         for g in self.generators:
             if g.chart != self.chart:
                 raise InputError("action generator chart differs from action chart")
+        if self.structure_constants is not None:
+            d = len(self.generators)
+            try:
+                c = np.array(self.structure_constants, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                c = np.array(np.nan)
+            if c.size != d**3 or (d and c.shape != (d, d, d)) or not np.isfinite(c).all():
+                raise InputError(f"structure constants must be {d} x {d} x {d} finite numbers")
 
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
+        samples = self.chart.checked_samples(samples)
         report = Report()
         if self.structure_constants is None or not self.generators:
             return report
-        if samples is None:
-            samples = self.chart.sample_points()
         n, d = self.chart.n, len(self.generators)
         c = np.array(self.structure_constants, dtype=float).reshape(d * d, d)  # row (a, b) of each pair
         pairs = [(a, b) for a in range(d) for b in range(d)]
@@ -201,6 +199,8 @@ class QuotientMap:
         object.__setattr__(self, "components", comps)
         jacobian = tuple(tuple(c.diff(j) for j in range(self.source.n)) for c in comps)  # [i][j]: d_j of c_i
         object.__setattr__(self, "_jacobian_exprs", jacobian)
+        # the components, then the Jacobian row by row
+        object.__setattr__(self, "_compiled", CompiledExprs(comps + tuple(d for row in jacobian for d in row)))
 
     def __call__(self, m) -> np.ndarray:
         return np.array([c.eval(m) for c in self.components])
@@ -209,28 +209,26 @@ class QuotientMap:
         return np.array([[d.eval(m) for d in row] for row in self._jacobian_exprs])
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
-        if samples is None:
-            samples = self.source.sample_points()
-        report = Report()
-        rank_pairs = []
-        vert_pairs = []
-        for m in samples:
-            J = self.jacobian(m)
-            rank_pairs.append((0.0 if svd_rank(J) == self.target.n else 1.0, m))
-            worst = 0.0
-            for xi in action.generators:
-                worst = max(worst, float(np.abs(J @ xi(m)).max(initial=0.0)))
-            vert_pairs.append((worst, m))
-        report.add(record_from_samples("quotient-submersion-rank", rank_pairs, 0.0, stage="validity"))
-        report.add(record_from_samples("quotient-constant-on-fibers", vert_pairs, tol,
-                                       stage="validity"))
-        return report
+        """Full rank of the Jacobian and the action generators in its kernel
+        at every sample, from one compiled batch of both."""
+        samples = self.source.checked_samples(samples)
+        n, nbar = self.source.n, self.target.n
+        values = CompiledExprs([d for row in self._jacobian_exprs for d in row]
+                               + [c for xi in action.generators for c in xi.coeffs])(samples)
+        J, X = stacked(values[: nbar * n], n), stacked(values[nbar * n :], n)
+        JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
+        # a NaN image is passed over, as a running max() does
+        vertical = np.fmax.reduce(np.abs(JX).max(axis=2, initial=0.0), axis=1, initial=0.0)
+        return Report([
+            record_from_samples("quotient-submersion-rank", zip(np.where(svd_rank(J) == nbar, 0.0, 1.0), samples),
+                                0.0, stage="validity"),
+            record_from_samples("quotient-constant-on-fibers", zip(vertical, samples), tol, stage="validity"),
+        ])
 
 
 def graph_of_poisson(pi: PoissonBivector, samples=None, tol: float = 1e-9) -> DiracStructure:
     """Dirac structure spanned by (sharp dx^j, dx^j) for each coordinate."""
-    if samples is None:
-        samples = pi.chart.sample_points()
+    samples = pi.chart.checked_samples(samples)
     residual = pi.antisymmetry_residual(samples)
     if residual > tol:
         raise InputError(f"bivector is not antisymmetric (residual {residual:.3e})")
@@ -246,15 +244,14 @@ def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
     generators stay in the pointwise span.  The brackets at every sample
     come from one batch of exact 1-jets, their residuals from one stacked
     least-squares call."""
-    if samples is None:
-        samples = D.chart.sample_points()
+    samples = D.chart.checked_samples(samples)
     S = len(D.generators)
     pairs = [(i, j) for i in range(S) for j in range(S) if i != j]
     V, dV = _jets(D.generators, samples)
     brackets = _pair_brackets(V, dV, pairs)
     _require_finite(brackets, pairs, samples, "Courant bracket of generators")
-    # the generators laid out as the transpose of row-major values, as
-    # membership_residual takes them, so the residuals are bit-identical
+    # the generators laid out as the transpose of row-major values, as a
+    # one-point np.linalg.lstsq on the generator columns takes them
     residuals = span_residuals(np.swapaxes(V, 1, 2)[:, None], brackets)[1] / (1.0 + _norms(brackets))
     report = Report()
     for p, (i, j) in enumerate(pairs):
@@ -268,16 +265,14 @@ def characteristic_distributions(D: DiracStructure, m, tol: float = DEFAULT_RANK
     with zero form (G0), all reachable vectors (G1), and the analogous
     cotangent spaces (P0, P1)."""
     n = D.chart.n
-    M = D.matrix_at(m)
+    M = _as_columns(section_values(D.generators, [m]))[0]
     top, bottom = M[:n], M[n:]
     rank_top, u_top, vt_top = svd_rank(top, tol, bases=True)
     rank_bottom, u_bottom, vt_bottom = svd_rank(bottom, tol, bases=True)
     G1 = [u_top[:, i] for i in range(rank_top)]
     P1 = [u_bottom[:, i] for i in range(rank_bottom)]
-    G0 = [top @ c for c in vt_bottom[rank_bottom:]]
-    P0 = [bottom @ c for c in vt_top[rank_top:]]
-    G0 = [v for v in G0 if np.linalg.norm(v) > tol]
-    P0 = [v for v in P0 if np.linalg.norm(v) > tol]
+    G0 = [v for v in (top @ c for c in vt_bottom[rank_bottom:]) if np.linalg.norm(v) > tol]
+    P0 = [v for v in (bottom @ c for c in vt_top[rank_top:]) if np.linalg.norm(v) > tol]
     return G0, G1, P0, P1
 
 
@@ -299,51 +294,57 @@ def vertical_and_K(action: InfinitesimalAction):
     return V, K, vperp_basis
 
 
-def intersect_D_Kperp(
-    D: DiracStructure, action: InfinitesimalAction, m, tol: float = DEFAULT_RANK_TOL
-):
+def _as_columns(rows: np.ndarray) -> np.ndarray:
+    """Section values (N, S, 2n) as C-contiguous columns (N, 2n, S), as np.column_stack lays them out."""
+    return np.ascontiguousarray(np.swapaxes(rows, 1, 2))
+
+
+def _dirac_and_action(D: DiracStructure, action: InfinitesimalAction, samples):
+    """D's generators as columns (N, 2n, n), then the action's (N, d, n), in one compiled batch."""
+    n = D.chart.n
+    d_comps = [c for g in D.generators for c in _components(g)]
+    values = CompiledExprs(d_comps + [c for xi in action.generators for c in xi.coeffs])(samples)
+    return _as_columns(stacked(values[: len(d_comps)], 2 * n)), stacked(values[len(d_comps) :], n)
+
+
+def _intersections(M: np.ndarray, X: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """The subspace of D whose form part annihilates the vertical space at N
+    points, from D's generators as columns M (N, 2n, n) and the action's X
+    (N, d, n): dimensions (N,) and bases (N, 2n, n), zero past the dimension;
+    every product keeps its one-point shape, so its values too."""
+    n = M.shape[2]
+    rows = (X[:, :, None, :] @ M[:, None, n:])[:, :, 0, :]  # xi @ bottom, one vector-matrix product each
+    ranks, _, vt = svd_rank(rows, tol, bases=True)
+    basis = np.zeros(M.shape)
+    for rank in np.unique(ranks):
+        at = ranks == rank
+        basis[at, :, : n - rank] = M[at] @ np.swapaxes(vt[at, rank:], 1, 2)
+    return n - ranks, basis
+
+
+def intersect_D_Kperp(D: DiracStructure, action: InfinitesimalAction, m, tol: float = DEFAULT_RANK_TOL):
     """Pointwise basis of the subspace of D(m) whose form part annihilates
     the vertical space; returns (basis columns, rank)."""
-    n = D.chart.n
-    M = D.matrix_at(m)
-    bottom = M[n:]
-    rows = np.array([xi(m) @ bottom for xi in action.generators]) if action.generators else np.zeros((0, n))
-    rank, _, vt = svd_rank(rows, tol, bases=True)
-    basis = M @ vt[rank:].T
-    return [basis[:, i] for i in range(basis.shape[1])], basis.shape[1]
+    M, X = _dirac_and_action(D, action, D.chart.checked_samples([m]))
+    dims, basis = _intersections(M, X, tol)
+    return list(basis[0, :, : dims[0]].T), int(dims[0])
 
 
-def constant_rank_scan(
-    D: DiracStructure, action: InfinitesimalAction, samples, tol: float = DEFAULT_RANK_TOL
-):
+def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, tol: float = DEFAULT_RANK_TOL):
     """Scan the rank of the D / vertical-orthogonal intersection over the
-    samples.  Returns (record, ranks); on failure the record's detail names
-    two witness points with different ranks."""
-    ranks = []
-    for m in samples:
-        _, rank = intersect_D_Kperp(D, action, m, tol)
-        ranks.append((list(map(float, m)), rank))
-    values = {rank for _, rank in ranks}
-    if len(values) <= 1:
-        record = CheckRecord(
-            check="constant-rank-intersection",
-            passed=True,
-            detail=f"rank {ranks[0][1]} at all {len(ranks)} samples",
-            stage="rank scan",
-        )
-    else:
-        lo = min(values)
-        hi = max(values)
-        p_lo = next(p for p, rank in ranks if rank == lo)
-        p_hi = next(p for p, rank in ranks if rank == hi)
-        record = CheckRecord(
-            check="constant-rank-intersection",
-            passed=False,
-            worst_residual=float(hi - lo),
-            failing_point=p_lo,
-            detail=f"rank {lo} at {p_lo} but rank {hi} at {p_hi}",
-            stage="rank scan",
-        )
+    samples, from one batch and one stacked SVD.  Returns (record, ranks);
+    on failure the record's detail names two witness points with different
+    ranks."""
+    samples = D.chart.checked_samples(samples)
+    dims, _ = _intersections(*_dirac_and_action(D, action, samples), tol)
+    ranks = [(plain(m), int(rank)) for m, rank in zip(samples, dims)]
+    lo, hi = int(dims.min()), int(dims.max())
+    p_lo, p_hi = (plain(samples[np.argmax(dims == rank)]) for rank in (lo, hi))
+    record = CheckRecord(check="constant-rank-intersection", passed=lo == hi, stage="rank scan",
+                         detail=f"rank {lo} at all {len(ranks)} samples")
+    if lo != hi:
+        record.worst_residual, record.failing_point = float(hi - lo), p_lo
+        record.detail = f"rank {lo} at {p_lo} but rank {hi} at {p_hi}"
     return record, ranks
 
 
@@ -359,8 +360,7 @@ def _jets(sections, points):
     S = len(comps) // (2 * n)
     partials = [c.diff(i) for s in range(S) for i in range(n) for c in comps[2 * n * s : 2 * n * (s + 1)]]
     out = CompiledExprs(comps + partials)(points)
-    values = np.ascontiguousarray(out[: len(comps)].T).reshape(N, S, 2 * n)
-    return values, np.ascontiguousarray(out[len(comps) :].T).reshape(N, S, n, 2 * n)
+    return stacked(out[: len(comps)], 2 * n), stacked(out[len(comps) :], 2 * n).reshape(N, S, n, 2 * n)
 
 
 def _frame_jets(frames, chart: Chart, samples):
@@ -441,24 +441,20 @@ def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
     """The chart must present the vertical distribution as the span of the
-    first k coordinate fields."""
+    first k coordinate fields: checked at the first eight samples in one
+    batch, and reported at the first that breaks it."""
     k = problem.k
-    for m in samples[: min(len(samples), 8)]:
-        vals = np.array([xi(m) for xi in action.generators])
-        if vals.size == 0:
-            if k != 0:
-                raise InputError("action has no generators but the chart declares leaves")
-            return
-        transverse = float(np.abs(vals[:, k:]).max(initial=0.0))
-        if transverse > 1e-9 * (1.0 + np.abs(vals).max()):
-            raise InputError(
-                "chart is not foliated for this action: a generator has components "
-                f"beyond the leaf block at {plain(m)}"
-            )
-        if svd_rank(vals[:, :k]) != k:
-            raise InputError(
-                f"action generators do not span the leaf block at {plain(m)}"
-            )
+    if not action.generators:
+        if k != 0:
+            raise InputError("action has no generators but the chart declares leaves")
+        return
+    X = stacked(CompiledExprs([c for xi in action.generators for c in xi.coeffs])(samples[:8]), problem.n)
+    transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
+    for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
+        if transverse[i]:
+            raise InputError("chart is not foliated for this action: a generator has components "
+                             f"beyond the leaf block at {plain(samples[i])}")
+        raise InputError(f"action generators do not span the leaf block at {plain(samples[i])}")
 
 
 def descending_generators(
@@ -472,39 +468,43 @@ def descending_generators(
     orthogonal intersection into descending generators, and verify the
     descending-section conditions: invariance of the frame forms under the
     action generators, and stability of the vertical distribution under
-    brackets with the frame vectors."""
-    tol = problem.tol if tol is None else tol
-    if samples is None:
-        samples = problem.chart.sample_points(margin=0.1)
-    _check_foliated_presentation(action, problem, samples)
-    n, k = problem.n, problem.k
+    brackets with the frame vectors.
 
-    dist = D.as_distribution()
-    supplied = GeneralizedDistribution(problem.chart, problem.generators)
-    member_pairs = []
-    span_pairs = []
-    for m in samples:
-        worst = 0.0
-        for g in problem.generators:
-            v = g(m)
-            worst = max(worst, membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v)))
-            form = v[n:]
-            for xi in action.generators:
-                worst = max(worst, abs(float(form @ xi(m))) / (1.0 + np.linalg.norm(v)))
-        member_pairs.append((worst, m))
-        basis, rank = intersect_D_Kperp(D, action, m)
-        worst_span = 0.0 if rank == len(problem.generators) else 1.0
-        for w in basis:
-            worst_span = max(
-                worst_span, membership_residual(supplied, m, w) / (1.0 + np.linalg.norm(w))
-            )
-        span_pairs.append((worst_span, m))
+    That the family lies in and spans the intersection is checked from one
+    compiled batch, with one stacked least-squares call per direction."""
+    tol = problem.tol if tol is None else tol
+    chart = problem.chart
+    samples = chart.checked_samples(samples, margin=0.1)
+    _check_foliated_presentation(action, problem, samples)
+    n, k, r = problem.n, problem.k, problem.r
+
+    # the first member, D, the action, then the other members: the order a
+    # point-by-point pass first evaluates them in at a sample
+    family = [_components(g) for g in problem.generators]
+    d_comps = [c for g in D.generators for c in _components(g)]
+    x_comps = [c for xi in action.generators for c in xi.coeffs]
+    values = CompiledExprs(family[0] + d_comps + x_comps + [c for g in family[1:] for c in g])(samples)
+    a, b, c = 2 * n, 2 * n + len(d_comps), 2 * n + len(d_comps) + len(x_comps)
+    G, X = stacked(np.concatenate([values[:a], values[c:]]), 2 * n), stacked(values[b:c], n)
+    rows = stacked(values[a:b], 2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN defect is passed over, as max() does
+        # each member in D's span and its form against each action generator,
+        # then each basis vector of the intersection in the family's span
+        scale = 1.0 + _norms(G)
+        inside = span_residuals(np.swapaxes(rows, 1, 2)[:, None], G)[1] / scale
+        paired = np.abs((G[:, :, None, None, n:] @ X[:, None, :, :, None])[..., 0, 0]) / scale[..., None]
+        member = np.fmax.reduce(np.concatenate([inside, paired.reshape(len(G), -1)], axis=1), axis=1, initial=0.0)
+        dims, basis = _intersections(_as_columns(rows), X)
+        W = np.swapaxes(basis, 1, 2)
+        spans = span_residuals(np.swapaxes(G, 1, 2)[:, None], W)[1] / (1.0 + _norms(W))
+        spans[np.arange(n) >= dims[:, None]] = 0.0  # the zero columns past the dimension
+        span = np.fmax(np.where(dims == r, 0.0, 1.0), np.fmax.reduce(spans, axis=1, initial=0.0))
 
     result = run(problem, samples=samples, tol=tol)
     result.report.add(record_from_samples(
-        "supplied-family-in-intersection", member_pairs, tol, stage="rank scan"))
+        "supplied-family-in-intersection", zip(member, samples), tol, stage="rank scan"))
     result.report.add(record_from_samples(
-        "supplied-family-spans-intersection", span_pairs, tol, stage="rank scan"))
+        "supplied-family-spans-intersection", zip(span, samples), tol, stage="rank scan"))
 
     brackets, scale = _action_brackets(action, result, samples)
     for idx_xi in range(len(action.generators)):
@@ -527,8 +527,8 @@ def invariant_annihilator_generators(
     """Straighten a supplied spanning family of the vertical annihilator
     (sections with zero vector part) into action-invariant forms."""
     tol = problem.tol if tol is None else tol
-    if samples is None:
-        samples = problem.chart.sample_points(margin=0.1)
+    chart = problem.chart
+    samples = chart.checked_samples(samples, margin=0.1)
     _check_foliated_presentation(action, problem, samples)
     n = problem.n
     for g in problem.generators:
@@ -546,6 +546,8 @@ def invariant_annihilator_generators(
 # Gauss–Newton steps of one lift, and halvings of one step.
 LIFT_MAX_ITER = 50
 LIFT_MAX_HALVINGS = 30
+# Largest residual |q(x) - ybar| of a lifted point.
+LIFT_TOL = 1e-8
 
 
 def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
@@ -564,13 +566,14 @@ def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
             step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
 
 
-def least_squares(q: QuotientMap, ybar, x0) -> np.ndarray:
+def least_squares(q: QuotientMap, ybar, x0) -> tuple[np.ndarray, float]:
     """Box-constrained Gauss–Newton solve of q(x) = ybar from x0, with the
     exact Jacobian of q.  Each step is the minimum-norm least-squares step
     over the coordinates not held at a bound (_projected_step), clipped to
     the source box and halved until the residual norm falls.  Stops when no
     halving lowers it, when it is 0, or after LIFT_MAX_ITER steps; returns
-    the last point reached."""
+    the last point reached and its residual norm |q(x) - ybar|.  One target
+    at a time: at one point Expr.eval beats a compiled batch."""
     lo, hi = np.array(q.source.box).T
     ybar = np.asarray(ybar, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -583,51 +586,27 @@ def least_squares(q: QuotientMap, ybar, x0) -> np.ndarray:
         for _ in range(LIFT_MAX_HALVINGS):
             trial = np.clip(x + step, lo, hi)
             if np.array_equal(trial, x):  # a shorter step cannot move either
-                return x
+                return x, norm
             r_trial = q(trial) - ybar
             norm_trial = np.linalg.norm(r_trial)
             if norm_trial < norm:
                 break
             step = 0.5 * step
         else:
-            return x
+            return x, norm
         x, r, norm = trial, r_trial, norm_trial
-    return x
-
-
-class _Lift:
-    """Numerically invert a quotient map from a reference source point.
-    Keeps no state per point: a repeated target lifts to the same point."""
-
-    def __init__(self, q: QuotientMap, reference: np.ndarray):
-        self.q = q
-        self.reference = np.asarray(reference, dtype=float)
-
-    def __call__(self, ybar) -> np.ndarray:
-        ybar = np.asarray(ybar, dtype=float)
-        x = least_squares(self.q, ybar, self.reference)
-        residual = np.linalg.norm(self.q(x) - ybar)
-        if residual > 1e-8:
-            raise VerificationError(
-                f"could not lift target point {plain(ybar)} through the quotient map "
-                f"(residual {residual:.3e})"
-            )
-        return x
+    return x, norm
 
 
 def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
-    """Push an evaluated frame value F through the quotient map, whose
-    Jacobian at the frame's point is J (see push_frame)."""
+    """push_frame at N points: frame values F (N, 2n, r), Jacobians J (N,
+    target n, n); the target vectors and forms are C-contiguous."""
     n = q.source.n
-    Xbar = J @ F[:n]
-    abar = np.zeros((q.target.n, F.shape[1]))
-    worst = 0.0
-    for i in range(F.shape[1]):
-        gamma = F[n:, i]
-        sol, *_ = np.linalg.lstsq(J.T, gamma, rcond=None)
-        worst = max(worst, float(np.linalg.norm(J.T @ sol - gamma)) / (1.0 + np.linalg.norm(gamma)))
-        abar[:, i] = sol
-    return Xbar, abar, worst
+    gamma = np.swapaxes(F[:, n:], 1, 2)  # (N, r, n): the form of each column
+    abar, residual = span_residuals(np.swapaxes(J, 1, 2)[:, None], gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is passed over, as max() does
+        worst = np.fmax.reduce(residual / (1.0 + _norms(gamma)), axis=1, initial=0.0)
+    return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar, 1, 2)), worst
 
 
 def push_frame(q: QuotientMap, frame, m, tol: float):
@@ -637,7 +616,8 @@ def push_frame(q: QuotientMap, frame, m, tol: float):
     residual).  ``tol`` is not used; it stays in the signature for the
     callers that pass it."""
     F = np.asarray(frame(m), dtype=float)
-    return _push(q, F, q.jacobian(m))
+    Xbar, abar, worst = _push(q, F[None], q.jacobian(m)[None])
+    return Xbar[0], abar[0], float(worst[0])
 
 
 def pushforward_check(
@@ -658,7 +638,8 @@ def pushforward_check(
 
     Every frame value the checks need (samples, fiber pairs, lifted closure
     targets and their stencils) is evaluated in one batch when frame is an
-    InvariantFrameResult, else point by point."""
+    InvariantFrameResult, else point by point; q and its Jacobian in one
+    compiled batch before the lifts and one after."""
     if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
         frames = frame.frames
     else:
@@ -668,98 +649,94 @@ def pushforward_check(
             return [one(m) for m in points]
 
     chart = q.source
-    if samples is None:
-        samples = chart.sample_points(margin=0.1)
-    report = Report()
-    nbar = q.target.n
-    k = chart.leaf_count
+    samples = chart.checked_samples(samples, margin=0.1)
+    N, n, nbar, k = len(samples), chart.n, q.target.n, chart.leaf_count
+
+    # fiber partners: sample i % N with its leaf coordinates redrawn inside the box
     rng = np.random.default_rng(seed)
+    base = np.arange(n_fiber_pairs) % N
+    partners = samples[base]
+    lo, hi = np.array(chart.box)[:k].T
+    w = hi - lo
+    partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((n_fiber_pairs, k))
+    source = np.concatenate([samples, partners])
+    values, bad = q._compiled.evaluate(source)
+    qv, J = values[:nbar].T, stacked(values[nbar:], n)
+    with np.errstate(over="ignore", invalid="ignore"):  # where q fails to evaluate, it raises below
+        qdiff = np.abs(qv[base] - qv[N:]).max(axis=1, initial=0.0)
+    on = ~(qdiff > 1e-9)
+    # The points whose frames the checks need, in the order a point-by-point
+    # pass meets them: the samples, then each partner on its sample's fiber
+    # after that sample.  That pass evaluates the Jacobian at every sample,
+    # then per fiber q at the sample and partner and the Jacobian at a
+    # partner on the fiber, then q at the closure targets; an error on the
+    # way is raised once the frames gathered before it are evaluated.
+    gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(n_fiber_pairs)], axis=1)[on].ravel()])
+    before = N + 2 * np.concatenate([[0], np.cumsum(on)])  # points gathered before fiber i
+    Q, JAC = range(nbar), range(nbar, nbar * (n + 1))
+    targets = min(N, 6) if check_closedness else 0
+    blocks = [(JAC, range(N))] + [
+        block for i in range(n_fiber_pairs) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
+    ] + [(Q, range(targets))]
+    error = q._compiled.first_error(bad, source, blocks)
+    if error is not None:
+        block, p, error = error
+        fiber = (block - 1) // 3  # the block's fiber; past the last for the targets
+        gathered = gathered[: p + 1 if block == 0 else before[fiber + (block - 1) % 3 // 2]]
 
-    # The points whose frame values the checks need and the Jacobian there,
-    # in the order a point-by-point pass meets them.  An error on the way is
-    # raised once the frames before it are evaluated, so the error raised is
-    # that pass's first.
-    points, jacobians = [], []
+    # closure: each target, then its stencil points, lifted from the first sample
+    lifted = []
+    if targets and error is None:
+        stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]
+        deltas = np.array([delta for _, delta in stencils])
+        try:
+            for y in np.concatenate([qv[:targets, None], *(s for s, _ in stencils)], axis=1).reshape(-1, nbar):
+                x, residual = least_squares(q, y, samples[0])
+                if residual > LIFT_TOL:
+                    raise VerificationError(f"could not lift target point {plain(y)} through the "
+                                            f"quotient map (residual {residual:.3e})")
+                lifted.append(x)
+        except _POINT_ERRORS as exc:
+            error = exc
+    lifted = np.reshape(lifted, (-1, n))
+    lifted_values, bad = q._compiled.evaluate(lifted)
+    jacobian_error = q._compiled.first_error(bad, lifted, [(JAC, range(len(lifted)))])
+    if jacobian_error is not None:  # met before any later lift
+        _, p, error = jacobian_error
+        lifted = lifted[: p + 1]
 
-    def need(m) -> int:
-        points.append(m)
-        jacobians.append(q.jacobian(m))
-        return len(points) - 1
-
-    fibers = []  # (m2, q difference, index of m or None off the fiber)
-    closure = []  # (ybar, index of its lift), its stencil lifts following
-    error = None
-    try:
-        for m in samples:
-            need(m)
-        # fiber consistency: perturb leaf coordinates, compare pushed values
-        for i in range(n_fiber_pairs):
-            m = samples[i % len(samples)]
-            m2 = np.asarray(m, dtype=float).copy()
-            for l in range(k):
-                lo, hi = chart.box[l]
-                w = hi - lo
-                m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
-            qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
-            if qdiff > 1e-9:
-                fibers.append((m2, qdiff, None))
-                continue
-            fibers.append((m2, qdiff, need(m)))
-            need(m2)
-        if check_closedness:
-            lift = _Lift(q, samples[0])
-            for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
-                at = need(lift(ybar))
-                deltas = []  # the same for every target
-                for i in range(nbar):
-                    stencil, delta = _stencil(q.target, ybar, i)
-                    for y in stencil:
-                        need(lift(y))
-                    deltas.append(delta)
-                closure.append((ybar, at))
-    except _POINT_ERRORS as exc:
-        error = exc
-    values = frames(points)
+    values = frames(np.concatenate([source[gathered], lifted]))
     if error is not None:
         raise error
-    pushed = [_push(q, np.asarray(F, dtype=float), J) for F, J in zip(values, jacobians)]
-    sections = np.stack([np.vstack(p[:2]) for p in pushed])  # pushed (Xbar, abar), 2 nbar x r each
+    Xbar, abar, residual = _push(q, np.asarray(values, dtype=float),
+                                 np.concatenate([J[gathered], stacked(lifted_values[nbar:], n)[: len(lifted)]]))
+    sections = np.concatenate([Xbar, abar], axis=1)  # pushed (Xbar, abar), 2 nbar x r each
 
-    basic_pairs = []
-    rank_pairs = []
-    iso_pairs = []
-    for m, (Xbar, abar, residual), stacked in zip(samples, pushed, sections):
-        basic_pairs.append((residual, m))
-        rank_pairs.append((0.0 if svd_rank(stacked) == nbar else 1.0, m))
-        worst = 0.0
-        for i in range(stacked.shape[1]):
-            for j in range(stacked.shape[1]):
-                val = abar[:, j] @ Xbar[:, i] + abar[:, i] @ Xbar[:, j]
-                worst = max(worst, abs(float(val)))
-        iso_pairs.append((worst, m))
-    report.add(record_from_samples("pushed-forms-are-pullbacks", basic_pairs, tol,
-                                   stage="pushforward"))
-    report.add(record_from_samples("reduced-rank", rank_pairs, 0.0,
-                                   detail=f"pushed family has rank {nbar}", stage="pushforward"))
-    report.add(record_from_samples("reduced-isotropy", iso_pairs, tol, stage="pushforward"))
+    # abar_j . Xbar_i at each sample, one dot product each: P[:, j, i]
+    A, V = np.swapaxes(abar[:N], 1, 2), np.swapaxes(Xbar[:N], 1, 2)
+    P = (A[:, :, None, None, :] @ V[:, None, :, :, None])[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is passed over, as max() does
+        iso = np.fmax.reduce(np.abs(np.swapaxes(P, 1, 2) + P).reshape(N, -1), axis=1, initial=0.0)
+    fiber = 1.0 + qdiff
+    at = N + 2 * np.arange(on.sum())  # each on-fiber sample's section; its partner's follows
+    scale = 1.0 + np.abs(sections[at]).max(axis=(1, 2), initial=0.0)
+    fiber[on] = np.abs(sections[at] - sections[at + 1]).max(axis=(1, 2), initial=0.0) / scale
+    report = Report([
+        record_from_samples("pushed-forms-are-pullbacks", zip(residual[:N], samples), tol, stage="pushforward"),
+        record_from_samples("reduced-rank", zip(np.where(svd_rank(sections[:N]) == nbar, 0.0, 1.0), samples), 0.0,
+                            detail=f"pushed family has rank {nbar}", stage="pushforward"),
+        record_from_samples("reduced-isotropy", zip(iso, samples), tol, stage="pushforward"),
+        record_from_samples("fiber-consistency", zip(fiber, partners), tol, stage="pushforward"),
+    ])
 
-    fiber_pairs = []
-    for m2, qdiff, at in fibers:
-        if at is None:
-            fiber_pairs.append((1.0 + qdiff, m2))
-            continue
-        scale = 1.0 + float(np.abs(sections[at]).max(initial=0.0))
-        fiber_pairs.append((float(np.abs(sections[at] - sections[at + 1]).max(initial=0.0)) / scale, m2))
-    report.add(record_from_samples("fiber-consistency", fiber_pairs, tol, stage="pushforward"))
-
-    if check_closedness:
-        lifts = np.array([at for _, at in closure])
+    if targets:
         # each target's section, then its stencil sections: (targets, 1 + 4 nbar, 2 nbar, r)
-        values = sections[lifts[:, None] + np.arange(1 + 4 * nbar)]
-        V, dV = _stencil_jets(values, np.array(deltas))
+        values = sections[len(gathered) :].reshape(targets, 1 + 4 * nbar, *sections.shape[1:])
+        V, dV = _stencil_jets(values, deltas)
         r = V.shape[1]
         brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
         residuals = span_residuals(values[:, 0, None], brackets)[1] / (1.0 + _norms(brackets))
-        closure_pairs = zip(residuals.max(axis=1, initial=0.0), [ybar for ybar, _ in closure])
+        closure_pairs = zip(residuals.max(axis=1, initial=0.0), qv[:targets])
         report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
     return report
+

@@ -1,6 +1,8 @@
-"""Generalized distributions as finite spanning families, with the
-pointwise linear algebra used by every hypothesis check: numerical rank,
-membership by least squares, pointwise orthogonals, and annihilators.
+"""Generalized distributions as finite spanning families, with the stacked
+linear algebra used by every hypothesis check: section values from one
+compiled batch, numerical rank by one stacked SVD, membership by one stacked
+least-squares call (each bit-identical to its one-point computation, kept
+in tests/pointwise.py), and pointwise orthogonals and annihilators.
 
 The smooth orthogonal is deliberately never computed as an object: it
 quantifies over all smooth sections.  Only pointwise orthogonals are
@@ -14,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .calculus import PontryaginSection, VectorField, skew_bracket
+from .calculus import PontryaginSection, VectorField, _components, skew_bracket
 from .errors import ChartMismatchError, InputError
 from .report import Report, record_from_samples
-from .symexpr import Chart
+from .symexpr import Chart, CompiledExprs
 
 __all__ = [
     "GeneralizedDistribution",
     "TangentDistribution",
-    "rank_at",
-    "contains",
-    "membership_residual",
+    "section_values",
+    "svd_rank",
+    "span_residuals",
     "pointwise_orthogonal_basis",
     "annihilator_basis",
     "check_bracket_hypothesis",
@@ -54,10 +56,6 @@ class GeneralizedDistribution:
             raise InputError("a generalized distribution needs at least one generator")
         _shared_chart(self.chart, self.generators)
 
-    def matrix_at(self, m) -> np.ndarray:
-        """Evaluated generators as rows of a (#generators x 2n) matrix."""
-        return np.array([g(m) for g in self.generators])
-
 
 @dataclass(frozen=True)
 class TangentDistribution:
@@ -74,26 +72,31 @@ class TangentDistribution:
         return np.array([g(m) for g in self.generators])
 
 
-def svd_rank(matrix, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
-    """Numerical rank: the number of singular values above tol * sigma_max,
-    and 0 for an empty or zero matrix.  With ``bases`` set, returns
-    (rank, U, Vt) from the full SVD, so that U[:, :rank] spans the column
-    space and the rows Vt[rank:] span the null space."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        rows, cols = matrix.shape
-        return (0, np.eye(rows), np.eye(cols)) if bases else 0
-    if bases:
-        u, sv, vt = np.linalg.svd(matrix)
-    else:
-        sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
-    return (rank, u, vt) if bases else rank
+def stacked(values: np.ndarray, width: int) -> np.ndarray:
+    """Compiled values (expressions x points) of consecutive groups of
+    ``width`` expressions, as a C-contiguous (points, groups, width) array."""
+    return np.ascontiguousarray(values.T).reshape(values.shape[1], values.shape[0] // width, width)
 
 
-def rank_at(delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the evaluated generator family at m."""
-    return svd_rank(delta.matrix_at(m), tol)
+def section_values(sections, points) -> np.ndarray:
+    """Values (N, S, 2n) of S sections at N points, vector part first, from
+    one compiled batch (raising as evaluating point by point would)."""
+    comps = [c for s in sections for c in _components(s)]
+    return stacked(CompiledExprs(comps)(points), len(comps) // len(sections))
+
+
+def svd_rank(matrices, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
+    """Numerical rank of each matrix of a stack (..., rows, cols): the number
+    of singular values above tol * sigma_max (0 for an empty or zero
+    matrix), from one SVD call whose values are bit-identical to one
+    np.linalg.svd per matrix; an int for a single matrix.  With ``bases``
+    set, returns (ranks, U, Vt) from the full SVDs: U[..., :, :rank] spans
+    the column space, the rows Vt[..., rank:, :] the null space."""
+    a = np.asarray(matrices, dtype=float)
+    u, sv, vt = np.linalg.svd(a) if bases else (None, np.linalg.svd(a, compute_uv=False), None)
+    ranks = np.sum(sv > tol * sv[..., :1], axis=-1)
+    ranks = ranks if ranks.ndim else int(ranks)
+    return (ranks, u, vt) if bases else ranks
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -126,24 +129,6 @@ def span_residuals(A, v) -> tuple[np.ndarray, np.ndarray]:
     return coeff[..., 0], _norms((A @ coeff)[..., 0] - v)
 
 
-def span_residual(A: np.ndarray, v) -> float:
-    """Least-squares residual of expressing v in the columns of A."""
-    return float(span_residuals(np.asarray(A, dtype=float)[None], np.asarray(v, dtype=float)[None])[1][0])
-
-
-def membership_residual(delta: GeneralizedDistribution, m, v) -> float:
-    """Least-squares residual of expressing the 2n-vector v in the
-    evaluated generators at m."""
-    return span_residual(delta.matrix_at(m).T, v)
-
-
-def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
-    """True iff v lies in the pointwise span of the generators at m, with
-    residual tolerance tol*(1 + |v|)."""
-    v = np.asarray(v, dtype=float)
-    return membership_residual(delta, m, v) <= tol * (1.0 + np.linalg.norm(v))
-
-
 def pointwise_orthogonal_basis(
     delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL
 ) -> list[np.ndarray]:
@@ -155,7 +140,7 @@ def pointwise_orthogonal_basis(
     matrix with its vector and form blocks swapped.
     """
     n = delta.chart.n
-    G = delta.matrix_at(m)
+    G = section_values(delta.generators, [m])[0]
     rank, _, vt = svd_rank(np.hstack([G[:, n:], G[:, :n]]), tol, bases=True)
     return list(vt[rank:])
 
@@ -180,31 +165,32 @@ def check_bracket_hypothesis(
     brackets of D generators (and of the optional extra section) with
     Theta generators must lie in the span of Theta + D at every sample.
 
-    Failures are report entries, not exceptions.
+    The brackets and the span are one compiled batch, the residuals one
+    stacked least-squares call.  Failures are report entries, not
+    exceptions; an evaluation error is raised where a pass over the
+    brackets, each at every sample before the span there, meets it first.
     """
-    span = GeneralizedDistribution(D.chart, Theta.generators + D.generators)
-    report = Report()
-
-    def run_pairs(sections, check_name):
-        for i, sec in enumerate(sections):
-            for l, theta in enumerate(Theta.generators):
-                bracket = skew_bracket(theta, sec)
-                pairs = []
-                with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the record
-                    for m in samples:
-                        v = bracket(m)
-                        pairs.append((membership_residual(span, m, v) / (1.0 + np.linalg.norm(v)), m))
-                report.add(
-                    record_from_samples(
-                        f"{check_name}[{i},{l}]",
-                        pairs,
-                        tol,
-                        detail="bracket of generator with leaf field stays in leaf+distribution span",
-                        stage="hypotheses",
-                    )
-                )
-
-    run_pairs(D.generators, "bracket-hypothesis-generators")
-    if extra is not None:
-        run_pairs([extra], "bracket-hypothesis-extra")
-    return report
+    samples = D.chart.checked_samples(samples)
+    width = 2 * D.chart.n
+    named = [("bracket-hypothesis-generators", i, sec) for i, sec in enumerate(D.generators)]
+    named += [("bracket-hypothesis-extra", 0, extra)] if extra is not None else []
+    brackets = [(f"{name}[{i},{l}]", skew_bracket(theta, sec))
+                for name, i, sec in named for l, theta in enumerate(Theta.generators)]
+    compiled = CompiledExprs([c for _, b in brackets for c in _components(b)]
+                             + [c for g in Theta.generators + D.generators for c in _components(g)])
+    values, bad = compiled.evaluate(samples)
+    P = len(brackets)
+    span = range(P * width, len(values))
+    compiled.raise_first(bad, samples, [([*range(p * width, (p + 1) * width), *span], range(len(samples)))
+                                        for p in range(P)])
+    V = stacked(values[: P * width], width)
+    # the span laid out as the transpose of row-major values, as a one-point
+    # np.linalg.lstsq on the generator columns takes it
+    A = np.swapaxes(stacked(values[P * width :], width), 1, 2)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the record
+        residuals = span_residuals(A, V)[1] / (1.0 + _norms(V))
+    return Report([
+        record_from_samples(check, zip(residuals[:, p], samples), tol, stage="hypotheses",
+                            detail="bracket of generator with leaf field stays in leaf+distribution span")
+        for p, (check, _) in enumerate(brackets)
+    ])

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import OneForm, PontryaginSection, VectorField
+from .calculus import OneForm, PontryaginSection, VectorField, _components
 from .distribution import _norms, span_residuals
 from .errors import (
     DiracgenError,
@@ -63,6 +63,17 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
+
+
+def require_positive(value, name: str) -> float:
+    """value as a float, or InputError unless it is a finite positive number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0.0):
+        raise InputError(f"{name}: must be a finite positive number, got {value!r}")
+    return number
 
 
 def require_vanishing(expr, chart: Chart, message: str):
@@ -125,8 +136,8 @@ class FoliatedProblem:
             object.__setattr__(self, "ode_step", 1e-3 * width)
         if self.quad_step is None:
             object.__setattr__(self, "quad_step", self.ode_step)
-        if self.ode_step <= 0 or self.quad_step <= 0:
-            raise InputError("steps must be positive")
+        for name in ("ode_step", "quad_step", "tol"):
+            require_positive(getattr(self, name), name)
         # probe the leaf-annihilation condition early
         for s in self.generators + ((self.extra,) if self.extra else ()):
             split_tilde(s, self.k)
@@ -149,11 +160,6 @@ class FoliatedProblem:
 # recently used line is dropped; it is recomputed from the zero slice, with
 # the same values, when it is needed again.
 LINE_CACHE_SIZE = 128
-
-
-def _components(s: PontryaginSection) -> list:
-    """The 2n coefficient expressions of a section, vector part first."""
-    return [*s.vf.coeffs, *s.form.coeffs]
 
 
 def _lru_get(cache: OrderedDict, key, make):
@@ -847,8 +853,7 @@ def run(
     samples and at the stencil points of every leaf-invariance check."""
     tol = p.tol if tol is None else tol
     solver = _solver(p)
-    if samples is None:
-        samples = p.chart.sample_points(seed=seed, margin=0.1)
+    samples = p.chart.checked_samples(samples, seed=seed, margin=0.1)
     report = Report()
     k = p.k
 
@@ -869,15 +874,14 @@ def run(
             frames=solver.generator_matrices,
         )
 
-    samples = np.array(samples, dtype=float).reshape(-1, p.n)
     N = len(samples)
     stencils = [_stencil(p.chart, samples, l) for l in range(k)]
     points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
     deltas = [delta for _, delta in stencils]
     frames = solver.frames(points)
     G = solver.generator_matrices(samples)
-    # the generators laid out as the transpose of a row-major matrix, as
-    # membership_residual takes them, so the residuals are bit-identical
+    # the generators laid out as the transpose of a row-major matrix, as the
+    # one-point lstsq on the generator columns takes them: bit-identical
     G_columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).swapaxes(1, 2)
 
     # (i) span equality at each sample, by mutual membership

@@ -133,6 +133,17 @@ class Chart:
         if not self.contains(point):
             raise OutsideBoxError(f"point {plain(point)} outside chart box {self.box}")
 
+    def checked_samples(self, samples, **default) -> np.ndarray:
+        """samples (sample_points(**default) when None) as an (N, n) float
+        array; InputError if there is none (a sampled check on no sample
+        certifies nothing) or one is no n-vector."""
+        points = np.asarray(self.sample_points(**default) if samples is None else samples, dtype=float)
+        if points.size == 0:
+            raise InputError("no sample points: a sampled check needs at least one")
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise InputError(f"sample points must be {self.n}-vectors, got shape {points.shape}")
+        return points
+
     def widths(self) -> np.ndarray:
         return np.array([hi - lo for lo, hi in self.box])
 
@@ -642,14 +653,34 @@ class CompiledExprs:
         self.exprs[e].eval(point)
         raise AssertionError(f"{self.exprs[e]} was flagged at {plain(point)} but evaluates")
 
+    def first_error(self, bad, points, blocks=None):
+        """(block, point index, error Expr.eval raises) of the first
+        evaluation ``bad`` (from evaluate) flags, or None.  Blocks
+        (expression indices, point indices) are met in order, each point by
+        point and at a point expression by expression; by default one block
+        holds everything."""
+        for b, (exprs, at) in enumerate([] if bad is None else blocks or [(range(len(bad)), range(len(points)))]):
+            hit = bad[np.ix_(exprs, at)]
+            if hit.any():
+                p = np.flatnonzero(hit.any(axis=0))[0]
+                try:
+                    self.raise_at(exprs[np.flatnonzero(hit[:, p])[0]], np.asarray(points, dtype=float)[at[p]])
+                except EvalDomainError as exc:
+                    return b, at[p], exc
+        return None
+
+    def raise_first(self, bad, points, blocks=None):
+        """Raise the error of first_error, if any."""
+        hit = self.first_error(bad, points, blocks)
+        if hit is not None:
+            raise hit[2]
+
     def __call__(self, points) -> np.ndarray:
         """Values at a batch of points; raises the error ``Expr.eval``
         raises at the first point, and there at the first expression,
         where it fails."""
         values, bad = self.evaluate(points)
-        if bad is not None:
-            i = int(np.flatnonzero(bad.any(axis=0))[0])
-            self.raise_at(int(np.flatnonzero(bad[:, i])[0]), np.asarray(points, dtype=float)[i])
+        self.raise_first(bad, points)
         return values
 
 

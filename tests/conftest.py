@@ -3,9 +3,16 @@ bracket-identity suites."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.symexpr import Chart, Const, Var, cos, exp, sin
+
+
+# CI selects this profile (pytest --hypothesis-profile=ci): every property
+# test then draws the same examples on every run, so a CI failure repeats
+# locally with the same command.
+settings.register_profile("ci", derandomize=True)
 
 
 def make_chart(n: int, k: int = 0, box=None) -> Chart:

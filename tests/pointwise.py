@@ -1,0 +1,340 @@
+"""One-point references for the stacked checks of diracgen.
+
+Each function here computes one sample at a time, as the library did before
+its checks were stacked: values by ``Expr.eval``, ranks by one
+``np.linalg.svd`` per matrix, memberships by one ``np.linalg.lstsq`` per
+vector, and a running ``max()`` over the samples.  The tests compare the
+library's stacked records, ranks and errors with these, bit for bit.
+"""
+
+import numpy as np
+
+from diracgen.calculus import pairing, skew_bracket
+from diracgen.dirac import _pair_brackets, _stencil_jets, least_squares
+from diracgen.distribution import GeneralizedDistribution, _norms, span_residuals
+from diracgen.errors import InputError, VerificationError
+from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _stencil
+from diracgen.report import CheckRecord, Report, record_from_samples
+from diracgen.symexpr import plain
+
+RANK_TOL = 1e-9
+
+
+def matrix_at(sections, m) -> np.ndarray:
+    """The sections evaluated at m, as rows."""
+    return np.array([g(m) for g in sections])
+
+
+def rank(matrix, tol: float = RANK_TOL, bases: bool = False):
+    """Numerical rank of one matrix: singular values above tol * sigma_max."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.size == 0:
+        rows, cols = matrix.shape
+        return (0, np.eye(rows), np.eye(cols)) if bases else 0
+    if bases:
+        u, sv, vt = np.linalg.svd(matrix)
+    else:
+        sv = np.linalg.svd(matrix, compute_uv=False)
+    r = int(np.sum(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+    return (r, u, vt) if bases else r
+
+
+def rank_at(delta: GeneralizedDistribution, m, tol: float = RANK_TOL) -> int:
+    return rank(matrix_at(delta.generators, m), tol)
+
+
+def span_residual(A, v) -> float:
+    """Least-squares residual of v in the columns of A."""
+    x = np.linalg.lstsq(A, v, rcond=None)[0]
+    return float(np.linalg.norm(A @ x - v))
+
+
+def membership_residual(delta: GeneralizedDistribution, m, v) -> float:
+    return span_residual(matrix_at(delta.generators, m).T, np.asarray(v, dtype=float))
+
+
+def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
+    v = np.asarray(v, dtype=float)
+    return membership_residual(delta, m, v) <= tol * (1.0 + np.linalg.norm(v))
+
+
+def lift(q, reference, ybar) -> np.ndarray:
+    """The lift of ybar through q from reference, or VerificationError."""
+    ybar = np.asarray(ybar, dtype=float)
+    x, _ = least_squares(q, ybar, np.asarray(reference, dtype=float))
+    residual = np.linalg.norm(q(x) - ybar)
+    if residual > 1e-8:
+        raise VerificationError(
+            f"could not lift target point {plain(ybar)} through the quotient map "
+            f"(residual {residual:.3e})"
+        )
+    return x
+
+
+def _require_samples(samples):
+    if len(samples) == 0:
+        raise InputError("no sample points")
+
+
+# -- the checks ---------------------------------------------------------------
+
+
+def dirac_validate(D, samples, tol: float = 1e-9) -> Report:
+    _require_samples(samples)
+    report = Report()
+    n = D.chart.n
+    rank_pairs = [(0.0 if rank(matrix_at(D.generators, m), tol) == n else 1.0, m) for m in samples]
+    report.add(record_from_samples("lagrangian-rank", rank_pairs, 0.0,
+                                   detail=f"rank equals chart dimension {n}", stage="validity"))
+    exprs = [pairing(a, b) for i, a in enumerate(D.generators) for b in D.generators[i:]]
+    iso = [(max(abs(e.eval(m)) for e in exprs), m) for m in samples]
+    report.add(record_from_samples("lagrangian-isotropy", iso, tol, stage="validity"))
+    return report
+
+
+def antisymmetry_residual(pi, samples) -> float:
+    worst = 0.0
+    for m in samples:
+        M = np.array([[c.eval(m) for c in row] for row in pi.components])
+        worst = max(worst, float(np.abs(M + M.T).max()))
+    return worst
+
+
+def quotient_validate(q, action, samples, tol: float = 1e-7) -> Report:
+    _require_samples(samples)
+    report = Report()
+    rank_pairs, vert_pairs = [], []
+    for m in samples:
+        J = q.jacobian(m)
+        rank_pairs.append((0.0 if rank(J) == q.target.n else 1.0, m))
+        worst = 0.0
+        for xi in action.generators:
+            worst = max(worst, float(np.abs(J @ xi(m)).max(initial=0.0)))
+        vert_pairs.append((worst, m))
+    report.add(record_from_samples("quotient-submersion-rank", rank_pairs, 0.0, stage="validity"))
+    report.add(record_from_samples("quotient-constant-on-fibers", vert_pairs, tol, stage="validity"))
+    return report
+
+
+def intersect_D_Kperp(D, action, m, tol: float = RANK_TOL):
+    n = D.chart.n
+    M = np.column_stack([g(m) for g in D.generators])
+    bottom = M[n:]
+    rows = np.array([xi(m) @ bottom for xi in action.generators]) if action.generators else np.zeros((0, n))
+    r, _, vt = rank(rows, tol, bases=True)
+    basis = M @ vt[r:].T
+    return [basis[:, i] for i in range(basis.shape[1])], basis.shape[1]
+
+
+def characteristic_distributions(D, m, tol: float = RANK_TOL):
+    n = D.chart.n
+    M = np.column_stack([g(m) for g in D.generators])
+    top, bottom = M[:n], M[n:]
+    rank_top, u_top, vt_top = rank(top, tol, bases=True)
+    rank_bottom, u_bottom, vt_bottom = rank(bottom, tol, bases=True)
+    G1 = [u_top[:, i] for i in range(rank_top)]
+    P1 = [u_bottom[:, i] for i in range(rank_bottom)]
+    G0 = [v for v in (top @ c for c in vt_bottom[rank_bottom:]) if np.linalg.norm(v) > tol]
+    P0 = [v for v in (bottom @ c for c in vt_top[rank_top:]) if np.linalg.norm(v) > tol]
+    return G0, G1, P0, P1
+
+
+def constant_rank_scan(D, action, samples, tol: float = RANK_TOL):
+    ranks = []
+    for m in samples:
+        _, r = intersect_D_Kperp(D, action, m, tol)
+        ranks.append((list(map(float, m)), r))
+    values = {r for _, r in ranks}
+    if len(values) <= 1:
+        record = CheckRecord(check="constant-rank-intersection", passed=True,
+                             detail=f"rank {ranks[0][1]} at all {len(ranks)} samples", stage="rank scan")
+    else:
+        lo, hi = min(values), max(values)
+        p_lo = next(p for p, r in ranks if r == lo)
+        p_hi = next(p for p, r in ranks if r == hi)
+        record = CheckRecord(check="constant-rank-intersection", passed=False, worst_residual=float(hi - lo),
+                             failing_point=p_lo, detail=f"rank {lo} at {p_lo} but rank {hi} at {p_hi}",
+                             stage="rank scan")
+    return record, ranks
+
+
+def check_foliated_presentation(action, problem, samples):
+    k = problem.k
+    for m in samples[: min(len(samples), 8)]:
+        vals = np.array([xi(m) for xi in action.generators])
+        if vals.size == 0:
+            if k != 0:
+                raise InputError("action has no generators but the chart declares leaves")
+            return
+        transverse = float(np.abs(vals[:, k:]).max(initial=0.0))
+        if transverse > 1e-9 * (1.0 + np.abs(vals).max()):
+            raise InputError(
+                "chart is not foliated for this action: a generator has components "
+                f"beyond the leaf block at {plain(m)}"
+            )
+        if rank(vals[:, :k]) != k:
+            raise InputError(f"action generators do not span the leaf block at {plain(m)}")
+
+
+def supplied_family(D, action, problem, samples, tol) -> Report:
+    """The two supplied-family records of descending_generators."""
+    _require_samples(samples)
+    check_foliated_presentation(action, problem, samples)
+    n = problem.n
+    dist = D.as_distribution()
+    supplied = GeneralizedDistribution(problem.chart, problem.generators)
+    member_pairs, span_pairs = [], []
+    for m in samples:
+        worst = 0.0
+        for g in problem.generators:
+            v = g(m)
+            worst = max(worst, membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v)))
+            form = v[n:]
+            for xi in action.generators:
+                worst = max(worst, abs(float(form @ xi(m))) / (1.0 + np.linalg.norm(v)))
+        member_pairs.append((worst, m))
+        basis, r = intersect_D_Kperp(D, action, m)
+        worst_span = 0.0 if r == len(problem.generators) else 1.0
+        for w in basis:
+            worst_span = max(worst_span, membership_residual(supplied, m, w) / (1.0 + np.linalg.norm(w)))
+        span_pairs.append((worst_span, m))
+    return Report([
+        record_from_samples("supplied-family-in-intersection", member_pairs, tol, stage="rank scan"),
+        record_from_samples("supplied-family-spans-intersection", span_pairs, tol, stage="rank scan"),
+    ])
+
+
+def check_bracket_hypothesis(D, Theta, extra, samples, tol) -> Report:
+    _require_samples(samples)
+    span = GeneralizedDistribution(D.chart, Theta.generators + D.generators)
+    report = Report()
+
+    def run_pairs(sections, check_name):
+        for i, sec in enumerate(sections):
+            for l, theta in enumerate(Theta.generators):
+                bracket = skew_bracket(theta, sec)
+                pairs = []
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for m in samples:
+                        v = bracket(m)
+                        pairs.append((membership_residual(span, m, v) / (1.0 + np.linalg.norm(v)), m))
+                report.add(record_from_samples(
+                    f"{check_name}[{i},{l}]", pairs, tol,
+                    detail="bracket of generator with leaf field stays in leaf+distribution span",
+                    stage="hypotheses"))
+
+    run_pairs(D.generators, "bracket-hypothesis-generators")
+    if extra is not None:
+        run_pairs([extra], "bracket-hypothesis-extra")
+    return report
+
+
+def push(q, F, J):
+    """One frame value F pushed through q, whose Jacobian there is J."""
+    n = q.source.n
+    Xbar = J @ F[:n]
+    abar = np.zeros((q.target.n, F.shape[1]))
+    worst = 0.0
+    for i in range(F.shape[1]):
+        gamma = F[n:, i]
+        sol, *_ = np.linalg.lstsq(J.T, gamma, rcond=None)
+        worst = max(worst, float(np.linalg.norm(J.T @ sol - gamma)) / (1.0 + np.linalg.norm(gamma)))
+        abar[:, i] = sol
+    return Xbar, abar, worst
+
+
+def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, seed=0,
+                      check_closedness=True) -> Report:
+    """pushforward_check gathering and judging one point at a time; the
+    frame values are still one call, over the points in the order met."""
+    _require_samples(samples)
+    if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
+        frames = frame.frames
+    else:
+        one = frame.frame if isinstance(frame, InvariantFrameResult) else frame
+
+        def frames(points):
+            return [one(m) for m in points]
+
+    chart = q.source
+    report = Report()
+    nbar = q.target.n
+    k = chart.leaf_count
+    rng = np.random.default_rng(seed)
+    points, jacobians = [], []
+
+    def need(m) -> int:
+        points.append(m)
+        jacobians.append(q.jacobian(m))
+        return len(points) - 1
+
+    fibers, closure = [], []
+    error = None
+    try:
+        for m in samples:
+            need(m)
+        for i in range(n_fiber_pairs):
+            m = samples[i % len(samples)]
+            m2 = np.asarray(m, dtype=float).copy()
+            for l in range(k):
+                lo, hi = chart.box[l]
+                w = hi - lo
+                m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
+            qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
+            if qdiff > 1e-9:
+                fibers.append((m2, qdiff, None))
+                continue
+            fibers.append((m2, qdiff, need(m)))
+            need(m2)
+        if check_closedness:
+            for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
+                at = need(lift(q, samples[0], ybar))
+                deltas = []
+                for i in range(nbar):
+                    stencil, delta = _stencil(q.target, ybar, i)
+                    for y in stencil:
+                        need(lift(q, samples[0], y))
+                    deltas.append(delta)
+                closure.append((ybar, at))
+    except _POINT_ERRORS as exc:
+        error = exc
+    values = frames(points)
+    if error is not None:
+        raise error
+    pushed = [push(q, np.asarray(F, dtype=float), J) for F, J in zip(values, jacobians)]
+    sections = np.stack([np.vstack(p[:2]) for p in pushed])
+
+    basic_pairs, rank_pairs, iso_pairs = [], [], []
+    for m, (Xbar, abar, residual), stacked in zip(samples, pushed, sections):
+        basic_pairs.append((residual, m))
+        rank_pairs.append((0.0 if rank(stacked) == nbar else 1.0, m))
+        worst = 0.0
+        for i in range(stacked.shape[1]):
+            for j in range(stacked.shape[1]):
+                val = abar[:, j] @ Xbar[:, i] + abar[:, i] @ Xbar[:, j]
+                worst = max(worst, abs(float(val)))
+        iso_pairs.append((worst, m))
+    report.add(record_from_samples("pushed-forms-are-pullbacks", basic_pairs, tol, stage="pushforward"))
+    report.add(record_from_samples("reduced-rank", rank_pairs, 0.0,
+                                   detail=f"pushed family has rank {nbar}", stage="pushforward"))
+    report.add(record_from_samples("reduced-isotropy", iso_pairs, tol, stage="pushforward"))
+
+    fiber_pairs = []
+    for m2, qdiff, at in fibers:
+        if at is None:
+            fiber_pairs.append((1.0 + qdiff, m2))
+            continue
+        scale = 1.0 + float(np.abs(sections[at]).max(initial=0.0))
+        fiber_pairs.append((float(np.abs(sections[at] - sections[at + 1]).max(initial=0.0)) / scale, m2))
+    report.add(record_from_samples("fiber-consistency", fiber_pairs, tol, stage="pushforward"))
+
+    if check_closedness:
+        lifts = np.array([at for _, at in closure])
+        values = sections[lifts[:, None] + np.arange(1 + 4 * nbar)]
+        V, dV = _stencil_jets(values, np.array(deltas))
+        r = V.shape[1]
+        brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
+        residuals = span_residuals(values[:, 0, None], brackets)[1] / (1.0 + _norms(brackets))
+        closure_pairs = zip(residuals.max(axis=1, initial=0.0), [ybar for ybar, _ in closure])
+        report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
+    return report

@@ -1,10 +1,14 @@
 """The batch front end: exit codes, report format, determinism."""
 
 import argparse
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,3 +367,59 @@ def test_readers_return_or_raise_input_error(reader, value):
         _READERS[reader](value)
     except InputError:
         pass
+
+
+# A problem file each command runs to the end on; a malformed numerics value
+# must stop every command with exit 2 before any pipeline runs.
+_COMMAND_FILES = {"check": "e2.json", "invariant-generators": "e2.json", "dirac-reduce": "rotation_reduce.json"}
+_NOT_POSITIVE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.floats(max_value=-1e-300)
+_MALFORMED = {
+    "tol": _NOT_POSITIVE,
+    "ode_step": _NOT_POSITIVE,
+    "quad_step": _NOT_POSITIVE,
+    "samples": st.integers(max_value=-1),
+}
+
+
+def _main_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(sorted(_COMMAND_FILES)),
+       case=st.sampled_from(sorted(_MALFORMED)).flatmap(lambda key: st.tuples(st.just(key), _MALFORMED[key])),
+       via_flag=st.booleans())
+def test_malformed_numerics_exit_2_with_a_verdict(command, case, via_flag):
+    key, value = case
+    data = problem_data(_COMMAND_FILES[command])
+    flags = []
+    if via_flag:
+        flags = [f"--{key.replace('_', '-')}={value!r}"]
+    else:
+        data.setdefault("numerics", {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as f:
+            f.write(json.dumps(data))
+        code, out, err = _main_in_process([command, path, *flags])
+    assert code == 2
+    recs = records(out)
+    assert [r["record"] for r in recs] == ["verdict"]
+    assert recs[0]["exit_code"] == 2 and recs[0]["message"].startswith(f"numerics.{key}:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "dirac-reduce"])
+@pytest.mark.parametrize("constants", [[[[float("nan")]]], [[[float("inf")]]], [[1.0, 2.0]], [[["x"]]], 3])
+def test_malformed_structure_constants_exit_2(tmp_path, command, constants):
+    def edit(data):
+        data["action"]["structure_constants"] = constants
+
+    code, out, err = _main_in_process([command, edited(tmp_path, "rotation_reduce.json", edit)])
+    assert code == 2
+    verdict = records(out)[-1]
+    assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
+    assert verdict["message"].startswith("action.structure_constants:")

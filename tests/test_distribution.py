@@ -10,10 +10,7 @@ from diracgen.distribution import (
     TangentDistribution,
     annihilator_basis,
     check_bracket_hypothesis,
-    contains,
-    membership_residual,
     pointwise_orthogonal_basis,
-    rank_at,
     span_residuals,
     svd_rank,
 )
@@ -21,6 +18,7 @@ from diracgen.errors import InputError
 from diracgen.symexpr import parse
 
 from conftest import make_chart, random_points
+from pointwise import contains, membership_residual, rank_at
 
 
 def section(chart, vec, form):

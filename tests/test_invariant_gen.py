@@ -316,9 +316,11 @@ class TestRun:
             run(p)
         assert exc.value.stage == "Step 1"
 
-    def test_empty_sample_list_passes_vacuously(self, chart3):
-        result = run(e2_problem(chart3), samples=[])
-        assert result.report.passed and len(result.report) == 4
+    def test_empty_sample_list_is_input_error(self, chart3):
+        # a check on no sample certifies nothing
+        with pytest.raises(InputError):
+            run(e2_problem(chart3), samples=[])
+        result = run(e2_problem(chart3), samples=[[0.1, 0.2, 0.3]])
         assert len(result.frames([])) == 0
 
     def test_k0_returns_generators(self):
@@ -608,7 +610,8 @@ class TestRunEvaluatesEachPointOnce:
 
     @pytest.mark.parametrize("name", ["e1", "e2", "k2"])
     def test_report_matches_the_pointwise_construction(self, chart3, rng, name):
-        from diracgen.distribution import GeneralizedDistribution, membership_residual, span_residual
+        from diracgen.distribution import GeneralizedDistribution
+        from pointwise import membership_residual, span_residual
         from diracgen.report import record_from_samples
 
         p = self.problem(chart3, name)
@@ -707,3 +710,11 @@ class TestLockstepLines:
         for line, ref in zip(lines, alone):
             assert len(line[0]) == line[2] + 1
             assert all(np.array_equal(a, b) for a, b in zip(line[0], ref[0]))
+
+
+@pytest.mark.parametrize("key", ["ode_step", "quad_step", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+def test_numerics_must_be_finite_and_positive(chart3, key, value):
+    g = section(chart3, ("0", "0", "1"), ("0", "0", "0"))
+    with pytest.raises(InputError, match=key):
+        FoliatedProblem(chart=chart3, generators=(g,), **{key: value})
