@@ -216,7 +216,8 @@ class QuotientMap:
         values = CompiledExprs([d for row in self._jacobian_exprs for d in row]
                                + [c for xi in action.generators for c in xi.coeffs])(samples)
         J, X = stacked(values[: nbar * n], n), stacked(values[nbar * n :], n)
-        JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf image fails the record
+            JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
         # a NaN image is passed over, as a running max() does
         vertical = np.fmax.reduce(np.abs(JX).max(axis=2, initial=0.0), axis=1, initial=0.0)
         return Report([
@@ -606,7 +607,7 @@ def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
     abar, residual = span_residuals(np.swapaxes(J, 1, 2)[:, None], gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is passed over, as max() does
         worst = np.fmax.reduce(residual / (1.0 + _norms(gamma)), axis=1, initial=0.0)
-    return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar, 1, 2)), worst
+        return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar, 1, 2)), worst
 
 
 def push_frame(q: QuotientMap, frame, m, tol: float):
@@ -714,8 +715,8 @@ def pushforward_check(
 
     # abar_j . Xbar_i at each sample, one dot product each: P[:, j, i]
     A, V = np.swapaxes(abar[:N], 1, 2), np.swapaxes(Xbar[:N], 1, 2)
-    P = (A[:, :, None, None, :] @ V[:, None, :, :, None])[..., 0, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN is passed over, as max() does
+        P = (A[:, :, None, None, :] @ V[:, None, :, :, None])[..., 0, 0]
         iso = np.fmax.reduce(np.abs(np.swapaxes(P, 1, 2) + P).reshape(N, -1), axis=1, initial=0.0)
     fiber = 1.0 + qdiff
     at = N + 2 * np.arange(on.sum())  # each on-fiber sample's section; its partner's follows

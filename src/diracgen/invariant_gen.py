@@ -21,7 +21,9 @@ The pipeline is numeric-by-evaluation on top of exact symbolic brackets:
    Simpson integrals of H^T beta_l along coordinate lines.
 
 Steps 1, 2 and 4 work on whole coordinate lines and batches of points,
-with values bit-identical to evaluating one point at a time.
+with values bit-identical to evaluating one point at a time.  In Step 2,
+Step 1 runs once per distinct RK4 node, each step applies its propagator
+Phi = RK4(B, I, h), and a point within rounding of a grid node reads it.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -367,9 +369,15 @@ class _Solver:
             return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def _B_on_line(self, nodes: np.ndarray, j: int) -> np.ndarray:
-        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r)."""
-        r = self.p.r
-        return self._step1(nodes)[0][:, j].reshape(-1, 3, r, r)
+        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r).  Step 1
+        runs once per distinct node (==), at its first occurrence in order."""
+        order = np.lexsort(nodes.T)  # stable: each run of equal rows starts at its first
+        new = np.r_[True, (np.diff(nodes[order], axis=0) != 0.0).any(axis=1)]  # finite: x - y == 0 iff x == y
+        first = np.empty(len(nodes), dtype=int)
+        first[order] = order[new][np.cumsum(new) - 1]
+        solved = first == np.arange(len(nodes))
+        B = self._step1(nodes[solved])[0][:, j]
+        return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, self.p.r, self.p.r)
 
     def _breakdown(self, point):
         return NumericalBreakdownError(
@@ -378,89 +386,106 @@ class _Solver:
             stage="Step 2",
         )
 
-    def _extend(self, j: int, lines: list, h: float):
+    def _extend(self, j: int, lines: list, h, tails=()) -> np.ndarray:
         """Grow each grid Ws of lines (Ws, point, target), which holds W at
-        i*h on the x^j line through point, to index target.  Step 1 runs at
-        the new RK4 nodes of all lines in one stacked call.  The lines step
-        in lockstep on one array, longest first, so the lines still growing
-        are its leading rows."""
-        lines = [line for line in lines if line[2] >= len(line[0])]
-        if not lines:
-            return
-        counts = [target - len(Ws) + 1 for Ws, _, target in lines]
-        nodes = []
-        for (Ws, point, _), count in zip(lines, counts):
-            x0 = np.arange(len(Ws) - 1, len(Ws) - 1 + count) * h
-            nodes.append(_line_points(point, j, np.stack([x0, x0 + 0.5 * h, x0 + h], axis=1).ravel()))
+        i*h on the x^j line through point (h one step, or one per line), to
+        index target; return the propagator of each tail (line, n, dx), the
+        step of length dx from node n of that line.  Every step is W <- Phi W
+        with Phi = _rk4(B, I, dx) from its own nodes, all formed in one batch;
+        the lines step in lockstep, longest first (the lines still growing
+        lead), and finiteness is checked once: non-finite stays non-finite."""
+        r, L = self.p.r, len(lines)
+        h = np.broadcast_to(np.asarray(h, dtype=float), L)
+        counts = np.array([max(target - len(Ws) + 1, 0) for Ws, _, target in lines], dtype=int)
+        starts = np.cumsum([0, *counts])
+        grid = np.repeat(np.arange(L), counts)  # the line of each new grid step
+        tails = np.reshape(tails, (-1, 3))
+        line = np.concatenate([grid, tails[:, 0].astype(int)])
+        if not len(line):
+            return np.empty((0, r, r))
+        n = np.concatenate([np.array([len(Ws) - 1 for Ws, _, _ in lines])[grid] + np.arange(len(grid)) - starts[grid],
+                            tails[:, 1]])
+        dx = np.concatenate([h[grid], tails[:, 2]])
+        x0 = n * h[line]
+        nodes = np.repeat(np.stack([point for _, point, _ in lines])[line][:, None], 3, axis=1)
+        nodes[:, :, j] = np.stack([x0, x0 + 0.5 * dx, x0 + dx], axis=1)
+        eye = np.repeat(np.eye(r)[None], len(line), axis=0)
         try:
-            B = self._B_on_line(np.concatenate(nodes), j)
+            Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), j), eye, dx[:, None, None])
         except _POINT_ERRORS:
-            if len(lines) > 1:
+            if L > 1 or not len(grid):
                 raise  # the caller redoes its points one at a time
-            B = None  # redone step by step below, where the per-point order raises
-        starts = np.cumsum([0] + counts)
-        order = sorted(range(len(lines)), key=lambda a: -counts[a])
-        # growing[s]: how many lines take step s (the leading ones in order)
-        growing = np.searchsorted(-np.array(sorted(counts, reverse=True)), -np.arange(max(counts)))
-        first = starts[order]  # row in B (and in grown) of each line's first step
-        grown = np.empty((starts[-1], self.p.r, self.p.r))
-        W = np.stack([lines[a][0][-1] for a in order])
-        for s, live in enumerate(growing):
-            rows = first[:live] + s
-            Bs = self._B_on_line(nodes[0][3 * s : 3 * s + 3], j) if B is None else B[rows]
-            W = self._rk4(Bs, W[:live], h)
-            finite = np.isfinite(W).all(axis=(1, 2))
-            if not finite.all():
-                raise self._breakdown(lines[min(order[a] for a in np.flatnonzero(~finite))][1])
-            grown[rows] = W
+            Phi = None  # redone step by step below, where the per-point order raises
+        if not len(grid):
+            return Phi
+        by_length = np.argsort(-counts, kind="stable")
+        # growing[s]: how many lines take step s (the leading ones in by_length)
+        growing = np.searchsorted(-counts[by_length], -np.arange(counts.max(initial=0)))
+        first = starts[by_length]  # row in Phi (and in grown) of each line's first step
+        grown = np.empty((starts[-1], r, r))
+        W = np.stack([Ws[-1] for Ws, _, _ in lines])[by_length]
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            for s, live in enumerate(growing):
+                rows = first[:live] + s
+                if Phi is None:
+                    W = self._rk4(self._B_on_line(nodes[s], j), eye[:1], h[0]) @ W
+                    if not np.isfinite(W).all():
+                        raise self._breakdown(lines[0][1])
+                else:
+                    W = Phi[rows] @ W[:live]
+                grown[rows] = W
+        broken = np.flatnonzero(~np.isfinite(grown).all(axis=(1, 2)))
+        if broken.size:  # the first line, in input order, to break at the earliest step
+            at = grid[broken]
+            raise self._breakdown(lines[at[np.lexsort((at, broken - starts[at]))[0]]][1])
         for (Ws, _, _), start, count in zip(lines, starts, counts):
             # a copy: a line dropped from the cache frees its own steps
             Ws.extend(grown[start : start + count].copy())
+        if Phi is None:  # the grid stepped: the failing node is a tail's
+            tail = slice(len(grid), None)
+            return self._rk4(self._B_on_line(nodes[tail].reshape(-1, nodes.shape[-1]), j), eye[tail], dx[tail, None, None])
+        return Phi[len(grid) :]
 
     def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
-        """W_j at each point (N x n).  The grids of all lines through the
-        points grow in one batch per direction, then the last partial step
-        of every point runs in one more."""
-        p = self.p
-        r = p.r
+        """W_j at each point (N x n).  One _extend call grows the grids of all
+        lines through the points and forms the propagator of each point's
+        last partial step.  A point within rounding of a grid node reads the
+        grid there rather than take a full-length partial step."""
+        r, step = self.p.r, self.p.ode_step
         out = np.empty((len(points), r, r))
         out[:] = np.eye(r)
         if self.constant_tilde:
             return out
-        rows = points.tolist()
-        xs = points[:, j].tolist()
-        live = [i for i, x in enumerate(xs) if x != 0.0]
-        n_full = {i: int(abs(xs[i]) // p.ode_step) for i in live}
-        grids, lines = {}, {}
-        for i in live:
-            row = rows[i]
-            key = (j, tuple(row[:j] + row[j + 1 :]), xs[i] > 0.0)
-            if key not in lines:  # looked up once: a big batch may evict it from the cache
-                lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), points[i], 0]
-            line = lines[key]
-            line[2] = max(line[2], n_full[i])
-            grids[i] = line[0]
-        for positive in (True, False):
-            h = math.copysign(p.ode_step, 1.0 if positive else -1.0)
-            self._extend(j, [line for key, line in lines.items() if key[2] == positive], h)
-        for i in live:
-            out[i] = grids[i][n_full[i]]
-        steps = {}  # point -> (start, length) of its last partial step
-        for i in live:
-            h = math.copysign(p.ode_step, xs[i])
-            rem = xs[i] - n_full[i] * h
-            if abs(rem) > 1e-15 * max(1.0, abs(xs[i])):
-                steps[i] = (n_full[i] * h, rem)
-        if steps:
-            todo = list(steps)
-            nodes = np.repeat(points[todo], 3, axis=0)
-            nodes[:, j] = [x for x0, dx in steps.values() for x in (x0, x0 + 0.5 * dx, x0 + dx)]
-            B = self._B_on_line(nodes, j)
-            last = self._rk4(B, out[todo], np.array([dx for _, dx in steps.values()])[:, None, None])
-            for i, W in zip(todo, last):
-                if not np.all(np.isfinite(W)):
-                    raise self._breakdown(points[i])
-            out[todo] = last
+        lines, tails, reads = {}, [], []  # key -> [Ws, point, target]; (key, n, dx, point); per live point
+        for i, row in enumerate(points.tolist()):
+            x = row[j]
+            if x == 0.0:
+                continue
+            count, rounding = int(abs(x) // step), 1e-15 * max(1.0, abs(x))
+            count += abs((count + 1) * step - abs(x)) <= rounding  # one rounding below a grid node: read it
+            dx = x - math.copysign(count * step, x)
+            key = (j, tuple(row[:j] + row[j + 1 :]), x > 0.0)
+            line = lines.get(key)
+            if line is None:  # looked up once: a big batch may evict it from the cache
+                line = lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), points[i], 0]
+            line[2] = max(line[2], count)
+            reads.append((i, line[0], count))
+            if abs(dx) > rounding:
+                tails.append((key, count, dx, i))
+        index = {key: a for a, key in enumerate(lines)}
+        Phi = self._extend(
+            j, list(lines.values()), [math.copysign(step, 1.0 if key[2] else -1.0) for key in lines],
+            [(index[key], count, dx) for key, count, dx, _ in tails],
+        )
+        out[[i for i, _, _ in reads]] = np.reshape([Ws[count] for _, Ws, count in reads], (-1, r, r))
+        if tails:
+            at = [i for *_, i in tails]
+            with np.errstate(over="ignore", invalid="ignore"):  # judged below
+                last = Phi @ out[at]
+            broken = np.flatnonzero(~np.isfinite(last).all(axis=(1, 2)))
+            if broken.size:
+                raise self._breakdown(points[at[broken[0]]])
+            out[at] = last
         return out
 
     def fundamental_matrix(self, j: int, m) -> np.ndarray:
@@ -511,8 +536,7 @@ class _Solver:
         fundamental matrices will be integrated there."""
         points = np.asarray(points, dtype=float)
         if self.p.k:
-            for m in points:
-                self.p.chart.require_inside(m)
+            self.p.chart.require_inside(points)
         return points
 
     def build_H(self, m) -> np.ndarray:
@@ -632,13 +656,13 @@ class _Solver:
             if n_full == 0 and length <= 1e-15 * max(1.0, length):
                 out[i] *= sign
                 continue
-            p.chart.require_inside(bases[i])
             key = (l, tuple(bases[i, :l]) + tuple(bases[i, l + 1 :]), sign)
             if key not in lines:  # looked up once: a big batch may evict it from the cache
                 lines[key] = [_lru_get(self._panels, key, lambda: _Panels(p.r)), bases[i], sign, 0]
             grow = lines[key]
             grow[3] = max(grow[3], n_full)
             queries.append((i, grow[0], sign, length, n_full))
+        p.chart.require_inside(bases[[q[0] for q in queries]])
         plans, nodes = [], []
         for line, base, sign, n_full in lines.values():
             taus = [] if line.f else [sign * 0.0]

@@ -119,19 +119,23 @@ class Chart:
         except ValueError:
             raise UnknownIdentifierError(name) from None
 
+    def outside(self, points, slack: float = 1e-9) -> np.ndarray:
+        """Mask over points (..., n): outside the box widened by slack * (1 + width)."""
+        lo, hi = np.array(self.box).T
+        pad = slack * (1.0 + (hi - lo))
+        return ~((lo - pad <= points) & (points <= hi + pad)).all(axis=-1)
+
     def contains(self, point, slack: float = 1e-9) -> bool:
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.n,):
-            return False
-        widths = [hi - lo for lo, hi in self.box]
-        return all(
-            lo - slack * (1.0 + w) <= x <= hi + slack * (1.0 + w)
-            for x, (lo, hi), w in zip(point, self.box, widths)
-        )
+        return point.shape == (self.n,) and not self.outside(point, slack)
 
-    def require_inside(self, point):
-        if not self.contains(point):
-            raise OutsideBoxError(f"point {plain(point)} outside chart box {self.box}")
+    def require_inside(self, points):
+        """OutsideBoxError at the first of points (an n-vector or a stack) outside the box."""
+        points = np.asarray(points, dtype=float)
+        stack = points.reshape(-1, self.n) if points.shape[-1:] == (self.n,) else points[None]
+        bad = np.flatnonzero(self.outside(stack) if stack.shape[-1:] == (self.n,) else True)
+        if bad.size:
+            raise OutsideBoxError(f"point {plain(stack[bad[0]])} outside chart box {self.box}")
 
     def checked_samples(self, samples, **default) -> np.ndarray:
         """samples (sample_points(**default) when None) as an (N, n) float

@@ -420,6 +420,18 @@ class TestInvariantAnnihilator:
             invariant_annihilator_generators(action, problem)
 
 
+class TestOverflowIsJudgedQuietly:
+    def test_overflowing_fiber_image_fails_without_a_warning(self):
+        # J @ xi overflows: the record judges the inf, and no RuntimeWarning
+        # escapes (tier-1 turns one into an error)
+        chart = make_chart(2)
+        q = QuotientMap(chart, Chart(coord_names=("y",), leaf_count=0), (parse("1e200*x1 - 1e200*x2", chart),))
+        action = InfinitesimalAction(chart, (VectorField(chart, (parse("1e200", chart), parse("1e200", chart))),))
+        report = q.validate(action, [np.array([0.1, 0.2])])
+        record = {r.check: r for r in report}["quotient-constant-on-fibers"]
+        assert not record.passed and record.worst_residual == np.inf
+
+
 class TestPushforward:
     def test_translation_reduction(self):
         chart, D, action, problem = translation_setup()

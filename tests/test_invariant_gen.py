@@ -1,7 +1,10 @@
 """The four-step straightening pipeline against closed-form oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients
@@ -380,6 +383,8 @@ class PointwiseReference:
             return W
         h = np.copysign(p.ode_step, x)
         n_full = int(abs(x) // p.ode_step)
+        if abs((n_full + 1) * p.ode_step - abs(x)) <= 1e-15 * max(1.0, abs(x)):
+            n_full += 1  # one rounding below a grid node: read the grid there
 
         def rhs(y):
             q = np.array(m, dtype=float)
@@ -394,11 +399,13 @@ class PointwiseReference:
             k4 = rhs(x0 + dx) @ (W + dx * k3)
             return W + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+        # each step applies its propagator: the step taken from the identity
+        I = np.eye(p.r)
         for i in range(n_full):
-            W = step(i * h, h, W)
+            W = step(i * h, h, I) @ W
         rem = x - n_full * h
         if abs(rem) > 1e-15 * max(1.0, abs(x)):
-            W = step(n_full * h, rem, W)
+            W = step(n_full * h, rem, I) @ W
         return W
 
     def H(self, m):
@@ -710,6 +717,107 @@ class TestLockstepLines:
         for line, ref in zip(lines, alone):
             assert len(line[0]) == line[2] + 1
             assert all(np.array_equal(a, b) for a, b in zip(line[0], ref[0]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.75, 0.8, 0.9, 1.0]), st.sampled_from([-0.4, 0.3]),
+                              st.sampled_from([300, 380, 475])), min_size=1, max_size=4, unique=True))
+    def test_the_first_line_to_break_raises(self, shape):
+        from diracgen.errors import NumericalBreakdownError
+
+        solver = self.solver(make_chart(3, k=1))
+        h = solver.p.ode_step
+
+        def breaks_at(point, target):  # the step a line alone breaks at, or None
+            def raises(t):
+                try:
+                    solver._extend(0, [self.line(point, t)], h)
+                except NumericalBreakdownError:
+                    return True
+                return False
+
+            if not raises(target):
+                return None
+            lo, hi = 0, target  # raises(hi), not raises(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if raises(mid) else (mid, hi)
+            return hi
+
+        lines = [self.line([0.0, x2, x3], target) for x2, x3, target in shape]
+        steps = [breaks_at(line[1], line[2]) for line in lines]
+        broken = [(step, a) for a, step in enumerate(steps) if step is not None]
+        if not broken:
+            solver._extend(0, lines, h)
+            return
+        with pytest.raises(NumericalBreakdownError) as exc:
+            solver._extend(0, lines, h)
+        assert exc.value.point == list(lines[min(broken)[1]][1])
+
+
+def problem_with_step(name, h):
+    p = k2_problem() if name == "k2" else e1_problem(make_chart(3, k=1))
+    return dataclasses.replace(p, ode_step=h)
+
+
+class TestStepOneOncePerNode:
+    """_fundamental solves Step 1 once per distinct RK4 node, and a point
+    within rounding of a grid node reads the grid."""
+
+    @staticmethod
+    def recorded(p, j, points):
+        from diracgen.invariant_gen import _Solver
+
+        solver, nodes = _Solver(p), []
+        step1 = solver._step1
+
+        def spy(at, with_A=False):
+            nodes.append(at.copy())
+            return step1(at, with_A)
+
+        solver._step1 = spy
+        W = solver._fundamental(j, np.array(points, dtype=float))
+        # + 0.0 makes -0.0 and 0.0 one key, as == compares them
+        return W, [tuple(row) for row in (np.concatenate(nodes) + 0.0).tolist()] if nodes else []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["e1", "k2"]),
+        h=st.sampled_from([0.02, None]),
+        data=st.data(),
+    )
+    def test_each_node_once_and_every_pointwise_node_among_them(self, name, h, data):
+        p = problem_with_step(name, h)
+        step = p.ode_step
+        j = data.draw(st.integers(0, p.k - 1))
+        leaf = st.one_of(
+            st.floats(-0.9, 0.9),
+            st.integers(-40, 40).map(lambda i: i * step),
+            st.integers(-40, 40).map(lambda i: float(np.nextafter(i * step, 0.0))),
+            st.sampled_from([0.0, -0.0, 0.5, -0.25]),
+        )
+        # few transverse values, so points share lines, start nodes and rows
+        other = st.sampled_from([0.1, -0.3, 0.0])
+        points = data.draw(st.lists(st.tuples(*[leaf if c == j else other for c in range(p.n)]),
+                                    min_size=1, max_size=8))
+        W, nodes = self.recorded(p, j, points)
+        assert len(set(nodes)) == len(nodes)
+        for m, Wm in zip(points, W):
+            alone, used = self.recorded(p, j, [m])
+            assert set(used) <= set(nodes)
+            assert np.array_equal(alone[0], Wm)
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.sampled_from([0.02, None]), i=st.integers(1, 45), sign=st.sampled_from([1.0, -1.0]))
+    def test_a_point_one_ulp_from_a_grid_node_reads_it(self, h, i, sign):
+        from diracgen.invariant_gen import _Solver
+
+        p = problem_with_step("e1", h)
+        node = sign * i * p.ode_step
+        solver = _Solver(p)
+        points = np.array([[x, 0.1, 0.2] for x in (np.nextafter(node, 0.0), np.nextafter(node, 2.0 * node))])
+        W = solver._fundamental(0, points)
+        Ws = solver._lines[(0, (0.1, 0.2), sign > 0)]
+        assert np.array_equal(W[0], Ws[i]) and np.array_equal(W[1], Ws[i])
 
 
 @pytest.mark.parametrize("key", ["ode_step", "quad_step", "tol"])

@@ -311,6 +311,44 @@ class TestChart:
         with pytest.raises(OutsideBoxError):
             chart.require_inside(np.array([2.0, 0.0]))
 
+    def test_require_inside_raises_at_the_first_outside_point_of_a_stack(self):
+        chart = make_chart(2)
+        points = np.array([[0.5, 0.0], [0.0, 1.5], [2.0, 0.0]])
+        with pytest.raises(OutsideBoxError) as stacked:
+            chart.require_inside(points)
+        with pytest.raises(OutsideBoxError) as one:
+            chart.require_inside(points[1])
+        assert str(stacked.value) == str(one.value)
+        chart.require_inside(points[:1])
+        chart.require_inside(points[:0])
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_outside_mask_at_each_slack_bound(self, data):
+        # the mask against the comparisons spelled out one coordinate at a
+        # time, on points at each widened bound and one ulp to either side
+        n = data.draw(st.integers(1, 4))
+        box = [(lo, lo + w) for lo, w in data.draw(st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0)), min_size=n, max_size=n))]
+        chart = make_chart(n, box=box)
+        slack = data.draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+        edges = []
+        for lo, hi in chart.box:
+            w = hi - lo
+            bounds = [lo - slack * (1.0 + w), hi + slack * (1.0 + w)]
+            edges.append([0.5 * (lo + hi), math.nan] + [np.nextafter(b, d) for b in bounds for d in (-np.inf, np.inf)]
+                         + bounds)
+        points = np.array(data.draw(st.lists(
+            st.tuples(*[st.sampled_from(e) for e in edges]), min_size=1, max_size=12)))
+
+        def contained(m):
+            return all(lo - slack * (1.0 + (hi - lo)) <= x <= hi + slack * (1.0 + (hi - lo))
+                       for x, (lo, hi) in zip(m, chart.box))
+
+        mask = chart.outside(points, slack)
+        assert mask.tolist() == [not contained(m) for m in points]
+        assert [not chart.contains(m, slack) for m in points] == mask.tolist()
+
     def test_sample_points_deterministic(self):
         chart = make_chart(3, k=1)
         a = chart.sample_points(seed=7)
