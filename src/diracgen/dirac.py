@@ -12,7 +12,8 @@ checked properties at the sample set to the stated tolerance.
 
 Each check reads its values from one compiled batch, its ranks from one
 stacked SVD and its residuals from one stacked least squares, bit-identical
-to one point at a time; only the lift runs one target point at a time.
+to one point at a time; the lift runs all closure targets of a check in one
+stacked Gauss–Newton, each target ending where lifting it alone ends.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .distribution import (
 )
 from .errors import EvalDomainError, InputError, VerificationError
 from .invariant_gen import (
-    _POINT_ERRORS,
     FoliatedProblem,
     InvariantFrameResult,
     _difference,
@@ -218,8 +218,7 @@ class QuotientMap:
         J, X = stacked(values[: nbar * n], n), stacked(values[nbar * n :], n)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf image fails the record
             JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
-        # a NaN image is passed over, as a running max() does
-        vertical = np.fmax.reduce(np.abs(JX).max(axis=2, initial=0.0), axis=1, initial=0.0)
+        vertical = np.abs(JX).max(axis=(1, 2), initial=0.0)  # a NaN image fails the record too
         return Report([
             record_from_samples("quotient-submersion-rank", zip(np.where(svd_rank(J) == nbar, 0.0, 1.0), samples),
                                 0.0, stage="validity"),
@@ -488,18 +487,18 @@ def descending_generators(
     a, b, c = 2 * n, 2 * n + len(d_comps), 2 * n + len(d_comps) + len(x_comps)
     G, X = stacked(np.concatenate([values[:a], values[c:]]), 2 * n), stacked(values[b:c], n)
     rows = stacked(values[a:b], 2 * n)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN defect is passed over, as max() does
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails its record
         # each member in D's span and its form against each action generator,
         # then each basis vector of the intersection in the family's span
         scale = 1.0 + _norms(G)
         inside = span_residuals(np.swapaxes(rows, 1, 2)[:, None], G)[1] / scale
         paired = np.abs((G[:, :, None, None, n:] @ X[:, None, :, :, None])[..., 0, 0]) / scale[..., None]
-        member = np.fmax.reduce(np.concatenate([inside, paired.reshape(len(G), -1)], axis=1), axis=1, initial=0.0)
+        member = np.concatenate([inside, paired.reshape(len(G), -1)], axis=1).max(axis=1, initial=0.0)
         dims, basis = _intersections(_as_columns(rows), X)
         W = np.swapaxes(basis, 1, 2)
         spans = span_residuals(np.swapaxes(G, 1, 2)[:, None], W)[1] / (1.0 + _norms(W))
         spans[np.arange(n) >= dims[:, None]] = 0.0  # the zero columns past the dimension
-        span = np.fmax(np.where(dims == r, 0.0, 1.0), np.fmax.reduce(spans, axis=1, initial=0.0))
+        span = np.maximum(np.where(dims == r, 0.0, 1.0), spans.max(axis=1, initial=0.0))
 
     result = run(problem, samples=samples, tol=tol)
     result.report.add(record_from_samples(
@@ -551,52 +550,76 @@ LIFT_MAX_HALVINGS = 30
 LIFT_TOL = 1e-8
 
 
-def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
-    """Minimum-norm least-squares step for J step = -r that leaves fixed the
-    coordinates sitting at a bound of the box and pointing out of it,
-    re-solved over the free coordinates until none points out."""
-    step = np.linalg.lstsq(J, -r, rcond=None)[0]
+def _projected_steps(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
+    """Minimum-norm least-squares steps J[t] step = -r[t], bit-identical to
+    np.linalg.lstsq, each re-solved over its free coordinates while one at a
+    bound of the box points out of it (which then stays fixed)."""
+    step = span_residuals(J, -r)[0]
     free = np.ones(x.shape, dtype=bool)
     while True:
         out = free & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
         if not out.any():
             return step
         free &= ~out
-        step = np.zeros_like(x)
-        if free.any():
-            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+        for t in np.flatnonzero(out.any(axis=1)):  # rare: one re-solve per target
+            step[t] = 0.0
+            if free[t].any():
+                step[t, free[t]] = span_residuals(J[t][:, free[t]], -r[t])[0]
 
 
-def least_squares(q: QuotientMap, ybar, x0) -> tuple[np.ndarray, float]:
-    """Box-constrained Gauss–Newton solve of q(x) = ybar from x0, with the
-    exact Jacobian of q.  Each step is the minimum-norm least-squares step
-    over the coordinates not held at a bound (_projected_step), clipped to
-    the source box and halved until the residual norm falls.  Stops when no
-    halving lowers it, when it is 0, or after LIFT_MAX_ITER steps; returns
-    the last point reached and its residual norm |q(x) - ybar|.  One target
-    at a time: at one point Expr.eval beats a compiled batch."""
+def least_squares(q: QuotientMap, ybar, x0, values=None):
+    """Box-constrained Gauss–Newton solve of q(x) = ybar from x0 with the
+    exact Jacobian of q, for one target (nbar,) or a stack (T, nbar) in
+    lockstep.  Each step (_projected_steps) is clipped to the source box and
+    halved until the residual norm falls; each target stops where solving
+    it alone stops: when no halving lowers it, when it is 0, or after
+    LIFT_MAX_ITER steps.  q and its Jacobian come from one compiled batch per
+    halving; ``values`` are those at x0, when the caller has them.  Returns
+    the points reached and their residual norms |q(x) - ybar|; a target whose
+    lift meets a point where q or its Jacobian fails stops there with
+    residual NaN (a single target raises that error)."""
+    n, nbar = q.source.n, q.target.n
     lo, hi = np.array(q.source.box).T
-    ybar = np.asarray(ybar, dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r = q(x) - ybar
-    norm = np.linalg.norm(r)
+    Y = np.asarray(ybar, dtype=float).reshape(-1, nbar)
+
+    def evaluate(points):  # q, then its Jacobian: NaN where either cannot be evaluated
+        values, bad = q._compiled.evaluate(points)
+        return values if bad is None else np.where(bad, np.nan, values)
+
+    start = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    if values is None or not np.array_equal(start, x0):
+        values = evaluate(start[None])[:, 0]
+    x, r = np.repeat(start[None], len(Y), axis=0), values[:nbar] - Y
+    J = np.repeat(stacked(values[nbar:, None], n), len(Y), axis=0)
+    norm = _norms(r)
+    live = norm > 0.0  # neither 0 nor NaN
     for _ in range(LIFT_MAX_ITER):
-        if norm == 0.0:
+        norm[live & np.isnan(J).any(axis=(1, 2))] = np.nan  # the Jacobian at x fails
+        live &= norm > 0.0
+        at = np.flatnonzero(live)
+        if not at.size:
             break
-        step = _projected_step(q.jacobian(x), r, x, lo, hi)
+        base, step = x[at], _projected_steps(J[at], r[at], x[at], lo, hi)
         for _ in range(LIFT_MAX_HALVINGS):
-            trial = np.clip(x + step, lo, hi)
-            if np.array_equal(trial, x):  # a shorter step cannot move either
-                return x, norm
-            r_trial = q(trial) - ybar
-            norm_trial = np.linalg.norm(r_trial)
-            if norm_trial < norm:
+            trial = np.clip(base + step, lo, hi)
+            moved = ~(trial == base).all(axis=1)
+            live[at[~moved]] = False  # a shorter step cannot move either
+            at, base, step, trial = at[moved], base[moved], step[moved], trial[moved]
+            if not at.size:
                 break
-            step = 0.5 * step
-        else:
-            return x, norm
-        x, r, norm = trial, r_trial, norm_trial
-    return x, norm
+            values = evaluate(trial)
+            r_trial = values[:nbar].T - Y[at]
+            norm_trial = _norms(r_trial)
+            done = np.isnan(norm_trial) | (norm_trial < norm[at])  # q failed there, or the residual fell
+            x[at[done]], r[at[done]], norm[at[done]] = trial[done], r_trial[done], norm_trial[done]
+            J[at[done]] = stacked(values[nbar:], n)[done]
+            at, base, step = at[~done], base[~done], 0.5 * step[~done]
+        live[at] = False  # no halving lowered the residual
+    if np.ndim(ybar) > 1:
+        return x, norm
+    if np.isnan(norm[0]):
+        q._compiled(x[:1])  # raises what evaluating q or its Jacobian raises there
+    return x[0], norm[0]
 
 
 def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
@@ -605,8 +628,8 @@ def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
     n = q.source.n
     gamma = np.swapaxes(F[:, n:], 1, 2)  # (N, r, n): the form of each column
     abar, residual = span_residuals(np.swapaxes(J, 1, 2)[:, None], gamma)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is passed over, as max() does
-        worst = np.fmax.reduce(residual / (1.0 + _norms(gamma)), axis=1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails the record
+        worst = (residual / (1.0 + _norms(gamma))).max(axis=1, initial=0.0)
         return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar, 1, 2)), worst
 
 
@@ -640,7 +663,8 @@ def pushforward_check(
     Every frame value the checks need (samples, fiber pairs, lifted closure
     targets and their stencils) is evaluated in one batch when frame is an
     InvariantFrameResult, else point by point; q and its Jacobian in one
-    compiled batch before the lifts and one after."""
+    compiled batch before the lifts, one per halving of the stacked lift
+    and one after."""
     if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
         frames = frame.frames
     else:
@@ -686,20 +710,19 @@ def pushforward_check(
         gathered = gathered[: p + 1 if block == 0 else before[fiber + (block - 1) % 3 // 2]]
 
     # closure: each target, then its stencil points, lifted from the first sample
-    lifted = []
+    lifted = np.empty((0, n))
     if targets and error is None:
         stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]
         deltas = np.array([delta for _, delta in stencils])
-        try:
-            for y in np.concatenate([qv[:targets, None], *(s for s, _ in stencils)], axis=1).reshape(-1, nbar):
-                x, residual = least_squares(q, y, samples[0])
-                if residual > LIFT_TOL:
-                    raise VerificationError(f"could not lift target point {plain(y)} through the "
-                                            f"quotient map (residual {residual:.3e})")
-                lifted.append(x)
-        except _POINT_ERRORS as exc:
-            error = exc
-    lifted = np.reshape(lifted, (-1, n))
+        ys = np.concatenate([qv[:targets, None], *(s for s, _ in stencils)], axis=1).reshape(-1, nbar)
+        lifted, residual = least_squares(q, ys, samples[0], values[:, 0])
+        for t in np.flatnonzero(~(residual <= LIFT_TOL))[:1]:  # the first target whose lift fails
+            if np.isnan(residual[t]):  # it met a point where q or its Jacobian cannot be evaluated
+                error = q._compiled.first_error(q._compiled.evaluate(lifted[t : t + 1])[1], lifted[t : t + 1])[2]
+            else:
+                error = VerificationError(f"could not lift target point {plain(ys[t])} through the "
+                                          f"quotient map (residual {residual[t]:.3e})")
+            lifted = lifted[:t]
     lifted_values, bad = q._compiled.evaluate(lifted)
     jacobian_error = q._compiled.first_error(bad, lifted, [(JAC, range(len(lifted)))])
     if jacobian_error is not None:  # met before any later lift
@@ -715,9 +738,9 @@ def pushforward_check(
 
     # abar_j . Xbar_i at each sample, one dot product each: P[:, j, i]
     A, V = np.swapaxes(abar[:N], 1, 2), np.swapaxes(Xbar[:N], 1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is passed over, as max() does
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the record
         P = (A[:, :, None, None, :] @ V[:, None, :, :, None])[..., 0, 0]
-        iso = np.fmax.reduce(np.abs(np.swapaxes(P, 1, 2) + P).reshape(N, -1), axis=1, initial=0.0)
+        iso = np.abs(np.swapaxes(P, 1, 2) + P).max(axis=(1, 2), initial=0.0)
     fiber = 1.0 + qdiff
     at = N + 2 * np.arange(on.sum())  # each on-fiber sample's section; its partner's follows
     scale = 1.0 + np.abs(sections[at]).max(axis=(1, 2), initial=0.0)

@@ -742,17 +742,10 @@ class _Solver:
         """Values of the extra section (X, alpha) at each point (N, 2n)."""
         return self._extra_exprs(points).T
 
-    def _combined(self, points: np.ndarray) -> np.ndarray:
-        E = self.extra_values(points)
-        return E + self._corrections(points)
-
-    def combined_values(self, points) -> np.ndarray:
-        """Values of (X + Z, alpha + gamma) at each point (N, 2n)."""
-        return _batch(np.reshape(points, (-1, self.p.n)), self._combined, self.combined)
-
     def combined(self, m) -> np.ndarray:
         """Value of (X + Z, alpha + gamma) at m."""
-        return self._combined(np.asarray([m], dtype=float))[0]
+        point = np.asarray([m], dtype=float)
+        return (self.extra_values(point) + self._corrections(point))[0]
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,12 +1,13 @@
 """Shared helpers: random expression and section corpora for the
-bracket-identity suites."""
+bracket-identity suites, and the quotient maps of the lift tests."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
-from diracgen.symexpr import Chart, Const, Var, cos, exp, sin
+from diracgen.dirac import QuotientMap
+from diracgen.symexpr import Chart, Const, Var, cos, exp, parse, sin
 
 
 # CI selects this profile (pytest --hypothesis-profile=ci): every property
@@ -66,6 +67,31 @@ def random_points(rng, chart: Chart, count: int) -> list:
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     return [lo + (hi - lo) * rng.random(chart.n) for _ in range(count)]
+
+
+def cubic_quotient(a, b, box2):
+    chart = Chart(coord_names=("x1", "x2"), leaf_count=1, box=((-1.0, 1.0), box2))
+    target = Chart(coord_names=("y",), leaf_count=0)
+    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x2^3", chart),))
+
+
+def linear_quotient(A, box2, box3):
+    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
+    target = Chart(coord_names=("y1", "y2"), leaf_count=0)
+    rows = tuple(parse(f"{row[0]!r}*x2 + {row[1]!r}*x3", chart) for row in A)
+    return QuotientMap(chart, target, rows)
+
+
+def wide_quotient(a, b, box2, box3):
+    """One target coordinate from two transverse ones: a Jacobian wider than
+    the target, so the minimum-norm step splits between x2 and x3."""
+    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
+    target = Chart(coord_names=("y",), leaf_count=0)
+    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x3", chart),))
+
+
+def box_point(chart, fractions):
+    return np.array([lo + t * (hi - lo) for (lo, hi), t in zip(chart.box, fractions)])
 
 
 @pytest.fixture

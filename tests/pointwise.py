@@ -3,14 +3,15 @@
 Each function here computes one sample at a time, as the library did before
 its checks were stacked: values by ``Expr.eval``, ranks by one
 ``np.linalg.svd`` per matrix, memberships by one ``np.linalg.lstsq`` per
-vector, and a running ``max()`` over the samples.  The tests compare the
+vector, a running maximum over the samples that keeps a NaN, and one
+Gauss–Newton lift per target.  The tests compare the
 library's stacked records, ranks and errors with these, bit for bit.
 """
 
 import numpy as np
 
 from diracgen.calculus import pairing, skew_bracket
-from diracgen.dirac import _pair_brackets, _stencil_jets, least_squares
+from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _pair_brackets, _stencil_jets
 from diracgen.distribution import GeneralizedDistribution, _norms, span_residuals
 from diracgen.errors import InputError, VerificationError
 from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _stencil
@@ -58,12 +59,55 @@ def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
     return membership_residual(delta, m, v) <= tol * (1.0 + np.linalg.norm(v))
 
 
+def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
+    """Minimum-norm least-squares step for J step = -r that leaves fixed the
+    coordinates sitting at a bound of the box and pointing out of it,
+    re-solved over the free coordinates until none points out."""
+    step = np.linalg.lstsq(J, -r, rcond=None)[0]
+    free = np.ones(x.shape, dtype=bool)
+    while True:
+        out = free & (((x <= lo) & (step < 0)) | ((x >= hi) & (step > 0)))
+        if not out.any():
+            return step
+        free &= ~out
+        step = np.zeros_like(x)
+        if free.any():
+            step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+
+
+def least_squares(q, ybar, x0) -> tuple[np.ndarray, float]:
+    """dirac.least_squares for one target: Gauss–Newton on Expr.eval values,
+    each step clipped to the box and halved until the residual norm falls."""
+    lo, hi = np.array(q.source.box).T
+    ybar = np.asarray(ybar, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = q(x) - ybar
+    norm = np.linalg.norm(r)
+    for _ in range(LIFT_MAX_ITER):
+        if norm == 0.0:
+            break
+        step = _projected_step(q.jacobian(x), r, x, lo, hi)
+        for _ in range(LIFT_MAX_HALVINGS):
+            trial = np.clip(x + step, lo, hi)
+            if np.array_equal(trial, x):  # a shorter step cannot move either
+                return x, norm
+            r_trial = q(trial) - ybar
+            norm_trial = np.linalg.norm(r_trial)
+            if norm_trial < norm:
+                break
+            step = 0.5 * step
+        else:
+            return x, norm
+        x, r, norm = trial, r_trial, norm_trial
+    return x, norm
+
+
 def lift(q, reference, ybar) -> np.ndarray:
     """The lift of ybar through q from reference, or VerificationError."""
     ybar = np.asarray(ybar, dtype=float)
     x, _ = least_squares(q, ybar, np.asarray(reference, dtype=float))
     residual = np.linalg.norm(q(x) - ybar)
-    if residual > 1e-8:
+    if residual > LIFT_TOL:
         raise VerificationError(
             f"could not lift target point {plain(ybar)} through the quotient map "
             f"(residual {residual:.3e})"
@@ -109,7 +153,7 @@ def quotient_validate(q, action, samples, tol: float = 1e-7) -> Report:
         rank_pairs.append((0.0 if rank(J) == q.target.n else 1.0, m))
         worst = 0.0
         for xi in action.generators:
-            worst = max(worst, float(np.abs(J @ xi(m)).max(initial=0.0)))
+            worst = float(np.maximum(worst, np.abs(J @ xi(m)).max(initial=0.0)))
         vert_pairs.append((worst, m))
     report.add(record_from_samples("quotient-submersion-rank", rank_pairs, 0.0, stage="validity"))
     report.add(record_from_samples("quotient-constant-on-fibers", vert_pairs, tol, stage="validity"))
@@ -188,15 +232,15 @@ def supplied_family(D, action, problem, samples, tol) -> Report:
         worst = 0.0
         for g in problem.generators:
             v = g(m)
-            worst = max(worst, membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v)))
+            worst = float(np.maximum(worst, membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v))))
             form = v[n:]
             for xi in action.generators:
-                worst = max(worst, abs(float(form @ xi(m))) / (1.0 + np.linalg.norm(v)))
+                worst = float(np.maximum(worst, abs(float(form @ xi(m))) / (1.0 + np.linalg.norm(v))))
         member_pairs.append((worst, m))
         basis, r = intersect_D_Kperp(D, action, m)
         worst_span = 0.0 if r == len(problem.generators) else 1.0
         for w in basis:
-            worst_span = max(worst_span, membership_residual(supplied, m, w) / (1.0 + np.linalg.norm(w)))
+            worst_span = float(np.maximum(worst_span, membership_residual(supplied, m, w) / (1.0 + np.linalg.norm(w))))
         span_pairs.append((worst_span, m))
     return Report([
         record_from_samples("supplied-family-in-intersection", member_pairs, tol, stage="rank scan"),
@@ -238,7 +282,7 @@ def push(q, F, J):
     for i in range(F.shape[1]):
         gamma = F[n:, i]
         sol, *_ = np.linalg.lstsq(J.T, gamma, rcond=None)
-        worst = max(worst, float(np.linalg.norm(J.T @ sol - gamma)) / (1.0 + np.linalg.norm(gamma)))
+        worst = float(np.maximum(worst, np.linalg.norm(J.T @ sol - gamma) / (1.0 + np.linalg.norm(gamma))))
         abar[:, i] = sol
     return Xbar, abar, worst
 
@@ -312,7 +356,7 @@ def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, 
         for i in range(stacked.shape[1]):
             for j in range(stacked.shape[1]):
                 val = abar[:, j] @ Xbar[:, i] + abar[:, i] @ Xbar[:, j]
-                worst = max(worst, abs(float(val)))
+                worst = float(np.maximum(worst, abs(float(val))))
         iso_pairs.append((worst, m))
     report.add(record_from_samples("pushed-forms-are-pullbacks", basic_pairs, tol, stage="pushforward"))
     report.add(record_from_samples("reduced-rank", rank_pairs, 0.0,

@@ -41,7 +41,17 @@ from diracgen.invariant_gen import FoliatedProblem, run
 from diracgen.report import record_from_samples
 from diracgen.symexpr import Chart, Const, parse
 
-from conftest import make_chart, random_expr, random_points, random_section, random_vector_field
+from conftest import (
+    box_point,
+    cubic_quotient,
+    linear_quotient,
+    make_chart,
+    random_expr,
+    random_points,
+    random_section,
+    random_vector_field,
+    wide_quotient,
+)
 from pointwise import contains, matrix_at, membership_residual
 
 
@@ -582,31 +592,6 @@ _coeff = st.floats(0.1, 10.0)
 _interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 3.0)).map(lambda t: (t[0], t[0] + t[1]))
 
 
-def _cubic_quotient(a, b, box2):
-    chart = Chart(coord_names=("x1", "x2"), leaf_count=1, box=((-1.0, 1.0), box2))
-    target = Chart(coord_names=("y",), leaf_count=0)
-    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x2^3", chart),))
-
-
-def _linear_quotient(A, box2, box3):
-    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
-    target = Chart(coord_names=("y1", "y2"), leaf_count=0)
-    rows = tuple(parse(f"{row[0]!r}*x2 + {row[1]!r}*x3", chart) for row in A)
-    return QuotientMap(chart, target, rows)
-
-
-def _wide_quotient(a, b, box2, box3):
-    """One target coordinate from two transverse ones: a Jacobian wider than
-    the target, so the minimum-norm step splits between x2 and x3."""
-    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
-    target = Chart(coord_names=("y",), leaf_count=0)
-    return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x3", chart),))
-
-
-def _box_point(chart, fractions):
-    return np.array([lo + t * (hi - lo) for (lo, hi), t in zip(chart.box, fractions)])
-
-
 def _assert_lifts(q, reference, m):
     y = q(m)
     x, residual = least_squares(q, y, reference)
@@ -624,16 +609,16 @@ class TestLift:
     @settings(max_examples=150, deadline=None)
     @given(_coeff, _coeff, _interval, st.tuples(_unit, _unit), st.tuples(_unit, _unit))
     def test_cubic_lifts_every_source_point(self, a, b, box2, at, ref):
-        q = _cubic_quotient(a, b, box2)
-        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+        q = cubic_quotient(a, b, box2)
+        _assert_lifts(q, box_point(q.source, ref), box_point(q.source, at))
 
     @settings(max_examples=100, deadline=None)
     @given(_coeff, _coeff, _interval, st.tuples(_unit, _unit), st.floats(1e-6, 10.0), st.booleans())
     def test_cubic_rejects_targets_outside_the_image(self, a, b, box2, ref, gap, above):
-        q = _cubic_quotient(a, b, box2)
+        q = cubic_quotient(a, b, box2)
         lo, hi = box2
         y = q(np.array([0.0, hi]))[0] + gap if above else q(np.array([0.0, lo]))[0] - gap
-        _assert_no_lift(q, _box_point(q.source, ref), np.array([y]))
+        _assert_no_lift(q, box_point(q.source, ref), np.array([y]))
 
     _matrix = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(lambda v: (v[:2], v[2:]))
 
@@ -641,21 +626,21 @@ class TestLift:
     @given(_matrix, _interval, _interval, st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit))
     def test_linear_map_lifts_every_source_point(self, A, box2, box3, at, ref):
         assume(abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) >= 0.25)
-        q = _linear_quotient(A, box2, box3)
-        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+        q = linear_quotient(A, box2, box3)
+        _assert_lifts(q, box_point(q.source, ref), box_point(q.source, at))
 
     @settings(max_examples=100, deadline=None)
     @given(_matrix, _interval, _interval, st.tuples(_unit, _unit, _unit),
            st.tuples(_unit, _unit), st.floats(0.01, 2.0), st.integers(0, 3))
     def test_linear_map_rejects_targets_outside_the_image(self, A, box2, box3, ref, at, gap, side):
         assume(abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) >= 0.25)
-        q = _linear_quotient(A, box2, box3)
+        q = linear_quotient(A, box2, box3)
         # a source point beyond one face of the (x2, x3) box: its image is
         # at least sigma_min * gap > 1e-8 away from the image of the box
-        z = _box_point(q.source, (0.5, *at))
+        z = box_point(q.source, (0.5, *at))
         lo, hi = q.source.box[1 + side // 2]
         z[1 + side // 2] = hi + gap if side % 2 else lo - gap
-        _assert_no_lift(q, _box_point(q.source, ref), q(z))
+        _assert_no_lift(q, box_point(q.source, ref), q(z))
 
     _signed = st.tuples(_coeff, st.booleans()).map(lambda t: t[0] if t[1] else -t[0])
     _skewed = st.tuples(st.floats(-50.0, 50.0), st.floats(0.1, 100.0)).map(lambda t: (t[0], t[0] + t[1]))
@@ -663,26 +648,26 @@ class TestLift:
     @settings(max_examples=150, deadline=None)
     @given(_signed, _signed, _skewed, _skewed, st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit))
     def test_wide_jacobian_lifts_every_source_point(self, a, b, box2, box3, at, ref):
-        q = _wide_quotient(a, b, box2, box3)
-        _assert_lifts(q, _box_point(q.source, ref), _box_point(q.source, at))
+        q = wide_quotient(a, b, box2, box3)
+        _assert_lifts(q, box_point(q.source, ref), box_point(q.source, at))
 
     @settings(max_examples=100, deadline=None)
     @given(_signed, _signed, _skewed, _skewed, st.tuples(_unit, _unit, _unit), st.floats(1e-6, 10.0),
            st.booleans())
     def test_wide_jacobian_rejects_targets_outside_the_image(self, a, b, box2, box3, ref, gap, above):
-        q = _wide_quotient(a, b, box2, box3)
+        q = wide_quotient(a, b, box2, box3)
         ends = [a * x2 + b * x3 for x2 in box2 for x3 in box3]
         y = max(ends) + gap if above else min(ends) - gap
-        _assert_no_lift(q, _box_point(q.source, ref), np.array([y]))
+        _assert_no_lift(q, box_point(q.source, ref), np.array([y]))
 
     def test_clipped_first_step_still_reaches_the_target(self):
         # the minimum-norm step moves mostly x2, which the box stops at 1;
         # x3 alone must then carry the rest of the residual
-        q = _wide_quotient(1.0, 0.01, (0.0, 1.0), (0.0, 100.0))
+        q = wide_quotient(1.0, 0.01, (0.0, 1.0), (0.0, 100.0))
         _assert_lifts(q, np.array([0.0, 0.5, 50.0]), np.array([0.0, 0.9, 90.0]))
 
     def test_repeated_target_lifts_to_the_same_point(self):
-        q = _cubic_quotient(1.0, 1.0, (-1.0, 1.0))
+        q = cubic_quotient(1.0, 1.0, (-1.0, 1.0))
         reference = np.array([0.0, 0.0])
         first = least_squares(q, np.array([1.0]), reference)
         second = least_squares(q, np.array([1.0]), reference)
@@ -701,10 +686,11 @@ class TestLift:
         monkeypatch.setattr(dirac, "least_squares", counted)
         chart, D, action, problem = translation_setup()
         result = descending_generators(D, action, problem)
-        q = _cubic_quotient(1.0, 1.0, (-1.0, 1.0))
+        q = cubic_quotient(1.0, 1.0, (-1.0, 1.0))
         pushforward_check(D, action, QuotientMap(chart, q.target, q.components), result)
-        # 6 closure targets, each with a 4-point stencil
-        assert len(calls) == 6 * 5
+        # one stacked lift: 6 closure targets, each with a 4-point stencil
+        assert len(calls) == 1
+        assert np.shape(calls[0][1]) == (6 * 5, 1)
 
     def test_import_leaves_scipy_out(self):
         code = "import sys, diracgen, diracgen.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"

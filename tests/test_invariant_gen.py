@@ -510,7 +510,7 @@ class TestBatchedAgainstPointwise:
         solver = _solver(p)
         frames = solver.frames(points)
         corrections = solver.corrections(points)
-        combined = solver.combined_values(points)
+        combined = solver.extra_values(points) + solver.corrections(points)
         for m, F, c, e in zip(points, frames, corrections, combined):
             G = np.column_stack([g(m) for g in p.generators])
             np.testing.assert_allclose(F, ref.frame(m), rtol=1e-13, atol=0)
@@ -527,7 +527,7 @@ class TestBatchedAgainstPointwise:
         points = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.0], [0.1, 0.0, 0.4]])
         for evaluate, bad, value in (
             (_solver(p).frames, points[2], g),
-            (_solver(p).combined_values, points[1], extra),
+            (lambda pts: _solver(p).extra_values(pts) + _solver(p).corrections(pts), points[1], extra),
         ):
             with pytest.raises(EvalDomainError) as expected:
                 value(bad)
@@ -576,7 +576,7 @@ class TestLineCachesAreBounded:
         # every line twice, the second time further out
         points += [np.array([0.5 * m[0], m[1], m[2]]) for m in points]
         solver = _Solver(p)
-        frames, combined = solver.frames(points), solver.combined_values(points)
+        frames, combined = solver.frames(points), solver.extra_values(points) + solver.corrections(points)
         fresh = _Solver(p)
         for m, F, c in zip(points, frames, combined):
             assert np.array_equal(fresh.frame(m), F) and np.array_equal(fresh.combined(m), c)

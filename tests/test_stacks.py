@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pointwise
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
@@ -22,6 +22,8 @@ from diracgen.dirac import (
     intersect_D_Kperp,
     invariant_annihilator_generators,
     is_closed,
+    least_squares,
+    push_frame,
     pushforward_check,
 )
 from diracgen.distribution import GeneralizedDistribution, check_bracket_hypothesis
@@ -29,7 +31,17 @@ from diracgen.errors import DiracgenError, InputError
 from diracgen.invariant_gen import FoliatedProblem, run
 from diracgen.symexpr import Chart, parse
 
-from conftest import make_chart, random_expr, random_points, random_section, random_vector_field
+from conftest import (
+    box_point,
+    cubic_quotient,
+    linear_quotient,
+    make_chart,
+    random_expr,
+    random_points,
+    random_section,
+    random_vector_field,
+    wide_quotient,
+)
 
 
 def section(chart, vec, form):
@@ -215,8 +227,125 @@ class TestRandomSections:
         assert same(supplied, lambda: pointwise.supplied_family(D, translation, problem, samples, problem.tol))
 
 
+_unit = st.floats(0.0, 1.0)
+_coeff = st.floats(0.1, 10.0)
+_signed = st.tuples(_coeff, st.booleans()).map(lambda t: t[0] if t[1] else -t[0])
+_interval = st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 3.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@st.composite
+def lift_stacks(draw):
+    """(q, x0, targets): a cubic, linear or wide-Jacobian quotient, a start
+    inside the box, and a stack holding q(x0) (residual 0 at once), images
+    of box points (one on a face of the box, one twice) and a target beyond
+    the image of the box, in a drawn order."""
+    kind = draw(st.sampled_from(["cubic", "linear", "wide"]))
+    if kind == "cubic":
+        q = cubic_quotient(draw(_coeff), draw(_coeff), draw(_interval))
+        top = q(np.array([0.0, q.source.box[1][1]]))[0]
+        beyond = np.array([top + draw(st.floats(1e-6, 10.0))])
+    elif kind == "linear":
+        A = draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(lambda v: (v[:2], v[2:])))
+        assume(abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) >= 0.25)
+        q = linear_quotient(A, draw(_interval), draw(_interval))
+        z = box_point(q.source, (0.5, 0.5, draw(_unit)))
+        z[1] = q.source.box[1][1] + draw(st.floats(0.01, 2.0))  # beyond a face: sigma_min * gap away
+        beyond = q(z)
+    else:
+        a, b, box2, box3 = draw(_signed), draw(_signed), draw(_interval), draw(_interval)
+        q = wide_quotient(a, b, box2, box3)
+        beyond = np.array([max(a * x2 + b * x3 for x2 in box2 for x3 in box3) + draw(st.floats(1e-6, 10.0))])
+    n = q.source.n
+    x0 = box_point(q.source, draw(st.tuples(*[_unit] * n)))
+    inside = [box_point(q.source, draw(st.tuples(*[_unit] * n))) for _ in range(draw(st.integers(1, 3)))]
+    face = box_point(q.source, draw(st.tuples(*[_unit] * n)))
+    face[draw(st.integers(1, n - 1))] = q.source.box[1][draw(st.integers(0, 1))]
+    targets = [q(x0)] + [q(m) for m in inside] + [q(face), beyond, q(inside[0])]
+    order = draw(st.permutations(range(len(targets))))
+    return q, x0, np.array([targets[i] for i in order])
+
+
+# a cubic whose Newton steps from 0 overshoot the box and halve; the case of
+# TestLift.test_clipped_first_step_still_reaches_the_target, which stops at a
+# face of the box and re-solves over the other coordinate; and x2^2 below its
+# minimum, whose steps grow as x2 nears 0 until 30 halvings do not lower it
+_HALVING = (cubic_quotient(0.1, 10.0, (-1.0, 1.0)), np.array([0.0, 0.0]), np.array([[1.0], [0.3], [12.0], [1.0]]))
+_CLIPPING = (wide_quotient(1.0, 0.01, (0.0, 1.0), (0.0, 100.0)), np.array([0.0, 0.5, 50.0]),
+             np.array([[0.9 + 0.9], [0.5 + 0.5], [2.5], [0.9 + 0.9]]))
+_square = Chart(coord_names=("x1", "x2"), leaf_count=1)
+_EXHAUSTING = (QuotientMap(_square, Chart(coord_names=("y",)), (parse("x2^2", _square),)), np.array([0.0, 0.5]),
+               np.array([[-1.0], [0.09], [0.25], [2.0], [-1.0]]))
+
+
+class _Seen:
+    """A quotient map that records where the one-target reference evaluates
+    it: q as "q", its Jacobian as "J"."""
+
+    def __init__(self, q):
+        self.q, self.source, self.events, self.points = q, q.source, "", []
+
+    def __call__(self, x):
+        self.events += "q"
+        self.points.append(np.array(x))
+        return self.q(x)
+
+    def jacobian(self, x):
+        self.events += "J"
+        return self.q.jacobian(x)
+
+
+class TestStackedLift:
+    """One Gauss–Newton over a stack of targets lifts each target bit for bit
+    as the one-target reference (tests/pointwise.py) does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(lift_stacks())
+    @example(_HALVING)
+    @example(_CLIPPING)
+    @example(_EXHAUSTING)
+    def test_each_target_lifts_as_alone(self, stack):
+        q, x0, targets = stack
+        x, residuals = least_squares(q, targets, x0)
+        assert x.shape == (len(targets), q.source.n) and residuals.shape == (len(targets),)
+        for y, got_x, got in zip(targets, x, residuals):
+            want_x, want = pointwise.least_squares(q, y, x0)
+            assert got_x.tobytes() == want_x.tobytes() and got.tobytes() == want.tobytes()
+            one_x, one = least_squares(q, y, x0)
+            assert one_x.tobytes() == want_x.tobytes() and one.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _seen(q, x0, targets):
+        """Where the reference evaluates q for each target, and the residuals it returns."""
+        seen = [_Seen(q) for _ in targets]
+        return seen, [pointwise.least_squares(s, y, x0)[1] for s, y in zip(seen, targets)]
+
+    def test_the_pinned_stacks_halve_clip_and_exhaust(self):
+        # each holds reachable and unreachable targets, and targets that stop
+        # at different steps; _HALVING halves a step, _CLIPPING evaluates q on
+        # a face of the box that the start is not on, and one target of
+        # _EXHAUSTING stops after 30 halvings while another steps on
+        for (q, x0, targets), shows in ((_HALVING, "Jqq"), (_CLIPPING, None), (_EXHAUSTING, "J" + "q" * 30)):
+            seen, residuals = self._seen(q, x0, targets)
+            assert min(residuals) <= 1e-8 < max(residuals)
+            assert len({s.events.count("J") for s in seen}) > 1
+            if shows:
+                assert any(shows in s.events for s in seen)
+            else:
+                lo, hi = np.array(q.source.box).T
+                assert any(((m == lo) | (m == hi)).any() for s in seen for m in s.points)
+        exhausted = [s.events.endswith("J" + "q" * 30) for s in self._seen(*_EXHAUSTING)[0]]
+        assert any(exhausted) and not all(exhausted)
+
+
 def _two_failures():
-    """Four samples; the two with x2 = 0 make 1/x2 fail."""
+    """Check -> (stacked call, pointwise call, test of the raised error's
+    point).  Four samples; the two with x2 = 0 make 1/x2 fail.  The lift
+    entries use a quotient that evaluates at their samples but overflows
+    past x2 = 7.1e-6, its Jacobian from x2 = 6.92e-6: the closure targets
+    of a sample at 0 are lifted from the first sample through there, while
+    the 2-delta stencil point of a sample at -0.08 + 6.95e-6 is reached
+    with q finite and the Jacobian failing; a sample at -0.95 has a stencil
+    point below q(-1) that cannot be lifted."""
     chart = Chart(coord_names=("x1", "x2"), leaf_count=1, box=((-1.0, 1.0), (-1.0, 1.0)))
     samples = [np.array([0.1, 0.3]), np.array([0.2, 0.0]), np.array([0.3, 0.5]), np.array([0.4, 0.0])]
     action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
@@ -230,7 +359,24 @@ def _two_failures():
     theta = GeneralizedDistribution(chart, (PontryaginSection.from_vector(VectorField.coordinate(chart, 0)),))
     pi = PoissonBivector(chart, ((parse("0", chart), parse("1/x2", chart)), (parse("-1/x2", chart), parse("0", chart))))
     problem = FoliatedProblem(chart=chart, generators=bad_family)
-    return {
+    lift_q = QuotientMap(chart, Chart(coord_names=("y",), box=((-2.0, 2.0),)),
+                         (parse("x2 + 1e-308*exp(100000000*x2)", chart),))
+
+    def lifting(transverse):
+        points = [np.array([0.1 * (i + 1), x2]) for i, x2 in enumerate(transverse)]
+        return (lambda: pushforward_check(D, action, lift_q, frame, samples=points),
+                lambda: pointwise.pushforward_check(D, action, lift_q, frame, points))
+
+    def at_sample(point):
+        return point == [0.2, 0.0]
+
+    def past_the_cliff(point):  # an iterate of a lift from the first sample
+        return point[0] == 0.1 and point[1] > 6.9e-6
+
+    def unreachable(point):
+        return point is None
+
+    table = {
         "validate": (lambda: bad_D.validate(samples), lambda: pointwise.dirac_validate(bad_D, samples)),
         "quotient": (lambda: bad_q.validate(action, samples), lambda: pointwise.quotient_validate(bad_q, action, samples)),
         "poisson": (lambda: graph_of_poisson(pi, samples), lambda: pointwise.antisymmetry_residual(pi, samples)),
@@ -245,14 +391,75 @@ def _two_failures():
         "pushforward": (lambda: pushforward_check(D, action, bad_q, frame, samples=samples),
                         lambda: pointwise.pushforward_check(D, action, bad_q, frame, samples)),
     }
+    table = {check: (*calls, at_sample) for check, calls in table.items()}
+    table.update({
+        "lift-crosses-overflow": (*lifting([-0.3, 0.0, -0.5, -0.2]), past_the_cliff),
+        "lift-jacobian-overflows": (*lifting([-0.3, -0.08 + 6.95e-6, -0.5, -0.2]), past_the_cliff),
+        "lift-after-unreachable": (*lifting([-0.3, -0.95, 0.0, -0.2]), unreachable),
+        "lift-before-unreachable": (*lifting([-0.3, 0.0, -0.95, -0.2]), past_the_cliff),
+    })
+    return table
 
 
 @pytest.mark.parametrize("check", sorted(_two_failures()))
 def test_first_failing_sample_raises(check):
-    got, want = _two_failures()[check]
+    got, want, where = _two_failures()[check]
     result = outcome(got)
     assert result == outcome(want)
-    assert result[0] == "raised" and result[3] == [0.2, 0.0]
+    assert result[0] == "raised" and where(result[3])
+
+
+class TestNaNDefectsFailTheirRecords:
+    """A defect that comes out NaN (inf / inf, inf - inf) fails its record,
+    in the stacked check and in the one-point reference alike."""
+
+    chart = make_chart(3, k=1)
+    action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
+    D = DiracStructure(chart, (section(chart, ("0", "1", "0"), ("1", "0", "0")),
+                               section(chart, ("-1", "0", "0"), ("0", "1", "0")),
+                               section(chart, ("0", "0", "0"), ("0", "0", "1"))))
+    samples = [np.array([0.1, 0.2, 0.3]), np.array([0.3, -0.2, 0.1])]
+
+    def _judged(self, got, want, check):
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference does not silence its overflows
+            result, expected = outcome(got), outcome(want)
+        assert result == expected
+        record = next(r for r in json.loads(result[1]) if r["check"] == check)
+        assert not record["passed"] and np.isnan(record["worst_residual"])
+
+    def test_pullback_residual(self):
+        # J = [0, 1, 0] and the form (0, 1e200, 1e200): residual inf / (1 + inf)
+        q = QuotientMap(self.chart, Chart(coord_names=("y",)), (parse("x2", self.chart),))
+        F = np.zeros((6, 1))
+        F[4:, 0] = 1e200
+        assert np.isnan(push_frame(q, lambda m: F, self.samples[0], 1e-7)[2])
+        self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples,
+                                               check_closedness=False),
+                     lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples,
+                                                         check_closedness=False),
+                     "pushed-forms-are-pullbacks")
+
+    def test_isotropy(self):
+        # pushed forms (1e200, 0), (0, -1e200) and vectors (0, 1e200), (1e200, 0):
+        # the pairings are 0 on the diagonal and inf - inf off it
+        q = QuotientMap(self.chart, Chart(coord_names=("y", "z")), (parse("x2", self.chart), parse("x3", self.chart)))
+        F = np.zeros((6, 2))
+        F[2, 0], F[4, 0], F[1, 1], F[5, 1] = 1e200, 1e200, 1e200, -1e200
+        self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples),
+                     lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples),
+                     "reduced-isotropy")
+
+    def test_supplied_family_member(self):
+        # the member (0; 0, 1e200, 1e200): its residual in D's span is inf / (1 + inf)
+        problem = FoliatedProblem(chart=self.chart, generators=(section(self.chart, ("0", "0", "0"),
+                                                                                ("0", "1e200", "1e200")),))
+
+        def supplied():
+            report = descending_generators(self.D, self.action, problem, samples=self.samples).report
+            return [r for r in report if r.check.startswith("supplied-family")]
+
+        self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, problem, self.samples, 1e-7),
+                     "supplied-family-in-intersection")
 
 
 def _no_samples():
