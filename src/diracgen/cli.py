@@ -17,27 +17,16 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
+from functools import partial
 
 from .calculus import OneForm, PontryaginSection, VectorField
 from .dirac import (
-    DiracStructure,
-    InfinitesimalAction,
-    PoissonBivector,
-    QuotientMap,
-    constant_rank_scan,
-    descending_generators,
-    graph_of_poisson,
-    is_closed,
-    pushforward_check,
+    DiracStructure, InfinitesimalAction, PoissonBivector, QuotientMap, constant_rank_scan,
+    descending_generators, graph_of_poisson, is_closed, pushforward_check,
 )
 from .distribution import GeneralizedDistribution, check_bracket_hypothesis
-from .errors import (
-    DiracgenError,
-    EvalDomainError,
-    InputError,
-    NumericalBreakdownError,
-    VerificationError,
-)
+from .errors import DiracgenError, EvalDomainError, InputError, NumericalBreakdownError, VerificationError
 from .invariant_gen import FoliatedProblem, require_positive, run as run_invariant, split_tilde
 from .report import Report
 from .symexpr import Chart, parse
@@ -50,25 +39,139 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-# -- problem file loading ---------------------------------------------------
+# -- problem file schema ----------------------------------------------------
+#
+# One walker reads every block, and every error names the key path of the
+# value it rejects (``sections.D[0].vector[1]``).  A key whose default is
+# null (an optional block, ``box``, ``structure_constants``, ``ode_step``,
+# ``quad_step``) may be given as null, which is the same as leaving it out;
+# any other key given as null is an input error.
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise InputError(f"{where}: expected an object, got {type(value).__name__}")
+def _expect(value, kind, what: str, where: str):
+    """value if it is of the JSON kind (a type or a tuple of types, never
+    met by a bool), else an input error naming its key."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{where}: expected {what}, got {type(value).__name__}")
     return value
 
 
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _require(block: dict, key: str, where: str):
-    if key not in _object(block, where):
+def _require(block, key: str, where: str):
+    value = _expect(block, dict, "an object", where).get(key)
+    if value is None:
         raise InputError(f"{where}: missing required key '{key}'")
-    return block[key]
+    return value
+
+
+def _block(data: dict, key: str) -> dict:
+    """The object at a top-level key; {} when it is absent or null."""
+    value = data.get(key)
+    return {} if value is None else _expect(value, dict, "an object", key)
+
+
+@contextmanager
+def _at(where: str):
+    """Prefix the key path to an input error raised inside."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+_NUMBER = (int, float, str)  # a number may also be written as a string
+
+
+def _real(value, where: str) -> float:
+    try:
+        number = float(_expect(value, _NUMBER, "a number", where))
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise InputError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _positive(value, where: str) -> float:
+    return require_positive(_expect(value, _NUMBER, "a number", where), where)
+
+
+def _count(value, where: str) -> int:
+    """A non-negative integer, written as any number with an integral value."""
+    number = value if type(value) is int else _real(value, where)
+    if number < 0 or number != int(number):
+        raise InputError(f"{where}: expected a non-negative integer, got {value!r}")
+    return int(number)
+
+
+def _text(value, where: str) -> str:
+    return _expect(value, str, "a string", where)
+
+
+def _expression(text, where: str, chart: Chart):
+    text = str(_expect(text, _NUMBER, "an expression text", where))
+    with _at(where):
+        return parse(text, chart)
+
+
+# numerics key -> (default, reading); the command-line flag of the same name
+# replaces the file's value
+_NUMERICS = {
+    "tol": (1e-7, _positive),
+    "ode_step": (None, _positive),  # null: 1e-3 of the widest box interval
+    "quad_step": (None, _positive),  # null: ode_step
+    "samples": (32, _count),
+    "seed": (0, _count),
+}
+
+# block -> (shape, entry): nested lists with one length per level ("n" the
+# chart's dimension, None any length) of expression texts or of sections
+# {"vector": [n texts], "form": [n texts]}; the forms of leaf-free sections
+# must vanish on the leaf differentials
+_BLOCKS = {
+    "sections.D": ((None,), "leaf-free section"),
+    "sections.extra": ((), "leaf-free section"),
+    "sections.dkperp": ((None,), "section"),
+    "dirac": (("n",), "section"),
+    "poisson": (("n", "n"), "expression"),
+    "action.generators": ((None, "n"), "expression"),
+    "quotient.components": ((None,), "expression"),
+}
+
+
+def _walk(value, shape: tuple, read, where: str):
+    """read(entry, key path) over nested lists with one length per level of
+    shape (None: any length), as nested tuples."""
+    if not shape:
+        return read(value, where)
+    entries = _expect(value, list, "a list", where)
+    if shape[0] is not None and len(entries) != shape[0]:
+        raise InputError(f"{where}: expected {shape[0]} entries, got {len(entries)}")
+    return tuple(_walk(v, shape[1:], read, f"{where}[{i}]") for i, v in enumerate(entries))
+
+
+def _section(block, where: str, chart: Chart, leaf_free: bool) -> PontryaginSection:
+    vector, form = (
+        _walk(_require(block, key, where), (chart.n,), partial(_expression, chart=chart), f"{where}.{key}")
+        for key in ("vector", "form")
+    )
+    section = PontryaginSection(VectorField(chart, vector), OneForm(chart, form))
+    if leaf_free:
+        with _at(where):
+            split_tilde(section, chart.leaf_count)
+    return section
+
+
+def _read(value, path: str, chart: Chart):
+    """value, the block at path, read by its _BLOCKS entry; None when it is
+    absent or null."""
+    if value is None:
+        return None
+    shape, entry = _BLOCKS[path]
+    if entry == "expression":
+        read = partial(_expression, chart=chart)
+    else:
+        read = partial(_section, chart=chart, leaf_free=entry == "leaf-free section")
+    return _walk(value, tuple(chart.n if d == "n" else d for d in shape), read, path)
 
 
 def load_problem(path: str) -> dict:
@@ -94,136 +197,54 @@ def load_problem(path: str) -> dict:
     return data
 
 
-def _convert(kind, value, where: str):
-    """kind(value) for a JSON value, or an input error naming the key where
-    the value has no such reading."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: cannot read {value!r}: {exc}") from exc
+def _numerics(data: dict, args) -> dict:
+    block = _block(data, "numerics")
+    numerics = {}
+    for key, (default, read) in _NUMERICS.items():
+        value = block.get(key, default) if getattr(args, key) is None else getattr(args, key)
+        numerics[key] = None if value is None and default is None else read(value, f"numerics.{key}")
+    return numerics
 
 
-def _box_interval(pair) -> tuple[float, float]:
-    lo, hi = (float(v) for v in pair)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("bounds must be finite")
-    return lo, hi
-
-
-def _chart_from(block: dict, where: str = "chart") -> Chart:
-    names = _convert(tuple, _require(block, "names", where), f"{where}.names")
-    for name in names:
-        if not isinstance(name, str):
-            raise InputError(f"{where}.names: coordinate name {name!r} is not a string")
-    k = _convert(int, block.get("k", 0), f"{where}.k")
+def _chart(block, where: str) -> Chart:
+    names = _walk(_require(block, "names", where), (None,), _text, f"{where}.names")
+    k = _count(block.get("k", 0), f"{where}.k")
     box = block.get("box")
-    if box is not None:
-        box = _convert(lambda b: tuple(_box_interval(pair) for pair in b), box, f"{where}.box")
-    try:
-        if box is None:
-            return Chart(coord_names=names, leaf_count=k)
+    box = () if box is None else _walk(box, (len(names), 2), _real, f"{where}.box")
+    with _at(where):
         return Chart(coord_names=names, leaf_count=k, box=box)
-    except DiracgenError as exc:
-        raise InputError(f"{where}: {exc}") from exc
 
 
-def _expr(text, chart: Chart, where: str):
-    try:
-        return parse(str(text), chart)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def _section_from(block: dict, chart: Chart, where: str) -> PontryaginSection:
-    vec = _list(_require(block, "vector", where), f"{where}.vector")
-    form = _list(_require(block, "form", where), f"{where}.form")
-    if len(vec) != chart.n or len(form) != chart.n:
-        raise InputError(f"{where}: vector and form need {chart.n} components each")
-    return PontryaginSection(
-        VectorField(chart, tuple(_expr(c, chart, f"{where}.vector[{i}]") for i, c in enumerate(vec))),
-        OneForm(chart, tuple(_expr(c, chart, f"{where}.form[{i}]") for i, c in enumerate(form))),
-    )
-
-
-def _section_list(blocks, chart: Chart, where: str) -> tuple[PontryaginSection, ...]:
-    return tuple(
-        _section_from(b, chart, f"{where}[{i}]") for i, b in enumerate(_list(blocks, where))
-    )
-
-
-def _action_from(data: dict, chart: Chart) -> InfinitesimalAction | None:
+def _action(data: dict, chart: Chart) -> InfinitesimalAction | None:
     block = data.get("action")
     if block is None:
         return None
-    gens = []
-    for i, coeffs in enumerate(_list(_require(block, "generators", "action"), "action.generators")):
-        if len(_list(coeffs, f"action.generators[{i}]")) != chart.n:
-            raise InputError(f"action.generators[{i}]: needs {chart.n} components")
-        gens.append(
-            VectorField(
-                chart,
-                tuple(
-                    _expr(c, chart, f"action.generators[{i}][{j}]")
-                    for j, c in enumerate(coeffs)
-                ),
-            )
+    generators = _read(_require(block, "generators", "action"), "action.generators", chart)
+    with _at("action.structure_constants"):
+        return InfinitesimalAction(
+            chart, tuple(VectorField(chart, g) for g in generators), block.get("structure_constants")
         )
-    try:
-        return InfinitesimalAction(chart, tuple(gens), block.get("structure_constants"))
-    except InputError as exc:
-        raise InputError(f"action.structure_constants: {exc}") from exc
 
 
-def _poisson_from(data: dict, chart: Chart) -> PoissonBivector | None:
-    block = data.get("poisson")
-    if block is None:
-        return None
-    rows = [_list(row, f"poisson[{i}]") for i, row in enumerate(_list(block, "poisson"))]
-    if len(rows) != chart.n or any(len(row) != chart.n for row in rows):
-        raise InputError(f"poisson: components must form an {chart.n} x {chart.n} matrix")
-    comps = tuple(
-        tuple(_expr(c, chart, f"poisson[{i}][{j}]") for j, c in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    return PoissonBivector(chart, comps)
-
-
-def _quotient_from(data: dict, chart: Chart) -> QuotientMap | None:
+def _quotient(data: dict, chart: Chart) -> QuotientMap | None:
     block = data.get("quotient")
     if block is None:
         return None
-    target = _chart_from(_require(block, "target", "quotient"), "quotient.target")
-    comps = tuple(
-        _expr(c, chart, f"quotient.components[{i}]")
-        for i, c in enumerate(_list(_require(block, "components", "quotient"), "quotient.components"))
+    target = _chart(_require(block, "target", "quotient"), "quotient.target")
+    components = _read(_require(block, "components", "quotient"), "quotient.components", chart)
+    with _at("quotient"):
+        return QuotientMap(chart, target, components)
+
+
+def _dirac(data: dict, chart: Chart, samples):
+    """The graph of the poisson block and the Dirac structure of the dirac
+    block, each None when its block is absent."""
+    pi = _read(data.get("poisson"), "poisson", chart)
+    sections = _read(data.get("dirac"), "dirac", chart)
+    return (
+        None if pi is None else graph_of_poisson(PoissonBivector(chart, pi), samples),
+        None if sections is None else DiracStructure(chart, sections),
     )
-    try:
-        return QuotientMap(chart, target, comps)
-    except DiracgenError as exc:
-        raise InputError(f"quotient: {exc}") from exc
-
-
-def _numerics(data: dict, args) -> dict:
-    block = _convert(dict, data.get("numerics") or {}, "numerics")
-    out = {
-        "tol": block.get("tol", 1e-7),
-        "ode_step": block.get("ode_step"),
-        "quad_step": block.get("quad_step"),
-        "samples": block.get("samples", 32),
-        "seed": block.get("seed", 0),
-    }
-    for key in out:
-        if getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    for key, kind in (("samples", int), ("seed", int)):
-        out[key] = _convert(kind, out[key], f"numerics.{key}")
-    for key in ("tol", "ode_step", "quad_step"):
-        if out[key] is not None:
-            out[key] = require_positive(out[key], f"numerics.{key}")
-    for key in ("samples", "seed"):  # numpy's generators take no negative seed
-        if out[key] < 0:
-            raise InputError(f"numerics.{key}: must be non-negative, got {out[key]}")
-    return out
 
 
 # -- output -----------------------------------------------------------------
@@ -250,15 +271,8 @@ class _Emitter:
 
     def provenance(self, command: str, raw_text: str, numerics: dict):
         digest = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()
-        self.line(
-            {
-                "record": "provenance",
-                "command": command,
-                "input_sha256": digest,
-                "format_version": FORMAT_VERSION,
-                **{k: numerics[k] for k in sorted(numerics)},
-            }
-        )
+        self.line({"record": "provenance", "command": command, "input_sha256": digest,
+                   "format_version": FORMAT_VERSION, **numerics})
 
     def checks(self, report: Report):
         for r in report:
@@ -283,108 +297,52 @@ class _Emitter:
         line, and a record with the stage, point and message."""
         stage = exc.stage or ""
         print(f"{kind}{f' [{stage}]' if stage else ''}: {exc}", file=sys.stderr)
-        self.line(
-            {
-                "record": "verdict",
-                "passed": False,
-                "exit_code": code,
-                "failed_stage": stage,
-                "point": exc.point,
-                "message": str(exc),
-            }
-        )
+        self.line({"record": "verdict", "passed": False, "exit_code": code, "failed_stage": stage,
+                   "point": exc.point, "message": str(exc)})
         return code
 
 
-def _sample_points(chart: Chart, numerics: dict):
-    return chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
-
-
-def _foliated_problem(data: dict, chart: Chart, numerics: dict) -> FoliatedProblem:
-    sections = _object(data.get("sections") or {}, "sections")
-    gens = sections.get("D")
-    if not gens:
-        raise InputError("sections.D: a spanning family is required")
-    generators = _section_list(gens, chart, "sections.D")
-    extra = sections.get("extra")
-    if extra is not None:
-        extra = _section_from(extra, chart, "sections.extra")
-    return FoliatedProblem(
-        chart=chart,
-        generators=generators,
-        extra=extra,
-        ode_step=numerics["ode_step"],
-        quad_step=numerics["quad_step"],
-        tol=numerics["tol"],
-    )
-
-
-def _check_leaf_annihilation(sections, chart: Chart, where: str):
-    """Reject sections whose form has components on the leaf differentials,
-    naming the offending section."""
-    for i, s in enumerate(sections):
-        try:
-            split_tilde(s, chart.leaf_count)
-        except InputError as exc:
-            raise InputError(f"{where}[{i}]: {exc}") from exc
-
-
 # -- commands ---------------------------------------------------------------
+#
+# main reads the numerics, writes the provenance record and reads the chart
+# and its samples; each command reads the blocks it needs.
 
 
-def cmd_check(data: dict, args, out: _Emitter) -> int:
-    numerics = _numerics(data, args)
-    out.provenance("check", data["_raw_text"], numerics)
-    chart = _chart_from(_require(data, "chart", "problem"))
-    samples = _sample_points(chart, numerics)
-    report = Report()
-    sections = _object(data.get("sections") or {}, "sections")
-    action = _action_from(data, chart)
+def cmd_check(data: dict, chart: Chart, samples, numerics: dict, args, out: _Emitter) -> int:
     tol = numerics["tol"]
-
-    gens_block = sections.get("D")
-    if gens_block:
-        gens = _section_list(gens_block, chart, "sections.D")
-        _check_leaf_annihilation(gens, chart, "sections.D")
-        extra = sections.get("extra")
-        if extra is not None:
-            extra = _section_from(extra, chart, "sections.extra")
-            _check_leaf_annihilation([extra], chart, "sections.extra")
-        if chart.leaf_count > 0:
-            theta = GeneralizedDistribution(
-                chart,
-                tuple(
-                    PontryaginSection.from_vector(VectorField.coordinate(chart, l))
-                    for l in range(chart.leaf_count)
-                ),
-            )
-            D = GeneralizedDistribution(chart, gens)
-            report.extend(check_bracket_hypothesis(D, theta, extra, samples, tol))
-
-    pi = _poisson_from(data, chart)
-    if pi is not None:
-        D_pi = graph_of_poisson(pi, samples)
-        report.extend(D_pi.validate(samples))
-        report.extend(is_closed(D_pi, samples, tol))
-    dirac_block = data.get("dirac")
-    if dirac_block is not None:
-        D_d = DiracStructure(chart, _section_list(dirac_block, chart, "dirac"))
-        report.extend(D_d.validate(samples))
+    sections = _block(data, "sections")
+    gens = _read(sections.get("D"), "sections.D", chart)
+    extra = _read(sections.get("extra"), "sections.extra", chart)
+    action = _action(data, chart)
+    quotient = _quotient(data, chart)
+    report = Report()
+    if gens and chart.leaf_count > 0:
+        leaves = [PontryaginSection.from_vector(VectorField.coordinate(chart, l)) for l in range(chart.leaf_count)]
+        theta = GeneralizedDistribution(chart, tuple(leaves))
+        report.extend(check_bracket_hypothesis(GeneralizedDistribution(chart, gens), theta, extra, samples, tol))
+    graph, dirac = _dirac(data, chart, samples)
+    if graph is not None:
+        report.extend(graph.validate(samples))
+        report.extend(is_closed(graph, samples, tol))
+    if dirac is not None:
+        report.extend(dirac.validate(samples))
     if action is not None:
         report.extend(action.validate(samples))
-        quotient = _quotient_from(data, chart)
         if quotient is not None:
             report.extend(quotient.validate(action, samples, tol))
     out.checks(report)
     return out.verdict(report.passed)
 
 
-def cmd_invariant_generators(data: dict, args, out: _Emitter) -> int:
-    numerics = _numerics(data, args)
-    out.provenance("invariant-generators", data["_raw_text"], numerics)
-    chart = _chart_from(_require(data, "chart", "problem"))
-    samples = _sample_points(chart, numerics)
-    problem = _foliated_problem(data, chart, numerics)
+def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, args, out: _Emitter) -> int:
+    sections = _block(data, "sections")
+    gens = _read(sections.get("D"), "sections.D", chart)
+    if not gens:
+        raise InputError("sections.D: a spanning family is required")
+    problem = FoliatedProblem(
+        chart=chart, generators=gens, extra=_read(sections.get("extra"), "sections.extra", chart),
+        ode_step=numerics["ode_step"], quad_step=numerics["quad_step"], tol=numerics["tol"],
+    )
     result = run_invariant(problem, samples=samples)
     out.checks(result.report)
     for m in samples:
@@ -413,31 +371,21 @@ def cmd_invariant_generators(data: dict, args, out: _Emitter) -> int:
     return out.verdict(result.report.passed)
 
 
-def cmd_dirac_reduce(data: dict, args, out: _Emitter) -> int:
-    numerics = _numerics(data, args)
-    out.provenance("dirac-reduce", data["_raw_text"], numerics)
-    chart = _chart_from(_require(data, "chart", "problem"))
-    samples = _sample_points(chart, numerics)
+def cmd_dirac_reduce(data: dict, chart: Chart, samples, numerics: dict, args, out: _Emitter) -> int:
     tol = numerics["tol"]
-    action = _action_from(data, chart)
+    action = _action(data, chart)
     if action is None:
         raise InputError("dirac-reduce needs an action block")
-    quotient = _quotient_from(data, chart)
+    quotient = _quotient(data, chart)
     if quotient is None:
         raise InputError("dirac-reduce needs a quotient block")
-    pi = _poisson_from(data, chart)
-    dirac_block = data.get("dirac")
-    if pi is not None:
-        D = graph_of_poisson(pi, samples)
-    elif dirac_block is not None:
-        D = DiracStructure(chart, _section_list(dirac_block, chart, "dirac"))
-    else:
+    graph, dirac = _dirac(data, chart, samples)
+    D = dirac if graph is None else graph
+    if D is None:
         raise InputError("dirac-reduce needs a poisson or dirac block")
-    sections = _object(data.get("sections") or {}, "sections")
-    dkperp = sections.get("dkperp")
-    if not dkperp:
+    family = _read(_block(data, "sections").get("dkperp"), "sections.dkperp", chart)
+    if not family:
         raise InputError("sections.dkperp: a spanning family of the intersection is required")
-    family = _section_list(dkperp, chart, "sections.dkperp")
 
     validity = Report()
     validity.extend(D.validate(samples))
@@ -453,13 +401,10 @@ def cmd_dirac_reduce(data: dict, args, out: _Emitter) -> int:
     if not scan.passed:
         return out.verdict(False, "rank scan")
 
-    problem = FoliatedProblem(
-        chart=chart,
-        generators=family,
-        ode_step=numerics["ode_step"],
-        quad_step=numerics["quad_step"],
-        tol=tol,
-    )
+    with _at("sections.dkperp"):  # its forms are checked on the leaves here, after the rank scan
+        problem = FoliatedProblem(
+            chart=chart, generators=family, ode_step=numerics["ode_step"], quad_step=numerics["quad_step"], tol=tol
+        )
     result = descending_generators(D, action, problem, samples=samples, tol=tol)
     out.checks(result.report)
     if not result.report.passed:
@@ -521,7 +466,11 @@ def main(argv=None) -> int:
     out = _Emitter(args.output)
     try:
         data = load_problem(args.problem)
-        return args.fn(data, args, out)
+        numerics = _numerics(data, args)
+        out.provenance(args.command, data["_raw_text"], numerics)
+        chart = _chart(_require(data, "chart", "problem"), "chart")
+        samples = chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
+        return args.fn(data, chart, samples, numerics, args, out)
     except InputError as exc:
         return out.error(EXIT_INPUT, "input error", exc)
     except (NumericalBreakdownError, EvalDomainError) as exc:

@@ -853,7 +853,9 @@ def _span_defects(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """For each point i and column c of V[i], the least-squares residual of
     V[i][:, c] in the columns of A[i], over 1 + its norm: shape (N, c)."""
     V = np.swapaxes(V, 1, 2)
-    return span_residuals(A[:, None], V)[1] / (1.0 + _norms(V))
+    residuals = span_residuals(A[:, None], V)[1]
+    with np.errstate(invalid="ignore"):  # inf / inf is a NaN defect, which fails its record
+        return residuals / (1.0 + _norms(V))
 
 
 def run(

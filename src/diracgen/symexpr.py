@@ -85,6 +85,8 @@ class Chart:
     def __post_init__(self):
         names = tuple(self.coord_names)
         object.__setattr__(self, "coord_names", names)
+        if not names:
+            raise InputError("a chart needs at least one coordinate")
         if len(set(names)) != len(names):
             raise InputError(f"duplicate coordinate names in {names}")
         for name in names:
@@ -493,7 +495,9 @@ def _pow(base, exponent):
     if exponent == 1:
         return base
     if _is_const(base) and (base.value != 0.0 or exponent > 0):
-        return Const(base.value**exponent)
+        folded = _fold(lambda v: v**exponent, base)
+        if folded is not None:
+            return folded
     return Pow(base, exponent)
 
 
@@ -505,22 +509,31 @@ def var(chart: Chart, name: str) -> Var:
     return Var(chart.index(name), name)
 
 
+def _fold(fn, arg: Const) -> Const | None:
+    """Const(fn(arg.value)), or None where fn raises (an overflow, or sin of
+    an infinite literal): the node is then kept, and evaluation reports the
+    error at a point."""
+    try:
+        return Const(fn(arg.value))
+    except _ELEMENT_ERRORS:
+        return None
+
+
+def _func(name: str, fn, arg: Expr) -> Expr:
+    folded = _fold(fn, arg) if _is_const(arg) else None
+    return Func(name, arg, fn) if folded is None else folded
+
+
 def sin(arg: Expr) -> Expr:
-    if _is_const(arg):
-        return Const(math.sin(arg.value))
-    return Func("sin", arg, math.sin)
+    return _func("sin", math.sin, arg)
 
 
 def cos(arg: Expr) -> Expr:
-    if _is_const(arg):
-        return Const(math.cos(arg.value))
-    return Func("cos", arg, math.cos)
+    return _func("cos", math.cos, arg)
 
 
 def exp(arg: Expr) -> Expr:
-    if _is_const(arg):
-        return Const(math.exp(arg.value))
-    return Func("exp", arg, math.exp)
+    return _func("exp", math.exp, arg)
 
 
 _FUNC_BUILDERS = {"sin": sin, "cos": cos, "exp": exp}

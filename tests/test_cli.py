@@ -1,9 +1,12 @@
 """The batch front end: exit codes, report format, determinism."""
 
-import argparse
+import ast
+import functools
+import inspect
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -14,8 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracgen import cli
-from diracgen.errors import InputError
-from diracgen.symexpr import Chart
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -214,7 +215,7 @@ class TestVerdictOnError:
         "case, key",
         [
             ("chart-not-object", "chart"),
-            ("names-not-strings", "chart.names"),
+            ("names-not-strings", "chart.names[0]"),
             ("D-not-list", "sections.D"),
             ("negative-seed", "numerics.seed"),
         ],
@@ -336,39 +337,6 @@ class TestDiracReduce:
         assert recs[-1]["record"] == "verdict"
 
 
-# Any JSON value, with keys the readers look for among the object keys.
-_KEYS = ["names", "k", "box", "vector", "form", "generators", "structure_constants",
-         "target", "components", "tol", "samples", "seed", "ode_step", "quad_step"]
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-    | st.sampled_from(["x1", "x2", "x3", "y1", "1", "-1", "0.5", "1e400"]),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
-    max_leaves=16,
-)
-_CHART = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1)
-_NO_FLAGS = argparse.Namespace(tol=None, ode_step=None, quad_step=None, samples=None, seed=None)
-_READERS = {
-    "chart": lambda v: cli._chart_from(v),
-    "sections": lambda v: cli._section_list(v, _CHART, "sections.D"),
-    "action": lambda v: cli._action_from({"action": v}, _CHART),
-    "poisson": lambda v: cli._poisson_from({"poisson": v}, _CHART),
-    "quotient": lambda v: cli._quotient_from({"quotient": v}, _CHART),
-    "numerics": lambda v: cli._numerics({"numerics": v}, _NO_FLAGS),
-}
-
-
-@settings(max_examples=300, deadline=None)
-@given(reader=st.sampled_from(sorted(_READERS)), value=_JSON)
-def test_readers_return_or_raise_input_error(reader, value):
-    """Each problem-file reader either reads a JSON value or rejects it with
-    an InputError (exit 2); it never raises anything else."""
-    try:
-        _READERS[reader](value)
-    except InputError:
-        pass
-
-
 # A problem file each command runs to the end on; a malformed numerics value
 # must stop every command with exit 2 before any pipeline runs.
 _COMMAND_FILES = {"check": "e2.json", "invariant-generators": "e2.json", "dirac-reduce": "rotation_reduce.json"}
@@ -388,6 +356,14 @@ def _main_in_process(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_document(command, data, *flags) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as f:
+            f.write(json.dumps(data))
+        return _main_in_process([command, path, *flags])
+
+
 @settings(max_examples=80, deadline=None)
 @given(command=st.sampled_from(sorted(_COMMAND_FILES)),
        case=st.sampled_from(sorted(_MALFORMED)).flatmap(lambda key: st.tuples(st.just(key), _MALFORMED[key])),
@@ -400,11 +376,7 @@ def test_malformed_numerics_exit_2_with_a_verdict(command, case, via_flag):
         flags = [f"--{key.replace('_', '-')}={value!r}"]
     else:
         data.setdefault("numerics", {})[key] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "problem.json")
-        with open(path, "w") as f:
-            f.write(json.dumps(data))
-        code, out, err = _main_in_process([command, path, *flags])
+    code, out, err = _run_document(command, data, *flags)
     assert code == 2
     recs = records(out)
     assert [r["record"] for r in recs] == ["verdict"]
@@ -423,3 +395,142 @@ def test_malformed_structure_constants_exit_2(tmp_path, command, constants):
     verdict = records(out)[-1]
     assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
     assert verdict["message"].startswith("action.structure_constants:")
+
+
+def _set(data, path, value):
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, data)[key] = value
+
+
+# Values each command once misread: crashed on, truncated, or read as
+# something else.  Each is an input error naming its key.
+_DEFECTS = {
+    "tol-null": (("numerics", "tol"), None, "numerics.tol"),
+    "names-string": (("chart", "names"), "xyz", "chart.names"),
+    "names-object": (("chart", "names"), {"x1": 1, "x2": 2, "x3": 3}, "chart.names"),
+    "k-fraction": (("chart", "k"), 1.7, "chart.k"),
+    "k-true": (("chart", "k"), True, "chart.k"),
+    "samples-fraction": (("numerics", "samples"), 3.9, "numerics.samples"),
+    "box-empty": (("chart", "box"), [], "chart.box"),
+    "numerics-pairs": (("numerics",), [["tol", 1e-7], ["seed", 0]], "numerics"),
+    "no-coordinates": (("chart",), {"names": [], "k": 0}, "chart"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FILES))
+@pytest.mark.parametrize("case", sorted(_DEFECTS))
+def test_schema_defect_is_input_error_naming_its_key(command, case):
+    path, value, key = _DEFECTS[case]
+    data = problem_data(_COMMAND_FILES[command])
+    _set(data, path, value)
+    code, out, err = _run_document(command, data)
+    assert code == 2
+    *before, verdict = records(out)
+    assert [r["record"] for r in before] == ([] if key.startswith("numerics") else ["provenance"])
+    assert verdict["record"] == "verdict" and verdict["exit_code"] == 2
+    assert verdict["message"].startswith(f"{key}:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# Any JSON value, with the schema's keys among the object keys and
+# expression texts (random tokens, deep nesting, huge literals, non-ASCII
+# names) among the strings.
+_KEYS = ["names", "k", "box", "D", "extra", "dkperp", "vector", "form", "generators", "structure_constants",
+         "target", "components", "tol", "samples", "seed", "ode_step", "quad_step"]
+_TOKENS = ["x1", "x2", "x3", "theta", "r", "é", "(", ")", "+", "-", "*", "/", "^", "exp", "sin", "0", "2", "0.5"]
+_TEXT = (
+    st.text(max_size=6)
+    | st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join)
+    | st.sampled_from(["(" * 150 + "x1" + ")" * 150, " + ".join(["x1"] * 150), "1e400", "9" * 400, "x1^999999"])
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+# Well-formed expressions over the shipped problems' coordinate names, so a
+# mutant still reaches the pipelines.
+_EXPRESSION = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "theta", "r", "0", "1", "0.5", "1e200"]),
+    lambda e: st.builds("({} {} {})".format, e, st.sampled_from("+-*/"), e)
+    | st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos"]), e)
+    | st.builds("{}^{}".format, e, st.integers(-3, 40)),
+    max_leaves=6,
+)
+_BLOCK_KEYS = ["chart", "sections", "poisson", "dirac", "action", "quotient", "numerics"]
+_DOCUMENT = st.fixed_dictionaries({"format_version": st.just(1)}, optional=dict.fromkeys(_BLOCK_KEYS, _JSON))
+# The shipped problems each command reads through to a verdict
+_RUNS = {
+    "check": sorted(os.listdir(PROBLEMS)),
+    "invariant-generators": ["bad_hypothesis.json", "e1.json", "e2.json", "numerical_breakdown.json"],
+    "dirac-reduce": ["rank_jump.json", "rotation_reduce.json", "translation_reduce.json"],
+}
+
+
+def _paths(value, path=()):
+    """Every key path in a JSON document, the document's own () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield from _paths(v, path + (key,))
+
+
+@st.composite
+def _mutant(draw, command):
+    """A shipped problem the command reads through, with one key dropped or
+    one value replaced: a block by any JSON value, a text or a number by
+    another of its kind."""
+    data = problem_data(draw(st.sampled_from(_RUNS[command])))
+    path = draw(st.sampled_from([p for p in _paths(data) if p]))
+    parent = functools.reduce(operator.getitem, path[:-1], data)
+    old = parent[path[-1]]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    elif isinstance(old, str):
+        _set(data, path, draw(_EXPRESSION | _TEXT))
+    elif isinstance(old, (int, float)):
+        _set(data, path, draw(st.integers(-3, 40) | st.floats()))
+    else:
+        _set(data, path, draw(_JSON))
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_RUNS)).flatmap(lambda command: st.tuples(st.just(command),
+                                                                        _mutant(command) | _DOCUMENT)))
+def test_every_document_keeps_the_exit_contract(run):
+    """Through cli.main, any document exits 0-3 with a verdict record that
+    carries the exit code, and stderr holds one summary line after the
+    check lines of the stages that finished (an error in a later
+    dirac-reduce stage follows them).  Two random samples keep each run
+    short."""
+    command, data = run
+    code, out, err = _run_document(command, data, "--samples", "2")
+    assert code in (0, 1, 2, 3)
+    verdict = records(out)[-1]
+    assert verdict["record"] == "verdict" and verdict["exit_code"] == code
+    assert "Traceback" not in err
+    *checks, summary = err.splitlines()
+    assert all(line.startswith(("[pass] ", "[FAIL] ")) for line in checks)
+    if code >= 2:
+        assert summary.startswith(("input error", "numerical breakdown"))
+
+
+def test_traced_cli_names_are_cli_functions():
+    """bench/tracer.py spans the cli functions it names in CLI_FUNCTIONS."""
+    with open(os.path.join(ROOT, "bench", "tracer.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CLI_FUNCTIONS")
+    for name in names:
+        fn = getattr(cli, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
+
+
+def test_readme_documents_every_schema_key():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("## Problem files", 1)[1].split("\n## ", 1)[0]
+    keys = ["chart", "chart.names", "chart.k", "chart.box", "action", "action.structure_constants", "quotient",
+            "quotient.target", "numerics", *cli._BLOCKS, *(f"numerics.{key}" for key in cli._NUMERICS)]
+    assert [key for key in keys if f"`{key}`" not in section] == []

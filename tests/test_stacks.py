@@ -449,17 +449,21 @@ class TestNaNDefectsFailTheirRecords:
                      lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples),
                      "reduced-isotropy")
 
-    def test_supplied_family_member(self):
-        # the member (0; 0, 1e200, 1e200): its residual in D's span is inf / (1 + inf)
-        problem = FoliatedProblem(chart=self.chart, generators=(section(self.chart, ("0", "0", "0"),
-                                                                                ("0", "1e200", "1e200")),))
+    # the member (0; 0, 1e200, 1e200): its residual in a span is inf / (1 + inf)
+    member = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0", "0"), ("0", "1e200", "1e200")),))
 
+    def test_supplied_family_member(self):
         def supplied():
-            report = descending_generators(self.D, self.action, problem, samples=self.samples).report
+            report = descending_generators(self.D, self.action, self.member, samples=self.samples).report
             return [r for r in report if r.check.startswith("supplied-family")]
 
-        self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, problem, self.samples, 1e-7),
+        self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, self.member, self.samples, 1e-7),
                      "supplied-family-in-intersection")
+
+    def test_frame_span_warns_nothing(self):
+        # run() on the member, with no silencer: tier-1 turns a RuntimeWarning into a failure
+        record = next(r for r in run(self.member, samples=self.samples).report if r.check == "frame-spans-distribution")
+        assert not record.passed and np.isnan(record.worst_residual)
 
 
 def _no_samples():

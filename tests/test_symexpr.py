@@ -66,6 +66,15 @@ class TestParseEval:
         with pytest.raises(EvalDomainError):
             parse(text, chart).eval(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("text", ["exp(1e200)", "1e200^2", "2^99999", "sin(1e400)"])
+    def test_constant_that_cannot_fold_is_a_domain_error_where_evaluated(self, text):
+        # parsing keeps the node instead of raising OverflowError or ValueError
+        chart = make_chart(2)
+        expr = parse(f"x1*{text}", chart)
+        for evaluate in (lambda: expr.eval(np.array([0.5, 0.0])), lambda: CompiledExprs([expr])(np.array([[0.5, 0.0]]))):
+            with pytest.raises(EvalDomainError):
+                evaluate()
+
     def test_exp_at_zero(self, chart3):
         assert parse("exp(x1)", chart3).eval(np.zeros(3)) == pytest.approx(1.0)
 
@@ -305,6 +314,10 @@ class TestChart:
     def test_duplicate_names_rejected(self):
         with pytest.raises(InputError):
             Chart(coord_names=("a", "a"), leaf_count=0)
+
+    def test_no_coordinates_rejected(self):
+        with pytest.raises(InputError, match="at least one coordinate"):
+            Chart(coord_names=())
 
     def test_outside_box_rejected(self):
         chart = make_chart(2)
