@@ -58,13 +58,6 @@ class VectorField:
     def __call__(self, point) -> np.ndarray:
         return np.array([c.eval(point) for c in self.coeffs])
 
-    def apply(self, f: Expr) -> Expr:
-        """Directional derivative X[f]."""
-        out = ZERO
-        for i, c in enumerate(self.coeffs):
-            out = out + c * f.diff(i)
-        return out
-
     def __add__(self, other):
         chart = _same_chart(self, other)
         return VectorField(chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

@@ -251,7 +251,9 @@ def _dirac(data: dict, chart: Chart, samples):
 
 class _Emitter:
     """Write line-delimited JSON records to the output stream and a short
-    human-readable summary to stderr."""
+    human-readable summary to stderr.  The summary lines of the checks are
+    held until the verdict: a run stopped by an input error or a numerical
+    breakdown prints that error as its one stderr line."""
 
     def __init__(self, output_path: str | None):
         if output_path:
@@ -260,6 +262,7 @@ class _Emitter:
         else:
             self._fh = sys.stdout
             self._owned = False
+        self._held: list = []  # stderr lines of the checks so far
 
     def close(self):
         if self._owned:
@@ -278,10 +281,10 @@ class _Emitter:
         for r in report:
             self.line({"record": "check", **r.as_dict()})
             mark = "pass" if r.passed else "FAIL"
-            print(
-                f"[{mark}] {r.check}: worst residual {r.worst_residual:.3e} (tol {r.tol:.1e})",
-                file=sys.stderr,
-            )
+            self._held.append(f"[{mark}] {r.check}: worst residual {r.worst_residual:.3e} (tol {r.tol:.1e})")
+
+    def _summary(self, line: str):
+        print(*self._held, line, sep="\n", file=sys.stderr)
 
     def verdict(self, passed: bool, failed_stage: str = ""):
         code = EXIT_PASS if passed else EXIT_VERIFICATION
@@ -289,14 +292,17 @@ class _Emitter:
         if failed_stage:
             obj["failed_stage"] = failed_stage
         self.line(obj)
-        print("verdict:", "pass" if passed else f"FAIL ({failed_stage or 'checks'})", file=sys.stderr)
+        self._summary("verdict: " + ("pass" if passed else f"FAIL ({failed_stage or 'checks'})"))
         return code
 
     def error(self, code: int, kind: str, exc: DiracgenError) -> int:
-        """The final verdict of a run stopped by an exception: one stderr
-        line, and a record with the stage, point and message."""
+        """The final verdict of a run stopped by an exception: its stderr
+        line (after the checks' lines only when verification failed), and a
+        record with the stage, point and message."""
         stage = exc.stage or ""
-        print(f"{kind}{f' [{stage}]' if stage else ''}: {exc}", file=sys.stderr)
+        if code != EXIT_VERIFICATION:
+            self._held = []
+        self._summary(f"{kind}{f' [{stage}]' if stage else ''}: {exc}")
         self.line({"record": "verdict", "passed": False, "exit_code": code, "failed_stage": stage,
                    "point": exc.point, "message": str(exc)})
         return code
@@ -402,9 +408,11 @@ def cmd_dirac_reduce(data: dict, chart: Chart, samples, numerics: dict, args, ou
         return out.verdict(False, "rank scan")
 
     with _at("sections.dkperp"):  # its forms are checked on the leaves here, after the rank scan
-        problem = FoliatedProblem(
-            chart=chart, generators=family, ode_step=numerics["ode_step"], quad_step=numerics["quad_step"], tol=tol
-        )
+        for section in family:
+            split_tilde(section, chart.leaf_count)
+    problem = FoliatedProblem(
+        chart=chart, generators=family, ode_step=numerics["ode_step"], quad_step=numerics["quad_step"], tol=tol
+    )
     result = descending_generators(D, action, problem, samples=samples, tol=tol)
     out.checks(result.report)
     if not result.report.passed:
@@ -469,7 +477,8 @@ def main(argv=None) -> int:
         numerics = _numerics(data, args)
         out.provenance(args.command, data["_raw_text"], numerics)
         chart = _chart(_require(data, "chart", "problem"), "chart")
-        samples = chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
+        with _at("numerics.samples"):
+            samples = chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
         return args.fn(data, chart, samples, numerics, args, out)
     except InputError as exc:
         return out.error(EXIT_INPUT, "input error", exc)

@@ -10,14 +10,21 @@ certifying the reduced structure on a user-supplied quotient chart.
 Everything pointwise is sampled evidence, not proof: a pass certifies the
 checked properties at the sample set to the stated tolerance.
 
-Each check reads its values from one compiled batch, its ranks from one
-stacked SVD and its residuals from one stacked least squares, bit-identical
-to one point at a time; the lift runs all closure targets of a check in one
-stacked Gauss–Newton, each target ending where lifting it alone ends.
+Each input compiles one program, the first time a check needs it: a
+DiracStructure its components, pairings and exact partials, an
+InfinitesimalAction its generators and their exact partials, a
+FoliatedProblem its family (in its solver), a QuotientMap its components
+and Jacobian.  A program keeps its last evaluation, so the checks at one
+sample set evaluate each input once.  Each check reads rows of those
+programs, its ranks from one stacked SVD and its residuals from one stacked
+least squares, bit-identical to one point at a time; the lift runs all
+closure targets of a check in one stacked Gauss–Newton, each target ending
+where lifting it alone ends.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +36,6 @@ from .distribution import (
     TangentDistribution,
     _norms,
     annihilator_basis,
-    section_values,
     span_residuals,
     stacked,
     svd_rank,
@@ -64,6 +70,44 @@ __all__ = [
 ]
 
 
+def _read(samples, *parts) -> list:
+    """The values (rows, N) of each part (program, rows) at the samples, from
+    each program's last evaluation when that was at the same samples.
+    Raises what evaluating point by point raises first: at each sample in
+    turn, the rows of each part in order."""
+    evaluated = [program.evaluate(samples) for program, _ in parts]
+    if any(bad is not None for _, bad in evaluated):
+        hits = np.array([np.zeros(len(samples), dtype=bool) if bad is None else bad[rows.start : rows.stop].any(axis=0)
+                         for (_, rows), (_, bad) in zip(parts, evaluated)])
+        for at in np.flatnonzero(hits.any(axis=0))[:1]:
+            part = np.flatnonzero(hits[:, at])[0]
+            parts[part][0].raise_first(evaluated[part][1], samples, [(parts[part][1], [at])])
+    return [values[rows.start : rows.stop] for (_, rows), (values, _) in zip(parts, evaluated)]
+
+
+class _Sections(CompiledExprs):
+    """The program of an input's sections, each ``width`` components on n
+    coordinates (rows ``values``), compiled the first time a check needs
+    them; their exact partials join it the first time a check needs jets."""
+
+    def __init__(self, comps, width: int, n: int):
+        super().__init__(comps)
+        self.values, self.width, self.n = range(len(comps)), width, n
+
+    @functools.cached_property
+    def partials(self) -> range:
+        """d_i of each component, section by section, then i by i."""
+        w = self.width
+        return self.extend([c.diff(i) for s in self.values[::w] for i in range(self.n) for c in self.exprs[s : s + w]])
+
+    def jets(self, samples):
+        """Values V (N, S, width) and partials dV (N, S, n, width),
+        dV[p, s, i, c] = d_i V[p, s, c], at the samples."""
+        values, partials = _read(samples, (self, self.values), (self, self.partials))
+        V = stacked(values, self.width)
+        return V, stacked(partials, self.width).reshape(*V.shape[:2], self.n, self.width)
+
+
 @dataclass(frozen=True)
 class DiracStructure:
     """A Lagrangian subbundle presented by exactly n spanning sections."""
@@ -82,25 +126,29 @@ class DiracStructure:
             if g.chart != self.chart:
                 raise InputError("generator chart differs from Dirac structure chart")
 
-    def as_distribution(self) -> GeneralizedDistribution:
-        return GeneralizedDistribution(self.chart, self.generators)
+    @functools.cached_property
+    def _program(self) -> _Sections:
+        """D's one program: its generators, then its pairings (rows
+        _pairings) and partials, each the first time a check needs them."""
+        return _Sections([c for g in self.generators for c in _components(g)], 2 * self.chart.n, self.chart.n)
+
+    @functools.cached_property
+    def _pairings(self) -> range:
+        gens = self.generators
+        return self._program.extend([pairing(a, b) for i, a in enumerate(gens) for b in gens[i:]])
 
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         """Certify rank n and pairwise isotropy of the generators at the
-        samples; together these make the span Lagrangian.  One compiled
-        batch: the generators (ranks) at every sample, then the pairings."""
+        samples; together these make the span Lagrangian.  The generators
+        (ranks) at every sample are read first, then the pairings."""
         samples = self.chart.checked_samples(samples)
-        comps = [c for g in self.generators for c in _components(g)]
-        pairings = [pairing(a, b) for i, a in enumerate(self.generators) for b in self.generators[i:]]
-        n, N, G = self.chart.n, len(samples), len(comps)
-        compiled = CompiledExprs(comps + pairings)
-        values, bad = compiled.evaluate(samples)
-        compiled.raise_first(bad, samples, [(range(G), range(N)), (range(G, G + len(pairings)), range(N))])
-        ranks = svd_rank(stacked(values[:G], 2 * n), tol)
+        n, program, pairings = self.chart.n, self._program, self._pairings
+        (values,), (pairs,) = _read(samples, (program, program.values)), _read(samples, (program, pairings))
+        ranks = svd_rank(stacked(values, 2 * n), tol)
         return Report([
             record_from_samples("lagrangian-rank", zip(np.where(ranks == n, 0.0, 1.0), samples), 0.0,
                                 detail=f"rank equals chart dimension {n}", stage="validity"),
-            record_from_samples("lagrangian-isotropy", zip(np.abs(values[G:]).max(axis=0), samples), tol,
+            record_from_samples("lagrangian-isotropy", zip(np.abs(pairs).max(axis=0), samples), tol,
                                 stage="validity"),
         ])
 
@@ -159,6 +207,16 @@ class InfinitesimalAction:
             if c.size != d**3 or (d and c.shape != (d, d, d)) or not np.isfinite(c).all():
                 raise InputError(f"structure constants must be {d} x {d} x {d} finite numbers")
 
+    @functools.cached_property
+    def _program(self) -> _Sections:
+        """The action's one program: its generators' coefficients."""
+        return _Sections([c for xi in self.generators for c in xi.coeffs], self.chart.n, self.chart.n)
+
+    def _jets(self, samples):
+        """Exact 1-jets of the sections (xi, 0) at the samples: zero form
+        parts and partials, as the sections' ZERO components evaluate."""
+        return tuple(np.concatenate([a, np.zeros(a.shape)], axis=-1) for a in self._program.jets(samples))
+
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         samples = self.chart.checked_samples(samples)
         report = Report()
@@ -167,7 +225,7 @@ class InfinitesimalAction:
         n, d = self.chart.n, len(self.generators)
         c = np.array(self.structure_constants, dtype=float).reshape(d * d, d)  # row (a, b) of each pair
         pairs = [(a, b) for a in range(d) for b in range(d)]
-        X, dX = _jets([PontryaginSection.from_vector(x) for x in self.generators], samples)
+        X, dX = self._jets(samples)
         residual = _pair_brackets(X, dX, pairs)[..., :n]
         with np.errstate(over="ignore", invalid="ignore"):  # judged by _require_finite
             for e in range(d):
@@ -199,8 +257,9 @@ class QuotientMap:
         object.__setattr__(self, "components", comps)
         jacobian = tuple(tuple(c.diff(j) for j in range(self.source.n)) for c in comps)  # [i][j]: d_j of c_i
         object.__setattr__(self, "_jacobian_exprs", jacobian)
-        # the components, then the Jacobian row by row
+        # the components, then the Jacobian row by row (rows _jacobian)
         object.__setattr__(self, "_compiled", CompiledExprs(comps + tuple(d for row in jacobian for d in row)))
+        object.__setattr__(self, "_jacobian", range(len(comps), len(self._compiled.exprs)))
 
     def __call__(self, m) -> np.ndarray:
         return np.array([c.eval(m) for c in self.components])
@@ -210,12 +269,11 @@ class QuotientMap:
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
         """Full rank of the Jacobian and the action generators in its kernel
-        at every sample, from one compiled batch of both."""
+        at every sample, read point by point, the Jacobian first."""
         samples = self.source.checked_samples(samples)
         n, nbar = self.source.n, self.target.n
-        values = CompiledExprs([d for row in self._jacobian_exprs for d in row]
-                               + [c for xi in action.generators for c in xi.coeffs])(samples)
-        J, X = stacked(values[: nbar * n], n), stacked(values[nbar * n :], n)
+        J, X = (stacked(v, n) for v in _read(samples, (self._compiled, self._jacobian),
+                                             (action._program, action._program.values)))
         with np.errstate(over="ignore", invalid="ignore"):  # an inf image fails the record
             JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
         vertical = np.abs(JX).max(axis=(1, 2), initial=0.0)  # a NaN image fails the record too
@@ -242,12 +300,12 @@ def graph_of_poisson(pi: PoissonBivector, samples=None, tol: float = 1e-9) -> Di
 def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
     """Sampled closure test: all pairwise Courant brackets of the
     generators stay in the pointwise span.  The brackets at every sample
-    come from one batch of exact 1-jets, their residuals from one stacked
+    come from D's exact 1-jets, their residuals from one stacked
     least-squares call."""
     samples = D.chart.checked_samples(samples)
     S = len(D.generators)
     pairs = [(i, j) for i in range(S) for j in range(S) if i != j]
-    V, dV = _jets(D.generators, samples)
+    V, dV = D._program.jets(samples)
     brackets = _pair_brackets(V, dV, pairs)
     _require_finite(brackets, pairs, samples, "Courant bracket of generators")
     # the generators laid out as the transpose of row-major values, as a
@@ -265,7 +323,7 @@ def characteristic_distributions(D: DiracStructure, m, tol: float = DEFAULT_RANK
     with zero form (G0), all reachable vectors (G1), and the analogous
     cotangent spaces (P0, P1)."""
     n = D.chart.n
-    M = _as_columns(section_values(D.generators, [m]))[0]
+    M = _as_columns(stacked(_read(D.chart.checked_samples([m]), (D._program, D._program.values))[0], 2 * n))[0]
     top, bottom = M[:n], M[n:]
     rank_top, u_top, vt_top = svd_rank(top, tol, bases=True)
     rank_bottom, u_bottom, vt_bottom = svd_rank(bottom, tol, bases=True)
@@ -299,12 +357,11 @@ def _as_columns(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(rows, 1, 2))
 
 
-def _dirac_and_action(D: DiracStructure, action: InfinitesimalAction, samples):
-    """D's generators as columns (N, 2n, n), then the action's (N, d, n), in one compiled batch."""
-    n = D.chart.n
-    d_comps = [c for g in D.generators for c in _components(g)]
-    values = CompiledExprs(d_comps + [c for xi in action.generators for c in xi.coeffs])(samples)
-    return _as_columns(stacked(values[: len(d_comps)], 2 * n)), stacked(values[len(d_comps) :], n)
+def _dirac_and_action_values(D: DiracStructure, action: InfinitesimalAction, samples):
+    """D's generators as columns (N, 2n, n), then the action's (N, d, n),
+    read point by point, D first."""
+    M, X = _read(samples, (D._program, D._program.values), (action._program, action._program.values))
+    return _as_columns(stacked(M, 2 * D.chart.n)), stacked(X, D.chart.n)
 
 
 def _intersections(M: np.ndarray, X: np.ndarray, tol: float = DEFAULT_RANK_TOL):
@@ -325,7 +382,7 @@ def _intersections(M: np.ndarray, X: np.ndarray, tol: float = DEFAULT_RANK_TOL):
 def intersect_D_Kperp(D: DiracStructure, action: InfinitesimalAction, m, tol: float = DEFAULT_RANK_TOL):
     """Pointwise basis of the subspace of D(m) whose form part annihilates
     the vertical space; returns (basis columns, rank)."""
-    M, X = _dirac_and_action(D, action, D.chart.checked_samples([m]))
+    M, X = _dirac_and_action_values(D, action, D.chart.checked_samples([m]))
     dims, basis = _intersections(M, X, tol)
     return list(basis[0, :, : dims[0]].T), int(dims[0])
 
@@ -336,7 +393,7 @@ def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, 
     on failure the record's detail names two witness points with different
     ranks."""
     samples = D.chart.checked_samples(samples)
-    dims, _ = _intersections(*_dirac_and_action(D, action, samples), tol)
+    dims, _ = _intersections(*_dirac_and_action_values(D, action, samples), tol)
     ranks = [(plain(m), int(rank)) for m, rank in zip(samples, dims)]
     lo, hi = int(dims.min()), int(dims.max())
     p_lo, p_hi = (plain(samples[np.argmax(dims == rank)]) for rank in (lo, hi))
@@ -348,19 +405,6 @@ def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, 
     return record, ranks
 
 
-def _jets(sections, points):
-    """Exact 1-jets of S sections at N points: values V (N, S, 2n), vector
-    part first, and first partials dV (N, S, n, 2n), dV[p, s, i, c] =
-    d_i V[p, s, c].  One compiled batch of every component, then every
-    Expr.diff partial, so it raises what Expr.eval raises at the first
-    point, then the first expression, that fails."""
-    points = np.asarray(points, dtype=float)
-    N, n = points.shape
-    comps = [c for s in sections for c in _components(s)]
-    S = len(comps) // (2 * n)
-    partials = [c.diff(i) for s in range(S) for i in range(n) for c in comps[2 * n * s : 2 * n * (s + 1)]]
-    out = CompiledExprs(comps + partials)(points)
-    return stacked(out[: len(comps)], 2 * n), stacked(out[len(comps) :], 2 * n).reshape(N, S, n, 2 * n)
 
 
 def _frame_jets(frames, chart: Chart, samples):
@@ -434,21 +478,21 @@ def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, 
     difference jets) at the samples: shape (N, #generators, r, 2n); and
     1 + the largest absolute frame entry at each sample."""
     F, dF = _frame_jets(result.frames, result.problem.chart, samples)
-    xi, dxi = _jets([PontryaginSection.from_vector(x) for x in action.generators], samples)
+    xi, dxi = action._jets(samples)
     brackets = _courant(xi[:, :, None], dxi[:, :, None], F[:, None], dF[:, None])
     return brackets, 1.0 + _worst(F)
 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
     """The chart must present the vertical distribution as the span of the
-    first k coordinate fields: checked at the first eight samples in one
-    batch, and reported at the first that breaks it."""
+    first k coordinate fields: checked at the first eight samples, and
+    reported at the first that breaks it."""
     k = problem.k
     if not action.generators:
         if k != 0:
             raise InputError("action has no generators but the chart declares leaves")
         return
-    X = stacked(CompiledExprs([c for xi in action.generators for c in xi.coeffs])(samples[:8]), problem.n)
+    X = stacked(_read(samples[:8], (action._program, action._program.values))[0], problem.n)
     transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
     for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
         if transverse[i]:
@@ -470,8 +514,9 @@ def descending_generators(
     action generators, and stability of the vertical distribution under
     brackets with the frame vectors.
 
-    That the family lies in and spans the intersection is checked from one
-    compiled batch, with one stacked least-squares call per direction."""
+    That the family lies in and spans the intersection is checked from the
+    programs of the family (its solver's), D and the action, with one
+    stacked least-squares call per direction."""
     tol = problem.tol if tol is None else tol
     chart = problem.chart
     samples = chart.checked_samples(samples, margin=0.1)
@@ -480,13 +525,10 @@ def descending_generators(
 
     # the first member, D, the action, then the other members: the order a
     # point-by-point pass first evaluates them in at a sample
-    family = [_components(g) for g in problem.generators]
-    d_comps = [c for g in D.generators for c in _components(g)]
-    x_comps = [c for xi in action.generators for c in xi.coeffs]
-    values = CompiledExprs(family[0] + d_comps + x_comps + [c for g in family[1:] for c in g])(samples)
-    a, b, c = 2 * n, 2 * n + len(d_comps), 2 * n + len(d_comps) + len(x_comps)
-    G, X = stacked(np.concatenate([values[:a], values[c:]]), 2 * n), stacked(values[b:c], n)
-    rows = stacked(values[a:b], 2 * n)
+    family = problem._solver._generator_exprs
+    first, rows, X, rest = _read(samples, (family, range(2 * n)), (D._program, D._program.values),
+                                 (action._program, action._program.values), (family, range(2 * n, 2 * n * r)))
+    G, X, rows = stacked(np.concatenate([first, rest]), 2 * n), stacked(X, n), stacked(rows, 2 * n)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails its record
         # each member in D's span and its form against each action generator,
         # then each basis vector of the intersection in the family's span
@@ -575,9 +617,11 @@ def least_squares(q: QuotientMap, ybar, x0, values=None):
     it alone stops: when no halving lowers it, when it is 0, or after
     LIFT_MAX_ITER steps.  q and its Jacobian come from one compiled batch per
     halving; ``values`` are those at x0, when the caller has them.  Returns
-    the points reached and their residual norms |q(x) - ybar|; a target whose
-    lift meets a point where q or its Jacobian fails stops there with
-    residual NaN (a single target raises that error)."""
+    the points reached and their residual norms |q(x) - ybar|, and for a
+    stack also the Jacobians there (T, nbar, n), NaN where q's Jacobian
+    cannot be evaluated; a target whose lift meets a point where q or its
+    Jacobian fails stops there with residual NaN (a single target raises
+    that error)."""
     n, nbar = q.source.n, q.target.n
     lo, hi = np.array(q.source.box).T
     Y = np.asarray(ybar, dtype=float).reshape(-1, nbar)
@@ -616,7 +660,7 @@ def least_squares(q: QuotientMap, ybar, x0, values=None):
             at, base, step = at[~done], base[~done], 0.5 * step[~done]
         live[at] = False  # no halving lowered the residual
     if np.ndim(ybar) > 1:
-        return x, norm
+        return x, norm, J
     if np.isnan(norm[0]):
         q._compiled(x[:1])  # raises what evaluating q or its Jacobian raises there
     return x[0], norm[0]
@@ -663,8 +707,8 @@ def pushforward_check(
     Every frame value the checks need (samples, fiber pairs, lifted closure
     targets and their stencils) is evaluated in one batch when frame is an
     InvariantFrameResult, else point by point; q and its Jacobian in one
-    compiled batch before the lifts, one per halving of the stacked lift
-    and one after."""
+    compiled batch before the lifts and one per halving of the stacked lift,
+    which returns the Jacobians at the lifted points."""
     if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
         frames = frame.frames
     else:
@@ -698,7 +742,7 @@ def pushforward_check(
     # way is raised once the frames gathered before it are evaluated.
     gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(n_fiber_pairs)], axis=1)[on].ravel()])
     before = N + 2 * np.concatenate([[0], np.cumsum(on)])  # points gathered before fiber i
-    Q, JAC = range(nbar), range(nbar, nbar * (n + 1))
+    Q, JAC = range(nbar), q._jacobian
     targets = min(N, 6) if check_closedness else 0
     blocks = [(JAC, range(N))] + [
         block for i in range(n_fiber_pairs) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
@@ -710,30 +754,31 @@ def pushforward_check(
         gathered = gathered[: p + 1 if block == 0 else before[fiber + (block - 1) % 3 // 2]]
 
     # closure: each target, then its stencil points, lifted from the first sample
-    lifted = np.empty((0, n))
+    lifted, lifted_J = np.empty((0, n)), np.empty((0, nbar, n))
+
+    def error_at(x, rows):  # what evaluating rows of q at one point x raises
+        return q._compiled.first_error(q._compiled.evaluate(x[None])[1], x[None], [(rows, [0])])[2]
+
     if targets and error is None:
         stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]
         deltas = np.array([delta for _, delta in stencils])
         ys = np.concatenate([qv[:targets, None], *(s for s, _ in stencils)], axis=1).reshape(-1, nbar)
-        lifted, residual = least_squares(q, ys, samples[0], values[:, 0])
+        lifted, residual, lifted_J = least_squares(q, ys, samples[0], values[:, 0])
         for t in np.flatnonzero(~(residual <= LIFT_TOL))[:1]:  # the first target whose lift fails
             if np.isnan(residual[t]):  # it met a point where q or its Jacobian cannot be evaluated
-                error = q._compiled.first_error(q._compiled.evaluate(lifted[t : t + 1])[1], lifted[t : t + 1])[2]
+                error = error_at(lifted[t], range(len(q._compiled.exprs)))
             else:
                 error = VerificationError(f"could not lift target point {plain(ys[t])} through the "
                                           f"quotient map (residual {residual[t]:.3e})")
             lifted = lifted[:t]
-    lifted_values, bad = q._compiled.evaluate(lifted)
-    jacobian_error = q._compiled.first_error(bad, lifted, [(JAC, range(len(lifted)))])
-    if jacobian_error is not None:  # met before any later lift
-        _, p, error = jacobian_error
-        lifted = lifted[: p + 1]
+    for p in np.flatnonzero(np.isnan(lifted_J[: len(lifted)]).any(axis=(1, 2)))[:1]:  # met before any later lift
+        error, lifted = error_at(lifted[p], JAC), lifted[: p + 1]
 
     values = frames(np.concatenate([source[gathered], lifted]))
     if error is not None:
         raise error
     Xbar, abar, residual = _push(q, np.asarray(values, dtype=float),
-                                 np.concatenate([J[gathered], stacked(lifted_values[nbar:], n)[: len(lifted)]]))
+                                 np.concatenate([J[gathered], lifted_J[: len(lifted)]]))
     sections = np.concatenate([Xbar, abar], axis=1)  # pushed (Xbar, abar), 2 nbar x r each
 
     # abar_j . Xbar_i at each sample, one dot product each: P[:, j, i]

@@ -30,6 +30,7 @@ Leaf coordinate indices are 0-based (0 .. k-1).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections import OrderedDict
@@ -65,6 +66,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
+# Most RK4 steps (Step 2) and Simpson panels (Step 4) a problem may take on one
+# leaf line, from the zero slice to the farthest end of its interval.
+MAX_LINE_STEPS = 100_000
 
 
 def require_positive(value, name: str) -> float:
@@ -140,9 +144,22 @@ class FoliatedProblem:
             object.__setattr__(self, "quad_step", self.ode_step)
         for name in ("ode_step", "quad_step", "tol"):
             require_positive(getattr(self, name), name)
+        # the longest leaf line runs from the zero slice to the farthest end of a leaf interval
+        reach = max((max(-lo, hi) for lo, hi in self.chart.box[: self.k]), default=0.0)
+        for name, what, per_step in (("ode_step", "RK4 steps", 1.0), ("quad_step", "Simpson panels", 2.0)):
+            count = reach / (per_step * float(getattr(self, name)))
+            if count > MAX_LINE_STEPS:
+                raise InputError(f"{name}: {getattr(self, name)!r} takes {count:.3g} {what} on the longest "
+                                 f"leaf line, above the cap of {MAX_LINE_STEPS}")
         # probe the leaf-annihilation condition early
         for s in self.generators + ((self.extra,) if self.extra else ()):
             split_tilde(s, self.k)
+
+    @functools.cached_property
+    def _solver(self) -> _Solver:
+        """The batched evaluators of every stage, built the first time a stage
+        needs them; they keep this problem's compiled programs and line caches."""
+        return _Solver(self)
 
     @property
     def n(self) -> int:
@@ -233,7 +250,8 @@ class _Panels:
 
 class _Solver:
     """Batched evaluators for every stage.  Expressions are compiled and
-    differentiated once, here.  Step 1 runs on all RK4 nodes of a line in
+    differentiated once per problem: Step 1's the first time a node is
+    solved, the others here.  Step 1 runs on all RK4 nodes of a line in
     one stacked solve; Step 2 keeps the integration grid of each coordinate
     line and Step 4 the Simpson totals of each quadrature line, so every
     later point on a line only adds its own last partial step or panel.
@@ -243,7 +261,9 @@ class _Solver:
     order meets first."""
 
     def __init__(self, problem: FoliatedProblem):
-        self.p = p = problem
+        # a copy: the problem holds its solver, and a reference back would make
+        # a cycle that only the garbage collector frees
+        self.p = p = copy.copy(problem)
         n, k = p.n, p.k
         self.tilde = [split_tilde(g, k)[1] for g in p.generators]
         # transverse coefficient expressions, stacked as in the linear system:
@@ -252,13 +272,10 @@ class _Solver:
         self.tilde_exprs = [
             [t.vf.coeffs[j] for t in self.tilde] for j in range(k, n)
         ] + [[t.form.coeffs[j] for t in self.tilde] for j in range(k, n)]
-        T = [e for row in self.tilde_exprs for e in row]
-        dT = [e.diff(l) for l in range(k) for e in T]
-        self.constant_tilde = all(e == ZERO for e in dT)
-        X_leaf = [g.vf.coeffs[j] for j in range(k) for g in p.generators]  # k x r
-        dX = [g.vf.coeffs[j].diff(l) for l in range(k) for g in p.generators for j in range(k)]
-        # Step 1 at a node evaluates T, then each dT_l, then the leaf parts for A
-        self._step1_exprs = CompiledExprs(([] if self.constant_tilde else T + dT) + X_leaf + dX)
+        T = self._T = [e for row in self.tilde_exprs for e in row]
+        self._dT = [e.diff(l) for l in range(k) for e in T]
+        self.constant_tilde = all(e == ZERO for e in self._dT)
+        X_leaf = self._X_leaf = [g.vf.coeffs[j] for j in range(k) for g in p.generators]  # k x r
         if p.extra is not None:
             _, extra_tilde = split_tilde(p.extra, k)
             d_extra = [
@@ -279,6 +296,14 @@ class _Solver:
         self._generator_exprs = CompiledExprs([c for g in p.generators for c in _components(g)])
         self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
         self._panels: OrderedDict = OrderedDict()  # (l, frozen, sign) -> _Panels
+
+    @functools.cached_property
+    def _step1_exprs(self) -> CompiledExprs:
+        """Step 1 at a node evaluates T, then each dT_l, then the leaf parts
+        for A; compiled the first time a node is solved."""
+        p, k = self.p, self.p.k
+        dX = [g.vf.coeffs[j].diff(l) for l in range(k) for g in p.generators for j in range(k)]
+        return CompiledExprs(([] if self.constant_tilde else self._T + self._dT) + self._X_leaf + dX)
 
     # -- Step 1 -----------------------------------------------------------
 
@@ -454,32 +479,33 @@ class _Solver:
         r, step = self.p.r, self.p.ode_step
         out = np.empty((len(points), r, r))
         out[:] = np.eye(r)
-        if self.constant_tilde:
+        live = np.flatnonzero(points[:, j] != 0.0)
+        if self.constant_tilde or not live.size:
             return out
-        lines, tails, reads = {}, [], []  # key -> [Ws, point, target]; (key, n, dx, point); per live point
-        for i, row in enumerate(points.tolist()):
-            x = row[j]
-            if x == 0.0:
-                continue
-            count, rounding = int(abs(x) // step), 1e-15 * max(1.0, abs(x))
-            count += abs((count + 1) * step - abs(x)) <= rounding  # one rounding below a grid node: read it
-            dx = x - math.copysign(count * step, x)
-            key = (j, tuple(row[:j] + row[j + 1 :]), x > 0.0)
-            line = lines.get(key)
-            if line is None:  # looked up once: a big batch may evict it from the cache
-                line = lines[key] = [_lru_get(self._lines, key, lambda: [np.eye(r)]), points[i], 0]
-            line[2] = max(line[2], count)
-            reads.append((i, line[0], count))
-            if abs(dx) > rounding:
-                tails.append((key, count, dx, i))
-        index = {key: a for a, key in enumerate(lines)}
-        Phi = self._extend(
-            j, list(lines.values()), [math.copysign(step, 1.0 if key[2] else -1.0) for key in lines],
-            [(index[key], count, dx) for key, count, dx, _ in tails],
-        )
-        out[[i for i, _, _ in reads]] = np.reshape([Ws[count] for _, Ws, count in reads], (-1, r, r))
-        if tails:
-            at = [i for *_, i in tails]
+        x = points[live, j]
+        count, rounding = (np.abs(x) // step).astype(int), 1e-15 * np.maximum(1.0, np.abs(x))
+        count += np.abs((count + 1) * step - np.abs(x)) <= rounding  # one rounding below a grid node: read it
+        dx = x - np.copysign(count * step, x)
+        # one line per (frozen coordinates, sign), numbered in order of first
+        # appearance, which decides what the cache evicts; + 0.0 turns -0.0
+        # into 0.0, equal to it as a cache key
+        keys = np.column_stack([np.delete(points[live], j, axis=1) + 0.0, x > 0.0])
+        _, first, line = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        line = np.argsort(order)[line.reshape(-1)]
+        target = np.zeros(len(order), dtype=int)
+        np.maximum.at(target, line, count)
+        lines = []
+        for i, grid_to in zip(first[order].tolist(), target.tolist()):
+            key = (j, tuple(keys[i, :-1].tolist()), bool(keys[i, -1]))
+            # looked up once: a big batch may evict it from the cache
+            lines.append([_lru_get(self._lines, key, lambda: [np.eye(r)]), points[live[i]], grid_to])
+        tails = np.flatnonzero(np.abs(dx) > rounding)
+        Phi = self._extend(j, lines, np.where(keys[first[order], -1] > 0.0, step, -step),
+                           np.column_stack([line[tails], count[tails], dx[tails]]))
+        out[live] = np.reshape([lines[a][0][c] for a, c in zip(line.tolist(), count.tolist())], (-1, r, r))
+        if tails.size:
+            at = live[tails]
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
                 last = Phi @ out[at]
             broken = np.flatnonzero(~np.isfinite(last).all(axis=(1, 2)))
@@ -527,6 +553,10 @@ class _Solver:
         return H
 
     def _B(self, points: np.ndarray) -> np.ndarray:
+        if self.constant_tilde and self.p.tol <= 1.0:
+            # H = I, so B is I, bit for bit as the solve below gives it; only a
+            # tol above 1 makes that solve reject the condition number 1 of I
+            return np.repeat(np.eye(self.p.r)[None], len(points), axis=0)
         H = self._H(points)
         eye = np.broadcast_to(np.eye(self.p.r), H.shape)
         return self._solve_square(np.swapaxes(H, 1, 2), eye, points, "Step 2")
@@ -748,42 +778,37 @@ class _Solver:
         return (self.extra_values(point) + self._corrections(point))[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _solver(problem: FoliatedProblem) -> _Solver:
-    return _Solver(problem)
-
-
 def solve_coefficients(p: FoliatedProblem, m):
     """The matrices (A, B_0..B_{k-1}) of the pointwise linear system for
     the leaf derivatives of the generators."""
-    A, Bs = _solver(p).coefficients(m)
+    A, Bs = p._solver.coefficients(m)
     return A, list(Bs)
 
 
 def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
-    return _solver(p).fundamental_matrix(j, m)
+    return p._solver.fundamental_matrix(j, m)
 
 
 def build_H(p: FoliatedProblem, m) -> np.ndarray:
-    return _solver(p).build_H(np.asarray(m, dtype=float))
+    return p._solver.build_H(np.asarray(m, dtype=float))
 
 
 def build_B(p: FoliatedProblem, m) -> np.ndarray:
-    return _solver(p).build_B(np.asarray(m, dtype=float))
+    return p._solver.build_B(np.asarray(m, dtype=float))
 
 
 def transformed_frame(p: FoliatedProblem):
     """Evaluator m -> 2n x r matrix whose columns are the straightened
     frame values."""
-    return _solver(p).frame
+    return p._solver.frame
 
 
 def beta_fields(p: FoliatedProblem, m):
-    return _solver(p).beta_sigma(np.asarray(m, dtype=float))
+    return p._solver.beta_sigma(np.asarray(m, dtype=float))
 
 
 def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
-    return _solver(p).Pi(np.asarray(m, dtype=float))
+    return p._solver.Pi(np.asarray(m, dtype=float))
 
 
 def _stencil(chart: Chart, m, l: int, delta: float | None = None):
@@ -871,7 +896,7 @@ def run(
     The frame (and the correction) is evaluated once, in one batch, at the
     samples and at the stencil points of every leaf-invariance check."""
     tol = p.tol if tol is None else tol
-    solver = _solver(p)
+    solver = p._solver
     samples = p.chart.checked_samples(samples, seed=seed, margin=0.1)
     report = Report()
     k = p.k

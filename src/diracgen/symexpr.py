@@ -68,6 +68,10 @@ def _domain_error(what: str, expr, point) -> EvalDomainError:
     return EvalDomainError(f"{what} {expr} at {plain(point)}", plain(point))
 
 
+# Most random sample points Chart.sample_points draws.
+MAX_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class Chart:
     """Named coordinates on an open box, with the first ``leaf_count``
@@ -127,10 +131,6 @@ class Chart:
         pad = slack * (1.0 + (hi - lo))
         return ~((lo - pad <= points) & (points <= hi + pad)).all(axis=-1)
 
-    def contains(self, point, slack: float = 1e-9) -> bool:
-        point = np.asarray(point, dtype=float)
-        return point.shape == (self.n,) and not self.outside(point, slack)
-
     def require_inside(self, points):
         """OutsideBoxError at the first of points (an n-vector or a stack) outside the box."""
         points = np.asarray(points, dtype=float)
@@ -160,7 +160,10 @@ class Chart:
         over the first min(n, 4) coordinates plus ``n_random`` uniform
         points, reproducibly seeded.  ``margin`` shrinks the sampling box
         by that fraction on each side (finite-difference checks need room
-        for their stencils)."""
+        for their stencils).  More than ``MAX_SAMPLES`` random points is an
+        InputError."""
+        if n_random > MAX_SAMPLES:
+            raise InputError(f"{n_random} random samples, above the cap of {MAX_SAMPLES}")
         fractions = (0.25, 0.5, 0.75)
         gridded = min(self.n, 4)
         axes = []
@@ -577,22 +580,36 @@ def _either(a, b):
 
 
 class CompiledExprs:
-    """A fixed list of expressions compiled once into a straight-line
-    program over batches of points.  Equal subtrees are computed once.
+    """A list of expressions compiled into a straight-line program over
+    batches of points.  Equal subtrees are computed once, also across the
+    expressions :meth:`extend` compiles into the program later.
 
     Arithmetic is numpy's on whole batches; sin, cos, exp and powers run
     per element on Python floats.  Every value is therefore bit-identical
     to :meth:`Expr.eval`, and a point is flagged exactly where
     ``Expr.eval`` raises there.
+
+    The program keeps its last evaluation, keyed on a private copy of the
+    points: evaluating it again at the same points, bit for bit, returns
+    the same read-only arrays, until :meth:`extend` compiles more into it.
     """
 
     def __init__(self, exprs):
-        self.exprs = tuple(exprs)
+        self.exprs: tuple = ()
         self._init: list = []  # slot values before a run: constants, else None
         self._vars: list = []  # (slot, coordinate index)
         self._code: list = []  # (slot, kind, function, operand, operand)
-        slots: dict = {}  # structural key -> slot
-        seen: dict = {}  # id(node) -> slot
+        self._out: list = []  # slot of each expression
+        self._slots: dict = {}  # structural key -> slot
+        self._seen: dict = {}  # id(node) -> slot; every node stays alive in self.exprs
+        self._last = None  # (points, values, bad) of the last evaluation
+        self.extend(exprs)
+
+    def extend(self, exprs) -> range:
+        """Compile exprs into the program after the expressions it holds;
+        returns their rows in what evaluate returns."""
+        exprs = tuple(exprs)
+        slots, seen = self._slots, self._seen
 
         def slot(e) -> int:
             s = seen.get(id(e))
@@ -629,13 +646,21 @@ class CompiledExprs:
             seen[id(e)] = s
             return s
 
-        self._out = [slot(e) for e in self.exprs]
+        start = len(self.exprs)
+        self._out += [slot(e) for e in exprs]
+        self.exprs += exprs
+        self._last = None
+        return range(start, len(self.exprs))
 
     def evaluate(self, points):
         """(values, bad) at a batch of points (N x n): ``values[e, i]`` is
         expression e at point i, and ``bad[e, i]`` marks where
         ``Expr.eval`` raises instead (``bad`` is None when it never does)."""
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float, order="C")
+        last = self._last
+        if last is not None and last[0].shape == pts.shape and last[0].tobytes() == pts.tobytes():
+            return last[1], last[2]
+        self._last = None  # freed before this evaluation
         vals = list(self._init)
         bad = [None] * len(vals)
         for s, index in self._vars:
@@ -663,7 +688,12 @@ class CompiledExprs:
         for e, s in enumerate(self._out):
             if bad[s] is not None:
                 flags[e] |= bad[s]
-        return out, (flags if flags.any() else None)
+        flags = flags if flags.any() else None
+        for array in (pts, out, flags):
+            if array is not None:
+                array.flags.writeable = False
+        self._last = (pts, out, flags)
+        return out, flags
 
     def raise_at(self, e: int, point):
         """Raise what ``Expr.eval`` raises for expression e at a flagged point."""

@@ -225,7 +225,7 @@ def supplied_family(D, action, problem, samples, tol) -> Report:
     _require_samples(samples)
     check_foliated_presentation(action, problem, samples)
     n = problem.n
-    dist = D.as_distribution()
+    dist = GeneralizedDistribution(D.chart, D.generators)
     supplied = GeneralizedDistribution(problem.chart, problem.generators)
     member_pairs, span_pairs = [], []
     for m in samples:

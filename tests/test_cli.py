@@ -17,6 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracgen import cli
+from diracgen.calculus import OneForm, PontryaginSection, VectorField
+from diracgen.invariant_gen import MAX_LINE_STEPS, FoliatedProblem
+from diracgen.symexpr import MAX_SAMPLES, parse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -501,10 +504,10 @@ def _mutant(draw, command):
                                                                         _mutant(command) | _DOCUMENT)))
 def test_every_document_keeps_the_exit_contract(run):
     """Through cli.main, any document exits 0-3 with a verdict record that
-    carries the exit code, and stderr holds one summary line after the
-    check lines of the stages that finished (an error in a later
-    dirac-reduce stage follows them).  Two random samples keep each run
-    short."""
+    carries the exit code.  Stderr holds one summary line, after the check
+    lines of the stages that finished when the exit is 0 or 1, and alone on
+    exit 2 or 3 (also when the error is raised in a later dirac-reduce
+    stage).  Two random samples keep each run short."""
     command, data = run
     code, out, err = _run_document(command, data, "--samples", "2")
     assert code in (0, 1, 2, 3)
@@ -514,7 +517,56 @@ def test_every_document_keeps_the_exit_contract(run):
     *checks, summary = err.splitlines()
     assert all(line.startswith(("[pass] ", "[FAIL] ")) for line in checks)
     if code >= 2:
-        assert summary.startswith(("input error", "numerical breakdown"))
+        assert checks == [] and summary.startswith(("input error", "numerical breakdown"))
+
+
+def test_error_in_a_later_stage_prints_one_line(tmp_path):
+    """A dkperp form on the leaves is found after the validity and rank-scan
+    checks have passed: the run writes their records, and stderr only the
+    error."""
+    def edit(data):
+        data["sections"]["dkperp"][0]["form"][0] = "1"
+
+    code, out, err = _main_in_process(["dirac-reduce", edited(tmp_path, "rotation_reduce.json", edit)])
+    assert code == 2
+    assert [r["record"] for r in records(out)].count("check") > 0
+    assert err.splitlines() == [f"input error: {records(out)[-1]['message']}"]
+    assert err.startswith("input error: sections.dkperp: form component 0")
+
+
+class TestBoundedWork:
+    """Sizes that would bound no work are input errors before any work."""
+
+    @pytest.mark.parametrize("command, name, flag, value, key", [
+        ("invariant-generators", "e1.json", "--ode-step", "1e-7", "ode_step: "),
+        ("invariant-generators", "e2.json", "--quad-step", "1e-7", "quad_step: "),
+        ("dirac-reduce", "translation_reduce.json", "--ode-step", "1e-7", "ode_step: "),
+        ("check", "e1.json", "--samples", "10001", "numerics.samples: "),
+    ])
+    def test_oversized_work_exits_2_with_one_line(self, command, name, flag, value, key):
+        out = run_cli(command, problem(name), flag, value, *(["--samples", "2"] if flag != "--samples" else []))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith(f"input error: {key}")
+        verdict = records(out.stdout)[-1]
+        assert verdict["exit_code"] == 2 and "above the cap" in verdict["message"]
+
+    def test_shipped_problems_stay_far_below_the_caps(self):
+        for path in sorted(os.listdir(PROBLEMS)):
+            data = problem_data(path)
+            chart = cli._chart(data["chart"], "chart")
+            numerics = cli._numerics(data, cli.build_parser().parse_args(["check", path]))
+            problem = FoliatedProblem(chart=chart, generators=(_free_section(chart),),
+                                      ode_step=numerics["ode_step"], quad_step=numerics["quad_step"])
+            reach = max((max(-lo, hi) for lo, hi in chart.box[: chart.leaf_count]), default=0.0)
+            assert reach / problem.ode_step <= MAX_LINE_STEPS / 100
+            assert reach / (2.0 * problem.quad_step) <= MAX_LINE_STEPS / 100
+            assert numerics["samples"] <= MAX_SAMPLES / 100
+
+
+def _free_section(chart):
+    """A section with no form part, which every chart admits."""
+    zero = parse("0", chart)
+    return PontryaginSection(VectorField(chart, (zero,) * chart.n), OneForm(chart, (zero,) * chart.n))
 
 
 def test_traced_cli_names_are_cli_functions():

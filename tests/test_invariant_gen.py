@@ -1,14 +1,23 @@
 """The four-step straightening pipeline against closed-form oracles."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
-from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients
+from diracgen.errors import (
+    EvalDomainError,
+    HypothesisViolated,
+    InputError,
+    NonUniqueCoefficients,
+    NumericalBreakdownError,
+)
 from diracgen.invariant_gen import (
+    MAX_LINE_STEPS,
     FoliatedProblem,
     build_B,
     build_H,
@@ -21,8 +30,7 @@ from diracgen.invariant_gen import (
     split_tilde,
     transformed_frame,
 )
-from diracgen.invariant_gen import _solver
-from diracgen.symexpr import Chart, parse
+from diracgen.symexpr import MAX_SAMPLES, Chart, parse
 
 from conftest import make_chart, random_points
 
@@ -133,7 +141,7 @@ class TestFundamentalMatrix:
 
     def test_ode_residual_by_differences(self, chart3):
         p = e1_problem(chart3)
-        solver = _solver(p)
+        solver = p._solver
         m = np.array([0.41, 0.1, 0.2])
         d = 1e-3
         mp, mm = m.copy(), m.copy()
@@ -261,7 +269,7 @@ class TestComputePi:
         g = section(chart3, ("0", "exp(x1)", "0"), ("0", "0", "0"))
         extra = section(chart3, ("0", "x1*x1", "0"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra)
-        solver = _solver(p)
+        solver = p._solver
         m = np.array([0.43, 0.1, -0.2])
         dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
         T = np.array([[e.eval(m) for e in row] for row in solver.tilde_exprs])
@@ -274,7 +282,7 @@ class TestComputePi:
 class TestCorrectedSection:
     def test_e2_combined_vanishes(self, chart3, rng):
         p = e2_problem(chart3)
-        solver = _solver(p)
+        solver = p._solver
         for m in random_points(rng, chart3, 6):
             corr = solver.correction(m)
             assert np.allclose(corr[1], -m[0], atol=1e-9)  # -x1 on the d2 slot
@@ -286,7 +294,7 @@ class TestCorrectedSection:
         g2 = section(chart3, ("0", "0", "0"), ("0", "0", "1"))
         extra = section(chart3, ("0", "2", "0"), ("0", "0", "3"))
         p = FoliatedProblem(chart=chart3, generators=(g1, g2), extra=extra)
-        solver = _solver(p)
+        solver = p._solver
         m = np.array([0.6, 0.2, -0.1])
         assert np.allclose(solver.correction(m), 0.0)
         assert np.allclose(solver.combined(m), p.extra(m))
@@ -507,7 +515,7 @@ class TestBatchedAgainstPointwise:
         p = k2_problem() if name == "k2" else e2_problem(chart3, ode_step=0.05, quad_step=0.05)
         ref = PointwiseReference(p)
         points = random_points(rng, p.chart, 5)
-        solver = _solver(p)
+        solver = p._solver
         frames = solver.frames(points)
         corrections = solver.corrections(points)
         combined = solver.extra_values(points) + solver.corrections(points)
@@ -526,8 +534,8 @@ class TestBatchedAgainstPointwise:
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.05, quad_step=0.05)
         points = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.0], [0.1, 0.0, 0.4]])
         for evaluate, bad, value in (
-            (_solver(p).frames, points[2], g),
-            (lambda pts: _solver(p).extra_values(pts) + _solver(p).corrections(pts), points[1], extra),
+            (p._solver.frames, points[2], g),
+            (lambda pts: p._solver.extra_values(pts) + p._solver.corrections(pts), points[1], extra),
         ):
             with pytest.raises(EvalDomainError) as expected:
                 value(bad)
@@ -542,7 +550,7 @@ class TestBatchedAgainstPointwise:
         g = section(chart3, ("0", "1", "5e-9*exp(20*x1 - 10)"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart3, generators=(g,), ode_step=0.05)
         with pytest.raises(HypothesisViolated) as exc:
-            _solver(p).frames([[0.9, 0.1, 0.2], [0.0, 2.0, 0.0]])
+            p._solver.frames([[0.9, 0.1, 0.2], [0.0, 2.0, 0.0]])
         assert exc.value.point == [10 * 0.05 + 0.5 * 0.05, 0.1, 0.2]
 
 
@@ -826,3 +834,57 @@ def test_numerics_must_be_finite_and_positive(chart3, key, value):
     g = section(chart3, ("0", "0", "1"), ("0", "0", "0"))
     with pytest.raises(InputError, match=key):
         FoliatedProblem(chart=chart3, generators=(g,), **{key: value})
+
+
+@pytest.mark.parametrize("key, steps_per_unit", [("ode_step", 1.0), ("quad_step", 2.0)])
+def test_steps_per_line_are_capped(key, steps_per_unit):
+    """The longest leaf line of a box (-1, 3) x ... reaches 3 from the zero
+    slice: one step fewer than the cap passes, one more is an input error."""
+    chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)))
+    g = section(chart, ("0", "0", "1"), ("0", "0", "0"))
+    other = "quad_step" if key == "ode_step" else "ode_step"
+    FoliatedProblem(chart=chart, generators=(g,), **{key: 3.0 / (steps_per_unit * MAX_LINE_STEPS), other: 0.1})
+    with pytest.raises(InputError, match=f"^{key}: .* above the cap of {MAX_LINE_STEPS}"):
+        FoliatedProblem(chart=chart, generators=(g,), **{key: 3.0 / (steps_per_unit * (MAX_LINE_STEPS + 1)),
+                                                         other: 0.1})
+
+
+def test_default_steps_stay_far_below_the_cap(chart3):
+    p = FoliatedProblem(chart=chart3, generators=(section(chart3, ("0", "0", "1"), ("0", "0", "0")),))
+    assert 1.0 / p.ode_step <= MAX_LINE_STEPS / 100 and 1.0 / (2.0 * p.quad_step) <= MAX_LINE_STEPS / 100
+
+
+def test_sample_count_is_capped(chart3):
+    assert len(chart3.sample_points(n_random=MAX_SAMPLES)) == 27 + MAX_SAMPLES
+    with pytest.raises(InputError, match=f"above the cap of {MAX_SAMPLES}"):
+        chart3.sample_points(n_random=MAX_SAMPLES + 1)
+
+
+def test_family_constant_along_the_leaves_skips_the_transform(chart3):
+    """With the transverse family constant along the leaves, H = I and the
+    transform B = (H^T)^-1 is I without a solve, bit for bit; a tol above 1
+    still rejects the condition number 1 of I as singular."""
+    gens = (section(chart3, ("0", "1", "x2"), ("0", "0", "0")), section(chart3, ("0", "0", "1"), ("0", "x3", "1")))
+    p = FoliatedProblem(chart=chart3, generators=gens)
+    solver = p._solver
+    points = np.array(random_points(np.random.default_rng(5), chart3, 6))
+    H = solver._H(points)
+    solved = solver._solve_square(np.swapaxes(H, 1, 2), np.broadcast_to(np.eye(2), H.shape), points, "Step 2")
+    assert solver.constant_tilde and solver._B(points).tobytes() == solved.tobytes()
+    with pytest.raises(NumericalBreakdownError, match=r"condition number 1\.000e\+00"):
+        run(dataclasses.replace(p, tol=2.0))
+
+
+def test_solver_goes_with_its_problem(chart3):
+    """A problem holds its solver, which holds no reference back to it: both
+    go with the last reference to the problem and its results, without
+    waiting for the garbage collector."""
+    p = FoliatedProblem(chart=chart3, generators=(section(chart3, ("0", "exp(x1)", "0"), ("0", "exp(x1)", "0")),))
+    result = run(p)
+    solver = weakref.ref(p._solver)
+    gc.disable()
+    try:
+        del p, result
+        assert solver() is None
+    finally:
+        gc.enable()

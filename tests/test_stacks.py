@@ -29,7 +29,7 @@ from diracgen.dirac import (
 from diracgen.distribution import GeneralizedDistribution, check_bracket_hypothesis
 from diracgen.errors import DiracgenError, InputError
 from diracgen.invariant_gen import FoliatedProblem, run
-from diracgen.symexpr import Chart, parse
+from diracgen.symexpr import Chart, CompiledExprs, parse
 
 from conftest import (
     box_point,
@@ -101,7 +101,7 @@ class Reduction:
         matrix = [["0"] * n for _ in range(n)]
         for (i, j), e in entries.items():
             matrix[i][j], matrix[j][i] = e, f"-({e})"
-        self.action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
+        self.action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),), (((0.0,),),))
         a = abs(c[9]) if cubic else 0.0
         target = Chart(coord_names=tuple(f"y{i + 2}" for i in range(n - 1)), leaf_count=0,
                        box=((-1.0 - a, 1.0 + a),) * (n - 1))
@@ -124,7 +124,8 @@ class Reduction:
 
 
 @st.composite
-def reductions(draw):
+def reduction_inputs(draw):
+    """The arguments of a Reduction."""
     n = draw(st.integers(2, 4))
     negative = draw(st.booleans())
     cubic = draw(st.booleans())
@@ -134,12 +135,15 @@ def reductions(draw):
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     samples = [np.zeros(n)] + [rng.uniform(-0.8, 0.8, size=n) for _ in range(count)]
-    return Reduction(n, negative, cubic, tilt, c, samples)
+    return n, negative, cubic, tilt, c, samples
+
+
+reductions = reduction_inputs().map(lambda args: Reduction(*args))
 
 
 class TestStackedEqualsPointwise:
     @settings(max_examples=60, deadline=None)
-    @given(reductions(), st.integers(0, 3))
+    @given(reductions, st.integers(0, 3))
     def test_every_record_is_bit_identical(self, red, seed):
         D, action, q, samples = red.D, red.action, red.q, red.samples
         same = lambda got, want: outcome(got) == outcome(want)  # noqa: E731
@@ -169,6 +173,70 @@ class TestStackedEqualsPointwise:
         family = GeneralizedDistribution(red.chart, red.family)
         assert same(lambda: check_bracket_hypothesis(family, theta, D.generators[0], samples, 1e-9),
                     lambda: pointwise.check_bracket_hypothesis(family, theta, D.generators[0], samples, 1e-9))
+
+
+def _reduce(red, problem, samples, seed=0) -> list:
+    """Every check of a reduction on the objects of red (and problem), at the
+    samples, as outcome bytes."""
+    D, action, q = red.D, red.action, red.q
+    checks = [lambda: D.validate(samples), lambda: action.validate(samples), lambda: q.validate(action, samples),
+              lambda: is_closed(D, samples), lambda: constant_rank_scan(D, action, samples),
+              lambda: intersect_D_Kperp(D, action, samples[-1]), lambda: characteristic_distributions(D, samples[0])]
+    if problem is not None:
+        def reduced():
+            result = descending_generators(D, action, problem, samples=samples)
+            return [result.report, pushforward_check(D, action, q, result, samples=samples, seed=seed)]
+
+        checks.append(reduced)
+    return [outcome(check) for check in checks]
+
+
+class TestOneProgramPerInput:
+    """Each input compiles one program and keeps its last evaluation, keyed
+    on a copy of the samples: the checks on one set of objects at sample sets
+    A, A, B, A, with A's array changed in place before each of its later
+    runs, give the records of fresh objects at each."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduction_inputs(), st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.floats(-0.8, 0.8)),
+                                        min_size=1, max_size=4))
+    def test_records_follow_the_samples(self, args, edits):
+        n, negative, cubic, tilt, c, samples = args
+        red = Reduction(*args)
+        problem = None if negative else FoliatedProblem(chart=red.chart, generators=red.family)
+        A = np.array(samples)
+        B = A[::-1] * 0.5
+        for step, at in enumerate((A, A, B, A)):
+            if step and at is A:  # A's array changes in place after the checks read it
+                i, j, value = edits[step % len(edits)]
+                A[i % len(A), j % n] = value
+            fresh = Reduction(n, negative, cubic, tilt, c, list(at))
+            fresh_problem = None if negative else FoliatedProblem(chart=fresh.chart, generators=fresh.family)
+            assert _reduce(red, problem, at) == _reduce(fresh, fresh_problem, at)
+
+    def test_a_reduction_builds_one_program_per_input(self, monkeypatch):
+        built = []
+        init = CompiledExprs.__init__
+
+        def counted(self, exprs):
+            built.append(self)
+            init(self, exprs)
+
+        monkeypatch.setattr(CompiledExprs, "__init__", counted)
+        chart = make_chart(3, k=1, box=((-1.0, 1.0),) * 3)
+        samples = chart.sample_points(n_random=2, margin=0.1)
+        red = Reduction(3, False, True, 0.25, [0.1] * 10, samples)
+        problem = FoliatedProblem(chart=red.chart, generators=red.family)
+        records = _reduce(red, problem, samples)
+        # the quotient map, the bivector's antisymmetry check, D, the action
+        # and the family; the Step-1 program is never built, as the family is
+        # constant along the leaves and Step 2 is the identity
+        programs = {id(red.q._compiled), id(red.D._program), id(red.action._program),
+                    id(problem._solver._generator_exprs)}
+        assert len(built) == 5 and programs < {id(p) for p in built}
+        before = len(built)
+        assert _reduce(red, problem, samples) == records  # the same objects build nothing more
+        assert len(built) == before
 
 
 def _without_x1(rng, chart):
@@ -305,11 +373,12 @@ class TestStackedLift:
     @example(_EXHAUSTING)
     def test_each_target_lifts_as_alone(self, stack):
         q, x0, targets = stack
-        x, residuals = least_squares(q, targets, x0)
+        x, residuals, jacobians = least_squares(q, targets, x0)
         assert x.shape == (len(targets), q.source.n) and residuals.shape == (len(targets),)
-        for y, got_x, got in zip(targets, x, residuals):
+        for y, got_x, got, J in zip(targets, x, residuals, jacobians):
             want_x, want = pointwise.least_squares(q, y, x0)
             assert got_x.tobytes() == want_x.tobytes() and got.tobytes() == want.tobytes()
+            assert J.tobytes() == q.jacobian(got_x).tobytes()  # the Jacobian where the lift ends
             one_x, one = least_squares(q, y, x0)
             assert one_x.tobytes() == want_x.tobytes() and one.tobytes() == want.tobytes()
 
@@ -391,6 +460,30 @@ def _two_failures():
         "pushforward": (lambda: pushforward_check(D, action, bad_q, frame, samples=samples),
                         lambda: pointwise.pushforward_check(D, action, bad_q, frame, samples)),
     }
+    # one program per input: the first failure at a sample is the first input
+    # a point-by-point pass evaluates there.  The foliation check reads the
+    # action at the first eight samples, so a ninth sample holds the failures
+    # of the descending cases; every input fails with its own expression
+    ninth = [np.array([0.1 * (i + 1), 0.5 + 0.01 * i]) for i in range(8)] + [np.array([0.2, 0.0])]
+    fam_D = DiracStructure(chart, (D.generators[0], section(chart, ("0", "1"), ("-1", "3/x2"))))
+    fam_action = InfinitesimalAction(chart, (VectorField(chart, (parse("x2/x2", chart), parse("0", chart))),))
+    members = [section(chart, ("1", "0"), ("0", "1")), section(chart, ("0", "4/x2"), ("0", "1"))]
+    fam_q = QuotientMap(chart, Chart(coord_names=("y",)), (parse("x2 + 5/x2", chart),))
+
+    def descending(D, action, family):
+        p = FoliatedProblem(chart=chart, generators=tuple(family))
+        return (lambda: descending_generators(D, action, p, samples=ninth),
+                lambda: pointwise.supplied_family(D, action, p, ninth, 1e-7))
+
+    table.update({
+        "descending-family-before-D": descending(fam_D, fam_action, [bad_family[0], members[1]]),
+        "descending-D-before-action": descending(fam_D, fam_action, members),
+        "descending-action-before-member": descending(D, fam_action, members),
+        "rank-scan-D-before-action": (lambda: constant_rank_scan(fam_D, fam_action, samples),
+                                      lambda: pointwise.constant_rank_scan(fam_D, fam_action, samples)),
+        "quotient-jacobian-before-action": (lambda: fam_q.validate(fam_action, samples),
+                                            lambda: pointwise.quotient_validate(fam_q, fam_action, samples)),
+    })
     table = {check: (*calls, at_sample) for check, calls in table.items()}
     table.update({
         "lift-crosses-overflow": (*lifting([-0.3, 0.0, -0.5, -0.2]), past_the_cliff),
@@ -486,7 +579,7 @@ def _no_samples():
         "descending_generators": lambda: descending_generators(D, action, problem, samples=[]),
         "invariant_annihilator_generators": lambda: invariant_annihilator_generators(action, forms, samples=[]),
         "pushforward_check": lambda: pushforward_check(D, action, q, result, samples=[]),
-        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(D.as_distribution(), theta, None, [], 1e-9),
+        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(GeneralizedDistribution(D.chart, D.generators), theta, None, [], 1e-9),
         "run": lambda: run(problem, samples=[]),
     }
 
