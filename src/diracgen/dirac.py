@@ -12,9 +12,9 @@ checked properties at the sample set to the stated tolerance.
 
 Each input compiles one program, the first time a check needs it: a
 DiracStructure its components, pairings and exact partials, an
-InfinitesimalAction its generators and their exact partials, a
-FoliatedProblem its family (in its solver), a QuotientMap its components
-and Jacobian.  A program keeps its last evaluation, so the checks at one
+InfinitesimalAction its generators (their exact partials join the program
+when a check first reads its jets), a FoliatedProblem its family (in its
+solver), a QuotientMap its components and Jacobian.  A program keeps its last evaluation, so the checks at one
 sample set evaluate each input once.  Each check reads rows of those
 programs, its ranks from one stacked SVD and its residuals from one stacked
 least squares, bit-identical to one point at a time; the lift runs all
@@ -87,12 +87,16 @@ def _read(samples, *parts) -> list:
 
 class _Sections(CompiledExprs):
     """The program of an input's sections, each ``width`` components on n
-    coordinates (rows ``values``), compiled the first time a check needs
-    them; their exact partials join it the first time a check needs jets."""
+    coordinates: their values (rows ``values``), then ``more`` (rows
+    ``more``), then their exact partials, compiled with the rest when
+    ``jets`` is set, else the first time a check needs jets."""
 
-    def __init__(self, comps, width: int, n: int):
+    def __init__(self, comps, width: int, n: int, more=(), jets: bool = False):
         super().__init__(comps)
         self.values, self.width, self.n = range(len(comps)), width, n
+        self.more = self.extend(more)
+        if jets:
+            _ = self.partials  # compiled now, before any evaluation
 
     @functools.cached_property
     def partials(self) -> range:
@@ -128,22 +132,19 @@ class DiracStructure:
 
     @functools.cached_property
     def _program(self) -> _Sections:
-        """D's one program: its generators, then its pairings (rows
-        _pairings) and partials, each the first time a check needs them."""
-        return _Sections([c for g in self.generators for c in _components(g)], 2 * self.chart.n, self.chart.n)
-
-    @functools.cached_property
-    def _pairings(self) -> range:
-        gens = self.generators
-        return self._program.extend([pairing(a, b) for i, a in enumerate(gens) for b in gens[i:]])
+        """D's one program: its generators, their pairings (rows ``more``)
+        and their partials, which is_closed reads wherever D is validated."""
+        gens, n = self.generators, self.chart.n
+        return _Sections([c for g in gens for c in _components(g)], 2 * n, n,
+                         [pairing(a, b) for i, a in enumerate(gens) for b in gens[i:]], jets=True)
 
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         """Certify rank n and pairwise isotropy of the generators at the
         samples; together these make the span Lagrangian.  The generators
         (ranks) at every sample are read first, then the pairings."""
         samples = self.chart.checked_samples(samples)
-        n, program, pairings = self.chart.n, self._program, self._pairings
-        (values,), (pairs,) = _read(samples, (program, program.values)), _read(samples, (program, pairings))
+        n, program = self.chart.n, self._program
+        (values,), (pairs,) = _read(samples, (program, program.values)), _read(samples, (program, program.more))
         ranks = svd_rank(stacked(values, 2 * n), tol)
         return Report([
             record_from_samples("lagrangian-rank", zip(np.where(ranks == n, 0.0, 1.0), samples), 0.0,
@@ -403,8 +404,6 @@ def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, 
         record.worst_residual, record.failing_point = float(hi - lo), p_lo
         record.detail = f"rank {lo} at {p_lo} but rank {hi} at {p_hi}"
     return record, ranks
-
-
 
 
 def _frame_jets(frames, chart: Chart, samples):

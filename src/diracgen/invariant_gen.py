@@ -144,6 +144,8 @@ class FoliatedProblem:
             object.__setattr__(self, "quad_step", self.ode_step)
         for name in ("ode_step", "quad_step", "tol"):
             require_positive(getattr(self, name), name)
+        if self.tol > 1.0:  # it would reject the condition number 1 of I as singular
+            raise InputError(f"tol: {self.tol!r} is above 1")
         # the longest leaf line runs from the zero slice to the farthest end of a leaf interval
         reach = max((max(-lo, hi) for lo, hi in self.chart.box[: self.k]), default=0.0)
         for name, what, per_step in (("ode_step", "RK4 steps", 1.0), ("quad_step", "Simpson panels", 2.0)):
@@ -553,9 +555,7 @@ class _Solver:
         return H
 
     def _B(self, points: np.ndarray) -> np.ndarray:
-        if self.constant_tilde and self.p.tol <= 1.0:
-            # H = I, so B is I, bit for bit as the solve below gives it; only a
-            # tol above 1 makes that solve reject the condition number 1 of I
+        if self.constant_tilde:  # H = I, so B is I, bit for bit as the solve below gives it
             return np.repeat(np.eye(self.p.r)[None], len(points), axis=0)
         H = self._H(points)
         eye = np.broadcast_to(np.eye(self.p.r), H.shape)

@@ -37,6 +37,9 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
+    def failures(self) -> list[CheckRecord]:
+        return [r for r in self.records if not r.passed]
+
     def __iter__(self):
         return iter(self.records)
 

@@ -158,7 +158,7 @@ class TestIsClosed:
         assert D.validate().passed
         report = is_closed(D)
         assert not report.passed
-        assert any(r.failing_point is not None for r in [r for r in report if not r.passed])
+        assert any(r.failing_point is not None for r in report.failures())
 
     def test_overflowing_bracket_is_domain_error(self, chart2):
         big = "exp(700*x1)"

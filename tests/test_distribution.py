@@ -326,6 +326,6 @@ class TestBracketHypothesis:
         extra = section(chart3, ("0", "0", "x1"), ("0", "0", "0"))
         samples = random_points(rng, chart3, 10)
         report = check_bracket_hypothesis(D, self.theta(chart3, 1), extra, samples, 1e-9)
-        failures = [r for r in report if not r.passed]
+        failures = report.failures()
         assert failures
         assert all(f.check.startswith("bracket-hypothesis-extra") for f in failures)

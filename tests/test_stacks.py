@@ -238,6 +238,18 @@ class TestOneProgramPerInput:
         assert _reduce(red, problem, samples) == records  # the same objects build nothing more
         assert len(built) == before
 
+    def test_checks_at_one_sample_set_evaluate_d_once(self):
+        """D's program holds its pairings and partials from the start, so
+        validity, closedness and the rank scan share one evaluation of it."""
+        chart = make_chart(3, k=1, box=((-1.0, 1.0),) * 3)
+        samples = chart.sample_points(n_random=2, margin=0.1)
+        red = Reduction(3, False, True, 0.25, [0.1] * 10, samples)
+        red.D.validate(samples)
+        kept = red.D._program._last
+        is_closed(red.D, samples)
+        constant_rank_scan(red.D, red.action, samples)
+        assert kept is not None and red.D._program._last is kept
+
 
 def _without_x1(rng, chart):
     """A random expression in x2..xn of chart."""
