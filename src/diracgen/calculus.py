@@ -48,7 +48,10 @@ def _same_chart(*objects):
 
 
 @dataclass(frozen=True)
-class VectorField:
+class _Coefficients:
+    """n coefficient expressions over a chart, with the arithmetic that
+    vector fields and one-forms share; each result has the type of self."""
+
     chart: Chart
     coeffs: tuple[Expr, ...]
 
@@ -60,15 +63,15 @@ class VectorField:
 
     def __add__(self, other):
         chart = _same_chart(self, other)
-        return VectorField(chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         chart = _same_chart(self, other)
-        return VectorField(chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, factor):
         factor = _coerce(factor)
-        return VectorField(self.chart, tuple(factor * c for c in self.coeffs))
+        return type(self)(self.chart, tuple(factor * c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -76,26 +79,24 @@ class VectorField:
         return self * -1.0
 
     @classmethod
-    def zero(cls, chart: Chart) -> "VectorField":
+    def zero(cls, chart: Chart):
         return cls(chart, (ZERO,) * chart.n)
 
     @classmethod
-    def coordinate(cls, chart: Chart, index: int) -> "VectorField":
+    def coordinate(cls, chart: Chart, index: int):
         coeffs = [ZERO] * chart.n
         coeffs[index] = _coerce(1.0)
         return cls(chart, tuple(coeffs))
 
 
 @dataclass(frozen=True)
-class OneForm:
-    chart: Chart
-    coeffs: tuple[Expr, ...]
+class VectorField(_Coefficients):
+    """A vector field: its coefficients on the coordinate fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.chart, self.coeffs))
 
-    def __call__(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.coeffs])
+@dataclass(frozen=True)
+class OneForm(_Coefficients):
+    """A one-form: its coefficients on the coordinate differentials."""
 
     def contract(self, X: VectorField) -> Expr:
         """The function alpha(X)."""
@@ -104,33 +105,6 @@ class OneForm:
         for a, x in zip(self.coeffs, X.coeffs):
             out = out + a * x
         return out
-
-    def __add__(self, other):
-        chart = _same_chart(self, other)
-        return OneForm(chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        chart = _same_chart(self, other)
-        return OneForm(chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, factor):
-        factor = _coerce(factor)
-        return OneForm(self.chart, tuple(factor * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    @classmethod
-    def zero(cls, chart: Chart) -> "OneForm":
-        return cls(chart, (ZERO,) * chart.n)
-
-    @classmethod
-    def coordinate(cls, chart: Chart, index: int) -> "OneForm":
-        coeffs = [ZERO] * chart.n
-        coeffs[index] = _coerce(1.0)
-        return cls(chart, tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ certifying the reduced structure on a user-supplied quotient chart.
 Everything pointwise is sampled evidence, not proof: a pass certifies the
 checked properties at the sample set to the stated tolerance.
 
-Each input compiles one program, the first time a check needs it: a
-DiracStructure its components, pairings and exact partials, an
-InfinitesimalAction its generators (their exact partials join the program
-when a check first reads its jets), a FoliatedProblem its family (in its
-solver), a QuotientMap its components and Jacobian.  A program keeps its last evaluation, so the checks at one
-sample set evaluate each input once.  Each check reads rows of those
-programs, its ranks from one stacked SVD and its residuals from one stacked
-least squares, bit-identical to one point at a time; the lift runs all
-closure targets of a check in one stacked Gauss–Newton, each target ending
-where lifting it alone ends.
+Each input compiles one program, whole: a DiracStructure its components,
+pairings and exact partials, an InfinitesimalAction its generators and
+their exact partials (both the first time a check needs them), a
+FoliatedProblem its family (in its solver), a QuotientMap its components
+and Jacobian (when it is built).  A program keeps its last evaluation, so
+the checks at one sample set evaluate each input once.  Each check reads
+rows of those programs, its ranks from one stacked SVD and its residuals
+from one stacked least squares, bit-identical to one point at a time; the
+lift runs all closure targets of a check in one stacked Gauss–Newton, each
+target ending where lifting it alone ends.
 """
 
 from __future__ import annotations
@@ -88,21 +88,16 @@ def _read(samples, *parts) -> list:
 class _Sections(CompiledExprs):
     """The program of an input's sections, each ``width`` components on n
     coordinates: their values (rows ``values``), then ``more`` (rows
-    ``more``), then their exact partials, compiled with the rest when
-    ``jets`` is set, else the first time a check needs jets."""
+    ``more``), then their exact partials (rows ``partials``): d_i of each
+    component, section by section, then i by i."""
 
-    def __init__(self, comps, width: int, n: int, more=(), jets: bool = False):
-        super().__init__(comps)
-        self.values, self.width, self.n = range(len(comps)), width, n
-        self.more = self.extend(more)
-        if jets:
-            _ = self.partials  # compiled now, before any evaluation
-
-    @functools.cached_property
-    def partials(self) -> range:
-        """d_i of each component, section by section, then i by i."""
-        w = self.width
-        return self.extend([c.diff(i) for s in self.values[::w] for i in range(self.n) for c in self.exprs[s : s + w]])
+    def __init__(self, comps, width: int, n: int, more=()):
+        comps, more = list(comps), list(more)
+        partials = [c.diff(i) for s in range(0, len(comps), width) for i in range(n) for c in comps[s : s + width]]
+        super().__init__(comps + more + partials)
+        self.width, self.n = width, n
+        self.values, self.more = range(len(comps)), range(len(comps), len(comps) + len(more))
+        self.partials = range(len(comps) + len(more), len(self.exprs))
 
     def jets(self, samples):
         """Values V (N, S, width) and partials dV (N, S, n, width),
@@ -136,7 +131,7 @@ class DiracStructure:
         and their partials, which is_closed reads wherever D is validated."""
         gens, n = self.generators, self.chart.n
         return _Sections([c for g in gens for c in _components(g)], 2 * n, n,
-                         [pairing(a, b) for i, a in enumerate(gens) for b in gens[i:]], jets=True)
+                         [pairing(a, b) for i, a in enumerate(gens) for b in gens[i:]])
 
     def validate(self, samples=None, tol: float = 1e-9) -> Report:
         """Certify rank n and pairwise isotropy of the generators at the
@@ -210,7 +205,8 @@ class InfinitesimalAction:
 
     @functools.cached_property
     def _program(self) -> _Sections:
-        """The action's one program: its generators' coefficients."""
+        """The action's one program: its generators' coefficients and their
+        partials."""
         return _Sections([c for xi in self.generators for c in xi.coeffs], self.chart.n, self.chart.n)
 
     def _jets(self, samples):
@@ -256,24 +252,22 @@ class QuotientMap:
                 f"quotient map needs {self.target.n} components, got {len(comps)}"
             )
         object.__setattr__(self, "components", comps)
-        jacobian = tuple(tuple(c.diff(j) for j in range(self.source.n)) for c in comps)  # [i][j]: d_j of c_i
-        object.__setattr__(self, "_jacobian_exprs", jacobian)
-        # the components, then the Jacobian row by row (rows _jacobian)
-        object.__setattr__(self, "_compiled", CompiledExprs(comps + tuple(d for row in jacobian for d in row)))
-        object.__setattr__(self, "_jacobian", range(len(comps), len(self._compiled.exprs)))
+        # q's one program: the components, then the Jacobian row by row (rows partials)
+        object.__setattr__(self, "_program", _Sections(comps, 1, self.source.n))
 
     def __call__(self, m) -> np.ndarray:
         return np.array([c.eval(m) for c in self.components])
 
     def jacobian(self, m) -> np.ndarray:
-        return np.array([[d.eval(m) for d in row] for row in self._jacobian_exprs])
+        partials = self._program.exprs[self._program.partials.start :]
+        return np.array([d.eval(m) for d in partials]).reshape(self.target.n, self.source.n)
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
         """Full rank of the Jacobian and the action generators in its kernel
         at every sample, read point by point, the Jacobian first."""
         samples = self.source.checked_samples(samples)
         n, nbar = self.source.n, self.target.n
-        J, X = (stacked(v, n) for v in _read(samples, (self._compiled, self._jacobian),
+        J, X = (stacked(v, n) for v in _read(samples, (self._program, self._program.partials),
                                              (action._program, action._program.values)))
         with np.errstate(over="ignore", invalid="ignore"):  # an inf image fails the record
             JX = (J[:, None] @ X[..., None])[..., 0]  # J @ xi at each sample, one product each
@@ -484,14 +478,17 @@ def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
     """The chart must present the vertical distribution as the span of the
-    first k coordinate fields: checked at the first eight samples, and
-    reported at the first that breaks it."""
-    k = problem.k
+    first k coordinate fields: checked at the first eight samples, read
+    from the action's evaluation at all of them, and reported at the first
+    that breaks it."""
+    k, program = problem.k, action._program
     if not action.generators:
         if k != 0:
             raise InputError("action has no generators but the chart declares leaves")
         return
-    X = stacked(_read(samples[:8], (action._program, action._program.values))[0], problem.n)
+    values, bad = program.evaluate(samples)
+    program.raise_first(bad, samples, [(program.values, range(min(len(samples), 8)))])
+    X = stacked(values[program.values.start : program.values.stop, :8], problem.n)
     transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
     for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
         if transverse[i]:
@@ -626,7 +623,7 @@ def least_squares(q: QuotientMap, ybar, x0, values=None):
     Y = np.asarray(ybar, dtype=float).reshape(-1, nbar)
 
     def evaluate(points):  # q, then its Jacobian: NaN where either cannot be evaluated
-        values, bad = q._compiled.evaluate(points)
+        values, bad = q._program.evaluate(points)
         return values if bad is None else np.where(bad, np.nan, values)
 
     start = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -661,7 +658,7 @@ def least_squares(q: QuotientMap, ybar, x0, values=None):
     if np.ndim(ybar) > 1:
         return x, norm, J
     if np.isnan(norm[0]):
-        q._compiled(x[:1])  # raises what evaluating q or its Jacobian raises there
+        q._program(x[:1])  # raises what evaluating q or its Jacobian raises there
     return x[0], norm[0]
 
 
@@ -728,7 +725,7 @@ def pushforward_check(
     w = hi - lo
     partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((n_fiber_pairs, k))
     source = np.concatenate([samples, partners])
-    values, bad = q._compiled.evaluate(source)
+    values, bad = q._program.evaluate(source)
     qv, J = values[:nbar].T, stacked(values[nbar:], n)
     with np.errstate(over="ignore", invalid="ignore"):  # where q fails to evaluate, it raises below
         qdiff = np.abs(qv[base] - qv[N:]).max(axis=1, initial=0.0)
@@ -741,12 +738,12 @@ def pushforward_check(
     # way is raised once the frames gathered before it are evaluated.
     gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(n_fiber_pairs)], axis=1)[on].ravel()])
     before = N + 2 * np.concatenate([[0], np.cumsum(on)])  # points gathered before fiber i
-    Q, JAC = range(nbar), q._jacobian
+    Q, JAC = range(nbar), q._program.partials
     targets = min(N, 6) if check_closedness else 0
     blocks = [(JAC, range(N))] + [
         block for i in range(n_fiber_pairs) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
     ] + [(Q, range(targets))]
-    error = q._compiled.first_error(bad, source, blocks)
+    error = q._program.first_error(bad, source, blocks)
     if error is not None:
         block, p, error = error
         fiber = (block - 1) // 3  # the block's fiber; past the last for the targets
@@ -756,7 +753,7 @@ def pushforward_check(
     lifted, lifted_J = np.empty((0, n)), np.empty((0, nbar, n))
 
     def error_at(x, rows):  # what evaluating rows of q at one point x raises
-        return q._compiled.first_error(q._compiled.evaluate(x[None])[1], x[None], [(rows, [0])])[2]
+        return q._program.first_error(q._program.evaluate(x[None])[1], x[None], [(rows, [0])])[2]
 
     if targets and error is None:
         stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]
@@ -765,7 +762,7 @@ def pushforward_check(
         lifted, residual, lifted_J = least_squares(q, ys, samples[0], values[:, 0])
         for t in np.flatnonzero(~(residual <= LIFT_TOL))[:1]:  # the first target whose lift fails
             if np.isnan(residual[t]):  # it met a point where q or its Jacobian cannot be evaluated
-                error = error_at(lifted[t], range(len(q._compiled.exprs)))
+                error = error_at(lifted[t], range(len(q._program.exprs)))
             else:
                 error = VerificationError(f"could not lift target point {plain(ys[t])} through the "
                                           f"quotient map (residual {residual[t]:.3e})")

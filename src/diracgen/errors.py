@@ -5,8 +5,9 @@ class DiracgenError(Exception):
     """Base class for all library errors.  ``point`` and ``stage`` say where
     the error arose, when known."""
 
-    point = None
-    stage = None
+    def __init__(self, message, point=None, stage=None):
+        super().__init__(message)
+        self.point, self.stage = point, stage
 
 
 class InputError(DiracgenError):
@@ -38,10 +39,6 @@ class OutsideBoxError(InputError):
 class EvalDomainError(DiracgenError):
     """Division by zero or non-finite value during evaluation."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class VerificationError(DiracgenError):
     """A hypothesis or output property failed numerically (exit code 1)."""
@@ -51,26 +48,11 @@ class HypothesisViolated(VerificationError):
     """A bracket hypothesis fails at a point: the derivative of a generator
     does not decompose over the leaf fields and the generator family."""
 
-    def __init__(self, message, point=None, stage=None):
-        super().__init__(message)
-        self.point = point
-        self.stage = stage
-
 
 class NonUniqueCoefficients(VerificationError):
     """The transverse component matrix of the generators is rank deficient,
     so the coefficient matrices of the linear system are not determined."""
 
-    def __init__(self, message, point=None, stage=None):
-        super().__init__(message)
-        self.point = point
-        self.stage = stage
-
 
 class NumericalBreakdownError(DiracgenError):
     """Singular or non-finite intermediate matrix (exit code 3)."""
-
-    def __init__(self, message, point=None, stage=None):
-        super().__init__(message)
-        self.point = point
-        self.stage = stage

@@ -267,28 +267,19 @@ class _Solver:
         # a cycle that only the garbage collector frees
         self.p = p = copy.copy(problem)
         n, k = p.n, p.k
-        self.tilde = [split_tilde(g, k)[1] for g in p.generators]
         # transverse coefficient expressions, stacked as in the linear system:
         # rows are vector components k..n-1 then form components k..n-1,
-        # columns index the generators.
-        self.tilde_exprs = [
-            [t.vf.coeffs[j] for t in self.tilde] for j in range(k, n)
-        ] + [[t.form.coeffs[j] for t in self.tilde] for j in range(k, n)]
+        # columns index the generators (FoliatedProblem checked the sections)
+        transverse = [*range(k, n), *range(n + k, 2 * n)]
+        comps = [_components(g) for g in p.generators]
+        self.tilde_exprs = [[c[j] for c in comps] for j in transverse]
         T = self._T = [e for row in self.tilde_exprs for e in row]
         self._dT = [e.diff(l) for l in range(k) for e in T]
         self.constant_tilde = all(e == ZERO for e in self._dT)
         X_leaf = self._X_leaf = [g.vf.coeffs[j] for j in range(k) for g in p.generators]  # k x r
         if p.extra is not None:
-            _, extra_tilde = split_tilde(p.extra, k)
-            d_extra = [
-                e.diff(l)
-                for l in range(k)
-                for e in (
-                    [extra_tilde.vf.coeffs[j] for j in range(k, n)]
-                    + [extra_tilde.form.coeffs[j] for j in range(k, n)]
-                    + list(p.extra.vf.coeffs[:k])
-                )
-            ]
+            extra = _components(p.extra)
+            d_extra = [e.diff(l) for l in range(k) for e in [extra[j] for j in transverse] + extra[:k]]
             # Step 4 at a node evaluates T, the leaf parts, then per l the
             # transverse and the leaf derivatives of the extra section
             self._beta_exprs = CompiledExprs(T + X_leaf + d_extra)
@@ -373,13 +364,6 @@ class _Solver:
                 for g in range(r):
                     A[i, l, g] = dX[i, l, g] - X_leaf[i] @ B[i, l][:, g]
         return B, A
-
-    def coefficients(self, m) -> tuple[np.ndarray, np.ndarray]:
-        """A (k x r x k) and the matrices B_0..B_{k-1} (k x r x r) at m."""
-        m = np.asarray(m, dtype=float)
-        self.p.chart.require_inside(m)
-        B, A = self._step1(m[None], with_A=True)
-        return A[0], B[0]
 
     # -- Step 2 -----------------------------------------------------------
 
@@ -516,16 +500,6 @@ class _Solver:
             out[at] = last
         return out
 
-    def fundamental_matrix(self, j: int, m) -> np.ndarray:
-        """W_j at m: solution of dY/dx^j = B_j^T Y along the x^j line
-        through m, with identity value on the x^j = 0 slice."""
-        p = self.p
-        if not 0 <= j < p.k:
-            raise InputError(f"leaf index {j} out of range 0..{p.k - 1}")
-        m = np.asarray(m, dtype=float)
-        p.chart.require_inside(m)
-        return self._fundamental(j, m[None])[0]
-
     def _solve_square(self, A, B, points, stage):
         cond = np.linalg.cond(A)
         singular = ~np.isfinite(cond) | (cond > 1.0 / self.p.tol)
@@ -568,12 +542,6 @@ class _Solver:
         if self.p.k:
             self.p.chart.require_inside(points)
         return points
-
-    def build_H(self, m) -> np.ndarray:
-        return self._H(self._checked([m]))[0]
-
-    def build_B(self, m) -> np.ndarray:
-        return self._B(self._checked([m]))[0]
 
     # -- Step 3 -----------------------------------------------------------
 
@@ -645,17 +613,6 @@ class _Solver:
                 for j in range(k):
                     sigma[i, l, j] = d_extra[i, l, M + j] - X_leaf[i, j] @ beta[i, l]
         return beta, sigma
-
-    def beta_sigma(self, m) -> tuple[np.ndarray, np.ndarray]:
-        """Decomposition coefficients of the leaf derivatives of the extra
-        section: sigma (k x k, over the leaf fields) and beta (k x r, over
-        the generators)."""
-        if self.p.extra is None:
-            raise InputError("no extra section in this problem")
-        m = np.asarray(m, dtype=float)
-        self.p.chart.require_inside(m)
-        beta, sigma = self._beta(m[None], with_sigma=True)
-        return sigma[0], beta[0]
 
     def _Hbeta(self, points: np.ndarray, l: int) -> np.ndarray:
         beta = self._beta(points)[0][:, l]
@@ -753,9 +710,6 @@ class _Solver:
         B = self._B(self._checked(points))
         return (-B @ self._R(points)[..., None])[..., 0]
 
-    def Pi(self, m) -> np.ndarray:
-        return self._Pi(np.asarray([m], dtype=float))[0]
-
     def _corrections(self, points: np.ndarray) -> np.ndarray:
         G = self.generator_matrices(points)
         return (G @ self._Pi(points)[..., None])[..., 0]
@@ -778,23 +732,35 @@ class _Solver:
         return (self.extra_values(point) + self._corrections(point))[0]
 
 
+def _point(p: FoliatedProblem, m) -> np.ndarray:
+    """m as a one-point batch (1 x n), checked to lie in the box."""
+    m = np.asarray(m, dtype=float)
+    p.chart.require_inside(m)
+    return m[None]
+
+
 def solve_coefficients(p: FoliatedProblem, m):
     """The matrices (A, B_0..B_{k-1}) of the pointwise linear system for
-    the leaf derivatives of the generators."""
-    A, Bs = p._solver.coefficients(m)
-    return A, list(Bs)
+    the leaf derivatives of the generators at m: A (k x r x k) and each
+    B_l (r x r)."""
+    B, A = p._solver._step1(_point(p, m), with_A=True)
+    return A[0], list(B[0])
 
 
 def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
-    return p._solver.fundamental_matrix(j, m)
+    """W_j at m: solution of dY/dx^j = B_j^T Y along the x^j line through
+    m, with identity value on the x^j = 0 slice."""
+    if not 0 <= j < p.k:
+        raise InputError(f"leaf index {j} out of range 0..{p.k - 1}")
+    return p._solver._fundamental(j, _point(p, m))[0]
 
 
 def build_H(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver.build_H(np.asarray(m, dtype=float))
+    return p._solver._H(p._solver._checked([m]))[0]
 
 
 def build_B(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver.build_B(np.asarray(m, dtype=float))
+    return p._solver._B(p._solver._checked([m]))[0]
 
 
 def transformed_frame(p: FoliatedProblem):
@@ -804,11 +770,17 @@ def transformed_frame(p: FoliatedProblem):
 
 
 def beta_fields(p: FoliatedProblem, m):
-    return p._solver.beta_sigma(np.asarray(m, dtype=float))
+    """Decomposition coefficients of the leaf derivatives of the extra
+    section at m: sigma (k x k, over the leaf fields) and beta (k x r, over
+    the generators)."""
+    if p.extra is None:
+        raise InputError("no extra section in this problem")
+    beta, sigma = p._solver._beta(_point(p, m), with_sigma=True)
+    return sigma[0], beta[0]
 
 
 def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver.Pi(np.asarray(m, dtype=float))
+    return p._solver._Pi(np.asarray([m], dtype=float))[0]
 
 
 def _stencil(chart: Chart, m, l: int, delta: float | None = None):

@@ -580,9 +580,8 @@ def _either(a, b):
 
 
 class CompiledExprs:
-    """A list of expressions compiled into a straight-line program over
-    batches of points.  Equal subtrees are computed once, also across the
-    expressions :meth:`extend` compiles into the program later.
+    """A list of expressions compiled, once and whole, into a straight-line
+    program over batches of points.  Equal subtrees are computed once.
 
     Arithmetic is numpy's on whole batches; sin, cos, exp and powers run
     per element on Python floats.  Every value is therefore bit-identical
@@ -591,25 +590,17 @@ class CompiledExprs:
 
     The program keeps its last evaluation, keyed on a private copy of the
     points: evaluating it again at the same points, bit for bit, returns
-    the same read-only arrays, until :meth:`extend` compiles more into it.
+    the same read-only arrays.
     """
 
     def __init__(self, exprs):
-        self.exprs: tuple = ()
+        self.exprs = tuple(exprs)
         self._init: list = []  # slot values before a run: constants, else None
         self._vars: list = []  # (slot, coordinate index)
         self._code: list = []  # (slot, kind, function, operand, operand)
-        self._out: list = []  # slot of each expression
-        self._slots: dict = {}  # structural key -> slot
-        self._seen: dict = {}  # id(node) -> slot; every node stays alive in self.exprs
         self._last = None  # (points, values, bad) of the last evaluation
-        self.extend(exprs)
-
-    def extend(self, exprs) -> range:
-        """Compile exprs into the program after the expressions it holds;
-        returns their rows in what evaluate returns."""
-        exprs = tuple(exprs)
-        slots, seen = self._slots, self._seen
+        slots: dict = {}  # structural key -> slot
+        seen: dict = {}  # id(node) -> slot; every node stays alive in self.exprs
 
         def slot(e) -> int:
             s = seen.get(id(e))
@@ -646,11 +637,7 @@ class CompiledExprs:
             seen[id(e)] = s
             return s
 
-        start = len(self.exprs)
-        self._out += [slot(e) for e in exprs]
-        self.exprs += exprs
-        self._last = None
-        return range(start, len(self.exprs))
+        self._out = [slot(e) for e in self.exprs]  # slot of each expression
 
     def evaluate(self, points):
         """(values, bad) at a batch of points (N x n): ``values[e, i]`` is

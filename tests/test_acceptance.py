@@ -201,10 +201,9 @@ def test_criterion_04_fourth_order_convergence():
     defects = []
     for h in (0.2, 0.1, 0.05, 0.025):
         p = FoliatedProblem(chart=chart, generators=(g,), ode_step=h)
-        solver = p._solver
 
         def W(x):
-            return solver.fundamental_matrix(0, np.array([x, 0.0, 0.0]))[0, 0]
+            return fundamental_matrix(p, 0, np.array([x, 0.0, 0.0]))[0, 0]
 
         fd = (-W(x_probe + 2 * delta) + 8 * W(x_probe + delta)
               - 8 * W(x_probe - delta) + W(x_probe - 2 * delta)) / (12 * delta)

@@ -499,18 +499,30 @@ def _mutant(draw, command):
     return data
 
 
+# The sizes the fuzz passes: valid and small, or rejected before any work.  A
+# valid but large size is never drawn, as one run at a cap takes minutes; a
+# step of 1e-300 takes far more than MAX_LINE_STEPS on any leaf line.
+_SAMPLES = st.sampled_from([0, 2, MAX_SAMPLES + 1])
+_STEP = st.sampled_from([None, 1e-300, 0.0, -1.0, math.nan])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(_RUNS)).flatmap(lambda command: st.tuples(st.just(command),
-                                                                        _mutant(command) | _DOCUMENT)))
-def test_every_document_keeps_the_exit_contract(run):
+@given(run=st.sampled_from(sorted(_RUNS)).flatmap(lambda command: st.tuples(st.just(command),
+                                                                            _mutant(command) | _DOCUMENT)),
+       samples=_SAMPLES, ode_step=_STEP, quad_step=_STEP)
+def test_every_document_keeps_the_exit_contract(run, samples, ode_step, quad_step):
     """Through cli.main, any document exits 0-3 with a verdict record that
-    carries the exit code.  Stderr holds one summary line, after the check
-    lines of the stages that finished when the exit is 0 or 1, and alone on
-    exit 2 or 3 (also when the error is raised in a later dirac-reduce
-    stage).  Two random samples keep each run short."""
+    carries the exit code, and exits 2 when a size it is given is rejected.
+    Stderr holds one summary line, after the check lines of the stages that
+    finished when the exit is 0 or 1, and alone on exit 2 or 3 (also when
+    the error is raised in a later dirac-reduce stage)."""
     command, data = run
-    code, out, err = _run_document(command, data, "--samples", "2")
+    steps = {"--ode-step": ode_step, "--quad-step": quad_step}
+    flags = [f"{flag}={value!r}" for flag, value in steps.items() if value is not None]
+    code, out, err = _run_document(command, data, f"--samples={samples}", *flags)
     assert code in (0, 1, 2, 3)
+    if samples > MAX_SAMPLES or any(value is not None and not value > 0.0 for value in steps.values()):
+        assert code == 2
     verdict = records(out)[-1]
     assert verdict["record"] == "verdict" and verdict["exit_code"] == code
     assert "Traceback" not in err

@@ -135,14 +135,13 @@ class TestFundamentalMatrix:
 
     def test_ode_residual_by_differences(self, chart3):
         p = e1_problem(chart3)
-        solver = p._solver
         m = np.array([0.41, 0.1, 0.2])
         d = 1e-3
         mp, mm = m.copy(), m.copy()
         mp[0] += d
         mm[0] -= d
-        fd = (solver.fundamental_matrix(0, mp) - solver.fundamental_matrix(0, mm)) / (2 * d)
-        rhs = solver.coefficients(m)[1][0].T @ solver.fundamental_matrix(0, m)
+        fd = (fundamental_matrix(p, 0, mp) - fundamental_matrix(p, 0, mm)) / (2 * d)
+        rhs = solve_coefficients(p, m)[1][0].T @ fundamental_matrix(p, 0, m)
         assert np.abs(fd - rhs).max() < 1e-6
 
 
@@ -267,8 +266,8 @@ class TestComputePi:
         m = np.array([0.43, 0.1, -0.2])
         dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
         T = np.array([[e.eval(m) for e in row] for row in solver.tilde_exprs])
-        _, beta = solver.beta_sigma(m)
-        lhs = T @ solver.build_B(m) @ dR
+        _, beta = beta_fields(p, m)
+        lhs = T @ build_B(p, m) @ dR
         rhs = T @ beta[0]
         assert np.allclose(lhs, rhs, atol=1e-6)
 
@@ -557,16 +556,16 @@ class TestLineCachesAreBounded:
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
         solver = _Solver(p)
         points = random_points(rng, chart3, 2000)
-        first = [(solver.frame(m), solver.Pi(m)) for m in points[:5]]
+        first = [(solver.frame(m), solver._Pi(m[None])[0]) for m in points[:5]]
         for m in points[5:]:
             solver.frame(m)
-            solver.Pi(m)
+            solver._Pi(m[None])
         assert len(solver._lines) <= LINE_CACHE_SIZE
         assert len(solver._panels) <= LINE_CACHE_SIZE
         fresh = _Solver(p)
         for m, (F, Pi) in zip(points[:5], first):  # long evicted: recomputed from the zero slice
             assert np.array_equal(solver.frame(m), F) and np.array_equal(fresh.frame(m), F)
-            assert np.array_equal(solver.Pi(m), Pi) and np.array_equal(fresh.Pi(m), Pi)
+            assert np.array_equal(solver._Pi(m[None])[0], Pi) and np.array_equal(fresh._Pi(m[None])[0], Pi)
 
     def test_batch_with_more_lines_than_the_cache_holds(self, chart3, rng):
         from diracgen.invariant_gen import LINE_CACHE_SIZE, _Solver

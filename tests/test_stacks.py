@@ -231,7 +231,7 @@ class TestOneProgramPerInput:
         # the quotient map, the bivector's antisymmetry check, D, the action
         # and the family; the Step-1 program is never built, as the family is
         # constant along the leaves and Step 2 is the identity
-        programs = {id(red.q._compiled), id(red.D._program), id(red.action._program),
+        programs = {id(red.q._program), id(red.D._program), id(red.action._program),
                     id(problem._solver._generator_exprs)}
         assert len(built) == 5 and programs < {id(p) for p in built}
         before = len(built)
@@ -249,6 +249,23 @@ class TestOneProgramPerInput:
         is_closed(red.D, samples)
         constant_rank_scan(red.D, red.action, samples)
         assert kept is not None and red.D._program._last is kept
+
+    def test_checks_at_one_sample_set_evaluate_the_action_once(self):
+        """The action's program holds its partials from the start, and the
+        foliated-chart check reads its first eight samples from the
+        evaluation at all of them, so validity, the rank scan and the
+        descending checks share one evaluation of it."""
+        chart = make_chart(3, k=1, box=((-1.0, 1.0),) * 3)
+        samples = chart.sample_points(n_random=2, margin=0.1)
+        assert len(samples) > 8
+        red = Reduction(3, False, True, 0.25, [0.1] * 10, samples)
+        red.action.validate(samples)
+        kept = red.action._program._last
+        red.q.validate(red.action, samples)
+        constant_rank_scan(red.D, red.action, samples)
+        problem = FoliatedProblem(chart=red.chart, generators=red.family)
+        assert descending_generators(red.D, red.action, problem, samples=samples).report.passed
+        assert kept is not None and red.action._program._last is kept
 
 
 def _without_x1(rng, chart):

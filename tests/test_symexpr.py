@@ -284,7 +284,7 @@ class TestCompiledExprs:
         m = np.array([[0.3, -0.2, 0.1]])
         assert np.array_equal(compiled(m)[:, 0], [e.eval(m[0]), e.diff(0).eval(m[0])])
 
-    def test_extend_shares_subtrees_and_drops_the_kept_evaluation(self, chart3):
+    def test_kept_evaluation_is_keyed_on_the_points_bit_for_bit(self, chart3):
         e = parse("exp(x1)*sin(x2)", chart3)
         compiled = CompiledExprs([e])
         m = np.array([[0.3, -0.2, 0.1], [0.0, 0.2, -0.3]])
@@ -292,10 +292,6 @@ class TestCompiledExprs:
         assert compiled.evaluate(m.copy())[0] is first and not first.flags.writeable
         m[1, 0] = -0.0  # a point that differs only in the sign of a zero is another point
         assert compiled.evaluate(m)[0] is not first
-        assert compiled.extend([e.diff(0), e.diff(1)]) == range(1, 3)
-        assert len([c for c in compiled._code if c[2] is math.exp]) == 1
-        values, bad = compiled.evaluate(m)
-        assert bad is None and values.tobytes() == CompiledExprs([e, e.diff(0), e.diff(1)]).evaluate(m)[0].tobytes()
 
     def test_error_points_are_plain_floats(self):
         chart = make_chart(2)
