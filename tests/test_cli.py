@@ -532,6 +532,16 @@ def test_every_document_keeps_the_exit_contract(run, samples, ode_step, quad_ste
         assert checks == [] and summary.startswith(("input error", "numerical breakdown"))
 
 
+def test_negative_control_breaks_down_at_every_seed():
+    """Step 2 breaks down on numerical_breakdown.json where |x1| >= 0.65.
+    Its default samples reach |x1| >= 0.7 at every seed, also at the seeds
+    where no random sample does."""
+    chart = cli._chart(problem_data("numerical_breakdown.json")["chart"], "chart")
+    assert all(max(abs(m[0]) for m in chart.sample_points(seed=seed, margin=0.1)) >= 0.7 for seed in range(10_000))
+    for seed in ("892", "953"):
+        assert _main_in_process(["invariant-generators", problem("numerical_breakdown.json"), "--seed", seed])[0] == 3
+
+
 def test_error_in_a_later_stage_prints_one_line(tmp_path):
     """A dkperp form on the leaves is found after the validity and rank-scan
     checks have passed: the run writes their records, and stderr only the
