@@ -773,8 +773,6 @@ def beta_fields(p: FoliatedProblem, m):
     """Decomposition coefficients of the leaf derivatives of the extra
     section at m: sigma (k x k, over the leaf fields) and beta (k x r, over
     the generators)."""
-    if p.extra is None:
-        raise InputError("no extra section in this problem")
     beta, sigma = p._solver._beta(_point(p, m), with_sigma=True)
     return sigma[0], beta[0]
 
