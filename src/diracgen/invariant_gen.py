@@ -732,18 +732,11 @@ class _Solver:
         return (self.extra_values(point) + self._corrections(point))[0]
 
 
-def _point(p: FoliatedProblem, m) -> np.ndarray:
-    """m as a one-point batch (1 x n), checked to lie in the box."""
-    m = np.asarray(m, dtype=float)
-    p.chart.require_inside(m)
-    return m[None]
-
-
 def solve_coefficients(p: FoliatedProblem, m):
     """The matrices (A, B_0..B_{k-1}) of the pointwise linear system for
     the leaf derivatives of the generators at m: A (k x r x k) and each
     B_l (r x r)."""
-    B, A = p._solver._step1(_point(p, m), with_A=True)
+    B, A = p._solver._step1(p._solver._checked([m]), with_A=True)
     return A[0], list(B[0])
 
 
@@ -752,7 +745,7 @@ def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
     m, with identity value on the x^j = 0 slice."""
     if not 0 <= j < p.k:
         raise InputError(f"leaf index {j} out of range 0..{p.k - 1}")
-    return p._solver._fundamental(j, _point(p, m))[0]
+    return p._solver._fundamental(j, p._solver._checked([m]))[0]
 
 
 def build_H(p: FoliatedProblem, m) -> np.ndarray:
@@ -773,7 +766,7 @@ def beta_fields(p: FoliatedProblem, m):
     """Decomposition coefficients of the leaf derivatives of the extra
     section at m: sigma (k x k, over the leaf fields) and beta (k x r, over
     the generators)."""
-    beta, sigma = p._solver._beta(_point(p, m), with_sigma=True)
+    beta, sigma = p._solver._beta(p._solver._checked([m]), with_sigma=True)
     return sigma[0], beta[0]
 
 

@@ -157,9 +157,7 @@ class Chart:
         self, seed: int = 0, n_random: int = 32, margin: float = 0.0
     ) -> list[np.ndarray]:
         """Default verification samples: a 3-per-axis interior tensor grid
-        over the first min(n, 4) coordinates, two points on each leaf
-        coordinate at 0.05 and 0.95 of the sampling box (the others at its
-        centre), where the leaf lines are longest, plus ``n_random`` uniform
+        over the first min(n, 4) coordinates plus ``n_random`` uniform
         points, reproducibly seeded.  ``margin`` shrinks the sampling box
         by that fraction on each side (finite-difference checks need room
         for their stencils).  More than ``MAX_SAMPLES`` random points is an
@@ -181,10 +179,6 @@ class Chart:
         widths = self.widths()
         lows = np.array([lo for lo, _ in self.box]) + margin * widths
         spans = (1.0 - 2.0 * margin) * widths
-        for i in range(self.leaf_count):
-            for f in (0.05, 0.95):
-                points.append(lows + 0.5 * spans)
-                points[-1][i] = lows[i] + f * spans[i]
         for _ in range(n_random):
             points.append(lows + rng.random(self.n) * spans)
         return points

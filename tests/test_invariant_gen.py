@@ -856,7 +856,7 @@ def test_default_steps_stay_far_below_the_cap(chart3):
 
 
 def test_sample_count_is_capped(chart3):
-    assert len(chart3.sample_points(n_random=MAX_SAMPLES)) == 27 + 2 * chart3.leaf_count + MAX_SAMPLES
+    assert len(chart3.sample_points(n_random=MAX_SAMPLES)) == 27 + MAX_SAMPLES
     with pytest.raises(InputError, match=f"above the cap of {MAX_SAMPLES}"):
         chart3.sample_points(n_random=MAX_SAMPLES + 1)
 
