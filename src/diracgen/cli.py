@@ -351,15 +351,18 @@ def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, 
     )
     result = run_invariant(problem, samples=samples)
     out.checks(result.report)
-    for m in samples:
-        F = result.frame(m)
+    # one batch each, bit-identical to result.frame(m) and result.combined(m)
+    frames = result.frames(samples)
+    if result.combined is not None:
+        combined = problem._solver.extra_values(samples) + problem._solver.corrections(samples)
+    for i, m in enumerate(samples):
         rec = {
             "record": "frame",
             "point": [float(v) for v in m],
-            "columns": [[float(v) for v in col] for col in F.T],
+            "columns": [[float(v) for v in col] for col in frames[i].T],
         }
         if result.combined is not None:
-            rec["combined"] = [float(v) for v in result.combined(m)]
+            rec["combined"] = [float(v) for v in combined[i]]
         out.line(rec)
     if args.dump_intermediates:
         from .invariant_gen import build_B, build_H, compute_Pi

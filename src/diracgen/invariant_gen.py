@@ -239,6 +239,33 @@ def _line_points(point: np.ndarray, j: int, xs) -> np.ndarray:
     return out
 
 
+def _householder(T: np.ndarray, C: np.ndarray):
+    """Least-squares solve of T X = C by Householder QR at every node, node
+    axis last: T (M, r, N), C (M, c, N).  Returns X (r, c, N) and |R_jj|
+    (r, N), 0 from row M on when M < r.  Every step is one numpy operation
+    over all nodes and sums run row by row, so a node alone and in a batch
+    gives the same bits."""
+    (M, r, N), c = T.shape, C.shape[1]
+    A = np.zeros((max(M, r), r + c, N))  # reflected in place into R and Q^T C
+    A[:M, :r], A[:M, r:] = T, C
+    with np.errstate(all="ignore"):  # the caller judges degenerate and non-finite nodes
+        for j in range(r):
+            x, rest = A[j:, j], A[j:, j + 1 :]
+            norm = functools.reduce(np.hypot, x[1:], np.abs(x[0]))  # no overflow before 1e308
+            beta = -np.copysign(norm, x[0])
+            live = norm > 0.0  # a zero column reflects nothing
+            tau = np.where(live, (beta - x[0]) / beta, 0.0)
+            v = x[1:] / np.where(live, x[0] - beta, 1.0)  # the reflector below its leading 1
+            s = tau * functools.reduce(np.add, (v_i * row for v_i, row in zip(v, rest[1:])), rest[0])
+            rest[0] -= s
+            rest[1:] -= v[:, None] * s
+            A[j, j] = beta
+        X = np.empty((r, c, N))
+        for i in range(r - 1, -1, -1):
+            X[i] = (A[i, r:] - sum(A[i, j] * X[j] for j in range(i + 1, r))) / A[i, i]
+    return X, np.abs(A[np.arange(r), np.arange(r)])
+
+
 class _Panels:
     """Composite-Simpson state of one Step-4 line: the panel boundaries, the
     integrand there (from the zero slice on, once the line first grows), and
@@ -314,24 +341,21 @@ class _Solver:
             B = np.zeros((N, k, r, r))
             checks = flags
         else:
-            T = vals[: M * r].T.reshape(N, M, r)
-            dT = vals[M * r : M * r * (k + 1)].T.reshape(N, k, M, r)
-            q, R = np.linalg.qr(T)
-            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            if diag.shape[1] < r:
-                degenerate = np.ones(N, dtype=bool)
-                B = violated = None
-            else:
-                scale = np.maximum(diag.max(axis=1), 1.0e-300)
-                degenerate = diag.min(axis=1) <= 1e-12 * scale
-                R[flags[0] | degenerate] = np.eye(r)  # unused there: a check fails first
-                B = np.linalg.solve(R[:, None], np.swapaxes(q, 1, 2)[:, None] @ dT)
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
-                    residual = _norms((T[:, None] @ B - dT).reshape(N, k, M * r))
-                    violated = residual > p.tol * (1.0 + _norms(dT.reshape(N, k, M * r)))
+            # the program's rows, node axis last: T (M, r, N) and every dT_l
+            # as right-hand sides (M, k*r, N), columns l*r + g
+            T = vals[: M * r].reshape(M, r, N)
+            dT = vals[M * r : M * r * (k + 1)].reshape(k, M, r, N).swapaxes(0, 1).reshape(M, k * r, N)
+            X, diag = _householder(T, dT)
+            degenerate = diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)
+            B = X.reshape(r, k, r, N).transpose(3, 1, 0, 2)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
+                TX = sum(T[:, a, None] * X[a] for a in range(r))
+                rows = np.stack([TX - dT, dT]).reshape(2, M, k, r, N).transpose(0, 4, 2, 1, 3)
+                residual, size = _norms(rows.reshape(2, N, k, M * r))
+                violated = residual > p.tol * (1.0 + size)
             checks = [flags[0], degenerate]
             for l in range(k):
-                checks += [flags[1 + l], np.zeros(N, dtype=bool) if violated is None else violated[:, l]]
+                checks += [flags[1 + l], violated[:, l]]
             checks += flags[-2:]
         failure = _first_failure(checks)
         if failure is not None:
@@ -345,10 +369,8 @@ class _Solver:
                     stage="Step 1",
                 )
             if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
-                l = (c - 3) // 2
-                residual = np.linalg.norm(T[i] @ B[i, l] - dT[i, l])
                 raise HypothesisViolated(
-                    f"leaf derivative of a generator leaves the span (residual {residual:.3e})",
+                    f"leaf derivative of a generator leaves the span (residual {residual[i, c // 2 - 1]:.3e})",
                     point=plain(point),
                     stage="Step 1",
                 )
@@ -555,8 +577,13 @@ class _Solver:
     def generator_matrix(self, m) -> np.ndarray:
         return self.generator_matrices([m])[0]
 
+    def _parts(self, points: np.ndarray):
+        """The generator matrices G and the transform B at each point."""
+        return self.generator_matrices(points), self._B(self._checked(points))
+
     def _frames(self, points: np.ndarray) -> np.ndarray:
-        return self.generator_matrices(points) @ self._B(self._checked(points))
+        G, B = self._parts(points)
+        return G @ B
 
     def frames(self, points) -> np.ndarray:
         """The straightened frame at each point (N, 2n, r), with the lines of
@@ -588,7 +615,8 @@ class _Solver:
         beta = np.zeros((N, k, r))
         residual = np.zeros((N, k))
         # one stacked least-squares solve for every (point, l) that evaluates
-        at = np.nonzero(~(flags[0][:, None] | np.stack(flags[2 : 2 + 2 * k : 2], axis=1)))
+        leaf_bad = np.array(flags[2 : 2 + 2 * k : 2], dtype=bool).reshape(k, N).T  # (N, 0) when k = 0
+        at = np.nonzero(~(flags[0][:, None] | leaf_bad))
         beta[at], residual[at] = span_residuals(T[at[0]], d_extra[at][:, :M])
         violated = residual > p.tol * (1.0 + _norms(d_extra[:, :, :M]))
         checks = flags[:2]
@@ -706,13 +734,14 @@ class _Solver:
             R += self._simpson(l, bases)
         return R
 
-    def _Pi(self, points: np.ndarray) -> np.ndarray:
-        B = self._B(self._checked(points))
+    def _Pi(self, points: np.ndarray, B=None) -> np.ndarray:
+        B = self._B(self._checked(points)) if B is None else B
         return (-B @ self._R(points)[..., None])[..., 0]
 
-    def _corrections(self, points: np.ndarray) -> np.ndarray:
-        G = self.generator_matrices(points)
-        return (G @ self._Pi(points)[..., None])[..., 0]
+    def _corrections(self, points: np.ndarray, parts=None) -> np.ndarray:
+        """(Z, gamma) at each point; parts is _parts(points) when already computed."""
+        G, B = parts or self._parts(points)
+        return (G @ self._Pi(points, B)[..., None])[..., 0]
 
     def corrections(self, points) -> np.ndarray:
         """Values of (Z, gamma) at each point (N, 2n)."""
@@ -885,8 +914,10 @@ def run(
     stencils = [_stencil(p.chart, samples, l) for l in range(k)]
     points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
     deltas = [delta for _, delta in stencils]
-    frames = solver.frames(points)
-    G = solver.generator_matrices(samples)
+    # G and B once, for the frames and the corrections
+    parts = _batch(points, solver._parts, solver.frame)
+    frames = parts[0] @ parts[1]
+    G = parts[0][:N]
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical
     G_columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).swapaxes(1, 2)
@@ -903,7 +934,7 @@ def run(
     if p.extra is not None:
         correction = solver.correction
         combined = solver.combined
-        corrections = solver.corrections(points)
+        corrections = _batch(points, lambda q: solver._corrections(q, parts), solver.correction)
         defects = _span_defects(G_columns, corrections[:N, :, None])[:, 0]
         report.add(record_from_samples(
             "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))

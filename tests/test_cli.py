@@ -609,6 +609,14 @@ def test_traced_cli_names_are_cli_functions():
         assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
 
 
+def test_readme_python_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "True"
+
+
 def test_readme_documents_every_schema_key():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         section = f.read().split("## Problem files", 1)[1].split("\n## ", 1)[0]

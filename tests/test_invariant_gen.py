@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, Non
 from diracgen.invariant_gen import (
     MAX_LINE_STEPS,
     FoliatedProblem,
+    _householder,
     build_B,
     build_H,
     compute_Pi,
@@ -230,6 +232,16 @@ class TestBetaFields:
         assert np.allclose(beta, 0.0, atol=1e-12)
         assert np.allclose(sigma[0], [1.0], atol=1e-12)
 
+    def test_no_leaf_coordinates(self):
+        # k = 0: nothing to differentiate along, so sigma is 0 x 0 and beta 0 x r
+        chart = Chart(coord_names=("x1", "x2"), leaf_count=0, box=((-1.0, 1.0), (-1.0, 1.0)))
+        g1 = section(chart, ("1", "x1"), ("0", "0"))
+        g2 = section(chart, ("0", "1"), ("x2", "0"))
+        extra = section(chart, ("x1", "0"), ("0", "1"))
+        p = FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra)
+        sigma, beta = beta_fields(p, np.array([0.3, -0.2]))
+        assert sigma.shape == (0, 0) and beta.shape == (0, 2)
+
 
 class TestComputePi:
     def test_e2_oracle(self, chart3, rng):
@@ -357,7 +369,8 @@ class TestLeafDirectionalDerivative:
 
 class PointwiseReference:
     """Steps 1-4 one point at a time, as the construction reads: scalar
-    Expr.eval, one small np.linalg call per point, no caches."""
+    Expr.eval, one small np.linalg call (or, in Step 1, one Householder
+    solve) per point, no caches."""
 
     def __init__(self, p):
         self.p = p
@@ -373,8 +386,8 @@ class PointwiseReference:
     def B(self, m, l):
         T = np.array([[e.eval(m) for e in row] for row in self.T])
         dT = np.array([[e.diff(l).eval(m) for e in row] for row in self.T])
-        q, r = np.linalg.qr(T)
-        return np.linalg.solve(r, q.T @ dT)
+        # the kernel on one node (against LAPACK: TestHouseholder)
+        return _householder(T[..., None], dT[..., None])[0][..., 0]
 
     def W(self, j, m):
         p = self.p
@@ -464,6 +477,86 @@ def k2_problem():
     g2 = section(chart, ("0", "0", f"0.2*{a}", b), ("0", "0", "0", "0"))
     extra = section(chart, ("0", "0", f"sin(x1)*{a}", f"sin(x1)*0.5*{b}"), ("0", "0", "0", "0"))
     return FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra, ode_step=0.05, quad_step=0.05)
+
+
+class TestHouseholder:
+    """The batched Step-1 kernel against LAPACK, node by node."""
+
+    @staticmethod
+    def node_matrix(rng, M, r, scale, cond):
+        U = np.linalg.qr(rng.standard_normal((M, r)))[0]
+        V = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        return scale * (U * np.logspace(0.0, -np.log10(cond), r)) @ V.T
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        extra_rows=st.integers(0, 5),
+        c=st.integers(1, 4),
+        nodes=st.integers(1, 6),
+        exponent=st.integers(-150, 150),
+        log_cond=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lapack_within_the_condition_number(self, r, extra_rows, c, nodes, exponent, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        M, scale, cond = r + extra_rows, 10.0**exponent, 10.0**log_cond
+        T = np.stack([self.node_matrix(rng, M, r, scale, cond) for _ in range(nodes)], axis=-1)
+        C = scale * rng.standard_normal((M, c, nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, diag = _householder(T, C)
+        assert np.isfinite(X).all() and not (diag.min(axis=0) <= 1e-12 * diag.max(axis=0)).any()
+        for i in range(nodes):
+            q, R = np.linalg.qr(T[..., i])
+            expected = np.linalg.solve(R, q.T @ C[..., i])
+            assert np.linalg.norm(X[..., i] - expected) <= 5e-13 * cond * np.linalg.norm(expected)
+            np.testing.assert_allclose(diag[:, i], np.abs(np.diagonal(R)), rtol=1e-13 * cond)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        rows=st.integers(0, 5),
+        kind=st.sampled_from(["zero", "duplicate", "short"]),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dependent_columns_are_degenerate(self, r, rows, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        # a short system has fewer rows than columns; the others at least as many
+        M = min(rows, r - 1) if kind == "short" else r + rows
+        if kind == "duplicate" and r == 1:
+            kind = "zero"  # one column has nothing to duplicate
+        T = 10.0**exponent * rng.standard_normal((M, r, 3))
+        a, b = sorted(rng.choice(r, size=2, replace=False)) if r > 1 else (0, 0)
+        if kind == "zero":
+            T[:, b] = 0.0
+        elif kind == "duplicate":
+            T[:, b] = T[:, a]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = _householder(T, rng.standard_normal((M, 2, 3)))
+        assert (diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1e-300)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        c=st.integers(1, 2),
+        M=st.integers(10, 14),
+        nodes=st.integers(2, 40),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_node_and_a_batch_give_the_same_bits(self, r, c, M, nodes, exponent, seed):
+        # ten or more rows: a numpy reduction over them would sum one column
+        # (r = c = 1 at one node) pairwise but a stack of columns row by row
+        rng = np.random.default_rng(seed)
+        T = 10.0**exponent * rng.standard_normal((M, r, nodes))
+        C = rng.standard_normal((M, c, nodes))
+        X, diag = _householder(T, C)
+        for i in range(nodes):
+            Xi, diag_i = _householder(T[..., i : i + 1], C[..., i : i + 1])
+            assert np.array_equal(Xi[..., 0], X[..., i]) and np.array_equal(diag_i[:, 0], diag[:, i])
 
 
 class TestBatchedAgainstPointwise:
@@ -610,8 +703,8 @@ class TestRunEvaluatesEachPointOnce:
         monkeypatch.setattr(_Solver, "_B", spy)
         samples = p.chart.sample_points(seed=3, n_random=6, margin=0.1)
         run(p, samples=samples)
-        # one batch for the frames, and one for the corrections when there is an extra section
-        assert len(calls) == (1 if p.extra is None else 2)
+        # one batch, whose B the corrections share when there is an extra section
+        assert len(calls) == 1
         for points in calls:
             assert len(points) == len(samples) * (1 + 4 * p.k)
             assert len(np.unique(points, axis=0)) == len(points)
