@@ -22,10 +22,10 @@ from functools import partial
 
 from .calculus import OneForm, PontryaginSection, VectorField
 from .dirac import (
-    DiracStructure, InfinitesimalAction, PoissonBivector, QuotientMap, constant_rank_scan,
+    DiracStructure, InfinitesimalAction, PoissonBivector, QuotientMap, _push, constant_rank_scan,
     descending_generators, graph_of_poisson, is_closed, pushforward_check,
 )
-from .distribution import GeneralizedDistribution, check_bracket_hypothesis
+from .distribution import GeneralizedDistribution, check_bracket_hypothesis, stacked
 from .errors import DiracgenError, EvalDomainError, InputError, NumericalBreakdownError, VerificationError
 from .invariant_gen import FoliatedProblem, require_positive, run as run_invariant, split_tilde
 from .report import Report
@@ -365,17 +365,19 @@ def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, 
             rec["combined"] = [float(v) for v in combined[i]]
         out.line(rec)
     if args.dump_intermediates:
-        from .invariant_gen import build_B, build_H, compute_Pi
-
-        for m in samples:
+        # one batch each, bit-identical to build_H, build_B and compute_Pi at each sample
+        solver, points = problem._solver, problem._solver._checked(samples)
+        H, B = solver._H(points), solver._B(points)
+        Pi = None if problem.extra is None else solver._Pi(points, B)
+        for i, m in enumerate(samples):
             rec = {
                 "record": "intermediates",
                 "point": [float(v) for v in m],
-                "H": [[float(v) for v in row] for row in build_H(problem, m)],
-                "B": [[float(v) for v in row] for row in build_B(problem, m)],
+                "H": [[float(v) for v in row] for row in H[i]],
+                "B": [[float(v) for v in row] for row in B[i]],
             }
-            if problem.extra is not None:
-                rec["Pi"] = [float(v) for v in compute_Pi(problem, m)]
+            if Pi is not None:
+                rec["Pi"] = [float(v) for v in Pi[i]]
             out.line(rec)
     return out.verdict(result.report.passed)
 
@@ -427,17 +429,17 @@ def cmd_dirac_reduce(data: dict, chart: Chart, samples, numerics: dict, args, ou
     )
     out.checks(pushed)
     if args.dump_intermediates:
-        from .dirac import push_frame
-
-        for m in samples:
-            Xbar, abar, _ = push_frame(quotient, result.frame, m, tol)
+        # one batch, bit-identical to push_frame and quotient(m) at each sample
+        values, nbar = quotient._program(samples), quotient.target.n
+        Xbar, abar, _ = _push(quotient, result.frames(samples), stacked(values[nbar:], chart.n))
+        for i, m in enumerate(samples):
             out.line(
                 {
                     "record": "pushed-frame",
                     "point": [float(v) for v in m],
-                    "target_point": [float(v) for v in quotient(m)],
-                    "vectors": [[float(v) for v in col] for col in Xbar.T],
-                    "forms": [[float(v) for v in col] for col in abar.T],
+                    "target_point": [float(v) for v in values[:nbar, i]],
+                    "vectors": [[float(v) for v in col] for col in Xbar[i].T],
+                    "forms": [[float(v) for v in col] for col in abar[i].T],
                 }
             )
     if not pushed.passed:

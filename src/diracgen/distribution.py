@@ -101,10 +101,16 @@ def svd_rank(matrices, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each trailing-axis vector, with the same dot product
-    (so bit-identical to it); a norm that overflows is inf, without a warning."""
+    (so bit-identical to it) where that is finite; a finite vector whose sum
+    of squares overflows is first scaled by a power of two."""
     x = np.ascontiguousarray(x)
-    with np.errstate(over="ignore"):
-        return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+        big = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+        if big.any():  # the largest entry scaled into [1, 2)
+            scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1)
+            norms = np.where(big, scale * _norms(x / scale[..., None]), norms)
+    return norms
 
 
 def _lstsq_failed(err, flag):

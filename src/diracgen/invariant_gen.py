@@ -21,9 +21,12 @@ The pipeline is numeric-by-evaluation on top of exact symbolic brackets:
    Simpson integrals of H^T beta_l along coordinate lines.
 
 Steps 1, 2 and 4 work on whole coordinate lines and batches of points,
-with values bit-identical to evaluating one point at a time.  In Step 2,
-Step 1 runs once per distinct RK4 node, each step applies its propagator
-Phi = RK4(B, I, h), and a point within rounding of a grid node reads it.
+with values bit-identical to evaluating one point at a time.  Steps 1 and
+4 solve their linear systems at all nodes with one Householder kernel and
+one residual check (_decompose); Steps 2 and 4 group their points into
+coordinate lines the same way (_group_lines).  In Step 2, Step 1 runs once
+per distinct RK4 node, each step applies its propagator Phi = RK4(B, I, h),
+and a point within rounding of a grid node reads it.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -266,6 +269,45 @@ def _householder(T: np.ndarray, C: np.ndarray):
     return X, np.abs(A[np.arange(r), np.arange(r)])
 
 
+def _decompose(T: np.ndarray, C: np.ndarray, width: int, tol: float):
+    """Steps 1 and 4: T X = C by _householder, T (M, r, N), C (M, c, N) in
+    groups of width columns, one per leaf index.  Returns X (r, c, N), the
+    degenerate nodes, and per node and group |T X - C| and whether it
+    exceeds tol * (1 + |C|)."""
+    (M, r, N), groups = T.shape, C.shape[1] // width
+    X, diag = _householder(T, C)
+    degenerate = diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
+        TX = sum(T[:, a, None] * X[a] for a in range(r))
+        rows = np.stack([TX - C, C]).reshape(2, M, groups, width, N).transpose(0, 4, 2, 1, 3)
+        residual, size = _norms(rows.reshape(2, N, groups, M * width))
+        violated = residual > tol * (1.0 + size)
+    return X, degenerate, residual, violated
+
+
+def _group_lines(cache: OrderedDict, j: int, points: np.ndarray, counts: np.ndarray, make):
+    """Group points (x^j nonzero) into x^j lines, one per (other coordinates,
+    sign of x^j), in order of first appearance, which decides what the cache
+    evicts; each is looked up once (a big batch may evict it).  Returns the
+    first point and cached value of each line, the line of each point and
+    the largest count on each line."""
+    # + 0.0 turns -0.0 into 0.0, equal to it as a cache key
+    keys = np.column_stack([np.delete(points, j, axis=1) + 0.0, points[:, j] > 0.0])
+    _, first, line = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    line = np.argsort(order)[line.reshape(-1)]
+    first = first[order]
+    largest = np.zeros(len(first), dtype=int)
+    np.maximum.at(largest, line, counts)
+    values = [_lru_get(cache, (j, tuple(keys[i, :-1].tolist()), bool(keys[i, -1])), make) for i in first.tolist()]
+    return first, line, values, largest
+
+
+def _dependent(point, stage: str) -> NonUniqueCoefficients:
+    return NonUniqueCoefficients("transverse components of the generators are pointwise dependent; re-present "
+                                 "the family with an independent local frame", point=plain(point), stage=stage)
+
+
 class _Panels:
     """Composite-Simpson state of one Step-4 line: the panel boundaries, the
     integrand there (from the zero slice on, once the line first grows), and
@@ -280,10 +322,11 @@ class _Panels:
 class _Solver:
     """Batched evaluators for every stage.  Expressions are compiled and
     differentiated once per problem: Step 1's the first time a node is
-    solved, the others here.  Step 1 runs on all RK4 nodes of a line in
-    one stacked solve; Step 2 keeps the integration grid of each coordinate
-    line and Step 4 the Simpson totals of each quadrature line, so every
-    later point on a line only adds its own last partial step or panel.
+    solved, the others here.  Steps 1 and 4 read their programs with the
+    node axis last and solve all nodes at once (_decompose); Step 2 keeps
+    the integration grid of each coordinate line and Step 4 the Simpson
+    totals of each quadrature line, so every later point on a line only
+    adds its own last partial step or panel.
 
     Batches check every node.  When one fails, the work is redone point by
     point with the same code, so the error raised is the one the per-point
@@ -345,14 +388,8 @@ class _Solver:
             # as right-hand sides (M, k*r, N), columns l*r + g
             T = vals[: M * r].reshape(M, r, N)
             dT = vals[M * r : M * r * (k + 1)].reshape(k, M, r, N).swapaxes(0, 1).reshape(M, k * r, N)
-            X, diag = _householder(T, dT)
-            degenerate = diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)
+            X, degenerate, residual, violated = _decompose(T, dT, r, p.tol)
             B = X.reshape(r, k, r, N).transpose(3, 1, 0, 2)
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
-                TX = sum(T[:, a, None] * X[a] for a in range(r))
-                rows = np.stack([TX - dT, dT]).reshape(2, M, k, r, N).transpose(0, 4, 2, 1, 3)
-                residual, size = _norms(rows.reshape(2, N, k, M * r))
-                violated = residual > p.tol * (1.0 + size)
             checks = [flags[0], degenerate]
             for l in range(k):
                 checks += [flags[1 + l], violated[:, l]]
@@ -362,12 +399,7 @@ class _Solver:
             i, c = failure
             point = nodes[i]
             if not self.constant_tilde and c == 1:
-                raise NonUniqueCoefficients(
-                    "transverse components of the generators are pointwise dependent; "
-                    "re-present the family with an independent local frame",
-                    point=plain(point),
-                    stage="Step 1",
-                )
+                raise _dependent(point, "Step 1")
             if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
                 raise HypothesisViolated(
                     f"leaf derivative of a generator leaves the span (residual {residual[i, c // 2 - 1]:.3e})",
@@ -377,15 +409,9 @@ class _Solver:
             self._step1_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), point)
         if not with_A:
             return B, None
-        leaf = vals[tilde_rows:].T.reshape(N, k * r + k * k * r)
-        X_leaf = leaf[:, : k * r].reshape(N, k, r)
-        dX = leaf[:, k * r :].reshape(N, k, r, k)
-        A = np.zeros((N, k, r, k))
-        for i in range(N):
-            for l in range(k):
-                for g in range(r):
-                    A[i, l, g] = dX[i, l, g] - X_leaf[i] @ B[i, l][:, g]
-        return B, A
+        X_leaf = vals[tilde_rows : tilde_rows + k * r].T.reshape(N, k, r)
+        dX = vals[tilde_rows + k * r :].T.reshape(N, k, r, k)
+        return B, dX - np.swapaxes(X_leaf[:, None] @ B, -1, -2)
 
     # -- Step 2 -----------------------------------------------------------
 
@@ -494,24 +520,12 @@ class _Solver:
         count, rounding = (np.abs(x) // step).astype(int), 1e-15 * np.maximum(1.0, np.abs(x))
         count += np.abs((count + 1) * step - np.abs(x)) <= rounding  # one rounding below a grid node: read it
         dx = x - np.copysign(count * step, x)
-        # one line per (frozen coordinates, sign), numbered in order of first
-        # appearance, which decides what the cache evicts; + 0.0 turns -0.0
-        # into 0.0, equal to it as a cache key
-        keys = np.column_stack([np.delete(points[live], j, axis=1) + 0.0, x > 0.0])
-        _, first, line = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        line = np.argsort(order)[line.reshape(-1)]
-        target = np.zeros(len(order), dtype=int)
-        np.maximum.at(target, line, count)
-        lines = []
-        for i, grid_to in zip(first[order].tolist(), target.tolist()):
-            key = (j, tuple(keys[i, :-1].tolist()), bool(keys[i, -1]))
-            # looked up once: a big batch may evict it from the cache
-            lines.append([_lru_get(self._lines, key, lambda: [np.eye(r)]), points[live[i]], grid_to])
+        first, line, grids, target = _group_lines(self._lines, j, points[live], count, lambda: [np.eye(r)])
+        lines = [[Ws, points[live[i]], grid_to] for Ws, i, grid_to in zip(grids, first.tolist(), target.tolist())]
         tails = np.flatnonzero(np.abs(dx) > rounding)
-        Phi = self._extend(j, lines, np.where(keys[first[order], -1] > 0.0, step, -step),
+        Phi = self._extend(j, lines, np.where(x[first] > 0.0, step, -step),
                            np.column_stack([line[tails], count[tails], dx[tails]]))
-        out[live] = np.reshape([lines[a][0][c] for a, c in zip(line.tolist(), count.tolist())], (-1, r, r))
+        out[live] = np.reshape([grids[a][c] for a, c in zip(line.tolist(), count.tolist())], (-1, r, r))
         if tails.size:
             at = live[tails]
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
@@ -609,38 +623,32 @@ class _Solver:
         M = 2 * (p.n - k)
         vals, bad = self._beta_exprs.evaluate(points)
         flags = _group_flags(bad, [M * r, k * r] + [M, k] * k, N)
-        T = vals[: M * r].T.reshape(N, M, r)
-        X_leaf = vals[M * r : (M + k) * r].T.reshape(N, k, r)
-        d_extra = vals[(M + k) * r :].T.reshape(N, k, M + k)
-        beta = np.zeros((N, k, r))
-        residual = np.zeros((N, k))
-        # one stacked least-squares solve for every (point, l) that evaluates
-        leaf_bad = np.array(flags[2 : 2 + 2 * k : 2], dtype=bool).reshape(k, N).T  # (N, 0) when k = 0
-        at = np.nonzero(~(flags[0][:, None] | leaf_bad))
-        beta[at], residual[at] = span_residuals(T[at[0]], d_extra[at][:, :M])
-        violated = residual > p.tol * (1.0 + _norms(d_extra[:, :, :M]))
-        checks = flags[:2]
+        # the program's rows, node axis last: T (M, r, N), and per l the
+        # transverse then the leaf derivatives of the extra section
+        T = vals[: M * r].reshape(M, r, N)
+        d_extra = vals[(M + k) * r :].reshape(k, M + k, N)
+        X, degenerate, residual, violated = _decompose(T, d_extra[:, :M].swapaxes(0, 1), 1, p.tol)
+        checks = flags[:2] + [degenerate]
         for l in range(k):
             checks += [flags[2 + 2 * l], violated[:, l], flags[3 + 2 * l]]
         failure = _first_failure(checks)
         if failure is not None:
             i, c = failure
-            if c >= 2 and c % 3 == 0:
+            if c == 2:
+                raise _dependent(points[i], "Step 4")
+            if c > 2 and c % 3 == 1:
                 raise HypothesisViolated(
                     f"leaf derivative of the extra section leaves the span "
-                    f"(residual {residual[i, (c - 3) // 3]:.3e})",
+                    f"(residual {residual[i, (c - 4) // 3]:.3e})",
                     point=plain(points[i]),
                     stage="Step 4",
                 )
             self._beta_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), points[i])
+        beta = X.transpose(2, 1, 0)
         if not with_sigma:
             return beta, None
-        sigma = np.zeros((N, k, k))
-        for i in range(N):
-            for l in range(k):
-                for j in range(k):
-                    sigma[i, l, j] = d_extra[i, l, M + j] - X_leaf[i, j] @ beta[i, l]
-        return beta, sigma
+        X_leaf = vals[M * r : (M + k) * r].reshape(k, r, N)
+        return beta, d_extra[:, M:].transpose(2, 0, 1) - beta @ X_leaf.transpose(2, 1, 0)
 
     def _Hbeta(self, points: np.ndarray, l: int) -> np.ndarray:
         beta = self._beta(points)[0][:, l]
@@ -661,65 +669,47 @@ class _Solver:
         step = p.quad_step
         panel = 2.0 * step
         out = np.zeros((len(bases), p.r))
-        queries, lines = [], {}
-        for i, upper in enumerate(bases[:, l].tolist()):
-            if upper == 0.0:
-                continue
-            sign = math.copysign(1.0, upper)
-            length = abs(upper)
-            n_full = int(length // panel)
-            if n_full == 0 and length <= 1e-15 * max(1.0, length):
-                out[i] *= sign
-                continue
-            key = (l, tuple(bases[i, :l]) + tuple(bases[i, l + 1 :]), sign)
-            if key not in lines:  # looked up once: a big batch may evict it from the cache
-                lines[key] = [_lru_get(self._panels, key, lambda: _Panels(p.r)), bases[i], sign, 0]
-            grow = lines[key]
-            grow[3] = max(grow[3], n_full)
-            queries.append((i, grow[0], sign, length, n_full))
-        p.chart.require_inside(bases[[q[0] for q in queries]])
+        length = np.abs(bases[:, l])
+        n_full = (length // panel).astype(int)
+        live = np.flatnonzero((n_full > 0) | (length > 1e-15 * np.maximum(1.0, length)))
+        if not live.size:
+            return out
+        p.chart.require_inside(bases[live])
+        sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
+        first, line, lines, target = _group_lines(self._panels, l, bases[live], n_full, lambda: _Panels(p.r))
         plans, nodes = [], []
-        for line, base, sign, n_full in lines.values():
-            taus = [] if line.f else [sign * 0.0]
-            x = line.x[-1]
+        for panels, i, grow_to in zip(lines, first.tolist(), target.tolist()):
+            taus = [] if panels.f else [sign[i] * 0.0]
+            x = panels.x[-1]
             bounds = []
-            for _ in range(len(line.x) - 1, n_full):
-                taus += [sign * (x + step), sign * (x + panel)]
+            for _ in range(len(panels.x) - 1, grow_to):
+                taus += [sign[i] * (x + step), sign[i] * (x + panel)]
                 x += panel
                 bounds.append(x)
             if taus:
-                plans.append((line, bounds, len(taus)))
-                nodes.append(_line_points(base, l, taus))
+                plans.append((panels, bounds))
+                nodes.append(_line_points(bases[live[i]], l, taus))
         if nodes:
             values = self._integrand(l, np.concatenate(nodes))
-            start = 0
-            for line, bounds, count in plans:
-                f = values[start : start + count]
-                start += count
-                if not line.f:
-                    line.f.append(f[0])
-                    f = f[1:]
-                if bounds:
-                    f = f.reshape(-1, 2, p.r)
-                    fa = np.concatenate([line.f[-1][None], f[:-1, 1]])
-                    part = (panel / 6.0) * (fa + 4.0 * f[:, 0] + f[:, 1])
-                    line.x += bounds
-                    line.f += list(f[:, 1])
-                    line.total += list(np.cumsum(np.concatenate([line.total[-1][None], part]), axis=0)[1:])
-        partial, nodes = [], []
-        for i, line, sign, length, n_full in queries:
-            x = line.x[n_full]
-            rem = length - x
-            if rem > 1e-15 * max(1.0, length):
-                partial.append((i, line, sign, n_full, rem))
-                nodes.append(_line_points(bases[i], l, [sign * (x + 0.5 * rem), sign * length]))
-            else:
-                out[i] = sign * line.total[n_full]
-        if nodes:
-            f = self._integrand(l, np.concatenate(nodes)).reshape(-1, 2, p.r)
-            for (i, line, sign, n_full, rem), (fmid, fb) in zip(partial, f):
-                total = line.total[n_full] + (rem / 6.0) * (line.f[n_full] + 4.0 * fmid + fb)
-                out[i] = sign * total
+            for (panels, bounds), f in zip(plans, np.split(values, np.cumsum([len(q) for q in nodes])[:-1])):
+                zero = len(f) % 2  # the value on the zero slice leads a line's first growth
+                panels.f += list(f[:zero])
+                f = f[zero:].reshape(-1, 2, p.r)
+                part = (panel / 6.0) * (np.concatenate([panels.f[-1][None], f[:-1, 1]]) + 4.0 * f[:, 0] + f[:, 1])
+                panels.x += bounds
+                panels.f += list(f[:, 1])
+                panels.total += list(np.cumsum(np.concatenate([panels.total[-1][None], part]), axis=0)[1:])
+        # each upper limit: the total of its full panels, plus its partial panel
+        ends = [(lines[a].x[c], lines[a].total[c], lines[a].f[c]) for a, c in zip(line.tolist(), n_full.tolist())]
+        x, total, fa = map(np.array, zip(*ends))
+        rem = length - x
+        at = np.flatnonzero(rem > 1e-15 * np.maximum(1.0, length))
+        if at.size:
+            nodes = np.repeat(bases[live[at]], 2, axis=0)
+            nodes[:, l] = np.column_stack([sign[at] * (x[at] + 0.5 * rem[at]), sign[at] * length[at]]).ravel()
+            fmid, fb = self._integrand(l, nodes).reshape(-1, 2, p.r).swapaxes(0, 1)
+            total[at] += (rem[at, None] / 6.0) * (fa[at] + 4.0 * fmid + fb)
+        out[live] = sign[:, None] * total
         return out
 
     def _R(self, points: np.ndarray) -> np.ndarray:

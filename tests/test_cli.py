@@ -301,6 +301,16 @@ class TestInvariantGenerators:
         assert "Step 1" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["invariant-generators", "check"])
+def test_a_family_of_large_scale_passes(tmp_path, command):
+    # norms near 1e300: their squares overflow, the norms do not
+    def edit(data):
+        data["sections"]["D"] = [{"vector": ["0", "1e300*exp(x1)", "0"], "form": ["0", "0", "0"]}]
+
+    out = run_cli(command, edited(tmp_path, "e1.json", edit))
+    assert out.returncode == 0, out.stderr
+
+
 class TestDiracReduce:
     def test_translation_all_pass(self):
         out = run_cli("dirac-reduce", problem("translation_reduce.json"), "--samples", "8")

@@ -1,5 +1,8 @@
 """Pointwise linear algebra on generalized distributions."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.distribution import (
     GeneralizedDistribution,
+    _norms,
     TangentDistribution,
     annihilator_basis,
     check_bracket_hypothesis,
@@ -188,6 +192,27 @@ class TestStackedLeastSquares:
     def test_empty_stack(self):
         coeff, residual = span_residuals(np.zeros((0, 4, 2)), np.zeros((0, 4)))
         assert coeff.shape == (0, 2) and residual.shape == (0,)
+
+
+class TestNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 6), length=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_numpy_below_overflow_and_hypot_above(self, rows, length, seed):
+        # row scales from 1e-300 to 1e307, entries down to 1e-20 of the row's:
+        # the squares of about half the rows overflow, their norms do not
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((rows, length)) * 10.0 ** r.uniform(-300.0, 307.0, (rows, 1))
+        x *= 10.0 ** r.integers(-20, 1, (rows, length))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _norms(x)
+        for row, norm in zip(x, norms):
+            with np.errstate(over="ignore"):
+                expected = np.linalg.norm(row)
+            if np.isfinite(expected):
+                assert norm == expected
+            else:
+                assert abs(norm - math.hypot(*row)) <= 1e-15 * math.hypot(*row)
 
 
 class TestOrthogonal:

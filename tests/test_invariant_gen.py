@@ -369,8 +369,8 @@ class TestLeafDirectionalDerivative:
 
 class PointwiseReference:
     """Steps 1-4 one point at a time, as the construction reads: scalar
-    Expr.eval, one small np.linalg call (or, in Step 1, one Householder
-    solve) per point, no caches."""
+    Expr.eval, one small np.linalg call (or, in Steps 1 and 4, one
+    Householder solve) per point, no caches."""
 
     def __init__(self, p):
         self.p = p
@@ -439,7 +439,9 @@ class PointwiseReference:
 
     def integrand(self, q, l):
         T = np.array([[e.eval(q) for e in row] for row in self.T])
-        beta, *_ = np.linalg.lstsq(T, np.array([e.diff(l).eval(q) for e in self.ex]), rcond=None)
+        dE = np.array([e.diff(l).eval(q) for e in self.ex])
+        # the kernel on one node (against LAPACK: TestStep4Beta)
+        beta = _householder(T[..., None], dE[:, None, None])[0][:, 0, 0]
         return self.H(q).T @ beta
 
     def Pi(self, m):
@@ -557,6 +559,87 @@ class TestHouseholder:
         for i in range(nodes):
             Xi, diag_i = _householder(T[..., i : i + 1], C[..., i : i + 1])
             assert np.array_equal(Xi[..., 0], X[..., i]) and np.array_equal(diag_i[:, 0], diag[:, i])
+
+
+class TestStep4Beta:
+    """Step 4 solves with the Step-1 kernel: each node's beta is the same
+    alone and in a batch, agrees with LAPACK, and a degenerate T raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        nodes=st.integers(1, 6),
+        exponent=st.integers(-150, 150),
+        log_cond=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beta_matches_lapack_and_one_node_alone(self, r, nodes, exponent, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        chart = make_chart(3, k=1)
+        scale, cond = 10.0**exponent, 10.0**log_cond
+        # T = T0 + x2 T1, constant along the leaves, conditioned as drawn
+        T0 = TestHouseholder.node_matrix(rng, 4, r, scale, cond).tolist()
+        T1 = (0.05 * (scale / cond) * rng.standard_normal((4, r))).tolist()
+        T = [[f"({T0[i][g]!r}) + ({T1[i][g]!r})*x2" for g in range(r)] for i in range(4)]
+        # the extra section's transverse part is sum_g c_g T_g, so its leaf
+        # derivative lies in the span of T, with beta_g = d c_g / dx1
+        a, b, d = rng.standard_normal((3, r)).tolist()
+        c = [f"({a[g]!r})*sin(({b[g]!r})*x1 + ({d[g]!r})*x3)" for g in range(r)]
+        e = [" + ".join(f"({c[g]})*({T[i][g]})" for g in range(r)) for i in range(4)]
+        gens = tuple(section(chart, ("0", T[0][g], T[1][g]), ("0", T[2][g], T[3][g])) for g in range(r))
+        p = FoliatedProblem(chart=chart, generators=gens, extra=section(chart, ("0", e[0], e[1]), ("0", e[2], e[3])))
+        points = np.array(random_points(rng, chart, nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta = p._solver._beta(points)[0][:, 0]
+        ref = PointwiseReference(p)
+        for m, got in zip(points, beta):
+            assert np.array_equal(p._solver._beta(m[None])[0][0, 0], got)
+            Tm = np.array([[x.eval(m) for x in row] for row in ref.T])
+            expected = np.linalg.lstsq(Tm, np.array([x.diff(0).eval(m) for x in ref.ex]), rcond=None)[0]
+            bound = 5e-13 * np.linalg.cond(Tm) * np.linalg.norm(expected)
+            assert np.linalg.norm(got - expected) <= bound
+
+    def test_degenerate_T_at_a_quadrature_node_raises_in_step4(self):
+        # T = x1 - 0.12 vanishes at the Simpson node 0.08 + 0.04 == 0.12 (quad
+        # step 0.04); the RK4 nodes (steps of 0.1, midpoints, the tails to
+        # the sample and its stencil points) stay at least 0.02 from it
+        chart = make_chart(3, k=1)
+        g = section(chart, ("0", "x1 - 0.12", "0"), ("0", "0", "0"))
+        extra = section(chart, ("0", "sin(x1)*(x1 - 0.12)", "0"), ("0", "0", "0"))
+        p = FoliatedProblem(chart=chart, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.04)
+        with pytest.raises(NonUniqueCoefficients) as exc:
+            run(p, samples=[[0.3, 0.1, 0.2]])
+        assert exc.value.stage == "Step 4"
+        assert exc.value.point == [0.12, 0.1, 0.2]
+
+
+def test_leaf_coefficients_match_the_sums_entry_by_entry(rng):
+    # A and sigma, each one stacked product, against their defining sums
+    # dX_l[j, g] - X[j] . B_l[:, g] and dE_l[j] - X[j] . beta_l, within the
+    # rounding of those sums; the leaf parts are free of the hypotheses
+    p = k2_problem()
+
+    def with_leaf(s, a, b):  # s with the leaf vector components a and b
+        return section(p.chart, (a, b) + tuple(map(str, s.vf.coeffs[2:])), ("0",) * 4)
+
+    leaf = ("sin(x3)*exp(x1)", "x1*x2 + x4")
+    p = dataclasses.replace(p, generators=(with_leaf(p.generators[0], *leaf), with_leaf(p.generators[1], *leaf[::-1])),
+                            extra=with_leaf(p.extra, "x2*cos(x1)", "exp(x2 - x1)"))
+    eps = np.finfo(float).eps
+    for m in random_points(rng, p.chart, 4):
+        A, Bs = solve_coefficients(p, m)
+        sigma, beta = beta_fields(p, m)
+        X = np.array([[g.vf.coeffs[j].eval(m) for g in p.generators] for j in range(p.k)])
+        assert np.abs(X).min() > 0.0 and np.abs(A).min() > 0.0 and np.abs(sigma).min() > 0.0
+        for l in range(p.k):
+            for j in range(p.k):
+                dE = p.extra.vf.coeffs[j].diff(l).eval(m)
+                assert abs(sigma[l, j] - (dE - X[j] @ beta[l])) <= 8 * eps * (abs(dE) + np.abs(X[j]) @ np.abs(beta[l]))
+                for g in range(p.r):
+                    dX = p.generators[g].vf.coeffs[j].diff(l).eval(m)
+                    expected = dX - X[j] @ Bs[l][:, g]
+                    assert abs(A[l, g, j] - expected) <= 8 * eps * (abs(dX) + np.abs(X[j]) @ np.abs(Bs[l][:, g]))
 
 
 class TestBatchedAgainstPointwise:

@@ -550,10 +550,11 @@ class TestNaNDefectsFailTheirRecords:
         assert not record["passed"] and np.isnan(record["worst_residual"])
 
     def test_pullback_residual(self):
-        # J = [0, 1, 0] and the form (0, 1e200, 1e200): residual inf / (1 + inf)
+        # J = [0, 1, 0] and the form (1.5e308, 0, 1.5e308), whose norm and
+        # residual are above the largest float: residual inf / (1 + inf)
         q = QuotientMap(self.chart, Chart(coord_names=("y",)), (parse("x2", self.chart),))
         F = np.zeros((6, 1))
-        F[4:, 0] = 1e200
+        F[[3, 5], 0] = 1.5e308
         assert np.isnan(push_frame(q, lambda m: F, self.samples[0], 1e-7)[2])
         self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples,
                                                check_closedness=False),
@@ -571,21 +572,27 @@ class TestNaNDefectsFailTheirRecords:
                      lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples),
                      "reduced-isotropy")
 
-    # the member (0; 0, 1e200, 1e200): its residual in a span is inf / (1 + inf)
-    member = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0", "0"), ("0", "1e200", "1e200")),))
-
     def test_supplied_family_member(self):
+        # the member (0, 1.7e308, 1.7e308; 0, 1.7e308, 0): its norm and its
+        # residual in D's span are above the largest float, inf / (1 + inf)
+        member = FoliatedProblem(chart=self.chart, generators=(
+            section(self.chart, ("0", "1.7e308", "1.7e308"), ("0", "1.7e308", "0")),))
+
         def supplied():
-            report = descending_generators(self.D, self.action, self.member, samples=self.samples).report
+            report = descending_generators(self.D, self.action, member, samples=self.samples).report
             return [r for r in report if r.check.startswith("supplied-family")]
 
-        self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, self.member, self.samples, 1e-7),
+        self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, member, self.samples, 1e-7),
                      "supplied-family-in-intersection")
 
     def test_frame_span_warns_nothing(self):
-        # run() on the member, with no silencer: tier-1 turns a RuntimeWarning into a failure
-        record = next(r for r in run(self.member, samples=self.samples).report if r.check == "frame-spans-distribution")
-        assert not record.passed and np.isnan(record.worst_residual)
+        # run() on the member (0; 0, 1e200, 1e200), with no silencer: tier-1
+        # turns a RuntimeWarning into a failure; its norms, whose squares
+        # overflow, are finite, so the frame spans it up to rounding
+        member = FoliatedProblem(chart=self.chart, generators=(
+            section(self.chart, ("0", "0", "0"), ("0", "1e200", "1e200")),))
+        record = next(r for r in run(member, samples=self.samples).report if r.check == "frame-spans-distribution")
+        assert record.passed and record.worst_residual < 1e-15
 
 
 def _no_samples():
