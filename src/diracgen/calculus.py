@@ -101,10 +101,7 @@ class OneForm(_Coefficients):
     def contract(self, X: VectorField) -> Expr:
         """The function alpha(X)."""
         _same_chart(self, X)
-        out = ZERO
-        for a, x in zip(self.coeffs, X.coeffs):
-            out = out + a * x
-        return out
+        return sum((a * x for a, x in zip(self.coeffs, X.coeffs)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -187,13 +184,9 @@ def lie_derivative_form(X: VectorField, alpha: OneForm) -> OneForm:
 def exterior_interior(Y: VectorField, alpha: OneForm) -> OneForm:
     """The contraction i_Y d(alpha): component j is sum_i Y^i (d_i alpha_j - d_j alpha_i)."""
     chart = _same_chart(Y, alpha)
-    coeffs = []
-    for j in range(chart.n):
-        c = ZERO
-        for i in range(chart.n):
-            c = c + Y.coeffs[i] * (alpha.coeffs[j].diff(i) - alpha.coeffs[i].diff(j))
-        coeffs.append(c)
-    return OneForm(chart, tuple(coeffs))
+    a, n = alpha.coeffs, chart.n
+    return OneForm(chart, tuple(sum((Y.coeffs[i] * (a[j].diff(i) - a[i].diff(j)) for i in range(n)), ZERO)
+                                for j in range(n)))
 
 
 def differential(f: Expr, chart: Chart) -> OneForm:

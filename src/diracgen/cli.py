@@ -22,12 +22,12 @@ from functools import partial
 
 from .calculus import OneForm, PontryaginSection, VectorField
 from .dirac import (
-    DiracStructure, InfinitesimalAction, PoissonBivector, QuotientMap, _push, constant_rank_scan,
+    DiracStructure, InfinitesimalAction, PoissonBivector, QuotientMap, _push_at, constant_rank_scan,
     descending_generators, graph_of_poisson, is_closed, pushforward_check,
 )
-from .distribution import GeneralizedDistribution, check_bracket_hypothesis, stacked
+from .distribution import GeneralizedDistribution, check_bracket_hypothesis
 from .errors import DiracgenError, EvalDomainError, InputError, NumericalBreakdownError, VerificationError
-from .invariant_gen import FoliatedProblem, require_positive, run as run_invariant, split_tilde
+from .invariant_gen import FoliatedProblem, intermediates, require_positive, run as run_invariant, split_tilde
 from .report import Report
 from .symexpr import Chart, parse
 
@@ -356,28 +356,16 @@ def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, 
     if result.combined is not None:
         combined = problem._solver.extra_values(samples) + problem._solver.corrections(samples)
     for i, m in enumerate(samples):
-        rec = {
-            "record": "frame",
-            "point": [float(v) for v in m],
-            "columns": [[float(v) for v in col] for col in frames[i].T],
-        }
+        rec = {"record": "frame", "point": m.tolist(), "columns": frames[i].T.tolist()}
         if result.combined is not None:
-            rec["combined"] = [float(v) for v in combined[i]]
+            rec["combined"] = combined[i].tolist()
         out.line(rec)
     if args.dump_intermediates:
-        # one batch each, bit-identical to build_H, build_B and compute_Pi at each sample
-        solver, points = problem._solver, problem._solver._checked(samples)
-        H, B = solver._H(points), solver._B(points)
-        Pi = None if problem.extra is None else solver._Pi(points, B)
+        H, B, Pi = intermediates(problem, samples)
         for i, m in enumerate(samples):
-            rec = {
-                "record": "intermediates",
-                "point": [float(v) for v in m],
-                "H": [[float(v) for v in row] for row in H[i]],
-                "B": [[float(v) for v in row] for row in B[i]],
-            }
+            rec = {"record": "intermediates", "point": m.tolist(), "H": H[i].tolist(), "B": B[i].tolist()}
             if Pi is not None:
-                rec["Pi"] = [float(v) for v in Pi[i]]
+                rec["Pi"] = Pi[i].tolist()
             out.line(rec)
     return out.verdict(result.report.passed)
 
@@ -429,19 +417,11 @@ def cmd_dirac_reduce(data: dict, chart: Chart, samples, numerics: dict, args, ou
     )
     out.checks(pushed)
     if args.dump_intermediates:
-        # one batch, bit-identical to push_frame and quotient(m) at each sample
-        values, nbar = quotient._program(samples), quotient.target.n
-        Xbar, abar, _ = _push(quotient, result.frames(samples), stacked(values[nbar:], chart.n))
+        # one batch, bit-identical to quotient(m) and push_frame at each sample
+        targets, Xbar, abar, _ = _push_at(quotient, result.frames(samples), samples)
         for i, m in enumerate(samples):
-            out.line(
-                {
-                    "record": "pushed-frame",
-                    "point": [float(v) for v in m],
-                    "target_point": [float(v) for v in values[:nbar, i]],
-                    "vectors": [[float(v) for v in col] for col in Xbar[i].T],
-                    "forms": [[float(v) for v in col] for col in abar[i].T],
-                }
-            )
+            out.line({"record": "pushed-frame", "point": m.tolist(), "target_point": targets[i].tolist(),
+                      "vectors": Xbar[i].T.tolist(), "forms": abar[i].T.tolist()})
     if not pushed.passed:
         return out.verdict(False, "pushforward")
     return out.verdict(True)

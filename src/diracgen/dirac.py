@@ -35,7 +35,9 @@ from .distribution import (
     GeneralizedDistribution,
     TangentDistribution,
     _norms,
+    _scaled,
     annihilator_basis,
+    span_defects,
     span_residuals,
     stacked,
     svd_rank,
@@ -169,13 +171,9 @@ class PoissonBivector:
     def sharp(self, alpha: OneForm) -> VectorField:
         """The anchor map: (sharp alpha)^i = sum_j pi^{ij} alpha_j, so that
         sharp(df) is the Hamiltonian vector field {f, .}."""
-        coeffs = []
-        for i in range(self.chart.n):
-            c = ZERO
-            for j in range(self.chart.n):
-                c = c + self.components[i][j] * alpha.coeffs[j]
-            coeffs.append(c)
-        return VectorField(self.chart, tuple(coeffs))
+        n = self.chart.n
+        return VectorField(self.chart, tuple(sum((self.components[i][j] * alpha.coeffs[j] for j in range(n)), ZERO)
+                                             for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,7 @@ def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
     _require_finite(brackets, pairs, samples, "Courant bracket of generators")
     # the generators laid out as the transpose of row-major values, as a
     # one-point np.linalg.lstsq on the generator columns takes them
-    residuals = span_residuals(np.swapaxes(V, 1, 2)[:, None], brackets)[1] / (1.0 + _norms(brackets))
+    residuals = span_defects(np.swapaxes(V, 1, 2)[:, None], brackets)
     report = Report()
     for p, (i, j) in enumerate(pairs):
         report.add(record_from_samples(
@@ -528,13 +526,14 @@ def descending_generators(
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails its record
         # each member in D's span and its form against each action generator,
         # then each basis vector of the intersection in the family's span
-        scale = 1.0 + _norms(G)
-        inside = span_residuals(np.swapaxes(rows, 1, 2)[:, None], G)[1] / scale
-        paired = np.abs((G[:, :, None, None, n:] @ X[:, None, :, :, None])[..., 0, 0]) / scale[..., None]
+        s, scaled, norms = _scaled(G)
+        size = 1.0 / s + norms
+        inside = span_residuals(np.swapaxes(rows, 1, 2)[:, None], scaled)[1] / size
+        paired = np.abs((scaled[:, :, None, None, n:] @ X[:, None, :, :, None])[..., 0, 0]) / size[..., None]
         member = np.concatenate([inside, paired.reshape(len(G), -1)], axis=1).max(axis=1, initial=0.0)
         dims, basis = _intersections(_as_columns(rows), X)
         W = np.swapaxes(basis, 1, 2)
-        spans = span_residuals(np.swapaxes(G, 1, 2)[:, None], W)[1] / (1.0 + _norms(W))
+        spans = span_defects(np.swapaxes(G, 1, 2)[:, None], W)
         spans[np.arange(n) >= dims[:, None]] = 0.0  # the zero columns past the dimension
         span = np.maximum(np.where(dims == r, 0.0, 1.0), spans.max(axis=1, initial=0.0))
 
@@ -666,11 +665,19 @@ def _push(q: QuotientMap, F: np.ndarray, J: np.ndarray):
     """push_frame at N points: frame values F (N, 2n, r), Jacobians J (N,
     target n, n); the target vectors and forms are C-contiguous."""
     n = q.source.n
-    gamma = np.swapaxes(F[:, n:], 1, 2)  # (N, r, n): the form of each column
+    s, gamma, norms = _scaled(np.swapaxes(F[:, n:], 1, 2))  # (N, r, n): the form of each column
     abar, residual = span_residuals(np.swapaxes(J, 1, 2)[:, None], gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails the record
-        worst = (residual / (1.0 + _norms(gamma))).max(axis=1, initial=0.0)
-        return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar, 1, 2)), worst
+        worst = (residual / (1.0 / s + norms)).max(axis=1, initial=0.0)
+        return J @ F[:, :n], np.ascontiguousarray(np.swapaxes(abar * s[..., None], 1, 2)), worst
+
+
+def _push_at(q: QuotientMap, F: np.ndarray, samples: np.ndarray):
+    """_push at samples (N, n), with q and its Jacobian there from one
+    evaluation of q's program: q at each sample (N, target n), then the
+    target vectors, forms and worst residuals."""
+    values, nbar = q._program(samples), q.target.n
+    return (values[:nbar].T, *_push(q, F, stacked(values[nbar:], q.source.n)))
 
 
 def push_frame(q: QuotientMap, frame, m, tol: float):
@@ -800,7 +807,7 @@ def pushforward_check(
         V, dV = _stencil_jets(values, deltas)
         r = V.shape[1]
         brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
-        residuals = span_residuals(values[:, 0, None], brackets)[1] / (1.0 + _norms(brackets))
+        residuals = span_defects(values[:, 0, None], brackets)
         closure_pairs = zip(residuals.max(axis=1, initial=0.0), qv[:targets])
         report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
     return report

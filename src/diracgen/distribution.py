@@ -99,18 +99,37 @@ def svd_rank(matrices, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
     return (ranks, u, vt) if bases else ranks
 
 
+def _binade(x: np.ndarray) -> np.ndarray:
+    """The power of two that brings the largest entry of each trailing-axis
+    vector (finite and nonzero) into [1, 2)."""
+    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1)
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each trailing-axis vector, with the same dot product
     (so bit-identical to it) where that is finite; a finite vector whose sum
-    of squares overflows is first scaled by a power of two."""
+    of squares overflows is first scaled by _binade."""
     x = np.ascontiguousarray(x)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
-        big = np.isinf(norms) & np.isfinite(x).all(axis=-1)
-        if big.any():  # the largest entry scaled into [1, 2)
-            scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1)
+        big = np.isinf(norms)
+        if big.any() and (big := big & np.isfinite(x).all(axis=-1)).any():
+            scale = _binade(x)
             norms = np.where(big, scale * _norms(x / scale[..., None]), norms)
     return norms
+
+
+def _scaled(V: np.ndarray):
+    """(s, V / s, |V / s|) for the vectors V[..., :]: s = 1 unless V is finite
+    and |V| is above the largest float, where s = _binade(V).  The defect
+    |R| / (1 + |V|) of a residual R that scales with V is |R / s| over
+    1 / s + |V / s|, finite also where 1 + |V| is inf."""
+    norms = _norms(V)
+    big = np.isinf(norms)
+    if big.any() and (big := big & np.isfinite(V).all(axis=-1)).any():
+        s = np.where(big, _binade(V), 1.0)
+        return s, V / s[..., None], _norms(V / s[..., None])
+    return np.float64(1.0), V, norms
 
 
 def _lstsq_failed(err, flag):
@@ -133,6 +152,14 @@ def span_residuals(A, v) -> tuple[np.ndarray, np.ndarray]:
     if A.shape[-2] == 0:
         coeff[...] = 0.0
     return coeff[..., 0], _norms((A @ coeff)[..., 0] - v)
+
+
+def span_defects(A, v) -> np.ndarray:
+    """The residual of each vector v[..., :] in the columns of A[..., :, :]
+    over 1 + |v| (span_residuals, measured at _scaled's scale)."""
+    s, v, norms = _scaled(np.asarray(v, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the record
+        return span_residuals(A, v)[1] / (1.0 / s + norms)
 
 
 def pointwise_orthogonal_basis(
@@ -193,8 +220,7 @@ def check_bracket_hypothesis(
     # the span laid out as the transpose of row-major values, as a one-point
     # np.linalg.lstsq on the generator columns takes it
     A = np.swapaxes(stacked(values[P * width :], width), 1, 2)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the record
-        residuals = span_residuals(A, V)[1] / (1.0 + _norms(V))
+    residuals = span_defects(A, V)
     return Report([
         record_from_samples(check, zip(residuals[:, p], samples), tol, stage="hypotheses",
                             detail="bracket of generator with leaf field stays in leaf+distribution span")

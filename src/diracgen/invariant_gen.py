@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import OneForm, PontryaginSection, VectorField, _components
-from .distribution import _norms, span_residuals
+from .distribution import _norms, _scaled, span_defects
 from .errors import (
     DiracgenError,
     HypothesisViolated,
@@ -61,6 +61,7 @@ __all__ = [
     "fundamental_matrix",
     "build_H",
     "build_B",
+    "intermediates",
     "transformed_frame",
     "beta_fields",
     "compute_Pi",
@@ -272,17 +273,19 @@ def _householder(T: np.ndarray, C: np.ndarray):
 def _decompose(T: np.ndarray, C: np.ndarray, width: int, tol: float):
     """Steps 1 and 4: T X = C by _householder, T (M, r, N), C (M, c, N) in
     groups of width columns, one per leaf index.  Returns X (r, c, N), the
-    degenerate nodes, and per node and group |T X - C| and whether it
-    exceeds tol * (1 + |C|)."""
+    degenerate nodes (none when there is nothing to solve, c = 0), and per
+    node and group |T X - C| and whether it exceeds tol * (1 + |C|), which
+    is judged at _scaled's scale."""
     (M, r, N), groups = T.shape, C.shape[1] // width
     X, diag = _householder(T, C)
-    degenerate = diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)
+    degenerate = (diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)) & (groups > 0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
         TX = sum(T[:, a, None] * X[a] for a in range(r))
         rows = np.stack([TX - C, C]).reshape(2, M, groups, width, N).transpose(0, 4, 2, 1, 3)
-        residual, size = _norms(rows.reshape(2, N, groups, M * width))
-        violated = residual > tol * (1.0 + size)
-    return X, degenerate, residual, violated
+        R, V = rows.reshape(2, N, groups, M * width)
+        s, _, norms = _scaled(V)
+        residual = _norms(R / s[..., None])
+        return X, degenerate, s * residual, residual > tol * (1.0 / s + norms)
 
 
 def _group_lines(cache: OrderedDict, j: int, points: np.ndarray, counts: np.ndarray, make):
@@ -306,6 +309,11 @@ def _group_lines(cache: OrderedDict, j: int, points: np.ndarray, counts: np.ndar
 def _dependent(point, stage: str) -> NonUniqueCoefficients:
     return NonUniqueCoefficients("transverse components of the generators are pointwise dependent; re-present "
                                  "the family with an independent local frame", point=plain(point), stage=stage)
+
+
+def _leaves_span(what: str, residual: float, point, stage: str) -> HypothesisViolated:
+    return HypothesisViolated(f"leaf derivative of {what} leaves the span (residual {residual:.3e})",
+                              point=plain(point), stage=stage)
 
 
 class _Panels:
@@ -401,11 +409,7 @@ class _Solver:
             if not self.constant_tilde and c == 1:
                 raise _dependent(point, "Step 1")
             if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
-                raise HypothesisViolated(
-                    f"leaf derivative of a generator leaves the span (residual {residual[i, c // 2 - 1]:.3e})",
-                    point=plain(point),
-                    stage="Step 1",
-                )
+                raise _leaves_span("a generator", residual[i, c // 2 - 1], point, "Step 1")
             self._step1_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), point)
         if not with_A:
             return B, None
@@ -439,11 +443,8 @@ class _Solver:
         return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, self.p.r, self.p.r)
 
     def _breakdown(self, point):
-        return NumericalBreakdownError(
-            "non-finite values while integrating a fundamental matrix",
-            point=plain(point),
-            stage="Step 2",
-        )
+        return NumericalBreakdownError("non-finite values while integrating a fundamental matrix",
+                                       point=plain(point), stage="Step 2")
 
     def _extend(self, j: int, lines: list, h, tails=()) -> np.ndarray:
         """Grow each grid Ws of lines (Ws, point, target), which holds W at
@@ -541,11 +542,8 @@ class _Solver:
         singular = ~np.isfinite(cond) | (cond > 1.0 / self.p.tol)
         if singular.any():
             i = int(np.flatnonzero(singular)[0])
-            raise NumericalBreakdownError(
-                f"singular matrix (condition number {cond[i]:.3e})",
-                point=plain(points[i]),
-                stage=stage,
-            )
+            raise NumericalBreakdownError(f"singular matrix (condition number {cond[i]:.3e})",
+                                          point=plain(points[i]), stage=stage)
         return np.linalg.solve(A, B)
 
     def _H(self, points: np.ndarray) -> np.ndarray:
@@ -637,12 +635,7 @@ class _Solver:
             if c == 2:
                 raise _dependent(points[i], "Step 4")
             if c > 2 and c % 3 == 1:
-                raise HypothesisViolated(
-                    f"leaf derivative of the extra section leaves the span "
-                    f"(residual {residual[i, (c - 4) // 3]:.3e})",
-                    point=plain(points[i]),
-                    stage="Step 4",
-                )
+                raise _leaves_span("the extra section", residual[i, (c - 4) // 3], points[i], "Step 4")
             self._beta_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), points[i])
         beta = X.transpose(2, 1, 0)
         if not with_sigma:
@@ -775,6 +768,14 @@ def build_B(p: FoliatedProblem, m) -> np.ndarray:
     return p._solver._B(p._solver._checked([m]))[0]
 
 
+def intermediates(p: FoliatedProblem, samples):
+    """H, B and (with an extra section, else None) Pi at each sample, one
+    batch each, bit-identical to build_H, build_B and compute_Pi there."""
+    solver, points = p._solver, p._solver._checked(samples)
+    H, B = solver._H(points), solver._B(points)
+    return H, B, None if p.extra is None else solver._Pi(points, B)
+
+
 def transformed_frame(p: FoliatedProblem):
     """Evaluator m -> 2n x r matrix whose columns are the straightened
     frame values."""
@@ -856,15 +857,6 @@ def _leaf_invariance(
     return report
 
 
-def _span_defects(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """For each point i and column c of V[i], the least-squares residual of
-    V[i][:, c] in the columns of A[i], over 1 + its norm: shape (N, c)."""
-    V = np.swapaxes(V, 1, 2)
-    residuals = span_residuals(A[:, None], V)[1]
-    with np.errstate(invalid="ignore"):  # inf / inf is a NaN defect, which fails its record
-        return residuals / (1.0 + _norms(V))
-
-
 def run(
     p: FoliatedProblem,
     samples=None,
@@ -914,7 +906,8 @@ def run(
 
     # (i) span equality at each sample, by mutual membership
     F = frames[:N]
-    worst = np.maximum(_span_defects(G_columns, F).max(axis=1), _span_defects(F, G).max(axis=1))
+    worst = np.maximum(span_defects(G_columns[:, None], np.swapaxes(F, 1, 2)).max(axis=1),
+                       span_defects(F[:, None], np.swapaxes(G, 1, 2)).max(axis=1))
     report.add(record_from_samples("frame-spans-distribution", zip(worst, samples), tol, stage="Step 3"))
 
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
@@ -925,7 +918,7 @@ def run(
         correction = solver.correction
         combined = solver.combined
         corrections = _batch(points, lambda q: solver._corrections(q, parts), solver.correction)
-        defects = _span_defects(G_columns, corrections[:N, :, None])[:, 0]
+        defects = span_defects(G_columns[:, None], corrections[:N, None])[:, 0]
         report.add(record_from_samples(
             "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))
         report.extend(_leaf_invariance(

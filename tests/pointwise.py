@@ -5,14 +5,18 @@ its checks were stacked: values by ``Expr.eval``, ranks by one
 ``np.linalg.svd`` per matrix, memberships by one ``np.linalg.lstsq`` per
 vector, a running maximum over the samples that keeps a NaN, and one
 Gauss–Newton lift per target.  The tests compare the
-library's stacked records, ranks and errors with these, bit for bit.
+library's stacked records, ranks and errors with these, bit for bit; where
+the squares of a vector's entries overflow, each side scales it its own
+way, and they agree within rounding.
 """
+
+import math
 
 import numpy as np
 
 from diracgen.calculus import pairing, skew_bracket
 from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _pair_brackets, _stencil_jets
-from diracgen.distribution import GeneralizedDistribution, _norms, span_residuals
+from diracgen.distribution import GeneralizedDistribution, span_defects
 from diracgen.errors import InputError, VerificationError
 from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _stencil
 from diracgen.report import CheckRecord, Report, record_from_samples
@@ -54,6 +58,26 @@ def membership_residual(delta: GeneralizedDistribution, m, v) -> float:
     return span_residual(matrix_at(delta.generators, m).T, np.asarray(v, dtype=float))
 
 
+def length(v) -> float:
+    """np.linalg.norm of v, or math.hypot's where that overflows."""
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(v)
+    return size if np.isfinite(size) or not np.isfinite(v).all() else math.hypot(*np.ravel(v))
+
+
+def relative(defect, v) -> float:
+    """defect(v) / (1 + |v|) for a defect that scales with v, |v| by
+    np.linalg.norm; where that overflows though v is finite, both are taken
+    of v over its largest entry, the norm by math.hypot."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(v)
+    if np.isfinite(size) or not np.isfinite(v).all():
+        return defect(v) / (1.0 + size)
+    s = float(np.abs(v).max())
+    return defect(v / s) / (1.0 / s + math.hypot(*(v / s)))
+
+
 def contains(delta: GeneralizedDistribution, m, v, tol: float) -> bool:
     v = np.asarray(v, dtype=float)
     return membership_residual(delta, m, v) <= tol * (1.0 + np.linalg.norm(v))
@@ -82,7 +106,7 @@ def least_squares(q, ybar, x0) -> tuple[np.ndarray, float]:
     ybar = np.asarray(ybar, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = q(x) - ybar
-    norm = np.linalg.norm(r)
+    norm = length(r)
     for _ in range(LIFT_MAX_ITER):
         if norm == 0.0:
             break
@@ -92,7 +116,7 @@ def least_squares(q, ybar, x0) -> tuple[np.ndarray, float]:
             if np.array_equal(trial, x):  # a shorter step cannot move either
                 return x, norm
             r_trial = q(trial) - ybar
-            norm_trial = np.linalg.norm(r_trial)
+            norm_trial = length(r_trial)
             if norm_trial < norm:
                 break
             step = 0.5 * step
@@ -106,7 +130,7 @@ def lift(q, reference, ybar) -> np.ndarray:
     """The lift of ybar through q from reference, or VerificationError."""
     ybar = np.asarray(ybar, dtype=float)
     x, _ = least_squares(q, ybar, np.asarray(reference, dtype=float))
-    residual = np.linalg.norm(q(x) - ybar)
+    residual = length(q(x) - ybar)
     if residual > LIFT_TOL:
         raise VerificationError(
             f"could not lift target point {plain(ybar)} through the quotient map "
@@ -232,15 +256,14 @@ def supplied_family(D, action, problem, samples, tol) -> Report:
         worst = 0.0
         for g in problem.generators:
             v = g(m)
-            worst = float(np.maximum(worst, membership_residual(dist, m, v) / (1.0 + np.linalg.norm(v))))
-            form = v[n:]
+            worst = float(np.maximum(worst, relative(lambda u: membership_residual(dist, m, u), v)))
             for xi in action.generators:
-                worst = float(np.maximum(worst, abs(float(form @ xi(m))) / (1.0 + np.linalg.norm(v))))
+                worst = float(np.maximum(worst, relative(lambda u: abs(float(u[n:] @ xi(m))), v)))
         member_pairs.append((worst, m))
         basis, r = intersect_D_Kperp(D, action, m)
         worst_span = 0.0 if r == len(problem.generators) else 1.0
         for w in basis:
-            worst_span = float(np.maximum(worst_span, membership_residual(supplied, m, w) / (1.0 + np.linalg.norm(w))))
+            worst_span = float(np.maximum(worst_span, relative(lambda u: membership_residual(supplied, m, u), w)))
         span_pairs.append((worst_span, m))
     return Report([
         record_from_samples("supplied-family-in-intersection", member_pairs, tol, stage="rank scan"),
@@ -261,7 +284,7 @@ def check_bracket_hypothesis(D, Theta, extra, samples, tol) -> Report:
                 with np.errstate(over="ignore", invalid="ignore"):
                     for m in samples:
                         v = bracket(m)
-                        pairs.append((membership_residual(span, m, v) / (1.0 + np.linalg.norm(v)), m))
+                        pairs.append((relative(lambda u: membership_residual(span, m, u), v), m))
                 report.add(record_from_samples(
                     f"{check_name}[{i},{l}]", pairs, tol,
                     detail="bracket of generator with leaf field stays in leaf+distribution span",
@@ -281,9 +304,8 @@ def push(q, F, J):
     worst = 0.0
     for i in range(F.shape[1]):
         gamma = F[n:, i]
-        sol, *_ = np.linalg.lstsq(J.T, gamma, rcond=None)
-        worst = float(np.maximum(worst, np.linalg.norm(J.T @ sol - gamma) / (1.0 + np.linalg.norm(gamma))))
-        abar[:, i] = sol
+        abar[:, i] = np.linalg.lstsq(J.T, gamma, rcond=None)[0]
+        worst = float(np.maximum(worst, relative(lambda u: span_residual(J.T, u), gamma)))
     return Xbar, abar, worst
 
 
@@ -378,7 +400,7 @@ def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, 
         V, dV = _stencil_jets(values, np.array(deltas))
         r = V.shape[1]
         brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
-        residuals = span_residuals(values[:, 0, None], brackets)[1] / (1.0 + _norms(brackets))
+        residuals = span_defects(values[:, 0, None], brackets)
         closure_pairs = zip(residuals.max(axis=1, initial=0.0), [ybar for ybar, _ in closure])
         report.add(record_from_samples("reduced-closure", closure_pairs, tol, stage="pushforward"))
     return report

@@ -15,6 +15,7 @@ from diracgen.distribution import (
     annihilator_basis,
     check_bracket_hypothesis,
     pointwise_orthogonal_basis,
+    span_defects,
     span_residuals,
     svd_rank,
 )
@@ -213,6 +214,22 @@ class TestNorms:
                 assert norm == expected
             else:
                 assert abs(norm - math.hypot(*row)) <= 1e-15 * math.hypot(*row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 3), exponent=st.integers(500, 1023),
+           seed=st.integers(0, 2**32 - 1))
+    def test_defects_of_large_vectors_do_not_depend_on_their_scale(self, rows, cols, exponent, seed):
+        # v with entries below 2 in size, times 2^exponent: from about 2^511 on
+        # its sum of squares overflows, and from about 2^1022 on its norm can
+        # be above the largest float too; its defect over 1 + |v| is that of
+        # v over |v|
+        r = np.random.default_rng(seed)
+        A, v = r.standard_normal((rows, cols)), r.uniform(-1.99, 1.99, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = span_defects(A, v * 2.0**exponent)
+        expected = span_residuals(A, v)[1] / np.linalg.norm(v)
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
 
 class TestOrthogonal:

@@ -14,6 +14,7 @@ from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, Non
 from diracgen.invariant_gen import (
     MAX_LINE_STEPS,
     FoliatedProblem,
+    _decompose,
     _householder,
     build_B,
     build_H,
@@ -612,6 +613,34 @@ class TestStep4Beta:
             run(p, samples=[[0.3, 0.1, 0.2]])
         assert exc.value.stage == "Step 4"
         assert exc.value.point == [0.12, 0.1, 0.2]
+
+    def test_degenerate_T_constant_along_the_leaves_raises_in_step4(self):
+        # Step 1 has nothing to solve here (each B_l is 0) and checks no T, but
+        # Step 4 solves T beta = (leaf derivative of the extra section), which a
+        # dependent T leaves undetermined
+        chart = make_chart(2, k=1)
+        g = section(chart, ("0", "1"), ("0", "0"))
+        p = FoliatedProblem(chart=chart, generators=(g, g), extra=section(chart, ("0", "sin(x1)"), ("0", "0")))
+        with pytest.raises(NonUniqueCoefficients) as exc:
+            beta_fields(p, [0.1, 0.2])
+        assert exc.value.stage == "Step 4"
+
+    def test_nothing_to_solve_without_leaves(self):
+        # k = 0: there is no leaf derivative to decompose, so a dependent T is no error
+        chart = make_chart(2)
+        g = section(chart, ("0", "1"), ("0", "0"))
+        p = FoliatedProblem(chart=chart, generators=(g, g), extra=section(chart, ("0", "x1"), ("0", "0")))
+        sigma, beta = beta_fields(p, [0.1, 0.2])
+        assert sigma.shape == (0, 0) and beta.shape == (0, 2)
+
+    def test_residual_check_holds_above_the_largest_float(self):
+        # T = e_1 and C = 8e307 in each of six rows: X = 8e307 leaves 8e307 in
+        # five rows, 0.91 of |C|, which is itself above the largest float
+        T = np.zeros((6, 1, 1))
+        T[0] = 1.0
+        X, degenerate, residual, violated = _decompose(T, np.full((6, 1, 1), 8e307), 1, 1e-7)
+        assert X[0, 0, 0] == 8e307 and not degenerate[0] and violated[0, 0]
+        assert residual[0, 0] == pytest.approx(5**0.5 * 8e307, rel=1e-15)
 
 
 def test_leaf_coefficients_match_the_sums_entry_by_entry(rng):

@@ -531,9 +531,11 @@ def test_first_failing_sample_raises(check):
     assert result[0] == "raised" and where(result[3])
 
 
-class TestNaNDefectsFailTheirRecords:
-    """A defect that comes out NaN (inf / inf, inf - inf) fails its record,
-    in the stacked check and in the one-point reference alike."""
+class TestOverflowingDefectsFailTheirRecords:
+    """A defect whose vectors are near or above the largest float fails its
+    record, in the stacked check and in the one-point reference alike: with
+    the same finite value where both measure the vectors at a smaller scale,
+    and NaN where a pairing meets inf - inf."""
 
     chart = make_chart(3, k=1)
     action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
@@ -542,25 +544,29 @@ class TestNaNDefectsFailTheirRecords:
                                section(chart, ("0", "0", "0"), ("0", "0", "1"))))
     samples = [np.array([0.1, 0.2, 0.3]), np.array([0.3, -0.2, 0.1])]
 
-    def _judged(self, got, want, check):
+    def _judged(self, got, want, check, worst):
         with np.errstate(over="ignore", invalid="ignore"):  # the reference does not silence its overflows
-            result, expected = outcome(got), outcome(want)
-        assert result == expected
-        record = next(r for r in json.loads(result[1]) if r["check"] == check)
-        assert not record["passed"] and np.isnan(record["worst_residual"])
+            records = [next(r for r in fn() if r.check == check) for fn in (got, want)]
+        for record in records:
+            assert not record.passed
+            assert record.worst_residual == pytest.approx(worst, rel=1e-14, nan_ok=True)
 
-    def test_pullback_residual(self):
-        # J = [0, 1, 0] and the form (1.5e308, 0, 1.5e308), whose norm and
-        # residual are above the largest float: residual inf / (1 + inf)
+    @pytest.mark.parametrize("form, worst", [
+        ((0.0, 1e200, 1e200), 0.5**0.5),  # |v|^2 overflows: residual (0, 0, 1e200)
+        ((1.5e308, 1.5e308, 0.0), 0.5**0.5),  # |v| is above the largest float, the residual is not
+        ((1.5e308, 0.0, 1.5e308), 1.0),  # both are
+    ])
+    def test_pullback_residual(self, form, worst):
+        # J = [0, 1, 0]: the pull-back residual is the form less its x2 part
         q = QuotientMap(self.chart, Chart(coord_names=("y",)), (parse("x2", self.chart),))
         F = np.zeros((6, 1))
-        F[[3, 5], 0] = 1.5e308
-        assert np.isnan(push_frame(q, lambda m: F, self.samples[0], 1e-7)[2])
+        F[3:, 0] = form
+        assert push_frame(q, lambda m: F, self.samples[0], 1e-7)[2] == pytest.approx(worst, rel=1e-14)
         self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples,
                                                check_closedness=False),
                      lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples,
                                                          check_closedness=False),
-                     "pushed-forms-are-pullbacks")
+                     "pushed-forms-are-pullbacks", worst)
 
     def test_isotropy(self):
         # pushed forms (1e200, 0), (0, -1e200) and vectors (0, 1e200), (1e200, 0):
@@ -568,22 +574,27 @@ class TestNaNDefectsFailTheirRecords:
         q = QuotientMap(self.chart, Chart(coord_names=("y", "z")), (parse("x2", self.chart), parse("x3", self.chart)))
         F = np.zeros((6, 2))
         F[2, 0], F[4, 0], F[1, 1], F[5, 1] = 1e200, 1e200, 1e200, -1e200
-        self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples),
-                     lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples),
-                     "reduced-isotropy")
+        got = lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples)
+        want = lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(got) == outcome(want)
+        self._judged(got, want, "reduced-isotropy", np.nan)
 
-    def test_supplied_family_member(self):
-        # the member (0, 1.7e308, 1.7e308; 0, 1.7e308, 0): its norm and its
-        # residual in D's span are above the largest float, inf / (1 + inf)
-        member = FoliatedProblem(chart=self.chart, generators=(
-            section(self.chart, ("0", "1.7e308", "1.7e308"), ("0", "1.7e308", "0")),))
+    @pytest.mark.parametrize("vector, form, worst", [
+        (("0", "0", "0"), ("0", "1e200", "1e200"), 0.5),  # |v|^2 overflows
+        (("0", "0", "0"), ("0", "1.5e308", "1.5e308"), 0.5),  # |v| is above the largest float
+        (("0", "1.7e308", "1.7e308"), ("0", "1.7e308", "0"), (2 / 3) ** 0.5),  # and so is the residual
+    ])
+    def test_supplied_family_member(self, vector, form, worst):
+        # the member's residual in D's span over 1 + its norm
+        member = FoliatedProblem(chart=self.chart, generators=(section(self.chart, vector, form),))
 
         def supplied():
             report = descending_generators(self.D, self.action, member, samples=self.samples).report
             return [r for r in report if r.check.startswith("supplied-family")]
 
         self._judged(supplied, lambda: pointwise.supplied_family(self.D, self.action, member, self.samples, 1e-7),
-                     "supplied-family-in-intersection")
+                     "supplied-family-in-intersection", worst)
 
     def test_frame_span_warns_nothing(self):
         # run() on the member (0; 0, 1e200, 1e200), with no silencer: tier-1
