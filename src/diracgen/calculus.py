@@ -8,12 +8,13 @@ differentiable.  Two-forms are never materialized; the contraction
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartMismatchError, InputError
-from .symexpr import Chart, Expr, ZERO, _coerce
+from .symexpr import Chart, CompiledExprs, Expr, ZERO, _coerce
 
 __all__ = [
     "VectorField",
@@ -58,8 +59,12 @@ class _Coefficients:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.chart, self.coeffs))
 
+    @functools.cached_property
+    def _program(self) -> CompiledExprs:
+        return CompiledExprs(self.coeffs)
+
     def __call__(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.coeffs])
+        return self._program(np.asarray(point, dtype=float)[None])[:, 0].copy()
 
     def __add__(self, other):
         chart = _same_chart(self, other)

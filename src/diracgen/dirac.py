@@ -83,7 +83,7 @@ def _read(samples, *parts) -> list:
                          for (_, rows), (_, bad) in zip(parts, evaluated)])
         for at in np.flatnonzero(hits.any(axis=0))[:1]:
             part = np.flatnonzero(hits[:, at])[0]
-            parts[part][0].raise_first(evaluated[part][1], samples, [(parts[part][1], [at])])
+            parts[part][0].raise_first(samples, [(parts[part][1], [at])])
     return [values[rows.start : rows.stop] for (_, rows), (values, _) in zip(parts, evaluated)]
 
 
@@ -254,11 +254,11 @@ class QuotientMap:
         object.__setattr__(self, "_program", _Sections(comps, 1, self.source.n))
 
     def __call__(self, m) -> np.ndarray:
-        return np.array([c.eval(m) for c in self.components])
+        return _read(np.asarray(m, dtype=float)[None], (self._program, self._program.values))[0][:, 0].copy()
 
     def jacobian(self, m) -> np.ndarray:
-        partials = self._program.exprs[self._program.partials.start :]
-        return np.array([d.eval(m) for d in partials]).reshape(self.target.n, self.source.n)
+        J = _read(np.asarray(m, dtype=float)[None], (self._program, self._program.partials))[0][:, 0]
+        return J.reshape(self.target.n, self.source.n).copy()
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
         """Full rank of the Jacobian and the action generators in its kernel
@@ -366,7 +366,7 @@ def _intersections(M: np.ndarray, X: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     rows = (X[:, :, None, :] @ M[:, None, n:])[:, :, 0, :]  # xi @ bottom, one vector-matrix product each
     ranks, _, vt = svd_rank(rows, tol, bases=True)
     basis = np.zeros(M.shape)
-    for rank in np.unique(ranks):
+    for rank in set(ranks.tolist()):  # not np.unique, whose first call imports numpy.ma
         at = ranks == rank
         basis[at, :, : n - rank] = M[at] @ np.swapaxes(vt[at, rank:], 1, 2)
     return n - ranks, basis
@@ -484,8 +484,8 @@ def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedP
         if k != 0:
             raise InputError("action has no generators but the chart declares leaves")
         return
-    values, bad = program.evaluate(samples)
-    program.raise_first(bad, samples, [(program.values, range(min(len(samples), 8)))])
+    values, _ = program.evaluate(samples)
+    program.raise_first(samples, [(program.values, range(min(len(samples), 8)))])
     X = stacked(values[program.values.start : program.values.stop, :8], problem.n)
     transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
     for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
@@ -732,7 +732,7 @@ def pushforward_check(
     w = hi - lo
     partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((n_fiber_pairs, k))
     source = np.concatenate([samples, partners])
-    values, bad = q._program.evaluate(source)
+    values, _ = q._program.evaluate(source)
     qv, J = values[:nbar].T, stacked(values[nbar:], n)
     with np.errstate(over="ignore", invalid="ignore"):  # where q fails to evaluate, it raises below
         qdiff = np.abs(qv[base] - qv[N:]).max(axis=1, initial=0.0)
@@ -750,7 +750,7 @@ def pushforward_check(
     blocks = [(JAC, range(N))] + [
         block for i in range(n_fiber_pairs) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
     ] + [(Q, range(targets))]
-    error = q._program.first_error(bad, source, blocks)
+    error = q._program.first_error(source, blocks)
     if error is not None:
         block, p, error = error
         fiber = (block - 1) // 3  # the block's fiber; past the last for the targets
@@ -760,7 +760,7 @@ def pushforward_check(
     lifted, lifted_J = np.empty((0, n)), np.empty((0, nbar, n))
 
     def error_at(x, rows):  # what evaluating rows of q at one point x raises
-        return q._program.first_error(q._program.evaluate(x[None])[1], x[None], [(rows, [0])])[2]
+        return q._program.first_error(x[None], [(rows, [0])])[2]
 
     if targets and error is None:
         stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]

@@ -99,10 +99,16 @@ def svd_rank(matrices, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
     return (ranks, u, vt) if bases else ranks
 
 
-def _binade(x: np.ndarray) -> np.ndarray:
-    """The power of two that brings the largest entry of each trailing-axis
-    vector (finite and nonzero) into [1, 2)."""
-    return np.ldexp(1.0, np.frexp(np.abs(x).max(axis=-1))[1] - 1)
+def _binade(top: np.ndarray) -> np.ndarray:
+    """The power of two that brings each top (finite and nonzero) into [1, 2)."""
+    return np.ldexp(1.0, np.frexp(top)[1] - 1)
+
+
+def _scale(top: np.ndarray) -> np.ndarray:
+    """The scale s of vectors whose largest entries in size are top:
+    _binade(top) where top is finite and at least 1 (so 1 / s never
+    overflows), else 1.  A power of two scales exactly."""
+    return np.where((top >= 1.0) & np.isfinite(top), _binade(top), 1.0)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -114,22 +120,20 @@ def _norms(x: np.ndarray) -> np.ndarray:
         norms = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
         big = np.isinf(norms)
         if big.any() and (big := big & np.isfinite(x).all(axis=-1)).any():
-            scale = _binade(x)
+            scale = _binade(np.abs(x).max(axis=-1))
             norms = np.where(big, scale * _norms(x / scale[..., None]), norms)
     return norms
 
 
 def _scaled(V: np.ndarray):
-    """(s, V / s, |V / s|) for the vectors V[..., :]: s = 1 unless V is finite
-    and |V| is above the largest float, where s = _binade(V).  The defect
-    |R| / (1 + |V|) of a residual R that scales with V is |R / s| over
-    1 / s + |V / s|, finite also where 1 + |V| is inf."""
-    norms = _norms(V)
-    big = np.isinf(norms)
-    if big.any() and (big := big & np.isfinite(V).all(axis=-1)).any():
-        s = np.where(big, _binade(V), 1.0)
-        return s, V / s[..., None], _norms(V / s[..., None])
-    return np.float64(1.0), V, norms
+    """(s, V / s, |V / s|) for the vectors V[..., :], s their _scale.  The
+    defect |R| / (1 + |V|) of a residual R that scales with V is |R / s|
+    over 1 / s + |V / s|: the same bits where neither overflows, and finite
+    also where 1 + |V|, or a least-squares coefficient of V, is above the
+    largest float."""
+    s = _scale(np.abs(V).max(axis=-1, initial=0.0))
+    V = V / s[..., None]
+    return s, V, _norms(V)
 
 
 def _lstsq_failed(err, flag):
@@ -211,10 +215,10 @@ def check_bracket_hypothesis(
                 for name, i, sec in named for l, theta in enumerate(Theta.generators)]
     compiled = CompiledExprs([c for _, b in brackets for c in _components(b)]
                              + [c for g in Theta.generators + D.generators for c in _components(g)])
-    values, bad = compiled.evaluate(samples)
+    values, _ = compiled.evaluate(samples)
     P = len(brackets)
     span = range(P * width, len(values))
-    compiled.raise_first(bad, samples, [([*range(p * width, (p + 1) * width), *span], range(len(samples)))
+    compiled.raise_first(samples, [([*range(p * width, (p + 1) * width), *span], range(len(samples)))
                                         for p in range(P)])
     V = stacked(values[: P * width], width)
     # the span laid out as the transpose of row-major values, as a one-point

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import OneForm, PontryaginSection, VectorField, _components
-from .distribution import _norms, _scaled, span_defects
+from .distribution import _norms, _scale, _scaled, span_defects
 from .errors import (
     DiracgenError,
     HypothesisViolated,
@@ -91,10 +91,11 @@ def require_vanishing(expr, chart: Chart, message: str):
     vanishes at every default sample of the chart."""
     if expr == ZERO:
         return
-    for probe in chart.sample_points():
-        value = expr.eval(probe)
-        if abs(value) > 1e-12:
-            raise InputError(f"{message} (value {value:.3e} at {plain(probe)})")
+    program, probes = CompiledExprs([expr]), np.array(chart.sample_points())
+    values, bad = program.evaluate(probes)
+    for i in np.flatnonzero((np.abs(values[0]) > 1e-12) | (False if bad is None else bad[0]))[:1]:
+        program.raise_first(probes, [([0], [i])])
+        raise InputError(f"{message} (value {values[0, i]:.3e} at {plain(probes[i])})")
 
 
 def split_tilde(s: PontryaginSection, k: int) -> tuple[VectorField, PontryaginSection]:
@@ -410,7 +411,7 @@ class _Solver:
                 raise _dependent(point, "Step 1")
             if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
                 raise _leaves_span("a generator", residual[i, c // 2 - 1], point, "Step 1")
-            self._step1_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), point)
+            self._step1_exprs.raise_first(nodes, [(range(len(bad)), [i])])
         if not with_A:
             return B, None
         X_leaf = vals[tilde_rows : tilde_rows + k * r].T.reshape(N, k, r)
@@ -636,7 +637,7 @@ class _Solver:
                 raise _dependent(points[i], "Step 4")
             if c > 2 and c % 3 == 1:
                 raise _leaves_span("the extra section", residual[i, (c - 4) // 3], points[i], "Step 4")
-            self._beta_exprs.raise_at(int(np.flatnonzero(bad[:, i])[0]), points[i])
+            self._beta_exprs.raise_first(points, [(range(len(bad)), [i])])
         beta = X.transpose(2, 1, 0)
         if not with_sigma:
             return beta, None
@@ -844,14 +845,17 @@ def _leaf_invariance(
     section (or frame) must have vanishing transverse vector components and
     vanishing form components.  values holds the section at the N samples,
     then at the _stencil points of every sample for each leaf coordinate in
-    turn (N x 4 rows each, with step deltas[l])."""
+    turn (N x 4 rows each, with step deltas[l]).  Each sample's stencil is
+    differenced at the _scale s of its values, where no difference overflows."""
     n, N = p.n, len(samples)
     axes = tuple(range(1, values.ndim))
-    scale = 1.0 + np.abs(values[:N]).max(axis=axes, initial=0.0)
+    top = np.abs(values[:N]).max(axis=axes, initial=0.0)
+    s = _scale(top)
+    scale = 1.0 / s + top / s
     report = Report()
     for l, delta in enumerate(deltas):
         stencil = values[N * (1 + 4 * l) : N * (5 + 4 * l)].reshape(N, 4, *values.shape[1:])
-        d = np.abs(_difference(np.moveaxis(stencil, 1, 0), delta))
+        d = np.abs(_difference(np.moveaxis(stencil / s.reshape(N, 1, *[1] * len(axes)), 1, 0), delta))
         defect = np.maximum(d[:, p.k : n].max(axis=axes, initial=0.0), d[:, n:].max(axis=axes, initial=0.0))
         report.add(record_from_samples(f"{check}[{l}]", zip(defect / scale, samples), tol, stage=stage))
     return report

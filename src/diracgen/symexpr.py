@@ -2,10 +2,12 @@
 
 Expressions are immutable trees over real literals, coordinate variables,
 the four arithmetic operations, integer powers, unary negation, and the
-functions sin, cos, exp.  They evaluate to IEEE doubles and differentiate
-exactly.  The only rewriting performed is constant folding and the 0/1
-identities; correctness is always judged by evaluation, never by canonical
-form.
+functions sin, cos, exp.  They differentiate exactly, and evaluate to IEEE
+doubles through one evaluator, :class:`CompiledExprs`, whose every node is
+a numpy ufunc on a whole batch of points (``Expr.eval`` is a one-point
+batch).  The only rewriting performed is constant folding, by the same
+instructions, and the 0/1 identities; correctness is always judged by
+evaluation, never by canonical form.
 
 Grammar accepted by :func:`parse` (EBNF)::
 
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,18 +194,8 @@ class Expr:
     __slots__ = ()
 
     def eval(self, point) -> float:
-        try:
-            value = self._eval(point)
-        except OverflowError:
-            raise _domain_error("overflow evaluating", self, point) from None
-        except ValueError:  # sin or cos of an infinite intermediate
-            raise _domain_error("non-finite value inside", self, point) from None
-        if not math.isfinite(value):
-            raise _domain_error("non-finite value for", self, point)
-        return value
-
-    def _eval(self, point) -> float:
-        raise NotImplementedError
+        """The value at one point, or its error: a one-point batch of a program."""
+        return float(CompiledExprs([self])(np.asarray(point, dtype=float)[None])[0, 0])
 
     def diff(self, index: int) -> "Expr":
         raise NotImplementedError
@@ -267,9 +260,6 @@ def _coerce(value):
 class Const(Expr):
     value: float
 
-    def _eval(self, point):
-        return self.value
-
     def diff(self, index):
         return ZERO
 
@@ -284,9 +274,6 @@ class Var(Expr):
     index: int
     name: str
 
-    def _eval(self, point):
-        return float(point[self.index])
-
     def diff(self, index):
         return ONE if index == self.index else ZERO
 
@@ -298,9 +285,6 @@ class Var(Expr):
 class Add(Expr):
     left: Expr
     right: Expr
-
-    def _eval(self, point):
-        return self.left._eval(point) + self.right._eval(point)
 
     def diff(self, index):
         return _add(self.left.diff(index), self.right.diff(index))
@@ -315,9 +299,6 @@ class Sub(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, point):
-        return self.left._eval(point) - self.right._eval(point)
-
     def diff(self, index):
         return _sub(self.left.diff(index), self.right.diff(index))
 
@@ -330,9 +311,6 @@ class Sub(Expr):
 class Mul(Expr):
     left: Expr
     right: Expr
-
-    def _eval(self, point):
-        return self.left._eval(point) * self.right._eval(point)
 
     def diff(self, index):
         return _add(
@@ -350,12 +328,6 @@ class Div(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, point):
-        denom = self.right._eval(point)
-        if denom == 0.0:
-            raise _domain_error("division by zero in", self, point)
-        return self.left._eval(point) / denom
-
     def diff(self, index):
         # (u/v)' = u'/v - u*v'/v^2
         u, v = self.left, self.right
@@ -370,9 +342,6 @@ class Div(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _eval(self, point):
-        return -self.arg._eval(point)
-
     def diff(self, index):
         return _neg(self.arg.diff(index))
 
@@ -385,12 +354,6 @@ class Neg(Expr):
 class Pow(Expr):
     base: Expr
     exponent: int
-
-    def _eval(self, point):
-        base = self.base._eval(point)
-        if base == 0.0 and self.exponent < 0:
-            raise _domain_error("division by zero in", self, point)
-        return base**self.exponent
 
     def diff(self, index):
         return _mul(
@@ -408,22 +371,11 @@ class Pow(Expr):
 class Func(Expr):
     name: str
     arg: Expr
-    fn: object = field(compare=False)
-
-    def _eval(self, point):
-        return self.fn(self.arg._eval(point))
 
     def diff(self, index):
-        inner = self.arg.diff(index)
-        if self.name == "sin":
-            outer = Func("cos", self.arg, math.cos)
-        elif self.name == "cos":
-            outer = _neg(Func("sin", self.arg, math.sin))
-        elif self.name == "exp":
-            outer = self
-        else:  # pragma: no cover
-            raise NotImplementedError(self.name)
-        return _mul(outer, inner)
+        a = self.arg
+        outer = self if self.name == "exp" else Func("cos", a) if self.name == "sin" else _neg(Func("sin", a))
+        return _mul(outer, a.diff(index))
 
     def _fmt(self, prec):
         return f"{self.name}({self.arg._fmt(0)})"
@@ -432,7 +384,43 @@ class Func(Expr):
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+# A node's check gives (words its message starts with, mask) for each failure
+# it may flag, from the values of its last operand and its own; a failure
+# always gives a value that is not finite, so only such values are checked.
+# A division by zero names the node, the others the whole expression.
+_ZERO_DIVISION = "division by zero in"
+
+
+def _zero_denominator(y, value):
+    return ((_ZERO_DIVISION, y == 0.0),)
+
+
+def _elementwise_failures(x, value):
+    """Of sin, cos, exp and powers: 0^-k divides by zero, ±inf from any
+    other finite x overflows, and sin or cos of ±inf (NaN from ±inf) is a
+    non-finite value inside."""
+    inf = np.isinf(value)
+    zero = inf & (x == 0.0)
+    return ((_ZERO_DIVISION, zero), ("overflow evaluating", inf & ~zero & np.isfinite(x)),
+            ("non-finite value inside", np.isinf(x) & np.isnan(value)))
+
+
+# every node as one numpy operation on whole batches (a ufunc, or one through an operator)
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _instruction(e: Expr):
+    """(function, check) of node e: the batch function of its operands'
+    values that computes it, and the check of its failures (or None)."""
+    if isinstance(e, Func):
+        return _FUNCTIONS[e.name], _elementwise_failures
+    if isinstance(e, Pow):
+        return (lambda x, k=float(e.exponent): np.power(x, k)), _elementwise_failures
+    if isinstance(e, Neg):
+        return operator.neg, None
+    return _BINARY[type(e)], _zero_denominator if isinstance(e, Div) else None
 
 
 def _is_const(e, value=None):
@@ -493,15 +481,13 @@ def _neg(a):
 def _pow(base, exponent):
     if not isinstance(exponent, int):
         raise InputError(f"only integer powers are supported, got {exponent!r}")
+    if abs(exponent) > sys.float_info.max:  # np.power takes it as a float
+        raise InputError("an integer power beyond the largest float")
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
-    if _is_const(base) and (base.value != 0.0 or exponent > 0):
-        folded = _fold(lambda v: v**exponent, base)
-        if folded is not None:
-            return folded
-    return Pow(base, exponent)
+    return _folded(Pow(base, exponent))
 
 
 def const(value) -> Const:
@@ -512,81 +498,46 @@ def var(chart: Chart, name: str) -> Var:
     return Var(chart.index(name), name)
 
 
-def _fold(fn, arg: Const) -> Const | None:
-    """Const(fn(arg.value)), or None where fn raises (an overflow, or sin of
-    an infinite literal): the node is then kept, and evaluation reports the
-    error at a point."""
-    try:
-        return Const(fn(arg.value))
-    except _ELEMENT_ERRORS:
-        return None
-
-
-def _func(name: str, fn, arg: Expr) -> Expr:
-    folded = _fold(fn, arg) if _is_const(arg) else None
-    return Func(name, arg, fn) if folded is None else folded
+def _folded(e: Func | Pow) -> Expr:
+    """e as the Const its program computes when its operand is a constant;
+    e itself where that flags a failure (an overflow, 0^-k, or sin of an
+    infinite literal), so that evaluation reports the error at a point."""
+    if not isinstance(e.arg if isinstance(e, Func) else e.base, Const):
+        return e
+    program = CompiledExprs([e])
+    value = program.evaluate(np.empty((1, 0)))[0][0, 0]
+    return e if program._last[3] else Const(float(value))
 
 
 def sin(arg: Expr) -> Expr:
-    return _func("sin", math.sin, arg)
+    return _folded(Func("sin", arg))
 
 
 def cos(arg: Expr) -> Expr:
-    return _func("cos", math.cos, arg)
+    return _folded(Func("cos", arg))
 
 
 def exp(arg: Expr) -> Expr:
-    return _func("exp", math.exp, arg)
-
-
-_FUNC_BUILDERS = {"sin": sin, "cos": cos, "exp": exp}
+    return _folded(Func("exp", arg))
 
 
 # -- compiled evaluation ------------------------------------------------------
 
-# instruction kinds of a compiled program
-_BINARY, _DIV, _NEG, _ELEMENTWISE = range(4)
-_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-# what math.sin/cos/exp and float power raise where Expr.eval fails
-_ELEMENT_ERRORS = (ArithmeticError, ValueError)
 
-
-def _elementwise(fn, x):
-    """fn on each element as a Python float, with a mask of the elements
-    where it raises (None when none does).  math.exp and float power are
-    used instead of numpy's, which differ from them in the last bit."""
-    items = x.tolist()
-    if not isinstance(items, list):  # a constant
-        items = [items]
-    try:
-        return np.fromiter(map(fn, items), float, len(items)), None
-    except _ELEMENT_ERRORS:
-        pass
-    out = np.empty(len(items))
-    bad = np.zeros(len(items), dtype=bool)
-    for i, v in enumerate(items):
-        try:
-            out[i] = fn(v)
-        except _ELEMENT_ERRORS:
-            out[i] = math.nan
-            bad[i] = True
-    return out, bad
-
-
-def _either(a, b):
-    if a is None:
-        return b
-    return a if b is None else a | b
+def _finite(values) -> bool:
+    """Whether every value is finite: their sum is, unless it overflows."""
+    return math.isfinite(np.add.reduce(values, axis=None))
 
 
 class CompiledExprs:
     """A list of expressions compiled, once and whole, into a straight-line
     program over batches of points.  Equal subtrees are computed once.
 
-    Arithmetic is numpy's on whole batches; sin, cos, exp and powers run
-    per element on Python floats.  Every value is therefore bit-identical
-    to :meth:`Expr.eval`, and a point is flagged exactly where
-    ``Expr.eval`` raises there.
+    Every node runs as one numpy operation on the whole batch (``np.sin``,
+    ``np.cos``, ``np.exp`` and ``np.power`` for the functions and powers),
+    so a batch gives each point the bits it gets alone.  An expression
+    fails at a point where one of its nodes flags a failure there (the
+    checks above) or where its value is not finite.
 
     The program keeps its last evaluation, keyed on a private copy of the
     points: evaluating it again at the same points, bit for bit, returns
@@ -596,9 +547,10 @@ class CompiledExprs:
     def __init__(self, exprs):
         self.exprs = tuple(exprs)
         self._init: list = []  # slot values before a run: constants, else None
+        self._nodes: list = []  # a node computed in each slot, for messages
         self._vars: list = []  # (slot, coordinate index)
-        self._code: list = []  # (slot, kind, function, operand, operand)
-        self._last = None  # (points, values, bad) of the last evaluation
+        self._code: list = []  # (slot, function, check, operand, operand or None)
+        self._last = None  # (points, values, bad, failures) of the last evaluation
         slots: dict = {}  # structural key -> slot
         seen: dict = {}  # id(node) -> slot; every node stays alive in self.exprs
 
@@ -606,34 +558,28 @@ class CompiledExprs:
             s = seen.get(id(e))
             if s is not None:
                 return s
-            if isinstance(e, Const):
-                key = ("const", float(e.value).hex())
-            elif isinstance(e, Var):
-                key = ("var", e.index)
-            elif isinstance(e, Func):
-                key = ("func", e.name, slot(e.arg))
-            elif isinstance(e, Pow):
-                key = ("pow", e.exponent, slot(e.base))
-            elif isinstance(e, Neg):
-                key = ("neg", slot(e.arg))
+            kind = type(e)
+            if kind is Const:
+                key = (kind, float(e.value).hex())
+            elif kind is Var:
+                key = (kind, e.index)
+            elif kind is Func:
+                key = (kind, e.name, slot(e.arg), None)
+            elif kind is Pow:
+                key = (kind, e.exponent, slot(e.base), None)
+            elif kind is Neg:
+                key = (kind, None, slot(e.arg), None)
             else:
-                key = (type(e).__name__, slot(e.left), slot(e.right))
+                key = (kind, None, slot(e.left), slot(e.right))
             s = slots.get(key)
             if s is None:
                 s = slots[key] = len(self._init)
-                self._init.append(np.float64(e.value) if isinstance(e, Const) else None)
-                if isinstance(e, Var):
+                self._init.append(np.float64(e.value) if kind is Const else None)
+                self._nodes.append(e)
+                if kind is Var:
                     self._vars.append((s, e.index))
-                elif isinstance(e, Func):
-                    self._code.append((s, _ELEMENTWISE, e.fn, key[2], None))
-                elif isinstance(e, Pow):
-                    self._code.append((s, _ELEMENTWISE, lambda v, k=e.exponent: v**k, key[2], None))
-                elif isinstance(e, Neg):
-                    self._code.append((s, _NEG, None, key[1], None))
-                elif isinstance(e, Div):
-                    self._code.append((s, _DIV, None, key[1], key[2]))
-                elif not isinstance(e, Const):
-                    self._code.append((s, _BINARY, _BINARY_OPS[type(e)], key[1], key[2]))
+                elif kind is not Const:
+                    self._code.append((s, *_instruction(e), *key[2:]))
             seen[id(e)] = s
             return s
 
@@ -641,80 +587,91 @@ class CompiledExprs:
 
     def evaluate(self, points):
         """(values, bad) at a batch of points (N x n): ``values[e, i]`` is
-        expression e at point i, and ``bad[e, i]`` marks where
-        ``Expr.eval`` raises instead (``bad`` is None when it never does)."""
+        expression e at point i, and ``bad[e, i]`` marks where it fails
+        there (``bad`` is None when it never does)."""
         pts = np.array(points, dtype=float, order="C")
         last = self._last
         if last is not None and last[0].shape == pts.shape and last[0].tobytes() == pts.tobytes():
             return last[1], last[2]
         self._last = None  # freed before this evaluation
         vals = list(self._init)
-        bad = [None] * len(vals)
-        for s, index in self._vars:
-            vals[s] = pts[:, index]
+        failures = []  # (slot, words, mask) of each failure, in program order
+        for s, index in self._vars:  # one point runs on scalars, with the same bits
+            vals[s] = pts[0, index] if len(pts) == 1 else pts[:, index]
         with np.errstate(all="ignore"):
-            for s, kind, fn, a, b in self._code:
-                if kind == _BINARY:
-                    vals[s] = fn(vals[a], vals[b])
-                    flag = None
-                elif kind == _ELEMENTWISE:
-                    vals[s], flag = _elementwise(fn, vals[a])
-                elif kind == _NEG:
-                    vals[s] = -vals[a]
-                    flag = None
-                else:
-                    zero = vals[b] == 0.0
-                    flag = zero if zero.any() else None
-                    vals[s] = vals[a] / vals[b]
-                if flag is not None or bad[a] is not None or (b is not None and bad[b] is not None):
-                    bad[s] = _either(_either(flag, bad[a]), None if b is None else bad[b])
-        out = np.empty((len(self._out), len(pts)))
-        for e, s in enumerate(self._out):
-            out[e] = vals[s]
-        flags = ~np.isfinite(out)
-        for e, s in enumerate(self._out):
-            if bad[s] is not None:
+            for s, fn, check, a, b in self._code:
+                x = vals[a] if b is None else vals[b]
+                vals[s] = value = fn(x) if b is None else fn(vals[a], x)
+                if check is not None and not _finite(value):
+                    failures += [(s, words, np.broadcast_to(mask, len(pts))) for words, mask in check(x, value)
+                                 if mask.any()]
+            out = np.empty((len(self._out), len(pts)))
+            for e, s in enumerate(self._out):
+                out[e] = vals[s]
+            finite = not failures and _finite(out)
+        flags = None
+        if not finite:
+            bad = [False] * len(vals)
+            for s, _, mask in failures:
+                bad[s] = bad[s] | mask
+            for s, _, _, a, b in self._code:  # a failure taints what is computed from it
+                bad[s] = bad[s] | bad[a] | (b is not None and bad[b])
+            flags = ~np.isfinite(out)
+            for e, s in enumerate(self._out):
                 flags[e] |= bad[s]
-        flags = flags if flags.any() else None
+            flags = flags if flags.any() else None  # a sum that overflows flags nothing
         for array in (pts, out, flags):
             if array is not None:
                 array.flags.writeable = False
-        self._last = (pts, out, flags)
+        self._last = (pts, out, flags, failures)
         return out, flags
 
-    def raise_at(self, e: int, point):
-        """Raise what ``Expr.eval`` raises for expression e at a flagged point."""
-        self.exprs[e].eval(point)
-        raise AssertionError(f"{self.exprs[e]} was flagged at {plain(point)} but evaluates")
+    def _error(self, e: int, i: int) -> EvalDomainError:
+        """The error of expression e at point i of the kept evaluation: its
+        first node, each after its operands and left to right, that flags
+        a failure there; else its value is not finite."""
+        pts, _, _, failures = self._last
+        words_at = {s: words for s, words, mask in failures if mask[i]}
+        operands = {s: (a, b) for s, _, _, a, b in self._code}
+        done = set()
 
-    def first_error(self, bad, points, blocks=None):
-        """(block, point index, error Expr.eval raises) of the first
-        evaluation ``bad`` (from evaluate) flags, or None.  Blocks
-        (expression indices, point indices) are met in order, each point by
-        point and at a point expression by expression; by default one block
-        holds everything."""
-        for b, (exprs, at) in enumerate([] if bad is None else blocks or [(range(len(bad)), range(len(points)))]):
+        def first(s):  # the first slot under s, after its operands, that flags at point i
+            done.add(s)
+            for c in operands.get(s, ()):
+                if c is not None and c not in done and (hit := first(c)) is not None:
+                    return hit
+            return s if s in words_at else None
+
+        s, expr = first(self._out[e]), self.exprs[e]
+        if s is None:
+            return _domain_error("non-finite value for", expr, pts[i])
+        return _domain_error(words_at[s], self._nodes[s] if words_at[s] == _ZERO_DIVISION else expr, pts[i])
+
+    def first_error(self, points, blocks=None):
+        """(block, point index, EvalDomainError) of the first failure at the
+        points, or None.  Blocks (expression indices, point indices) are met
+        in order, each point by point and at a point expression by
+        expression; by default one block holds everything."""
+        _, bad = self.evaluate(points)
+        for b, (exprs, at) in enumerate([] if bad is None else blocks or [(range(bad.shape[0]), range(bad.shape[1]))]):
             hit = bad[np.ix_(exprs, at)]
             if hit.any():
                 p = np.flatnonzero(hit.any(axis=0))[0]
-                try:
-                    self.raise_at(exprs[np.flatnonzero(hit[:, p])[0]], np.asarray(points, dtype=float)[at[p]])
-                except EvalDomainError as exc:
-                    return b, at[p], exc
+                return b, at[p], self._error(exprs[np.flatnonzero(hit[:, p])[0]], at[p])
         return None
 
-    def raise_first(self, bad, points, blocks=None):
+    def raise_first(self, points, blocks=None):
         """Raise the error of first_error, if any."""
-        hit = self.first_error(bad, points, blocks)
+        hit = self.first_error(points, blocks)
         if hit is not None:
             raise hit[2]
 
     def __call__(self, points) -> np.ndarray:
-        """Values at a batch of points; raises the error ``Expr.eval``
-        raises at the first point, and there at the first expression,
-        where it fails."""
+        """Values at a batch of points; raises the error at the first point,
+        and there at the first expression, where one fails."""
         values, bad = self.evaluate(points)
-        self.raise_first(bad, points)
+        if bad is not None:
+            self.raise_first(points)
         return values
 
 
@@ -850,9 +807,9 @@ class _Parser:
         if kind == "number":
             return Const(float(text))
         if kind == "name":
-            if text in _FUNC_BUILDERS:
+            if text in _FUNCTIONS:
                 self.expect("(")
-                return _FUNC_BUILDERS[text](self.nested(self.expr, pos))
+                return _folded(Func(text, self.nested(self.expr, pos)))
             if text in self.chart.coord_names:
                 return Var(self.chart.index(text), text)
             raise UnknownIdentifierError(text, pos)

@@ -1,7 +1,8 @@
 """One-point references for the stacked checks of diracgen.
 
 Each function here computes one sample at a time, as the library did before
-its checks were stacked: values by ``Expr.eval``, ranks by one
+its checks were stacked: values by one-point batches (``Expr.eval``, a
+section's call, or a program compiled once), ranks by one
 ``np.linalg.svd`` per matrix, memberships by one ``np.linalg.lstsq`` per
 vector, a running maximum over the samples that keeps a NaN, and one
 Gauss–Newton lift per target.  The tests compare the
@@ -20,9 +21,65 @@ from diracgen.distribution import GeneralizedDistribution, span_defects
 from diracgen.errors import InputError, VerificationError
 from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _stencil
 from diracgen.report import CheckRecord, Report, record_from_samples
-from diracgen.symexpr import plain
+from diracgen.symexpr import Add, CompiledExprs, Const, Div, Func, Mul, Neg, Pow, Sub, Var, plain
 
 RANK_TOL = 1e-9
+
+
+# -- the evaluator --------------------------------------------------------------
+
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
+class _Flagged(Exception):
+    pass
+
+
+def expr_value(expr, point):
+    """expr at one point by a walk of its tree, each node after its
+    operands, left to right, by numpy's elementwise function on float64
+    scalars.  Returns the value as a float, or the message of the error
+    evaluating expr there raises: the first node that flags names it (a
+    zero denominator or 0^-k: division by zero in that node; exp or a power
+    that gives ±inf from a finite operand: overflow evaluating expr; sin or
+    cos of ±inf: non-finite value inside expr), else a value that is not
+    finite does (non-finite value for expr)."""
+
+    def walk(e):
+        if isinstance(e, Const):
+            return np.float64(e.value)
+        if isinstance(e, Var):
+            return np.float64(point[e.index])
+        if isinstance(e, Neg):
+            return np.negative(walk(e.arg))
+        if isinstance(e, Func):
+            x = walk(e.arg)
+            value = _FUNCTIONS[e.name](x)
+            if e.name == "exp" and np.isinf(value) and np.isfinite(x):
+                raise _Flagged(f"overflow evaluating {expr}")
+            if e.name != "exp" and np.isinf(x):
+                raise _Flagged(f"non-finite value inside {expr}")
+            return value
+        if isinstance(e, Pow):
+            x = walk(e.base)
+            value = np.power(x, float(e.exponent))
+            if x == 0.0 and e.exponent < 0:
+                raise _Flagged(f"division by zero in {e}")
+            if np.isinf(value) and np.isfinite(x):
+                raise _Flagged(f"overflow evaluating {expr}")
+            return value
+        left, right = walk(e.left), walk(e.right)
+        if isinstance(e, Div) and right == 0.0:
+            raise _Flagged(f"division by zero in {e}")
+        return _BINARY[type(e)](left, right)
+
+    with np.errstate(all="ignore"):
+        try:
+            value = walk(expr)
+        except _Flagged as exc:
+            return f"{exc} at {plain(point)}"
+    return float(value) if np.isfinite(value) else f"non-finite value for {expr} at {plain(point)}"
 
 
 def matrix_at(sections, m) -> np.ndarray:
@@ -100,7 +157,7 @@ def _projected_step(J: np.ndarray, r: np.ndarray, x, lo, hi) -> np.ndarray:
 
 
 def least_squares(q, ybar, x0) -> tuple[np.ndarray, float]:
-    """dirac.least_squares for one target: Gauss–Newton on Expr.eval values,
+    """dirac.least_squares for one target: Gauss–Newton on q's one-point values,
     each step clipped to the box and halved until the residual norm falls."""
     lo, hi = np.array(q.source.box).T
     ybar = np.asarray(ybar, dtype=float)
@@ -154,16 +211,17 @@ def dirac_validate(D, samples, tol: float = 1e-9) -> Report:
     rank_pairs = [(0.0 if rank(matrix_at(D.generators, m), tol) == n else 1.0, m) for m in samples]
     report.add(record_from_samples("lagrangian-rank", rank_pairs, 0.0,
                                    detail=f"rank equals chart dimension {n}", stage="validity"))
-    exprs = [pairing(a, b) for i, a in enumerate(D.generators) for b in D.generators[i:]]
-    iso = [(max(abs(e.eval(m)) for e in exprs), m) for m in samples]
+    pairings = CompiledExprs([pairing(a, b) for i, a in enumerate(D.generators) for b in D.generators[i:]])
+    iso = [(max(abs(float(v)) for v in pairings(np.asarray(m)[None])[:, 0]), m) for m in samples]
     report.add(record_from_samples("lagrangian-isotropy", iso, tol, stage="validity"))
     return report
 
 
 def antisymmetry_residual(pi, samples) -> float:
-    worst = 0.0
+    worst, n = 0.0, len(pi.components)
+    components = CompiledExprs([c for row in pi.components for c in row])
     for m in samples:
-        M = np.array([[c.eval(m) for c in row] for row in pi.components])
+        M = components(np.asarray(m)[None])[:, 0].reshape(n, n)
         worst = max(worst, float(np.abs(M + M.T).max()))
     return worst
 

@@ -153,6 +153,18 @@ class TestExitCodes:
             assert "RuntimeWarning" not in out.stderr
             assert len(out.stderr.strip().splitlines()) == (2 if command == "check" else 1)
 
+    def test_leaf_invariance_of_values_near_the_largest_float(self, tmp_path):
+        # a family constant along the leaves whose stencil differences would
+        # overflow (8 * 1.5e308 is inf) unless taken at the values' scale
+        def edit(data):
+            data["sections"]["D"][0] = {"vector": ["0", "1.5e308", "1.5e308"], "form": ["0", "0", "0"]}
+
+        out = run_cli("invariant-generators", edited(tmp_path, "e1.json", edit))
+        assert out.returncode == 0
+        # stderr holds the summary of passing records and nothing else (no numpy warning)
+        lines = out.stderr.splitlines()
+        assert lines[-1] == "verdict: pass" and all(line.startswith("[pass] ") for line in lines[:-1])
+
     def test_degenerate_box_is_input_error(self, tmp_path):
         def edit(data):
             data["chart"]["box"][1] = [0.5, 0.5]
@@ -617,6 +629,20 @@ def test_traced_cli_names_are_cli_functions():
     for name in names:
         fn = getattr(cli, name, None)
         assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
+
+
+@pytest.mark.parametrize("name", ["translation_reduce", "rotation_reduce"])
+def test_reduction_does_not_import_numpy_ma(name):
+    # the first one-dimensional np.unique of a process imports numpy.ma
+    block = (
+        "import contextlib, io, sys\n"
+        "from diracgen import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main(['dirac-reduce', {problem(name + '.json')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, cwd=ROOT)
+    assert out.stdout.split() == ["0", "False"], out.stderr
 
 
 def test_readme_python_example_runs():

@@ -54,7 +54,7 @@ from conftest import (
     random_vector_field,
     wide_quotient,
 )
-from pointwise import contains, matrix_at, membership_residual
+from pointwise import contains, matrix_at, span_residual
 
 
 def section(chart, vec, form):
@@ -181,15 +181,15 @@ def _with_coefficients(s: PontryaginSection, replace) -> PontryaginSection:
 
 def _closure_reference(D: DiracStructure, samples, tol) -> list:
     """is_closed point by point: the symbolic Courant bracket of every
-    ordered pair, evaluated with Expr.eval, and one lstsq per bracket."""
-    dist = GeneralizedDistribution(D.chart, D.generators)
+    ordered pair, evaluated one point at a time, and one lstsq per bracket."""
+    G = [matrix_at(D.generators, m) for m in samples]  # the generators at each sample, once
     records = []
     for i, a in enumerate(D.generators):
         for j, b in enumerate(D.generators):
             if i != j:
                 bracket = courant_bracket(a, b)
-                pairs = [(membership_residual(dist, m, bracket(m)) / (1.0 + np.linalg.norm(bracket(m))), m)
-                         for m in samples]
+                pairs = [(span_residual(G[s].T, bracket(m)) / (1.0 + np.linalg.norm(bracket(m))), m)
+                         for s, m in enumerate(samples)]
                 records.append(record_from_samples(f"courant-closure[{i},{j}]", pairs, tol, stage="validity"))
     return [r.as_dict() for r in records]
 

@@ -27,7 +27,7 @@ from diracgen.invariant_gen import (
     split_tilde,
     transformed_frame,
 )
-from diracgen.symexpr import MAX_SAMPLES, Chart, parse
+from diracgen.symexpr import MAX_SAMPLES, Chart, CompiledExprs, parse
 
 from conftest import make_chart, random_points
 
@@ -369,9 +369,9 @@ class TestLeafDirectionalDerivative:
 
 
 class PointwiseReference:
-    """Steps 1-4 one point at a time, as the construction reads: scalar
-    Expr.eval, one small np.linalg call (or, in Steps 1 and 4, one
-    Householder solve) per point, no caches."""
+    """Steps 1-4 one point at a time, as the construction reads: one-point
+    batches of programs compiled once, one small np.linalg call (or, in
+    Steps 1 and 4, one Householder solve) per point, no caches."""
 
     def __init__(self, p):
         self.p = p
@@ -380,13 +380,21 @@ class PointwiseReference:
         self.T = [[t.vf.coeffs[j] for t in tilde] for j in range(k, n)] + [
             [t.form.coeffs[j] for t in tilde] for j in range(k, n)
         ]
+        flat = [e for row in self.T for e in row]
+        self._T = CompiledExprs(flat)
+        self._dT = [CompiledExprs([e.diff(l) for e in flat]) for l in range(k)]
         if p.extra is not None:
             _, et = split_tilde(p.extra, k)
             self.ex = [et.vf.coeffs[j] for j in range(k, n)] + [et.form.coeffs[j] for j in range(k, n)]
+            self._dE = [CompiledExprs([e.diff(l) for e in self.ex]) for l in range(k)]
+
+    @staticmethod
+    def _at(program, m, shape):
+        return program(np.asarray(m, dtype=float)[None])[:, 0].reshape(shape)
 
     def B(self, m, l):
-        T = np.array([[e.eval(m) for e in row] for row in self.T])
-        dT = np.array([[e.diff(l).eval(m) for e in row] for row in self.T])
+        shape = (len(self.T), self.p.r)
+        T, dT = self._at(self._T, m, shape), self._at(self._dT[l], m, shape)
         # the kernel on one node (against LAPACK: TestHouseholder)
         return _householder(T[..., None], dT[..., None])[0][..., 0]
 
@@ -439,8 +447,7 @@ class PointwiseReference:
         return np.column_stack([g(m) for g in self.p.generators]) @ self.Bmat(m)
 
     def integrand(self, q, l):
-        T = np.array([[e.eval(q) for e in row] for row in self.T])
-        dE = np.array([e.diff(l).eval(q) for e in self.ex])
+        T, dE = self._at(self._T, q, (len(self.T), self.p.r)), self._at(self._dE[l], q, len(self.ex))
         # the kernel on one node (against LAPACK: TestStep4Beta)
         beta = _householder(T[..., None], dE[:, None, None])[0][:, 0, 0]
         return self.H(q).T @ beta

@@ -34,6 +34,7 @@ from diracgen.symexpr import (
 )
 
 from conftest import make_chart, random_expr, random_points
+from pointwise import expr_value
 
 
 @pytest.fixture
@@ -205,11 +206,13 @@ class TestRoundTrip:
             assert back.eval(m) == pytest.approx(e.eval(m), rel=1e-12, abs=1e-12)
 
 
-# Literals and coordinates that reach every failure Expr.eval has: zero
+# Literals and coordinates that reach every failure a program flags: zero
 # denominators (signed zeros too), 0^-k, and exp or powers that overflow.
 _LITERALS = (0.0, -0.0, 1.0, -2.5, 0.3, 40.0, 1e150, -1e300)
 _COORDS = (0.0, -0.0, 0.7, -1.3, 2.0, 25.0, 710.0, -1e160)
-_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# coordinates beyond _COORDS: any float, and the infinities and NaN
+_FLOATS = st.one_of(st.sampled_from(_COORDS), st.floats(-50.0, 50.0), st.floats(allow_subnormal=False))
 
 
 def _trees(n_vars: int):
@@ -224,63 +227,90 @@ def _trees(n_vars: int):
             st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), children, children),
             children.map(Neg),
             st.builds(Pow, children, st.integers(-3, 4)),
-            st.builds(lambda name, a: Func(name, a, _FUNCS[name]), st.sampled_from(sorted(_FUNCS)), children),
+            st.builds(Func, st.sampled_from(sorted(_MATH)), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=10)
 
 
-def _reference(expr, point):
-    """Expr.eval at point, or the message of the EvalDomainError it raises."""
-    try:
-        return expr.eval(point)
-    except EvalDomainError as exc:
-        return str(exc)
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance in units in the last place between two finite floats."""
+    return 0 if a == b else abs(int(_bits(a)) - int(_bits(b)))
+
+
+def _folded_at(e, point):
+    """e rebuilt through the folding builders, each coordinate replaced by
+    its value at point."""
+    if isinstance(e, Var):
+        return Const(float(point[e.index]))
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Neg):
+        return -_folded_at(e.arg, point)
+    if isinstance(e, Pow):
+        return _folded_at(e.base, point) ** e.exponent
+    if isinstance(e, Func):
+        return {"sin": sin, "cos": cos, "exp": exp}[e.name](_folded_at(e.arg, point))
+    left, right = _folded_at(e.left, point), _folded_at(e.right, point)
+    return {Add: left.__add__, Sub: left.__sub__, Mul: left.__mul__, Div: left.__truediv__}[type(e)](right)
 
 
 class TestCompiledExprs:
+    """Programs against expr_value, a walk of each tree that evaluates node by
+    node with numpy's elementwise functions and the same failure rules."""
+
     @given(
         st.lists(_trees(3), min_size=1, max_size=4),
         st.lists(st.tuples(*[st.sampled_from(_COORDS)] * 3), min_size=1, max_size=6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bit_identical_and_fails_where_eval_fails(self, exprs, coords):
+    def test_bit_identical_and_fails_where_the_reference_fails(self, exprs, coords):
         points = np.array(coords, dtype=float)
         values, bad = CompiledExprs(exprs).evaluate(points)
         bad = np.zeros(values.shape, dtype=bool) if bad is None else bad
         for e, expr in enumerate(exprs):
             for i, m in enumerate(points):
-                want = _reference(expr, m)
+                want = expr_value(expr, m)
                 assert bad[e, i] == isinstance(want, str)
                 if not bad[e, i]:
-                    # bit for bit, signed zeros included
-                    assert np.array_equal(values[e, i : i + 1].view(np.int64),
-                                          np.array([want]).view(np.int64))
+                    assert _bits(values[e, i]) == _bits(want)  # bit for bit, signed zeros included
 
     @given(
         st.lists(_trees(2), min_size=1, max_size=3),
         st.lists(st.tuples(*[st.sampled_from(_COORDS)] * 2), min_size=1, max_size=5),
     )
     @settings(max_examples=200, deadline=None)
-    def test_call_raises_what_eval_raises_first(self, exprs, coords):
+    def test_call_raises_the_references_first_error(self, exprs, coords):
         points = np.array(coords, dtype=float)
         first = next(
-            (want for m in points for want in (_reference(e, m) for e in exprs) if isinstance(want, str)),
+            (want for m in points for want in (expr_value(e, m) for e in exprs) if isinstance(want, str)),
             None,
         )
         compiled = CompiledExprs(exprs)
         if first is None:
             values = compiled(points)
-            assert np.array_equal(values, [[e.eval(m) for m in points] for e in exprs])
+            assert np.array_equal(values, [[expr_value(e, m) for m in points] for e in exprs])
         else:
             with pytest.raises(EvalDomainError) as exc:
                 compiled(points)
             assert str(exc.value) == first
 
+    def test_errors_name_the_first_failing_node_left_to_right(self):
+        chart = make_chart(2)
+        e = parse("exp(1000*x1)/x2 + 1/x2", chart)
+        with pytest.raises(EvalDomainError, match=r"^overflow evaluating"):
+            e.eval(np.array([1.0, 0.0]))
+        with pytest.raises(EvalDomainError, match=r"^division by zero in 1.0/x2 at"):
+            CompiledExprs([parse("1/x2 + exp(1000*x1)", chart), e])(np.array([[1.0, 0.0]]))
+
     def test_shared_subtrees_are_computed_once(self, chart3):
         e = parse("exp(x1)*sin(x2) + exp(x1)", chart3)
         compiled = CompiledExprs([e, e.diff(0)])
-        assert len([c for c in compiled._code if c[2] is math.exp]) == 1
+        assert len([c for c in compiled._code if c[1] is np.exp]) == 1
         m = np.array([[0.3, -0.2, 0.1]])
         assert np.array_equal(compiled(m)[:, 0], [e.eval(m[0]), e.diff(0).eval(m[0])])
 
@@ -299,6 +329,65 @@ class TestCompiledExprs:
             CompiledExprs([parse("1/x2", chart)])(np.array([[0.5, 0.0]]))
         assert "np.float64" not in str(exc.value)
         assert exc.value.point == [0.5, 0.0]
+
+
+class TestEvaluatorProperties:
+    @given(st.lists(_trees(3), min_size=1, max_size=4), st.lists(st.tuples(*[_FLOATS] * 3), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_a_batch_equals_each_point_alone(self, exprs, coords):
+        # Steps 1 and 4 evaluate a point alone or inside a batch of nodes
+        points = np.array(coords, dtype=float)
+        compiled = CompiledExprs(exprs)
+        values, bad = compiled.evaluate(points)
+        bad = np.zeros(values.shape, dtype=bool) if bad is None else bad
+        errors = {(e, i): str(compiled.first_error(points, [([e], [i])])[2]) for e, i in zip(*np.nonzero(bad))}
+        for i, m in enumerate(points):
+            one, one_bad = compiled.evaluate(m[None])
+            assert np.array_equal(bad[:, i], np.zeros(len(exprs), bool) if one_bad is None else one_bad[:, 0])
+            for e, expr in enumerate(exprs):
+                if bad[e, i]:
+                    with pytest.raises(EvalDomainError) as exc:
+                        expr.eval(m)
+                    assert str(exc.value) == errors[e, i]
+                else:
+                    assert _bits(one[e, 0]) == _bits(values[e, i]) == _bits(expr.eval(m))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_functions_and_powers_within_2_ulp_of_math_and_alone_as_in_a_batch(self, xs, seed):
+        # numpy's functions and powers in place of math.sin/cos/exp and float
+        # power move a value by at most 2 ulp, and a point gets the same bits
+        # alone as in a batch; random floats reach the last bits where they differ
+        xs = [*xs, *np.random.default_rng(seed).uniform(-40.0, 40.0, 48)]
+        x1 = Var(0, "x1")
+        nodes = [Func(name, x1) for name in sorted(_MATH)] + [Pow(x1, k) for k in (-3, -2, -1, 2, 3, 4, 7, 40)]
+        compiled = CompiledExprs(nodes)
+        values = np.array(compiled.evaluate(np.array(xs)[:, None])[0])
+        for i, x in enumerate(xs):
+            assert np.array_equal(_bits(compiled.evaluate([[x]])[0][:, 0]), _bits(values[:, i]))
+        for node, row in zip(nodes, values):
+            for x, value in zip(xs, row):
+                try:
+                    want = _MATH[node.name](x) if isinstance(node, Func) else x**node.exponent
+                except (ArithmeticError, ValueError):  # math's overflow or domain error
+                    continue
+                if math.isfinite(want):
+                    assert _ulps(value, want) <= 2, (str(node), x, value, want)
+
+    @given(_trees(2), st.tuples(_FLOATS, _FLOATS))
+    @settings(max_examples=300, deadline=None)
+    def test_a_folded_constant_equals_the_unfolded_expression(self, e, point):
+        want = expr_value(e, point)
+        folded = _folded_at(e, point)
+        if not isinstance(want, str):
+            # equal, though the 0 and 1 identities may drop the sign of a zero
+            assert isinstance(folded, Const) and folded.value == want
+        if isinstance(e, Func) and isinstance(e.arg, Var) or isinstance(e, Pow) and isinstance(e.base, Var):
+            # one node: folded exactly where it flags no failure of its own
+            own = isinstance(want, str) and not want.startswith("non-finite value for")
+            assert isinstance(folded, Const) != own
+            if not own:
+                assert _bits(folded.value) == _bits(CompiledExprs([e]).evaluate(np.array([point]))[0][0, 0])
 
 
 class TestChart:
