@@ -1,10 +1,12 @@
 """Invariant generators for generalized distributions on explicit charts,
 with Dirac/Poisson reduction checks.
 
-Public API re-exports: charts and symbolic expressions, tensor calculus on
-sections of TM + T*M, generalized distributions, the four-step
-straightening pipeline producing leaf-invariant frames, and Dirac
-structure verification and reduction.
+Public API re-exports: charts and symbolic expressions, sections of
+TM + T*M and their pairing, generalized distributions and the bracket
+hypothesis, the four-step straightening pipeline producing leaf-invariant
+frames, and Dirac structure verification and reduction.  Every check runs
+on batches of points; the symbolic brackets and one-point references the
+checks are tested against live in tests/pointwise.py.
 """
 
 from .symexpr import Chart, Expr, parse, const, var, sin, cos, exp
@@ -26,21 +28,11 @@ from .calculus import (
     OneForm,
     PontryaginSection,
     pairing,
-    lie_bracket,
-    lie_derivative_form,
-    exterior_interior,
-    differential,
-    skew_bracket,
-    courant_bracket,
 )
 from .distribution import (
     GeneralizedDistribution,
-    TangentDistribution,
-    section_values,
     svd_rank,
     span_residuals,
-    pointwise_orthogonal_basis,
-    annihilator_basis,
     check_bracket_hypothesis,
 )
 from .invariant_gen import (
@@ -48,10 +40,6 @@ from .invariant_gen import (
     InvariantFrameResult,
     solve_coefficients,
     fundamental_matrix,
-    build_H,
-    build_B,
-    transformed_frame,
-    beta_fields,
     compute_Pi,
     run,
 )
@@ -62,9 +50,6 @@ from .dirac import (
     QuotientMap,
     graph_of_poisson,
     is_closed,
-    characteristic_distributions,
-    vertical_and_K,
-    intersect_D_Kperp,
     constant_rank_scan,
     descending_generators,
     invariant_annihilator_generators,

@@ -1,9 +1,11 @@
-"""Vector fields, one-forms, sections of TM + T*M, and their brackets.
+"""Vector fields, one-forms, sections of TM + T*M, and their pairing.
 
 All objects are symbolic: coefficients are :class:`~diracgen.symexpr.Expr`
-trees over a shared chart, so brackets of brackets stay exactly
-differentiable.  Two-forms are never materialized; the contraction
-``i_Y d(alpha)`` is a fused componentwise operation.
+trees over a shared chart, differentiated exactly.  No bracket is built
+here: dirac._courant forms Courant brackets from evaluated 1-jets, and
+distribution.check_bracket_hypothesis the bracket with a leaf coordinate
+field as a leaf derivative.  The symbolic brackets they are tested against
+live in tests/pointwise.py.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ __all__ = [
     "OneForm",
     "PontryaginSection",
     "pairing",
-    "lie_bracket",
-    "lie_derivative_form",
-    "exterior_interior",
-    "differential",
-    "skew_bracket",
-    "courant_bracket",
 ]
 
 
@@ -159,66 +155,3 @@ def pairing(a: PontryaginSection, b: PontryaginSection) -> Expr:
     """Symmetric fiberwise pairing <(u, alpha), (v, beta)> = beta(u) + alpha(v)."""
     _same_chart(a.vf, b.vf)
     return b.form.contract(a.vf) + a.form.contract(b.vf)
-
-
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^j = sum_i (X^i d_i Y^j - Y^i d_i X^j)."""
-    chart = _same_chart(X, Y)
-    coeffs = []
-    for j in range(chart.n):
-        c = ZERO
-        for i in range(chart.n):
-            c = c + X.coeffs[i] * Y.coeffs[j].diff(i) - Y.coeffs[i] * X.coeffs[j].diff(i)
-        coeffs.append(c)
-    return VectorField(chart, tuple(coeffs))
-
-
-def lie_derivative_form(X: VectorField, alpha: OneForm) -> OneForm:
-    """Cartan formula d(i_X alpha) + i_X d(alpha), componentwise
-    (L_X alpha)_j = sum_i (X^i d_i alpha_j + alpha_i d_j X^i)."""
-    chart = _same_chart(X, alpha)
-    coeffs = []
-    for j in range(chart.n):
-        c = ZERO
-        for i in range(chart.n):
-            c = c + X.coeffs[i] * alpha.coeffs[j].diff(i) + alpha.coeffs[i] * X.coeffs[i].diff(j)
-        coeffs.append(c)
-    return OneForm(chart, tuple(coeffs))
-
-
-def exterior_interior(Y: VectorField, alpha: OneForm) -> OneForm:
-    """The contraction i_Y d(alpha): component j is sum_i Y^i (d_i alpha_j - d_j alpha_i)."""
-    chart = _same_chart(Y, alpha)
-    a, n = alpha.coeffs, chart.n
-    return OneForm(chart, tuple(sum((Y.coeffs[i] * (a[j].diff(i) - a[i].diff(j)) for i in range(n)), ZERO)
-                                for j in range(n)))
-
-
-def differential(f: Expr, chart: Chart) -> OneForm:
-    """The exact one-form df."""
-    return OneForm(chart, tuple(f.diff(j) for j in range(chart.n)))
-
-
-def skew_bracket(a: PontryaginSection, b: PontryaginSection) -> PontryaginSection:
-    """Skew-symmetric bracket
-    ([X, Y], L_X beta - L_Y alpha + (1/2) d(alpha(Y) - beta(X)))."""
-    chart = _same_chart(a.vf, b.vf)
-    X, alpha = a.vf, a.form
-    Y, beta = b.vf, b.form
-    vf = lie_bracket(X, Y)
-    form = (
-        lie_derivative_form(X, beta)
-        - lie_derivative_form(Y, alpha)
-        + differential(alpha.contract(Y) - beta.contract(X), chart) * 0.5
-    )
-    return PontryaginSection(vf, form)
-
-
-def courant_bracket(a: PontryaginSection, b: PontryaginSection) -> PontryaginSection:
-    """Non-skew bracket ([X, Y], L_X beta - i_Y d(alpha))."""
-    _same_chart(a.vf, b.vf)
-    X, alpha = a.vf, a.form
-    Y, beta = b.vf, b.form
-    return PontryaginSection(
-        lie_bracket(X, Y), lie_derivative_form(X, beta) - exterior_interior(Y, alpha)
-    )

@@ -323,9 +323,7 @@ def cmd_check(data: dict, chart: Chart, samples, numerics: dict, args, out: _Emi
     quotient = _quotient(data, chart)
     report = Report()
     if gens and chart.leaf_count > 0:
-        leaves = [PontryaginSection.from_vector(VectorField.coordinate(chart, l)) for l in range(chart.leaf_count)]
-        theta = GeneralizedDistribution(chart, tuple(leaves))
-        report.extend(check_bracket_hypothesis(GeneralizedDistribution(chart, gens), theta, extra, samples, tol))
+        report.extend(check_bracket_hypothesis(GeneralizedDistribution(chart, gens), extra, samples, tol))
     graph, dirac = _dirac(data, chart, samples)
     if graph is not None:
         report.extend(graph.validate(samples))

@@ -32,11 +32,8 @@ import numpy as np
 from .calculus import OneForm, PontryaginSection, VectorField, _components, pairing
 from .distribution import (
     DEFAULT_RANK_TOL,
-    GeneralizedDistribution,
-    TangentDistribution,
     _norms,
     _scaled,
-    annihilator_basis,
     span_defects,
     span_residuals,
     stacked,
@@ -61,9 +58,6 @@ __all__ = [
     "QuotientMap",
     "graph_of_poisson",
     "is_closed",
-    "characteristic_distributions",
-    "vertical_and_K",
-    "intersect_D_Kperp",
     "constant_rank_scan",
     "descending_generators",
     "invariant_annihilator_generators",
@@ -311,40 +305,6 @@ def is_closed(D: DiracStructure, samples=None, tol: float = 1e-7) -> Report:
     return report
 
 
-def characteristic_distributions(D: DiracStructure, m, tol: float = DEFAULT_RANK_TOL):
-    """Pointwise bases of the four characteristic spaces: vectors paired
-    with zero form (G0), all reachable vectors (G1), and the analogous
-    cotangent spaces (P0, P1)."""
-    n = D.chart.n
-    M = _as_columns(stacked(_read(D.chart.checked_samples([m]), (D._program, D._program.values))[0], 2 * n))[0]
-    top, bottom = M[:n], M[n:]
-    rank_top, u_top, vt_top = svd_rank(top, tol, bases=True)
-    rank_bottom, u_bottom, vt_bottom = svd_rank(bottom, tol, bases=True)
-    G1 = [u_top[:, i] for i in range(rank_top)]
-    P1 = [u_bottom[:, i] for i in range(rank_bottom)]
-    G0 = [v for v in (top @ c for c in vt_bottom[rank_bottom:]) if np.linalg.norm(v) > tol]
-    P0 = [v for v in (bottom @ c for c in vt_top[rank_top:]) if np.linalg.norm(v) > tol]
-    return G0, G1, P0, P1
-
-
-def vertical_and_K(action: InfinitesimalAction):
-    """The vertical distribution V, the block K = V + {0}, and a pointwise
-    basis map for the annihilator of V (the form condition cutting out the
-    orthogonal of K)."""
-    chart = action.chart
-    V = TangentDistribution(chart, action.generators)
-    if action.generators:
-        K_gens = tuple(PontryaginSection.from_vector(x) for x in action.generators)
-    else:
-        K_gens = (PontryaginSection.zero(chart),)
-    K = GeneralizedDistribution(chart, K_gens)
-
-    def vperp_basis(m, tol=DEFAULT_RANK_TOL):
-        return annihilator_basis(V, m, tol)
-
-    return V, K, vperp_basis
-
-
 def _as_columns(rows: np.ndarray) -> np.ndarray:
     """Section values (N, S, 2n) as C-contiguous columns (N, 2n, S), as np.column_stack lays them out."""
     return np.ascontiguousarray(np.swapaxes(rows, 1, 2))
@@ -370,14 +330,6 @@ def _intersections(M: np.ndarray, X: np.ndarray, tol: float = DEFAULT_RANK_TOL):
         at = ranks == rank
         basis[at, :, : n - rank] = M[at] @ np.swapaxes(vt[at, rank:], 1, 2)
     return n - ranks, basis
-
-
-def intersect_D_Kperp(D: DiracStructure, action: InfinitesimalAction, m, tol: float = DEFAULT_RANK_TOL):
-    """Pointwise basis of the subspace of D(m) whose form part annihilates
-    the vertical space; returns (basis columns, rank)."""
-    M, X = _dirac_and_action_values(D, action, D.chart.checked_samples([m]))
-    dims, basis = _intersections(M, X, tol)
-    return list(basis[0, :, : dims[0]].T), int(dims[0])
 
 
 def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, tol: float = DEFAULT_RANK_TOL):
@@ -425,10 +377,10 @@ def _courant(Va, dVa, Vb, dVb) -> np.ndarray:
     """Courant bracket ([X, Y], L_X beta - i_Y d alpha) of a = (X, alpha)
     and b = (Y, beta) from their 1-jets, over any broadcast stack; returns
     (..., 2n).  The sums run over i in the association of the trees that
-    calculus.lie_bracket, lie_derivative_form and exterior_interior build,
-    so on exact jets the result is bit-identical to evaluating
-    calculus.courant_bracket.  An overflow is left in the result, for the
-    caller's finiteness check or the record's non-finite residual."""
+    the symbolic brackets of tests/pointwise.py build, so on exact jets the
+    result is bit-identical to evaluating their courant_bracket.  An
+    overflow is left in the result, for the caller's finiteness check or
+    the record's non-finite residual."""
     n = Va.shape[-1] // 2
     X, Y, beta = Va[..., :n], Vb[..., :n], Vb[..., n:]
     shape = np.broadcast_shapes(Va.shape, Vb.shape)[:-1] + (n,)

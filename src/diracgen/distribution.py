@@ -1,12 +1,8 @@
 """Generalized distributions as finite spanning families, with the stacked
-linear algebra used by every hypothesis check: section values from one
-compiled batch, numerical rank by one stacked SVD, membership by one stacked
-least-squares call (each bit-identical to its one-point computation, kept
-in tests/pointwise.py), and pointwise orthogonals and annihilators.
-
-The smooth orthogonal is deliberately never computed as an object: it
-quantifies over all smooth sections.  Only pointwise orthogonals are
-available; for constant-rank subbundles the two coincide.
+linear algebra used by every hypothesis check: numerical rank by one stacked
+SVD and membership by one stacked least-squares call (each bit-identical to
+its one-point computation, kept in tests/pointwise.py), and the bracket
+hypothesis of the invariant-frame theorem.
 """
 
 from __future__ import annotations
@@ -16,31 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .calculus import PontryaginSection, VectorField, _components, skew_bracket
+from .calculus import PontryaginSection, _components
 from .errors import ChartMismatchError, InputError
 from .report import Report, record_from_samples
-from .symexpr import Chart, CompiledExprs
+from .symexpr import ONE, ZERO, Chart, CompiledExprs
 
 __all__ = [
     "GeneralizedDistribution",
-    "TangentDistribution",
-    "section_values",
     "svd_rank",
     "span_residuals",
-    "pointwise_orthogonal_basis",
-    "annihilator_basis",
     "check_bracket_hypothesis",
     "DEFAULT_RANK_TOL",
 ]
 
 DEFAULT_RANK_TOL = 1e-9
-
-
-def _shared_chart(chart, generators):
-    for g in generators:
-        if g.chart != chart:
-            raise ChartMismatchError("generator chart differs from distribution chart")
-    return chart
 
 
 @dataclass(frozen=True)
@@ -54,35 +39,14 @@ class GeneralizedDistribution:
         object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise InputError("a generalized distribution needs at least one generator")
-        _shared_chart(self.chart, self.generators)
-
-
-@dataclass(frozen=True)
-class TangentDistribution:
-    chart: Chart
-    generators: tuple[VectorField, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        _shared_chart(self.chart, self.generators)
-
-    def matrix_at(self, m) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, self.chart.n))
-        return np.array([g(m) for g in self.generators])
+        if any(g.chart != self.chart for g in self.generators):
+            raise ChartMismatchError("generator chart differs from distribution chart")
 
 
 def stacked(values: np.ndarray, width: int) -> np.ndarray:
     """Compiled values (expressions x points) of consecutive groups of
     ``width`` expressions, as a C-contiguous (points, groups, width) array."""
     return np.ascontiguousarray(values.T).reshape(values.shape[1], values.shape[0] // width, width)
-
-
-def section_values(sections, points) -> np.ndarray:
-    """Values (N, S, 2n) of S sections at N points, vector part first, from
-    one compiled batch (raising as evaluating point by point would)."""
-    comps = [c for s in sections for c in _components(s)]
-    return stacked(CompiledExprs(comps)(points), len(comps) // len(sections))
 
 
 def svd_rank(matrices, tol: float = DEFAULT_RANK_TOL, bases: bool = False):
@@ -166,55 +130,42 @@ def span_defects(A, v) -> np.ndarray:
         return span_residuals(A, v)[1] / (1.0 / s + norms)
 
 
-def pointwise_orthogonal_basis(
-    delta: GeneralizedDistribution, m, tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
-    """Basis of the fiberwise orthogonal of the span at m, relative to the
-    pairing <(u, a), (v, b)> = b(u) + a(v).
-
-    The pairing of w = (w_v, w_f) with a generator value g = (g_v, g_f)
-    is g_f . w_v + g_v . w_f, so the constraint matrix is the generator
-    matrix with its vector and form blocks swapped.
-    """
-    n = delta.chart.n
-    G = section_values(delta.generators, [m])[0]
-    rank, _, vt = svd_rank(np.hstack([G[:, n:], G[:, :n]]), tol, bases=True)
-    return list(vt[rank:])
-
-
-def annihilator_basis(
-    T: TangentDistribution, m, tol: float = DEFAULT_RANK_TOL
-) -> list[np.ndarray]:
-    """Basis of the covectors annihilating all generator values at m.
-    Caller asserts locally constant rank of T near m."""
-    rank, _, vt = svd_rank(T.matrix_at(m), tol, bases=True)
-    return list(vt[rank:])
+def _leaf_bracket(s: PontryaginSection, l: int) -> list:
+    """The 2n components of the bracket [(d_l, 0), s] of the l-th leaf field
+    with s = (X, beta): d_l X^j, then d_l beta_j - (1/2) d_j beta_l.  Each
+    is the tree the symbolic skew bracket folds to (its sums start from a
+    zero constant, which turns a constant -0.0 into 0.0)."""
+    X, beta = s.vf.coeffs, s.form.coeffs
+    return ([ZERO + x.diff(l) for x in X]
+            + [(ZERO + b.diff(l)) + 0.5 * (-beta[l]).diff(j) for j, b in enumerate(beta)])
 
 
 def check_bracket_hypothesis(
     D: GeneralizedDistribution,
-    Theta: GeneralizedDistribution,
     extra: PontryaginSection | None,
     samples,
     tol: float,
 ) -> Report:
     """Verify the two bracket hypotheses of the invariant-frame theorem:
-    brackets of D generators (and of the optional extra section) with
-    Theta generators must lie in the span of Theta + D at every sample.
+    brackets of D generators (and of the optional extra section) with the
+    leaf fields (d_l, 0), l < D.chart.leaf_count, must lie in the span of
+    the leaf fields and D at every sample.
 
     The brackets and the span are one compiled batch, the residuals one
     stacked least-squares call.  Failures are report entries, not
     exceptions; an evaluation error is raised where a pass over the
     brackets, each at every sample before the span there, meets it first.
     """
-    samples = D.chart.checked_samples(samples)
-    width = 2 * D.chart.n
+    chart = D.chart
+    samples = chart.checked_samples(samples)
+    width = 2 * chart.n
     named = [("bracket-hypothesis-generators", i, sec) for i, sec in enumerate(D.generators)]
     named += [("bracket-hypothesis-extra", 0, extra)] if extra is not None else []
-    brackets = [(f"{name}[{i},{l}]", skew_bracket(theta, sec))
-                for name, i, sec in named for l, theta in enumerate(Theta.generators)]
-    compiled = CompiledExprs([c for _, b in brackets for c in _components(b)]
-                             + [c for g in Theta.generators + D.generators for c in _components(g)])
+    brackets = [(f"{name}[{i},{l}]", _leaf_bracket(sec, l))
+                for name, i, sec in named for l in range(chart.leaf_count)]
+    leaves = [ONE if j == l else ZERO for l in range(chart.leaf_count) for j in range(width)]
+    compiled = CompiledExprs([c for _, b in brackets for c in b] + leaves
+                             + [c for g in D.generators for c in _components(g)])
     values, _ = compiled.evaluate(samples)
     P = len(brackets)
     span = range(P * width, len(values))

@@ -59,14 +59,9 @@ __all__ = [
     "split_tilde",
     "solve_coefficients",
     "fundamental_matrix",
-    "build_H",
-    "build_B",
     "intermediates",
-    "transformed_frame",
-    "beta_fields",
     "compute_Pi",
     "run",
-    "leaf_directional_derivative",
 ]
 
 DEFAULT_TOL = 1e-7
@@ -761,34 +756,12 @@ def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
     return p._solver._fundamental(j, p._solver._checked([m]))[0]
 
 
-def build_H(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver._H(p._solver._checked([m]))[0]
-
-
-def build_B(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver._B(p._solver._checked([m]))[0]
-
-
 def intermediates(p: FoliatedProblem, samples):
     """H, B and (with an extra section, else None) Pi at each sample, one
-    batch each, bit-identical to build_H, build_B and compute_Pi there."""
+    batch each, bit-identical to computing them one sample at a time."""
     solver, points = p._solver, p._solver._checked(samples)
     H, B = solver._H(points), solver._B(points)
     return H, B, None if p.extra is None else solver._Pi(points, B)
-
-
-def transformed_frame(p: FoliatedProblem):
-    """Evaluator m -> 2n x r matrix whose columns are the straightened
-    frame values."""
-    return p._solver.frame
-
-
-def beta_fields(p: FoliatedProblem, m):
-    """Decomposition coefficients of the leaf derivatives of the extra
-    section at m: sigma (k x k, over the leaf fields) and beta (k x r, over
-    the generators)."""
-    beta, sigma = p._solver._beta(p._solver._checked([m]), with_sigma=True)
-    return sigma[0], beta[0]
 
 
 def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
@@ -814,14 +787,6 @@ def _stencil(chart: Chart, m, l: int, delta: float | None = None):
 def _difference(values, delta: float):
     """The derivative from the values at the points of _stencil."""
     return (-values[0] + 8.0 * values[1] - 8.0 * values[2] + values[3]) / (12.0 * delta)
-
-
-def leaf_directional_derivative(fn, chart: Chart, m, l: int, delta: float | None = None):
-    """Fourth-order central finite difference of a point evaluator along
-    the l-th coordinate, with the probe clamped into the box interior so
-    the stencil fits."""
-    points, delta = _stencil(chart, m, l, delta)
-    return _difference([fn(q) for q in points], delta)
 
 
 @dataclass

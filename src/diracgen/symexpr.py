@@ -798,6 +798,8 @@ class _Parser:
             kind, text, pos = self.next()
         if kind != "number" or any(c in text for c in ".eE"):
             raise ExprSyntaxError(f"integer exponent expected, found {text!r}", pos)
+        if len(text) > 309:  # above the largest float, which has 309 digits; int() refuses 4,301
+            raise ExprSyntaxError(f"integer exponent of {len(text)} digits, more than 309", pos)
         return sign * int(text)
 
     def atom(self) -> Expr:

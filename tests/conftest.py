@@ -1,12 +1,13 @@
 """Shared helpers: random expression and section corpora for the
-bracket-identity suites, and the quotient maps of the lift tests."""
+bracket-identity suites, the quotient maps of the lift tests, and the
+stacked intersection of a Dirac structure with the vertical orthogonal."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
-from diracgen.dirac import QuotientMap
+from diracgen.dirac import QuotientMap, _dirac_and_action_values, _intersections
 from diracgen.symexpr import Chart, Const, Var, cos, exp, parse, sin
 
 
@@ -88,6 +89,14 @@ def wide_quotient(a, b, box2, box3):
     chart = Chart(coord_names=("x1", "x2", "x3"), leaf_count=1, box=((-1.0, 1.0), box2, box3))
     target = Chart(coord_names=("y",), leaf_count=0)
     return QuotientMap(chart, target, (parse(f"{a!r}*x2 + {b!r}*x3", chart),))
+
+
+def intersections(D, action, samples) -> list:
+    """The basis columns and dimension of the intersection of D with the
+    vertical orthogonal at each sample, as constant_rank_scan computes them
+    in one stacked batch."""
+    dims, basis = _intersections(*_dirac_and_action_values(D, action, np.array(samples, dtype=float)))
+    return [(list(B[:, :dim].T), int(dim)) for B, dim in zip(basis, dims)]
 
 
 def box_point(chart, fractions):

@@ -1,6 +1,7 @@
-"""One-point references for the stacked checks of diracgen.
+"""One-point references for the stacked checks of diracgen, and the
+symbolic brackets they are tested against.
 
-Each function here computes one sample at a time, as the library did before
+Each check here computes one sample at a time, as the library did before
 its checks were stacked: values by one-point batches (``Expr.eval``, a
 section's call, or a program compiled once), ranks by one
 ``np.linalg.svd`` per matrix, memberships by one ``np.linalg.lstsq`` per
@@ -9,21 +10,105 @@ Gauss–Newton lift per target.  The tests compare the
 library's stacked records, ranks and errors with these, bit for bit; where
 the squares of a vector's entries overflow, each side scales it its own
 way, and they agree within rounding.
+
+The brackets are exact: their coefficients are ``Expr`` trees, whose
+evaluation the library's brackets on evaluated 1-jets (``dirac._courant``)
+and leaf-derivative rows (``distribution.check_bracket_hypothesis``) must
+match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from diracgen.calculus import pairing, skew_bracket
+from diracgen.calculus import OneForm, PontryaginSection, VectorField, _same_chart, pairing
 from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _pair_brackets, _stencil_jets
 from diracgen.distribution import GeneralizedDistribution, span_defects
 from diracgen.errors import InputError, VerificationError
-from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _stencil
+from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _difference, _stencil
 from diracgen.report import CheckRecord, Report, record_from_samples
-from diracgen.symexpr import Add, CompiledExprs, Const, Div, Func, Mul, Neg, Pow, Sub, Var, plain
+from diracgen.symexpr import ZERO, Add, CompiledExprs, Const, Div, Func, Mul, Neg, Pow, Sub, Var, plain
 
 RANK_TOL = 1e-9
+
+
+# -- the symbolic brackets ------------------------------------------------------
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^j = sum_i (X^i d_i Y^j - Y^i d_i X^j)."""
+    chart = _same_chart(X, Y)
+    coeffs = []
+    for j in range(chart.n):
+        c = ZERO
+        for i in range(chart.n):
+            c = c + X.coeffs[i] * Y.coeffs[j].diff(i) - Y.coeffs[i] * X.coeffs[j].diff(i)
+        coeffs.append(c)
+    return VectorField(chart, tuple(coeffs))
+
+
+def lie_derivative_form(X: VectorField, alpha: OneForm) -> OneForm:
+    """Cartan formula d(i_X alpha) + i_X d(alpha), componentwise
+    (L_X alpha)_j = sum_i (X^i d_i alpha_j + alpha_i d_j X^i)."""
+    chart = _same_chart(X, alpha)
+    coeffs = []
+    for j in range(chart.n):
+        c = ZERO
+        for i in range(chart.n):
+            c = c + X.coeffs[i] * alpha.coeffs[j].diff(i) + alpha.coeffs[i] * X.coeffs[i].diff(j)
+        coeffs.append(c)
+    return OneForm(chart, tuple(coeffs))
+
+
+def exterior_interior(Y: VectorField, alpha: OneForm) -> OneForm:
+    """The contraction i_Y d(alpha): component j is sum_i Y^i (d_i alpha_j - d_j alpha_i)."""
+    chart = _same_chart(Y, alpha)
+    a, n = alpha.coeffs, chart.n
+    return OneForm(chart, tuple(sum((Y.coeffs[i] * (a[j].diff(i) - a[i].diff(j)) for i in range(n)), ZERO)
+                                for j in range(n)))
+
+
+def differential(f, chart) -> OneForm:
+    """The exact one-form df."""
+    return OneForm(chart, tuple(f.diff(j) for j in range(chart.n)))
+
+
+def skew_bracket(a: PontryaginSection, b: PontryaginSection) -> PontryaginSection:
+    """Skew-symmetric bracket
+    ([X, Y], L_X beta - L_Y alpha + (1/2) d(alpha(Y) - beta(X)))."""
+    chart = _same_chart(a.vf, b.vf)
+    X, alpha = a.vf, a.form
+    Y, beta = b.vf, b.form
+    vf = lie_bracket(X, Y)
+    form = (
+        lie_derivative_form(X, beta)
+        - lie_derivative_form(Y, alpha)
+        + differential(alpha.contract(Y) - beta.contract(X), chart) * 0.5
+    )
+    return PontryaginSection(vf, form)
+
+
+def courant_bracket(a: PontryaginSection, b: PontryaginSection) -> PontryaginSection:
+    """Non-skew bracket ([X, Y], L_X beta - i_Y d(alpha))."""
+    _same_chart(a.vf, b.vf)
+    X, alpha = a.vf, a.form
+    Y, beta = b.vf, b.form
+    return PontryaginSection(
+        lie_bracket(X, Y), lie_derivative_form(X, beta) - exterior_interior(Y, alpha)
+    )
+
+
+def leaf_fields(chart) -> tuple:
+    """The leaf fields (d_l, 0), l < chart.leaf_count."""
+    return tuple(PontryaginSection.from_vector(VectorField.coordinate(chart, l)) for l in range(chart.leaf_count))
+
+
+def leaf_directional_derivative(fn, chart, m, l: int, delta: float | None = None):
+    """Fourth-order central finite difference of a point evaluator along
+    the l-th coordinate, with the probe clamped into the box interior so
+    the stencil fits."""
+    points, delta = _stencil(chart, m, l, delta)
+    return _difference([fn(q) for q in points], delta)
 
 
 # -- the evaluator --------------------------------------------------------------
@@ -252,19 +337,6 @@ def intersect_D_Kperp(D, action, m, tol: float = RANK_TOL):
     return [basis[:, i] for i in range(basis.shape[1])], basis.shape[1]
 
 
-def characteristic_distributions(D, m, tol: float = RANK_TOL):
-    n = D.chart.n
-    M = np.column_stack([g(m) for g in D.generators])
-    top, bottom = M[:n], M[n:]
-    rank_top, u_top, vt_top = rank(top, tol, bases=True)
-    rank_bottom, u_bottom, vt_bottom = rank(bottom, tol, bases=True)
-    G1 = [u_top[:, i] for i in range(rank_top)]
-    P1 = [u_bottom[:, i] for i in range(rank_bottom)]
-    G0 = [v for v in (top @ c for c in vt_bottom[rank_bottom:]) if np.linalg.norm(v) > tol]
-    P0 = [v for v in (bottom @ c for c in vt_top[rank_top:]) if np.linalg.norm(v) > tol]
-    return G0, G1, P0, P1
-
-
 def constant_rank_scan(D, action, samples, tol: float = RANK_TOL):
     ranks = []
     for m in samples:
@@ -329,14 +401,15 @@ def supplied_family(D, action, problem, samples, tol) -> Report:
     ])
 
 
-def check_bracket_hypothesis(D, Theta, extra, samples, tol) -> Report:
+def check_bracket_hypothesis(D, extra, samples, tol) -> Report:
     _require_samples(samples)
-    span = GeneralizedDistribution(D.chart, Theta.generators + D.generators)
+    leaves = leaf_fields(D.chart)
+    span = GeneralizedDistribution(D.chart, leaves + D.generators)
     report = Report()
 
     def run_pairs(sections, check_name):
         for i, sec in enumerate(sections):
-            for l, theta in enumerate(Theta.generators):
+            for l, theta in enumerate(leaves):
                 bracket = skew_bracket(theta, sec)
                 pairs = []
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -14,17 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from diracgen.calculus import (
-    OneForm,
-    PontryaginSection,
-    VectorField,
-    courant_bracket,
-    differential,
-    lie_bracket,
-    lie_derivative_form,
-    pairing,
-    skew_bracket,
-)
+from diracgen.calculus import OneForm, PontryaginSection, VectorField, pairing
 from diracgen.dirac import (
     DiracStructure,
     InfinitesimalAction,
@@ -37,15 +27,7 @@ from diracgen.dirac import (
     pushforward_check,
     descending_generators,
 )
-from diracgen.invariant_gen import (
-    FoliatedProblem,
-    build_H,
-    compute_Pi,
-    fundamental_matrix,
-    leaf_directional_derivative,
-    run,
-    transformed_frame,
-)
+from diracgen.invariant_gen import FoliatedProblem, compute_Pi, fundamental_matrix, intermediates, run
 from diracgen.symexpr import ZERO, Chart, Const, parse
 
 from conftest import (
@@ -54,6 +36,14 @@ from conftest import (
     random_points,
     random_section,
     random_vector_field,
+)
+from pointwise import (
+    courant_bracket,
+    differential,
+    leaf_directional_derivative,
+    lie_bracket,
+    lie_derivative_form,
+    skew_bracket,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -237,7 +227,7 @@ def test_criterion_05_step2_leaf_independence():
     worst = 0.0
 
     p1 = e1_problem()
-    frame1 = transformed_frame(p1)
+    frame1 = p1._solver.frame
     for m in p1.chart.sample_points(margin=0.1)[:20]:
         scale = 1.0 + float(np.abs(frame1(m)).max())
         dF = leaf_directional_derivative(frame1, p1.chart, m, 0)
@@ -248,14 +238,14 @@ def test_criterion_05_step2_leaf_independence():
     g1 = section(chart, ("0", "0", f"exp({b1}*x1 + {b2}*x2)", "0"), ("0",) * 4)
     g2 = section(chart, ("0", "0", "0", f"exp({c1}*x1 + {c2}*x2)"), ("0",) * 4)
     p2 = FoliatedProblem(chart=chart, generators=(g1, g2))
-    frame2 = transformed_frame(p2)
+    frame2 = p2._solver.frame
     worst_H = 0.0
     for m in p2.chart.sample_points(margin=0.1)[:20]:
         scale = 1.0 + float(np.abs(frame2(m)).max())
         for l in (0, 1):
             dF = leaf_directional_derivative(frame2, p2.chart, m, l)
             worst = max(worst, float(np.abs(dF[2:]).max()) / scale)
-        H = build_H(p2, m)
+        H = intermediates(p2, [m])[0][0]
         oracle = np.diag([np.exp(b1 * m[0] + b2 * m[1]), np.exp(c1 * m[0] + c2 * m[1])])
         worst_H = max(worst_H, float(np.abs(H - oracle).max()))
     ok = worst <= 1e-5 and worst_H <= 1e-6

@@ -1,24 +1,16 @@
-"""Brackets and Lie derivatives: hand oracles and algebraic identities."""
+"""The pairing, and the symbolic brackets and Lie derivatives of
+tests/pointwise.py (the oracle of the library's brackets): hand oracles
+and algebraic identities."""
 
 import numpy as np
 import pytest
 
-from diracgen.calculus import (
-    OneForm,
-    PontryaginSection,
-    VectorField,
-    courant_bracket,
-    differential,
-    exterior_interior,
-    lie_bracket,
-    lie_derivative_form,
-    pairing,
-    skew_bracket,
-)
+from diracgen.calculus import OneForm, PontryaginSection, VectorField, pairing
 from diracgen.errors import ChartMismatchError
 from diracgen.symexpr import ZERO, Chart, Const, Var, parse
 
 from conftest import make_chart, random_points, random_section, random_vector_field
+from pointwise import courant_bracket, differential, exterior_interior, lie_bracket, lie_derivative_form, skew_bracket
 
 
 @pytest.fixture

@@ -165,6 +165,46 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert lines[-1] == "verdict: pass" and all(line.startswith("[pass] ") for line in lines[:-1])
 
+    def test_overlong_exponent_is_input_error(self, tmp_path):
+        # int() raises a bare ValueError above 4300 digits; the parser rejects
+        # every exponent longer than the largest float's 309 digits first
+        def edit(data):
+            data["sections"]["D"][0]["vector"][2] = "x1^" + "9" * 5000
+
+        code, out, err = _main_in_process(["check", edited(tmp_path, "e1.json", edit)])
+        assert code == 2
+        assert err.splitlines() == ["input error: sections.D[0].vector[2]: integer exponent of 5000 digits, "
+                                    "more than 309 (at position 3)"]
+        assert records(out)[-1]["exit_code"] == 2
+
+    def test_overflowing_partial_the_bracket_never_reads(self, tmp_path):
+        # the x2-partial of 3.2e306*exp(4*x2) overflows at most samples, its
+        # value and its x1-partial do not: the bracket with the leaf field d1
+        # reads only x1-partials, so the hypothesis fails (exit 1); a bracket
+        # from all partials of the sections would break down (exit 3) instead
+        def edit(data):
+            data["sections"]["D"][0]["vector"][2] = "3.2e306*exp(4*x2)"
+
+        code, out, err = _main_in_process(["check", edited(tmp_path, "e1.json", edit)])
+        assert code == 1
+        assert err.splitlines() == ["[FAIL] bracket-hypothesis-generators[0,0]: worst residual 7.532e-01 (tol 1.0e-07)",
+                                    "verdict: FAIL (checks)"]
+
+    @pytest.mark.parametrize("slot, expr, message", [
+        # the x1-partial of the component, a row of the bracket with d1, overflows
+        ("vector", "exp(1000*x1)", "overflow evaluating exp(1000.0*x1)*1000.0 at [0.7693365420419682, "
+                                   "0.29686717516911143, 0.24073484202850604]"),
+        # every bracket row evaluates at every sample before the span meets x3/x2
+        ("form", "x3/x2", "division by zero in x3/x2 at [-0.5, 0.0, -0.5]"),
+    ])
+    def test_breakdown_in_the_bracket_hypothesis(self, tmp_path, slot, expr, message):
+        def edit(data):
+            data["sections"]["D"][0][slot][2] = expr
+
+        code, out, err = _main_in_process(["check", edited(tmp_path, "e1.json", edit)])
+        assert code == 3
+        assert err.splitlines() == [f"numerical breakdown: {message}"]
+
     def test_degenerate_box_is_input_error(self, tmp_path):
         def edit(data):
             data["chart"]["box"][1] = [0.5, 0.5]
@@ -648,6 +688,11 @@ def test_reduction_does_not_import_numpy_ma(name):
 def test_readme_python_example_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(block)
+    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used == set()  # the example imports only what it uses
     out = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, cwd=ROOT)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == "True"

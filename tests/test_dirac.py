@@ -1,4 +1,5 @@
-"""Dirac structures, characteristic data, and the reduction pipeline."""
+"""Dirac structures, their intersection with the vertical orthogonal, and
+the reduction pipeline."""
 
 import os
 import subprocess
@@ -8,15 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diracgen.calculus import (
-    OneForm,
-    PontryaginSection,
-    VectorField,
-    _components,
-    courant_bracket,
-    lie_bracket,
-    lie_derivative_form,
-)
+from diracgen.calculus import OneForm, PontryaginSection, VectorField, _components
 from diracgen import dirac
 from diracgen.dirac import (
     DiracStructure,
@@ -25,17 +18,14 @@ from diracgen.dirac import (
     QuotientMap,
     _courant,
     _Sections,
-    characteristic_distributions,
     constant_rank_scan,
     descending_generators,
     graph_of_poisson,
-    intersect_D_Kperp,
     invariant_annihilator_generators,
     is_closed,
     least_squares,
     push_frame,
     pushforward_check,
-    vertical_and_K,
 )
 from diracgen.distribution import GeneralizedDistribution
 from diracgen.errors import EvalDomainError, InputError, NumericalBreakdownError, VerificationError
@@ -47,6 +37,7 @@ from conftest import (
     box_point,
     cubic_quotient,
     linear_quotient,
+    intersections,
     make_chart,
     random_expr,
     random_points,
@@ -54,7 +45,7 @@ from conftest import (
     random_vector_field,
     wide_quotient,
 )
-from pointwise import contains, matrix_at, span_residual
+from pointwise import contains, courant_bracket, lie_bracket, lie_derivative_form, matrix_at, span_residual
 
 
 def section(chart, vec, form):
@@ -199,7 +190,7 @@ _replacements = st.lists(st.tuples(st.integers(0, 15), st.sampled_from([0.0, 1.0
 
 class TestOneBracket:
     """dirac forms every bracket with _courant on 1-jets; on exact jets it
-    is bit-identical to the symbolic calculus.courant_bracket."""
+    is bit-identical to the symbolic courant_bracket of tests/pointwise.py."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 4), st.integers(0, 4),
@@ -250,78 +241,24 @@ class TestOneBracket:
         assert [r.as_dict() for r in got] == [want.as_dict()]
 
 
-class TestCharacteristicDistributions:
-    def test_symplectic_plane(self, chart2):
-        D = graph_of_poisson(canonical_pi(chart2))
-        G0, G1, P0, P1 = characteristic_distributions(D, np.zeros(2))
-        assert len(G1) == 2 and len(G0) == 0
-        assert len(P1) == 2 and len(P0) == 0
-
-    def test_zero_bivector(self, chart2):
-        D = graph_of_poisson(PoissonBivector(chart2, ((0.0, 0.0), (0.0, 0.0))))
-        G0, G1, P0, P1 = characteristic_distributions(D, np.zeros(2))
-        assert len(G1) == 0
-        assert len(P1) == 2
-
-    def test_rank_two_pi_on_r3(self):
-        chart = make_chart(3)
-        pi = PoissonBivector(
-            chart,
-            ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        )
-        D = graph_of_poisson(pi)
-        G0, G1, P0, P1 = characteristic_distributions(D, np.zeros(3))
-        span = np.array(G1)
-        assert len(G1) == 2
-        assert np.abs(span[:, 2]).max() < 1e-12  # G1 = span{d1, d2}
-        assert len(G0) == 0
-        assert len(P0) == 1
-        assert np.abs(P0[0][:2]).max() < 1e-12  # P0 = span{dx3}
-
-
-class TestVerticalAndK:
-    def test_rotation(self):
-        chart = Chart(coord_names=("x1", "x2"), leaf_count=0,
-                      box=((0.5, 1.5), (-0.5, 0.5)))
-        xi = VectorField(chart, (parse("0 - x2", chart), parse("x1", chart)))
-        action = InfinitesimalAction(chart, (xi,))
-        V, K, vperp = vertical_and_K(action)
-        basis = vperp(np.array([1.0, 0.0]))
-        assert len(basis) == 1
-        assert abs(basis[0][1]) < 1e-12  # dx1 direction
-
-    def test_trivial_action(self, chart2):
-        action = InfinitesimalAction(chart2, ())
-        V, K, vperp = vertical_and_K(action)
-        assert len(vperp(np.zeros(2))) == 2
-
-    def test_translation(self, chart2):
-        action = InfinitesimalAction(chart2, (VectorField.coordinate(chart2, 0),))
-        _, _, vperp = vertical_and_K(action)
-        for m in random_points(np.random.default_rng(0), chart2, 5):
-            basis = vperp(m)
-            assert len(basis) == 1
-            assert abs(basis[0][0]) < 1e-12
-
-
 class TestIntersectDKperp:
     def test_trivial_action_gives_D(self, chart2):
         D = graph_of_poisson(canonical_pi(chart2))
         action = InfinitesimalAction(chart2, ())
-        _, rank = intersect_D_Kperp(D, action, np.zeros(2))
+        [(_, rank)] = intersections(D, action, [np.zeros(2)])
         assert rank == 2
 
     def test_zero_pi_translation(self, chart2):
         D = graph_of_poisson(PoissonBivector(chart2, ((0.0, 0.0), (0.0, 0.0))))
         action = InfinitesimalAction(chart2, (VectorField.coordinate(chart2, 0),))
-        basis, rank = intersect_D_Kperp(D, action, np.array([0.3, -0.1]))
+        [(basis, rank)] = intersections(D, action, [np.array([0.3, -0.1])])
         assert rank == 1
         assert abs(basis[0][2]) < 1e-12  # form part has no dx1 component
 
     def test_canonical_translation(self, chart2):
         D = graph_of_poisson(canonical_pi(chart2))
         action = InfinitesimalAction(chart2, (VectorField.coordinate(chart2, 0),))
-        basis, rank = intersect_D_Kperp(D, action, np.zeros(2))
+        [(basis, rank)] = intersections(D, action, [np.zeros(2)])
         assert rank == 1
         w = basis[0]
         # span{(d1, dx2)}

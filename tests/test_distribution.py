@@ -10,20 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.distribution import (
     GeneralizedDistribution,
+    _leaf_bracket,
     _norms,
-    TangentDistribution,
-    annihilator_basis,
     check_bracket_hypothesis,
-    pointwise_orthogonal_basis,
     span_defects,
     span_residuals,
     svd_rank,
 )
-from diracgen.errors import InputError
-from diracgen.symexpr import parse
+from diracgen.errors import ChartMismatchError, InputError
+from diracgen.symexpr import CompiledExprs, parse
 
-from conftest import make_chart, random_points
-from pointwise import contains, membership_residual, rank_at
+from conftest import make_chart, random_expr, random_points
+from pointwise import contains, leaf_fields, membership_residual, rank_at, skew_bracket
 
 
 def section(chart, vec, form):
@@ -233,120 +231,17 @@ class TestNorms:
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
 
-class TestOrthogonal:
-    def test_one_dimensional_isotropic(self):
-        chart = make_chart(1)
-        D = GeneralizedDistribution(
-            chart, (section(chart, ("1",), ("0",)),)
-        )
-        basis = pointwise_orthogonal_basis(D, np.zeros(1))
-        # (d1, 0) pairs to zero with itself, so it lies in its own orthogonal
-        assert len(basis) == 1
-        assert abs(basis[0][1]) < 1e-12  # no form component in the orthogonal
-
-    def test_full_rank_has_trivial_orthogonal(self, chart2):
-        gens = tuple(
-            section(chart2, vec, form)
-            for vec, form in [
-                (("1", "0"), ("0", "0")),
-                (("0", "1"), ("0", "0")),
-                (("0", "0"), ("1", "0")),
-                (("0", "0"), ("0", "1")),
-            ]
-        )
-        D = GeneralizedDistribution(chart2, gens)
-        assert pointwise_orthogonal_basis(D, np.zeros(2)) == []
-
-    def test_lagrangian_is_self_orthogonal(self, chart2):
-        D = GeneralizedDistribution(
-            chart2,
-            (
-                section(chart2, ("0", "-1"), ("1", "0")),
-                section(chart2, ("1", "0"), ("0", "1")),
-            ),
-        )
-        m = np.array([0.3, -0.2])
-        basis = pointwise_orthogonal_basis(D, m)
-        assert len(basis) == 2
-        for w in basis:
-            assert contains(D, m, w, 1e-9)
-
-    def test_double_orthogonal_returns_span(self, chart2, rng):
-        D = GeneralizedDistribution(
-            chart2,
-            (
-                section(chart2, ("x1", "1"), ("0", "x2")),
-                section(chart2, ("0", "0"), ("1", "0")),
-            ),
-        )
-        for m in random_points(rng, chart2, 5):
-            first = pointwise_orthogonal_basis(D, m)
-            helper = GeneralizedDistribution(
-                chart2,
-                tuple(
-                    PontryaginSection(
-                        VectorField(chart2, tuple(float(v) for v in w[:2])),
-                        OneForm(chart2, tuple(float(v) for v in w[2:])),
-                    )
-                    for w in first
-                ),
-            )
-            second = pointwise_orthogonal_basis(helper, m)
-            assert len(second) == len(D.generators)
-            for w in second:
-                assert contains(D, m, w, 1e-9)
-            # mutual containment: original generators lie in the double orthogonal
-            span2 = np.array(second)
-            for g in D.generators:
-                v = g(m)
-                coeff, *_ = np.linalg.lstsq(span2.T, v, rcond=None)
-                assert np.linalg.norm(span2.T @ coeff - v) < 1e-9
-
-
-class TestAnnihilator:
-    def test_coordinate_field(self, chart3):
-        T = TangentDistribution(chart3, (VectorField.coordinate(chart3, 0),))
-        basis = annihilator_basis(T, np.zeros(3))
-        assert len(basis) == 2
-        for eta in basis:
-            assert abs(eta[0]) < 1e-12
-
-    def test_rotation_at_point(self, chart2):
-        box = ((-2.0, 2.0), (-2.0, 2.0))
-        chart = make_chart(2, box=box)
-        V = TangentDistribution(
-            chart, (VectorField(chart, (parse("0 - x2", chart), parse("x1", chart))),)
-        )
-        basis = annihilator_basis(V, np.array([1.0, 0.0]))
-        assert len(basis) == 1
-        # at (1, 0) the generator is d2, so the annihilator is dx1
-        assert abs(basis[0][1]) < 1e-12
-        assert abs(basis[0][0]) == pytest.approx(1.0)
-
-    def test_full_rank_empty(self, chart2):
-        T = TangentDistribution(
-            chart2,
-            (VectorField.coordinate(chart2, 0), VectorField.coordinate(chart2, 1)),
-        )
-        assert annihilator_basis(T, np.zeros(2)) == []
-
-
 class TestBracketHypothesis:
-    def theta(self, chart, k):
-        return GeneralizedDistribution(
-            chart,
-            tuple(
-                PontryaginSection.from_vector(VectorField.coordinate(chart, l))
-                for l in range(k)
-            ),
-        )
+    @pytest.fixture
+    def chart3(self):
+        return make_chart(3, k=1)
 
     def test_exp_example_passes(self, chart3, rng):
         D = GeneralizedDistribution(
             chart3, (section(chart3, ("0", "exp(x1)", "0"), ("0", "exp(x1)", "0")),)
         )
         samples = random_points(rng, chart3, 10)
-        report = check_bracket_hypothesis(D, self.theta(chart3, 1), None, samples, 1e-9)
+        report = check_bracket_hypothesis(D, None, samples, 1e-9)
         assert report.passed
 
     def test_extra_section_passes(self, chart3, rng):
@@ -359,7 +254,7 @@ class TestBracketHypothesis:
         )
         extra = section(chart3, ("0", "x1", "0"), ("0", "0", "x1"))
         samples = random_points(rng, chart3, 10)
-        report = check_bracket_hypothesis(D, self.theta(chart3, 1), extra, samples, 1e-9)
+        report = check_bracket_hypothesis(D, extra, samples, 1e-9)
         assert report.passed
 
     def test_violating_extra_fails(self, chart3, rng):
@@ -368,7 +263,72 @@ class TestBracketHypothesis:
         )
         extra = section(chart3, ("0", "0", "x1"), ("0", "0", "0"))
         samples = random_points(rng, chart3, 10)
-        report = check_bracket_hypothesis(D, self.theta(chart3, 1), extra, samples, 1e-9)
+        report = check_bracket_hypothesis(D, extra, samples, 1e-9)
         failures = report.failures()
         assert failures
         assert all(f.check.startswith("bracket-hypothesis-extra") for f in failures)
+
+    def test_each_leaf_field_has_its_records(self, rng):
+        # on a chart with two leaf coordinates, d2 of the dx3 part x2 leaves
+        # the span of d1, d2 and (d3, x2 dx3); d1 of the generator is 0
+        chart = make_chart(3, k=2)
+        D = GeneralizedDistribution(chart, (section(chart, ("0", "0", "1"), ("0", "0", "x2")),))
+        report = check_bracket_hypothesis(D, None, random_points(rng, chart, 5), 1e-9)
+        assert [(r.check, r.passed) for r in report] == [("bracket-hypothesis-generators[0,0]", True),
+                                                          ("bracket-hypothesis-generators[0,1]", False)]
+
+    def test_generators_over_another_chart_are_rejected(self, chart3):
+        with pytest.raises(ChartMismatchError):
+            GeneralizedDistribution(chart3, (section(make_chart(2), ("0", "1"), ("0", "0")),))
+
+    def test_no_leaf_fields_no_records(self, rng):
+        chart = make_chart(3)
+        D = GeneralizedDistribution(chart, (section(chart, ("0", "x1", "0"), ("0", "0", "x1")),))
+        assert list(check_bracket_hypothesis(D, None, random_points(rng, chart, 3), 1e-9)) == []
+
+
+def _component(rng, chart, kind: str):
+    """An expression of the given kind: a random tree, structurally zero,
+    zero but not structurally, or with a negated variable or a quotient, whose
+    partials fold to -0.0 or keep a Div node."""
+    n = chart.n
+    i, j = (int(v) for v in rng.integers(1, n + 1, size=2))
+    text = {"zero": "0", "x2 - x2": "x2 - x2", "neg": f"-x{i}", "div": f"x{i}/(3 + x{j})"}.get(kind)
+    return random_expr(rng, chart) if text is None else parse(text, chart)
+
+
+class TestLeafRows:
+    """check_bracket_hypothesis forms each bracket [(d_l, 0), s] as rows of
+    leaf derivatives (_leaf_bracket): each row is the tree that the symbolic
+    skew bracket of tests/pointwise.py folds to, with the same values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+    def test_rows_are_the_symbolic_skew_bracket(self, seed, n, data):
+        k = data.draw(st.integers(1, n - 1), label="k")
+        leaf_kinds = data.draw(st.lists(st.sampled_from(["zero", "x2 - x2", "random"]), min_size=k, max_size=k),
+                               label="leaf form components")
+        kinds = data.draw(st.lists(st.sampled_from(["random", "zero", "neg", "div"]), min_size=2 * n - k,
+                                   max_size=2 * n - k), label="other components")
+        rng = np.random.default_rng(seed)
+        chart = make_chart(n, k=k)
+        comps = [_component(rng, chart, kind) for kind in kinds[:n] + leaf_kinds + kinds[n:]]
+        s = PontryaginSection(VectorField(chart, tuple(comps[:n])), OneForm(chart, tuple(comps[n:])))
+        points = np.array(random_points(rng, chart, 3))
+        for l, theta in enumerate(leaf_fields(chart)):
+            rows = _leaf_bracket(s, l)
+            oracle = skew_bracket(theta, s)
+            want = [*oracle.vf.coeffs, *oracle.form.coeffs]
+            assert [str(e) for e in rows] == [str(e) for e in want]
+            assert rows == want
+            values = CompiledExprs(rows)(points)
+            assert values.T.tobytes() == np.array([oracle(m) for m in points]).tobytes()
+
+    def test_negative_zero_partials_fold_to_zero(self):
+        # d_1 of -x3 is the constant -0.0; the skew bracket's sums give 0.0
+        chart = make_chart(3, k=1)
+        s = section(chart, ("0", "-x3", "x1"), ("x2 - x2", "-x3", "0"))
+        rows = _leaf_bracket(s, 0)
+        assert [str(e) for e in rows] == ["0.0", "0.0", "1.0", "0.0", "0.0", "0.0"]
+        assert not any(np.signbit(CompiledExprs(rows)(np.zeros((1, 3)))[:, 0]))
+

@@ -16,20 +16,17 @@ from diracgen.invariant_gen import (
     FoliatedProblem,
     _decompose,
     _householder,
-    build_B,
-    build_H,
     compute_Pi,
-    beta_fields,
     fundamental_matrix,
-    leaf_directional_derivative,
+    intermediates,
     run,
     solve_coefficients,
     split_tilde,
-    transformed_frame,
 )
 from diracgen.symexpr import MAX_SAMPLES, Chart, CompiledExprs, parse
 
 from conftest import make_chart, random_points
+from pointwise import leaf_directional_derivative
 
 
 def section(chart, vec, form):
@@ -42,6 +39,21 @@ def section(chart, vec, form):
 @pytest.fixture
 def chart3():
     return make_chart(3, k=1)
+
+
+def H_at(p, m):
+    return intermediates(p, [m])[0][0]
+
+
+def B_at(p, m):
+    return intermediates(p, [m])[1][0]
+
+
+def beta_fields(p, m):
+    """sigma (k x k, over the leaf fields) and beta (k x r, over the
+    generators) of the leaf derivatives of the extra section at m."""
+    beta, sigma = p._solver._beta(p._solver._checked([m]), with_sigma=True)
+    return sigma[0], beta[0]
 
 
 def e1_problem(chart3, **kw):
@@ -148,15 +160,15 @@ class TestFundamentalMatrix:
         assert np.abs(fd - rhs).max() < 1e-6
 
 
-class TestBuildH:
+class TestH:
     def test_k1_equals_W(self, chart3):
         p = e1_problem(chart3)
         m = np.array([0.5, -0.1, 0.3])
-        assert np.allclose(build_H(p, m), fundamental_matrix(p, 0, m))
+        assert np.allclose(H_at(p, m), fundamental_matrix(p, 0, m))
 
     def test_constant_generators_identity(self, chart3):
         p = e2_problem(chart3)
-        assert np.allclose(build_H(p, np.array([0.4, 0.2, -0.6])), np.eye(2))
+        assert np.allclose(H_at(p, np.array([0.4, 0.2, -0.6])), np.eye(2))
 
     def test_k2_commuting_diagonal(self):
         chart = make_chart(4, k=2)
@@ -173,42 +185,42 @@ class TestBuildH:
         )
         p = FoliatedProblem(chart=chart, generators=(g1, g2))
         m = np.array([0.6, -0.5, 0.1, 0.2])
-        H = build_H(p, m)
+        H = H_at(p, m)
         expected = np.diag(
             [np.exp(b1 * m[0] + b2 * m[1]), np.exp(c1 * m[0] + c2 * m[1])]
         )
         assert np.allclose(H, expected, atol=1e-8)
 
-    def test_build_B_inverts_H_transpose(self, chart3, rng):
+    def test_B_inverts_H_transpose(self, chart3, rng):
         p = e1_problem(chart3)
         for m in random_points(rng, chart3, 5):
-            assert np.allclose(build_B(p, m) @ build_H(p, m).T, np.eye(1), atol=1e-10)
+            assert np.allclose(B_at(p, m) @ H_at(p, m).T, np.eye(1), atol=1e-10)
 
 
-class TestTransformedFrame:
+class TestFrame:
     def test_e1_constant_frame(self, chart3, rng):
         p = e1_problem(chart3)
-        frame = transformed_frame(p)
+        frame = p._solver.frame
         expected = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
         for m in random_points(rng, chart3, 8):
             assert np.allclose(frame(m).ravel(), expected, atol=1e-8)
 
     def test_constant_generators_unchanged(self, chart3):
         p = e2_problem(chart3)
-        frame = transformed_frame(p)
+        frame = p._solver.frame
         m = np.array([0.3, 0.7, -0.2])
         G = np.column_stack([g(m) for g in p.generators])
         assert np.allclose(frame(m), G)
 
     def test_leaf_invariance_by_differences(self, chart3, rng):
         p = e1_problem(chart3)
-        frame = transformed_frame(p)
+        frame = p._solver.frame
         for m in random_points(rng, chart3, 4):
             dF = leaf_directional_derivative(frame, chart3, m, 0)
             assert np.abs(dF[1:]).max() < 1e-6  # transverse and form rows
 
 
-class TestBetaFields:
+class TestBetaDecomposition:
     def test_e2_decomposition(self, chart3):
         p = e2_problem(chart3)
         sigma, beta = beta_fields(p, np.array([0.4, 0.0, 0.0]))
@@ -280,7 +292,7 @@ class TestComputePi:
         dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
         T = np.array([[e.eval(m) for e in row] for row in solver.tilde_exprs])
         _, beta = beta_fields(p, m)
-        lhs = T @ build_B(p, m) @ dR
+        lhs = T @ B_at(p, m) @ dR
         rhs = T @ beta[0]
         assert np.allclose(lhs, rhs, atol=1e-6)
 
@@ -695,8 +707,8 @@ class TestBatchedAgainstPointwise:
         for m in points:
             for j in range(p.k):
                 np.testing.assert_allclose(fundamental_matrix(p, j, m), ref.W(j, m), rtol=1e-13, atol=0)
-            np.testing.assert_allclose(build_B(p, m), ref.Bmat(m), rtol=1e-13, atol=0)
-            np.testing.assert_allclose(transformed_frame(p)(m), ref.frame(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(B_at(p, m), ref.Bmat(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(p._solver.frame(m), ref.frame(m), rtol=1e-13, atol=0)
             if p.extra is not None:
                 np.testing.assert_allclose(compute_Pi(p, m), ref.Pi(m), rtol=1e-13, atol=0)
 

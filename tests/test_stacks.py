@@ -15,11 +15,9 @@ from diracgen.dirac import (
     InfinitesimalAction,
     PoissonBivector,
     QuotientMap,
-    characteristic_distributions,
     constant_rank_scan,
     descending_generators,
     graph_of_poisson,
-    intersect_D_Kperp,
     invariant_annihilator_generators,
     is_closed,
     least_squares,
@@ -34,6 +32,7 @@ from diracgen.symexpr import Chart, CompiledExprs, parse
 from conftest import (
     box_point,
     cubic_quotient,
+    intersections,
     linear_quotient,
     make_chart,
     random_expr,
@@ -154,10 +153,8 @@ class TestStackedEqualsPointwise:
         assert same(lambda: q.validate(action, samples), lambda: pointwise.quotient_validate(q, action, samples))
         assert same(lambda: constant_rank_scan(D, action, samples),
                     lambda: pointwise.constant_rank_scan(D, action, samples))
-        for m in samples[:2]:
-            assert same(lambda: intersect_D_Kperp(D, action, m), lambda: pointwise.intersect_D_Kperp(D, action, m))
-            assert same(lambda: characteristic_distributions(D, m),
-                        lambda: pointwise.characteristic_distributions(D, m))
+        assert same(lambda: intersections(D, action, samples),
+                    lambda: [pointwise.intersect_D_Kperp(D, action, m) for m in samples])
         if red.negative:
             record, _ = constant_rank_scan(D, action, samples)
             assert not record.passed
@@ -169,10 +166,9 @@ class TestStackedEqualsPointwise:
                                                                                        problem.tol))
         assert same(lambda: pushforward_check(D, action, q, result, samples=samples, seed=seed),
                     lambda: pointwise.pushforward_check(D, action, q, result, samples, seed=seed))
-        theta = GeneralizedDistribution(red.chart, (PontryaginSection.from_vector(VectorField.coordinate(red.chart, 0)),))
         family = GeneralizedDistribution(red.chart, red.family)
-        assert same(lambda: check_bracket_hypothesis(family, theta, D.generators[0], samples, 1e-9),
-                    lambda: pointwise.check_bracket_hypothesis(family, theta, D.generators[0], samples, 1e-9))
+        assert same(lambda: check_bracket_hypothesis(family, D.generators[0], samples, 1e-9),
+                    lambda: pointwise.check_bracket_hypothesis(family, D.generators[0], samples, 1e-9))
 
 
 def _reduce(red, problem, samples, seed=0) -> list:
@@ -180,8 +176,7 @@ def _reduce(red, problem, samples, seed=0) -> list:
     samples, as outcome bytes."""
     D, action, q = red.D, red.action, red.q
     checks = [lambda: D.validate(samples), lambda: action.validate(samples), lambda: q.validate(action, samples),
-              lambda: is_closed(D, samples), lambda: constant_rank_scan(D, action, samples),
-              lambda: intersect_D_Kperp(D, action, samples[-1]), lambda: characteristic_distributions(D, samples[0])]
+              lambda: is_closed(D, samples), lambda: constant_rank_scan(D, action, samples)]
     if problem is not None:
         def reduced():
             result = descending_generators(D, action, problem, samples=samples)
@@ -268,6 +263,22 @@ class TestOneProgramPerInput:
         assert kept is not None and red.action._program._last is kept
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+def test_bracket_hypothesis_reads_every_leaf_field(seed, n, data):
+    """The hypothesis on charts with k = 1..n-1 leaf coordinates, with an
+    extra section: the brackets with each leaf field (d_l, 0), l < k."""
+    k = data.draw(st.integers(1, n - 1), label="k")
+    rng = np.random.default_rng(seed)
+    chart = make_chart(n, k=k)
+    family = GeneralizedDistribution(chart, tuple(random_section(rng, chart, annihilate=k)
+                                                  for _ in range(data.draw(st.integers(1, 3), label="r"))))
+    extra = random_section(rng, chart, annihilate=k)
+    samples = random_points(rng, chart, 4)
+    assert outcome(lambda: check_bracket_hypothesis(family, extra, samples, 1e-9)) == outcome(
+        lambda: pointwise.check_bracket_hypothesis(family, extra, samples, 1e-9))
+
+
 def _without_x1(rng, chart):
     """A random expression in x2..xn of chart."""
     sub = make_chart(chart.n - 1)
@@ -295,10 +306,8 @@ class TestRandomSections:
         assert same(lambda: q.validate(action, samples), lambda: pointwise.quotient_validate(q, action, samples))
         assert same(lambda: constant_rank_scan(D, action, samples),
                     lambda: pointwise.constant_rank_scan(D, action, samples))
-        for m in samples[:2]:
-            assert same(lambda: intersect_D_Kperp(D, action, m), lambda: pointwise.intersect_D_Kperp(D, action, m))
-            assert same(lambda: characteristic_distributions(D, m),
-                        lambda: pointwise.characteristic_distributions(D, m))
+        assert same(lambda: intersections(D, action, samples),
+                    lambda: [pointwise.intersect_D_Kperp(D, action, m) for m in samples])
         columns = [random_section(rng, chart) for _ in range(r + 1)]
 
         def frame(m):  # C-contiguous, as a batch of frames is: a product's rounding follows the layout
@@ -307,10 +316,9 @@ class TestRandomSections:
         assert same(lambda: pushforward_check(D, action, q, frame, samples=samples, seed=seed, check_closedness=False),
                     lambda: pointwise.pushforward_check(D, action, q, frame, samples, seed=seed,
                                                         check_closedness=False))
-        theta = GeneralizedDistribution(chart, (PontryaginSection.from_vector(VectorField.coordinate(chart, 0)),))
         family = GeneralizedDistribution(chart, tuple(columns))
-        assert same(lambda: check_bracket_hypothesis(family, theta, columns[0], samples, 1e-9),
-                    lambda: pointwise.check_bracket_hypothesis(family, theta, columns[0], samples, 1e-9))
+        assert same(lambda: check_bracket_hypothesis(family, columns[0], samples, 1e-9),
+                    lambda: pointwise.check_bracket_hypothesis(family, columns[0], samples, 1e-9))
         # an x1-independent family with no dx1 part, straightened unchanged
         members = tuple(
             PontryaginSection(VectorField(chart, tuple(_without_x1(rng, chart) for _ in range(n))),
@@ -454,7 +462,6 @@ def _two_failures():
     family = (section(chart, ("1", "0"), ("0", "1")),)
     bad_family = (section(chart, ("1", "1/x2"), ("0", "1")),)
     frame = descending_generators(D, action, FoliatedProblem(chart=chart, generators=family), samples=samples)
-    theta = GeneralizedDistribution(chart, (PontryaginSection.from_vector(VectorField.coordinate(chart, 0)),))
     pi = PoissonBivector(chart, ((parse("0", chart), parse("1/x2", chart)), (parse("-1/x2", chart), parse("0", chart))))
     problem = FoliatedProblem(chart=chart, generators=bad_family)
     lift_q = QuotientMap(chart, Chart(coord_names=("y",), box=((-2.0, 2.0),)),
@@ -482,10 +489,9 @@ def _two_failures():
                       lambda: pointwise.constant_rank_scan(bad_D, action, samples)),
         "descending": (lambda: descending_generators(D, action, problem, samples=samples),
                        lambda: pointwise.supplied_family(D, action, problem, samples, 1e-7)),
-        "hypothesis": (lambda: check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), theta, None,
-                                                        samples, 1e-9),
-                       lambda: pointwise.check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), theta,
-                                                                  None, samples, 1e-9)),
+        "hypothesis": (lambda: check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), None, samples, 1e-9),
+                       lambda: pointwise.check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), None,
+                                                                  samples, 1e-9)),
         "pushforward": (lambda: pushforward_check(D, action, bad_q, frame, samples=samples),
                         lambda: pointwise.pushforward_check(D, action, bad_q, frame, samples)),
     }
@@ -615,7 +621,6 @@ def _no_samples():
     problem = FoliatedProblem(chart=chart, generators=(section(chart, ("1", "0"), ("0", "1")),))
     forms = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "1")),))
     result = run(problem)
-    theta = GeneralizedDistribution(chart, (PontryaginSection.from_vector(VectorField.coordinate(chart, 0)),))
     return {
         "DiracStructure.validate": lambda: D.validate([]),
         "InfinitesimalAction.validate": lambda: action.validate([]),
@@ -626,7 +631,7 @@ def _no_samples():
         "descending_generators": lambda: descending_generators(D, action, problem, samples=[]),
         "invariant_annihilator_generators": lambda: invariant_annihilator_generators(action, forms, samples=[]),
         "pushforward_check": lambda: pushforward_check(D, action, q, result, samples=[]),
-        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(GeneralizedDistribution(D.chart, D.generators), theta, None, [], 1e-9),
+        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(GeneralizedDistribution(D.chart, D.generators), None, [], 1e-9),
         "run": lambda: run(problem, samples=[]),
     }
 

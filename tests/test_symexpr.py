@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracgen.calculus import OneForm, PontryaginSection, VectorField, courant_bracket, skew_bracket
+from diracgen.calculus import OneForm, PontryaginSection, VectorField
+from diracgen.distribution import _leaf_bracket
 from diracgen.errors import (
     EvalDomainError,
     ExprSyntaxError,
@@ -34,7 +35,7 @@ from diracgen.symexpr import (
 )
 
 from conftest import make_chart, random_expr, random_points
-from pointwise import expr_value
+from pointwise import courant_bracket, expr_value, skew_bracket
 
 
 @pytest.fixture
@@ -101,6 +102,18 @@ class TestParseEval:
         with pytest.raises(InputError):
             parse("x1^1.5", chart3)
 
+    @pytest.mark.parametrize("digits", [310, 5000])  # int() itself refuses more than 4300 digits
+    def test_exponent_above_309_digits_is_a_syntax_error(self, chart3, digits):
+        with pytest.raises(ExprSyntaxError, match=f"integer exponent of {digits} digits, more than 309") as exc:
+            parse("x1^-" + "9" * digits, chart3)
+        assert exc.value.position == 4
+
+    def test_exponent_of_309_digits_is_read(self, chart3):
+        # leading zeros count as digits; one above the largest float is rejected by the power itself
+        assert parse("x1^" + "0" * 308 + "3", chart3) == parse("x1^3", chart3)
+        with pytest.raises(InputError, match="beyond the largest float"):
+            parse("x1^" + "9" * 309, chart3)
+
 
 def _nest(pattern: str, depth: int, leaf: str = "x1") -> str:
     for _ in range(depth):
@@ -139,6 +152,7 @@ class TestDepthCap:
         e = parse(text, chart3)
         s = PontryaginSection(VectorField(chart3, (e, e, e)), OneForm(chart3, (e, e, e)))
         exprs = [c for b in (courant_bracket(s, s), skew_bracket(s, s)) for c in (*b.vf.coeffs, *b.form.coeffs)]
+        exprs += _leaf_bracket(s, 0)
         hash(tuple(exprs))
         m = np.array([0.1, 0.2, 0.3])
         values, _ = CompiledExprs(exprs).evaluate(m[None])
