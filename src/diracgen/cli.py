@@ -27,7 +27,7 @@ from .dirac import (
 )
 from .distribution import GeneralizedDistribution, check_bracket_hypothesis
 from .errors import DiracgenError, EvalDomainError, InputError, NumericalBreakdownError, VerificationError
-from .invariant_gen import FoliatedProblem, intermediates, require_positive, run as run_invariant, split_tilde
+from .invariant_gen import FoliatedProblem, require_positive, run as run_invariant, split_tilde
 from .report import Report
 from .symexpr import Chart, parse
 
@@ -349,21 +349,18 @@ def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, 
     )
     result = run_invariant(problem, samples=samples)
     out.checks(result.report)
-    # one batch each, bit-identical to result.frame(m) and result.combined(m)
-    frames = result.frames(samples)
-    if result.combined is not None:
-        combined = problem._solver.extra_values(samples) + problem._solver.corrections(samples)
     for i, m in enumerate(samples):
-        rec = {"record": "frame", "point": m.tolist(), "columns": frames[i].T.tolist()}
-        if result.combined is not None:
-            rec["combined"] = combined[i].tolist()
+        rec = {"record": "frame", "point": m.tolist(), "columns": result.sample_frames[i].T.tolist()}
+        if result.sample_combined is not None:
+            rec["combined"] = result.sample_combined[i].tolist()
         out.line(rec)
     if args.dump_intermediates:
-        H, B, Pi = intermediates(problem, samples)
+        H = problem._solver._H(result.samples)  # from the Step-2 grids run() grew
         for i, m in enumerate(samples):
-            rec = {"record": "intermediates", "point": m.tolist(), "H": H[i].tolist(), "B": B[i].tolist()}
-            if Pi is not None:
-                rec["Pi"] = Pi[i].tolist()
+            rec = {"record": "intermediates", "point": m.tolist(), "H": H[i].tolist(),
+                   "B": result.sample_B[i].tolist()}
+            if result.sample_Pi is not None:
+                rec["Pi"] = result.sample_Pi[i].tolist()
             out.line(rec)
     return out.verdict(result.report.passed)
 

@@ -26,7 +26,9 @@ with values bit-identical to evaluating one point at a time.  Steps 1 and
 one residual check (_decompose); Steps 2 and 4 group their points into
 coordinate lines the same way (_group_lines).  In Step 2, Step 1 runs once
 per distinct RK4 node, each step applies its propagator Phi = RK4(B, I, h),
-and a point within rounding of a grid node reads it.
+and a point within rounding of a grid node reads it.  Step 2's grids are
+the only line state a solver keeps: each Step-4 call sums the full panels
+of its lines from the zero slice.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -59,7 +61,6 @@ __all__ = [
     "split_tilde",
     "solve_coefficients",
     "fundamental_matrix",
-    "intermediates",
     "compute_Pi",
     "run",
 ]
@@ -176,8 +177,7 @@ class FoliatedProblem:
         return len(self.generators)
 
 
-# Coordinate lines each solver keeps: Step-2 integration grids and Step-4
-# Simpson running totals, each in its own cache.  Past this many, the least
+# Step-2 integration grids each solver keeps.  Past this many, the least
 # recently used line is dropped; it is recomputed from the zero slice, with
 # the same values, when it is needed again.
 LINE_CACHE_SIZE = 128
@@ -284,13 +284,12 @@ def _decompose(T: np.ndarray, C: np.ndarray, width: int, tol: float):
         return X, degenerate, s * residual, residual > tol * (1.0 / s + norms)
 
 
-def _group_lines(cache: OrderedDict, j: int, points: np.ndarray, counts: np.ndarray, make):
+def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
     """Group points (x^j nonzero) into x^j lines, one per (other coordinates,
-    sign of x^j), in order of first appearance, which decides what the cache
-    evicts; each is looked up once (a big batch may evict it).  Returns the
-    first point and cached value of each line, the line of each point and
-    the largest count on each line."""
-    # + 0.0 turns -0.0 into 0.0, equal to it as a cache key
+    sign of x^j), in order of first appearance.  Returns the key (other
+    coordinates, x^j > 0) and first point of each line, the line of each
+    point and the largest count on each line."""
+    # + 0.0 turns -0.0 into 0.0, equal to it as a key
     keys = np.column_stack([np.delete(points, j, axis=1) + 0.0, points[:, j] > 0.0])
     _, first, line = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -298,8 +297,7 @@ def _group_lines(cache: OrderedDict, j: int, points: np.ndarray, counts: np.ndar
     first = first[order]
     largest = np.zeros(len(first), dtype=int)
     np.maximum.at(largest, line, counts)
-    values = [_lru_get(cache, (j, tuple(keys[i, :-1].tolist()), bool(keys[i, -1])), make) for i in first.tolist()]
-    return first, line, values, largest
+    return [(tuple(keys[i, :-1].tolist()), bool(keys[i, -1])) for i in first.tolist()], first, line, largest
 
 
 def _dependent(point, stage: str) -> NonUniqueCoefficients:
@@ -312,25 +310,14 @@ def _leaves_span(what: str, residual: float, point, stage: str) -> HypothesisVio
                               point=plain(point), stage=stage)
 
 
-class _Panels:
-    """Composite-Simpson state of one Step-4 line: the panel boundaries, the
-    integrand there (from the zero slice on, once the line first grows), and
-    the running total after each full panel."""
-
-    def __init__(self, r: int):
-        self.x = [0.0]
-        self.f = []
-        self.total = [np.zeros(r)]
-
-
 class _Solver:
     """Batched evaluators for every stage.  Expressions are compiled and
     differentiated once per problem: Step 1's the first time a node is
     solved, the others here.  Steps 1 and 4 read their programs with the
-    node axis last and solve all nodes at once (_decompose); Step 2 keeps
-    the integration grid of each coordinate line and Step 4 the Simpson
-    totals of each quadrature line, so every later point on a line only
-    adds its own last partial step or panel.
+    node axis last and solve all nodes at once (_decompose).  Step 2 keeps
+    the integration grid of each coordinate line, so every later point on a
+    line only adds its own last partial step; these grids are the only line
+    state, and Step 4 reads H from them.
 
     Batches check every node.  When one fails, the work is redone point by
     point with the same code, so the error raised is the one the per-point
@@ -362,7 +349,6 @@ class _Solver:
         # evaluating one generator at a point takes them
         self._generator_exprs = CompiledExprs([c for g in p.generators for c in _components(g)])
         self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
-        self._panels: OrderedDict = OrderedDict()  # (l, frozen, sign) -> _Panels
 
     @functools.cached_property
     def _step1_exprs(self) -> CompiledExprs:
@@ -517,7 +503,10 @@ class _Solver:
         count, rounding = (np.abs(x) // step).astype(int), 1e-15 * np.maximum(1.0, np.abs(x))
         count += np.abs((count + 1) * step - np.abs(x)) <= rounding  # one rounding below a grid node: read it
         dx = x - np.copysign(count * step, x)
-        first, line, grids, target = _group_lines(self._lines, j, points[live], count, lambda: [np.eye(r)])
+        keys, first, line, target = _group_lines(j, points[live], count)
+        # each line looked up once, in order of first appearance, which
+        # decides what the cache evicts (a big batch may evict its own lines)
+        grids = [_lru_get(self._lines, (j, *key), lambda: [np.eye(r)]) for key in keys]
         lines = [[Ws, points[live[i]], grid_to] for Ws, i, grid_to in zip(grids, first.tolist(), target.tolist())]
         tails = np.flatnonzero(np.abs(dx) > rounding)
         Phi = self._extend(j, lines, np.where(x[first] > 0.0, step, -step),
@@ -544,8 +533,9 @@ class _Solver:
 
     def _H(self, points: np.ndarray) -> np.ndarray:
         """Nested product of fundamental-matrix ratios with successively
-        zeroed leaf coordinates, at each point; reduces to W of the last
-        leaf index for a one-dimensional foliation."""
+        zeroed leaf coordinates, at each point: W_{k-1}(x) W_{k-2}(q) ...
+        W_0(q), q with leaf coordinates j..k-1 zeroed for W_{j-1}, as each
+        ratio's denominator W_j(q) is I on the x^j = 0 slice."""
         p = self.p
         if p.k == 0:
             return np.broadcast_to(np.eye(p.r), (len(points), p.r, p.r)).copy()
@@ -553,9 +543,7 @@ class _Solver:
         for j in range(p.k - 1, 0, -1):
             q = points.copy()
             q[:, j : p.k] = 0.0
-            Wj = self._fundamental(j, q)
-            Wprev = self._fundamental(j - 1, q)
-            H = H @ self._solve_square(Wj, Wprev, q, "Step 2")
+            H = H @ self._fundamental(j - 1, q)
         return H
 
     def _B(self, points: np.ndarray) -> np.ndarray:
@@ -650,10 +638,11 @@ class _Solver:
     def _simpson(self, l: int, bases: np.ndarray) -> np.ndarray:
         """For each base point, composite Simpson quadrature of H^T beta_l
         along x^l from 0 to its x^l, panels of width 2*quad_step, final
-        partial panel allowed.  Full panels are computed once per line and
-        shared by every upper limit on it, and the running total keeps the
-        per-panel summation order.  The new panels of all lines, then the
-        partial panels of all points, are evaluated in one batch each."""
+        partial panel allowed.  The full panels of each line, up to its
+        farthest upper limit, are summed once in panel order, and every upper
+        limit on it reads the running total there.  The full panels of all
+        lines, then the partial panels of all points, are evaluated in one
+        batch each."""
         p = self.p
         step = p.quad_step
         panel = 2.0 * step
@@ -665,32 +654,21 @@ class _Solver:
             return out
         p.chart.require_inside(bases[live])
         sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
-        first, line, lines, target = _group_lines(self._panels, l, bases[live], n_full, lambda: _Panels(p.r))
-        plans, nodes = [], []
-        for panels, i, grow_to in zip(lines, first.tolist(), target.tolist()):
-            taus = [] if panels.f else [sign[i] * 0.0]
-            x = panels.x[-1]
-            bounds = []
-            for _ in range(len(panels.x) - 1, grow_to):
-                taus += [sign[i] * (x + step), sign[i] * (x + panel)]
-                x += panel
-                bounds.append(x)
-            if taus:
-                plans.append((panels, bounds))
-                nodes.append(_line_points(bases[live[i]], l, taus))
-        if nodes:
-            values = self._integrand(l, np.concatenate(nodes))
-            for (panels, bounds), f in zip(plans, np.split(values, np.cumsum([len(q) for q in nodes])[:-1])):
-                zero = len(f) % 2  # the value on the zero slice leads a line's first growth
-                panels.f += list(f[:zero])
-                f = f[zero:].reshape(-1, 2, p.r)
-                part = (panel / 6.0) * (np.concatenate([panels.f[-1][None], f[:-1, 1]]) + 4.0 * f[:, 0] + f[:, 1])
-                panels.x += bounds
-                panels.f += list(f[:, 1])
-                panels.total += list(np.cumsum(np.concatenate([panels.total[-1][None], part]), axis=0)[1:])
+        _, first, line, target = _group_lines(l, bases[live], n_full)
+        # the panel boundaries, accumulated panel by panel from the zero slice
+        x = np.cumsum(np.r_[0.0, np.full(target.max(), panel)])
+        # per line: the zero slice, then the midpoint and end of each panel
+        taus = [np.r_[0.0, np.column_stack([x[:t] + step, x[1 : t + 1]]).ravel()] for t in target.tolist()]
+        nodes = [_line_points(bases[live[i]], l, sign[i] * tau) for i, tau in zip(first.tolist(), taus)]
+        fs, totals = [], []
+        for f in np.split(self._integrand(l, np.concatenate(nodes)), np.cumsum([len(q) for q in nodes])[:-1]):
+            fs.append(f[::2])  # at the boundaries
+            part = (panel / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
+            totals.append(np.cumsum(np.concatenate([np.zeros((1, p.r)), part]), axis=0))
         # each upper limit: the total of its full panels, plus its partial panel
-        ends = [(lines[a].x[c], lines[a].total[c], lines[a].f[c]) for a, c in zip(line.tolist(), n_full.tolist())]
-        x, total, fa = map(np.array, zip(*ends))
+        total = np.array([totals[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
+        fa = np.array([fs[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
+        x = x[n_full]
         rem = length - x
         at = np.flatnonzero(rem > 1e-15 * np.maximum(1.0, length))
         if at.size:
@@ -717,14 +695,10 @@ class _Solver:
         B = self._B(self._checked(points)) if B is None else B
         return (-B @ self._R(points)[..., None])[..., 0]
 
-    def _corrections(self, points: np.ndarray, parts=None) -> np.ndarray:
-        """(Z, gamma) at each point; parts is _parts(points) when already computed."""
-        G, B = parts or self._parts(points)
+    def _corrections(self, points: np.ndarray) -> np.ndarray:
+        """(Z, gamma) = G Pi at each point."""
+        G, B = self._parts(points)
         return (G @ self._Pi(points, B)[..., None])[..., 0]
-
-    def corrections(self, points) -> np.ndarray:
-        """Values of (Z, gamma) at each point (N, 2n)."""
-        return _batch(np.reshape(points, (-1, self.p.n)), self._corrections, self.correction)
 
     def correction(self, m) -> np.ndarray:
         """Value of (Z, gamma) at m."""
@@ -756,14 +730,6 @@ def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
     return p._solver._fundamental(j, p._solver._checked([m]))[0]
 
 
-def intermediates(p: FoliatedProblem, samples):
-    """H, B and (with an extra section, else None) Pi at each sample, one
-    batch each, bit-identical to computing them one sample at a time."""
-    solver, points = p._solver, p._solver._checked(samples)
-    H, B = solver._H(points), solver._B(points)
-    return H, B, None if p.extra is None else solver._Pi(points, B)
-
-
 def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
     return p._solver._Pi(np.asarray([m], dtype=float))[0]
 
@@ -792,8 +758,9 @@ def _difference(values, delta: float):
 @dataclass
 class InvariantFrameResult:
     """Outputs of the construction: the straightened frame, the optional
-    correction, and the verification report for the span/invariance
-    properties."""
+    correction, the verification report for the span/invariance
+    properties, and the values run() evaluated at its N samples, row i at
+    samples[i], bit-identical to the functions' values there."""
 
     problem: FoliatedProblem
     frame: object  # m -> 2n x r
@@ -801,6 +768,11 @@ class InvariantFrameResult:
     combined: object | None  # m -> 2n vector (X + Z, alpha + gamma)
     report: Report = field(default_factory=Report)
     frames: object = None  # points (N x n) -> N x 2n x r, evaluated as one batch
+    samples: np.ndarray | None = None  # N x n
+    sample_frames: np.ndarray | None = None  # N x 2n x r
+    sample_B: np.ndarray | None = None  # N x r x r, the transform (H^T)^-1
+    sample_Pi: np.ndarray | None = None  # N x r, with an extra section
+    sample_combined: np.ndarray | None = None  # N x 2n, with an extra section and k >= 1
 
 
 def _leaf_invariance(
@@ -837,7 +809,8 @@ def run(
     section is present) leaf-invariance of the corrected section.
 
     The frame (and the correction) is evaluated once, in one batch, at the
-    samples and at the stencil points of every leaf-invariance check."""
+    samples and at the stencil points of every leaf-invariance check; the
+    result keeps the values at the samples."""
     tol = p.tol if tol is None else tol
     solver = p._solver
     samples = p.chart.checked_samples(samples, seed=seed, margin=0.1)
@@ -852,6 +825,7 @@ def run(
                 detail="no leaf coordinates: generators returned unchanged",
             )
         )
+        B = solver._B(samples)
         return InvariantFrameResult(
             problem=p,
             frame=solver.generator_matrix,
@@ -859,6 +833,10 @@ def run(
             combined=None,
             report=report,
             frames=solver.generator_matrices,
+            samples=samples,
+            sample_frames=solver.generator_matrices(samples),
+            sample_B=B,
+            sample_Pi=None if p.extra is None else solver._Pi(samples, B),
         )
 
     N = len(samples)
@@ -866,39 +844,31 @@ def run(
     points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
     deltas = [delta for _, delta in stencils]
     # G and B once, for the frames and the corrections
-    parts = _batch(points, solver._parts, solver.frame)
-    frames = parts[0] @ parts[1]
-    G = parts[0][:N]
+    G, B = _batch(points, solver._parts, solver.frame)
+    frames = G @ B
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical
-    G_columns = np.ascontiguousarray(np.swapaxes(G, 1, 2)).swapaxes(1, 2)
+    G_columns = np.ascontiguousarray(np.swapaxes(G[:N], 1, 2)).swapaxes(1, 2)
 
     # (i) span equality at each sample, by mutual membership
     F = frames[:N]
     worst = np.maximum(span_defects(G_columns[:, None], np.swapaxes(F, 1, 2)).max(axis=1),
-                       span_defects(F[:, None], np.swapaxes(G, 1, 2)).max(axis=1))
+                       span_defects(F[:, None], np.swapaxes(G[:N], 1, 2)).max(axis=1))
     report.add(record_from_samples("frame-spans-distribution", zip(worst, samples), tol, stage="Step 3"))
 
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
     report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
-    correction = combined = None
+    result = InvariantFrameResult(problem=p, frame=solver.frame, correction=None, combined=None, report=report,
+                                  frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N])
     if p.extra is not None:
-        correction = solver.correction
-        combined = solver.combined
-        corrections = _batch(points, lambda q: solver._corrections(q, parts), solver.correction)
+        Pi = _batch(points, lambda q: solver._Pi(q, B), solver.correction)
+        corrections = (G @ Pi[..., None])[..., 0]
         defects = span_defects(G_columns[:, None], corrections[:N, None])[:, 0]
         report.add(record_from_samples(
             "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))
-        report.extend(_leaf_invariance(
-            solver.extra_values(points) + corrections, deltas, p, samples, tol,
-            "corrected-leaf-invariance", "Step 4"))
-
-    return InvariantFrameResult(
-        problem=p,
-        frame=solver.frame,
-        correction=correction,
-        combined=combined,
-        report=report,
-        frames=solver.frames,
-    )
+        combined = solver.extra_values(points) + corrections
+        report.extend(_leaf_invariance(combined, deltas, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
+        result.correction, result.combined = solver.correction, solver.combined
+        result.sample_Pi, result.sample_combined = Pi[:N], combined[:N]
+    return result

@@ -145,12 +145,15 @@ class Chart:
     def checked_samples(self, samples, **default) -> np.ndarray:
         """samples (sample_points(**default) when None) as an (N, n) float
         array; InputError if there is none (a sampled check on no sample
-        certifies nothing) or one is no n-vector."""
+        certifies nothing), one is no n-vector or one has a NaN or
+        infinite coordinate (a check there certifies no point)."""
         points = np.asarray(self.sample_points(**default) if samples is None else samples, dtype=float)
         if points.size == 0:
             raise InputError("no sample points: a sampled check needs at least one")
         if points.ndim != 2 or points.shape[1] != self.n:
             raise InputError(f"sample points must be {self.n}-vectors, got shape {points.shape}")
+        for i in np.flatnonzero(~np.isfinite(points).all(axis=1))[:1]:
+            raise InputError(f"sample point {plain(points[i])} is not finite")
         return points
 
     def widths(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The four-step straightening pipeline against closed-form oracles."""
 
 import dataclasses
+import functools
 import gc
 import warnings
 import weakref
@@ -18,7 +19,6 @@ from diracgen.invariant_gen import (
     _householder,
     compute_Pi,
     fundamental_matrix,
-    intermediates,
     run,
     solve_coefficients,
     split_tilde,
@@ -42,11 +42,11 @@ def chart3():
 
 
 def H_at(p, m):
-    return intermediates(p, [m])[0][0]
+    return p._solver._H(p._solver._checked([m]))[0]
 
 
 def B_at(p, m):
-    return intermediates(p, [m])[1][0]
+    return p._solver._B(p._solver._checked([m]))[0]
 
 
 def beta_fields(p, m):
@@ -352,6 +352,25 @@ class TestRun:
         result = run(e2_problem(chart3), samples=[[0.1, 0.2, 0.3]])
         assert len(result.frames([])) == 0
 
+    @pytest.mark.parametrize("name", ["e1", "e2", "k2", "k0", "k0+extra"])
+    def test_kept_values_are_the_functions_values(self, chart3, name):
+        if name.startswith("k0"):
+            chart = make_chart(2, k=0)
+            extra = section(chart, ("x2", "0"), ("0", "x1")) if name == "k0+extra" else None
+            p = FoliatedProblem(chart=chart, generators=(section(chart, ("x1", "0"), ("0", "1")),), extra=extra)
+        else:
+            p = TestRunEvaluatesEachPointOnce.problem(chart3, name)
+        result = run(p, samples=p.chart.sample_points(seed=5, n_random=4, margin=0.1))
+        assert (result.sample_Pi is None) == (p.extra is None)
+        assert (result.sample_combined is None) == (result.combined is None)
+        for i, m in enumerate(result.samples):
+            assert result.sample_frames[i].tobytes() == result.frame(m).tobytes()
+            assert result.sample_B[i].tobytes() == B_at(p, m).tobytes()
+            if p.extra is not None:
+                assert result.sample_Pi[i].tobytes() == compute_Pi(p, m).tobytes()
+            if result.combined is not None:
+                assert result.sample_combined[i].tobytes() == result.combined(m).tobytes()
+
     def test_k0_returns_generators(self):
         chart = make_chart(2, k=0)
         g = section(chart, ("x1", "0"), ("0", "1"))
@@ -476,19 +495,23 @@ class PointwiseReference:
                 q[l] = tau
                 return self.integrand(q, l)
 
-            upper = float(m[l])
-            if upper == 0.0:
-                continue
-            sign, length, panel = np.copysign(1.0, upper), abs(upper), 2.0 * p.quad_step
-            total, x = np.zeros(p.r), 0.0
-            for _ in range(int(length // panel)):
-                total += (panel / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + p.quad_step)) + f(sign * (x + panel)))
-                x += panel
-            rem = length - x
-            if rem > 1e-15 * max(1.0, length):
-                total += (rem / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + 0.5 * rem)) + f(sign * length))
-            R += sign * total
+            if m[l] != 0.0:
+                R += composite_simpson(f, float(m[l]), p.quad_step)
         return -self.Bmat(m) @ R
+
+
+def composite_simpson(f, upper: float, step: float):
+    """Composite Simpson quadrature of f along 0 .. upper, one node at a
+    time: panels of width 2 * step from 0, then a final partial panel."""
+    sign, length, panel = np.copysign(1.0, upper), abs(upper), 2.0 * step
+    total, x = 0.0, 0.0
+    for _ in range(int(length // panel)):
+        total += (panel / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + step)) + f(sign * (x + panel)))
+        x += panel
+    rem = length - x
+    if rem > 1e-15 * max(1.0, length):
+        total += (rem / 6.0) * (f(sign * x) + 4.0 * f(sign * (x + 0.5 * rem)) + f(sign * length))
+    return sign * total
 
 
 def k2_problem():
@@ -499,6 +522,71 @@ def k2_problem():
     g2 = section(chart, ("0", "0", f"0.2*{a}", b), ("0", "0", "0", "0"))
     extra = section(chart, ("0", "0", f"sin(x1)*{a}", f"sin(x1)*0.5*{b}"), ("0", "0", "0", "0"))
     return FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra, ode_step=0.05, quad_step=0.05)
+
+
+@functools.cache
+def simpson_problem(k: int):
+    """A leaf-dependent family with an extra section, k = 1 or 2: one
+    problem (and solver) per k for every example drawn."""
+    if k == 2:
+        return k2_problem()
+    chart = make_chart(3, k=1)
+    g = section(chart, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
+    extra = section(chart, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
+    return FoliatedProblem(chart=chart, generators=(g,), extra=extra, ode_step=0.05, quad_step=0.05)
+
+
+class TestSimpsonTotals:
+    """_simpson sums the panels of each line from the zero slice as the
+    composite Simpson reference does node by node: the same bits (up to the
+    sign of a zero), whether its upper limits come in one batch, one at a
+    time or in shuffled chunks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        l=st.integers(0, 1),
+        bases=st.lists(st.lists(st.floats(-0.95, 0.95), min_size=4, max_size=4), min_size=1, max_size=3),
+        limits=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # the line
+                st.sampled_from([-1.0, 1.0]),
+                st.integers(0, 9),  # full panels
+                st.one_of(st.just(0.0), st.floats(0.0, 0.999)),  # partial panel, as a fraction of one
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_totals_match_the_reference(self, k, l, bases, limits, order):
+        p = simpson_problem(k)
+        solver, l, panel = p._solver, l % k, 2.0 * p.quad_step
+        points = []
+        for line, sign, full, part in limits:
+            m = np.array(bases[line % len(bases)][: p.n])
+            m[l] = sign * min((full + part) * panel, 0.99)
+            points.append(m)
+        points = np.array(points)
+
+        def one(m):
+            def f(tau):
+                q = m.copy()
+                q[l] = tau
+                return solver._integrand(l, q[None])[0]
+
+            return np.zeros(p.r) + composite_simpson(f, float(m[l]), p.quad_step)  # 0.0 with no panel
+
+        want = np.array([one(m) for m in points]) + 0.0
+        shuffled = list(range(len(points)))
+        order.shuffle(shuffled)
+        chunks = np.array_split(shuffled, order.randint(1, len(points)))
+        in_chunks = np.empty_like(want)
+        for chunk in chunks:
+            in_chunks[chunk] = solver._simpson(l, points[chunk])
+        for got in (solver._simpson(l, points), np.array([solver._simpson(l, m[None])[0] for m in points]),
+                    in_chunks):
+            assert (got + 0.0).tobytes() == want.tobytes()
 
 
 class TestHouseholder:
@@ -731,17 +819,12 @@ class TestBatchedAgainstPointwise:
         # generator and extra values come from one compiled batch
         p = k2_problem() if name == "k2" else e2_problem(chart3, ode_step=0.05, quad_step=0.05)
         ref = PointwiseReference(p)
-        points = random_points(rng, p.chart, 5)
-        solver = p._solver
-        frames = solver.frames(points)
-        corrections = solver.corrections(points)
-        combined = solver.extra_values(points) + solver.corrections(points)
-        for m, F, c, e in zip(points, frames, corrections, combined):
+        result = run(p, samples=random_points(rng, p.chart, 5))
+        for m, F, Pi, e in zip(result.samples, result.sample_frames, result.sample_Pi, result.sample_combined):
             G = np.column_stack([g(m) for g in p.generators])
             np.testing.assert_allclose(F, ref.frame(m), rtol=1e-13, atol=0)
-            np.testing.assert_allclose(c, G @ ref.Pi(m), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(G @ Pi, G @ ref.Pi(m), rtol=1e-13, atol=0)
             np.testing.assert_allclose(e, p.extra(m) + G @ ref.Pi(m), rtol=1e-13, atol=0)
-            assert np.array_equal(solver.frame(m), F) and np.array_equal(solver.combined(m), e)
 
     def test_section_value_errors_match_pointwise(self, chart3):
         # 1/x2 in a generator and 1/x3 in the extra section: the batch raises
@@ -749,10 +832,12 @@ class TestBatchedAgainstPointwise:
         g = section(chart3, ("0", "1", "0"), ("0", "0", "1/x2"))
         extra = section(chart3, ("0", "0", "0"), ("0", "0", "1/x3"))
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.05, quad_step=0.05)
+        good = FoliatedProblem(chart=chart3, generators=(section(chart3, ("0", "1", "0"), ("0", "0", "1")),),
+                               extra=extra, ode_step=0.05, quad_step=0.05)
         points = np.array([[0.3, 0.5, 0.2], [0.2, 0.4, 0.0], [0.1, 0.0, 0.4]])
         for evaluate, bad, value in (
             (p._solver.frames, points[2], g),
-            (lambda pts: p._solver.extra_values(pts) + p._solver.corrections(pts), points[1], extra),
+            (lambda pts: run(good, samples=pts), points[1], extra),
         ):
             with pytest.raises(EvalDomainError) as expected:
                 value(bad)
@@ -785,7 +870,6 @@ class TestLineCachesAreBounded:
             solver.frame(m)
             solver._Pi(m[None])
         assert len(solver._lines) <= LINE_CACHE_SIZE
-        assert len(solver._panels) <= LINE_CACHE_SIZE
         fresh = _Solver(p)
         for m, (F, Pi) in zip(points[:5], first):  # long evicted: recomputed from the zero slice
             assert np.array_equal(solver.frame(m), F) and np.array_equal(fresh.frame(m), F)
@@ -801,7 +885,8 @@ class TestLineCachesAreBounded:
         # every line twice, the second time further out
         points += [np.array([0.5 * m[0], m[1], m[2]]) for m in points]
         solver = _Solver(p)
-        frames, combined = solver.frames(points), solver.extra_values(points) + solver.corrections(points)
+        frames = solver.frames(points)
+        combined = solver.extra_values(np.array(points)) + solver._corrections(np.array(points))
         fresh = _Solver(p)
         for m, F, c in zip(points, frames, combined):
             assert np.array_equal(fresh.frame(m), F) and np.array_equal(fresh.combined(m), c)

@@ -612,7 +612,9 @@ class TestOverflowingDefectsFailTheirRecords:
         assert record.passed and record.worst_residual < 1e-15
 
 
-def _no_samples():
+def _sampled_checks(samples):
+    """Every public check that takes samples, on a 2-D chart with k = 1 and a
+    constant Poisson bivector, at samples."""
     chart = make_chart(2, k=1)
     D = DiracStructure(chart, (section(chart, ("1", "0"), ("0", "1")), section(chart, ("0", "1"), ("-1", "0"))))
     pi = PoissonBivector(chart, ((parse("0", chart), parse("1", chart)), (parse("-1", chart), parse("0", chart))))
@@ -622,24 +624,41 @@ def _no_samples():
     forms = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "1")),))
     result = run(problem)
     return {
-        "DiracStructure.validate": lambda: D.validate([]),
-        "InfinitesimalAction.validate": lambda: action.validate([]),
-        "QuotientMap.validate": lambda: q.validate(action, []),
-        "graph_of_poisson": lambda: graph_of_poisson(pi, []),
-        "is_closed": lambda: is_closed(D, []),
-        "constant_rank_scan": lambda: constant_rank_scan(D, action, []),
-        "descending_generators": lambda: descending_generators(D, action, problem, samples=[]),
-        "invariant_annihilator_generators": lambda: invariant_annihilator_generators(action, forms, samples=[]),
-        "pushforward_check": lambda: pushforward_check(D, action, q, result, samples=[]),
-        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(GeneralizedDistribution(D.chart, D.generators), None, [], 1e-9),
-        "run": lambda: run(problem, samples=[]),
+        "DiracStructure.validate": lambda: D.validate(samples),
+        "InfinitesimalAction.validate": lambda: action.validate(samples),
+        "QuotientMap.validate": lambda: q.validate(action, samples),
+        "graph_of_poisson": lambda: graph_of_poisson(pi, samples),
+        "is_closed": lambda: is_closed(D, samples),
+        "constant_rank_scan": lambda: constant_rank_scan(D, action, samples),
+        "descending_generators": lambda: descending_generators(D, action, problem, samples=samples),
+        "invariant_annihilator_generators": lambda: invariant_annihilator_generators(action, forms, samples=samples),
+        "pushforward_check": lambda: pushforward_check(D, action, q, result, samples=samples),
+        "check_bracket_hypothesis": lambda: check_bracket_hypothesis(
+            GeneralizedDistribution(D.chart, D.generators), None, samples, 1e-9),
+        "run": lambda: run(problem, samples=samples),
     }
 
 
-@pytest.mark.parametrize("entry", sorted(_no_samples()))
+@pytest.mark.parametrize("entry", sorted(_sampled_checks([])))
 def test_no_samples_is_input_error(entry):
     with pytest.raises(InputError, match="no sample points"):
-        _no_samples()[entry]()
+        _sampled_checks([])[entry]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_sampled_checks([]))),
+    samples=st.lists(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2), min_size=1, max_size=4),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.tuples(st.integers(0, 3), st.integers(0, 1)),
+)
+def test_non_finite_samples_are_input_errors(entry, samples, bad, where):
+    # a check at a NaN or infinite coordinate certifies no point
+    samples = np.array(samples)
+    i, j = where[0] % len(samples), where[1]
+    samples[i, j] = bad
+    with pytest.raises(InputError, match=r"sample point \[.*\] is not finite"):
+        _sampled_checks(samples)[entry]()
 
 
 @pytest.mark.parametrize("samples", [[[0.1, 0.2, 0.3]], [[0.1]], [0.1, 0.2]])
