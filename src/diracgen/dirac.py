@@ -643,6 +643,11 @@ def push_frame(q: QuotientMap, frame, m, tol: float):
     return Xbar[0], abar[0], float(worst[0])
 
 
+# Fiber partners pushforward_check draws: each is sample i % N with its leaf
+# coordinates redrawn, and the pushed values must agree across each pair.
+FIBER_PAIRS = 10
+
+
 def pushforward_check(
     D: DiracStructure,
     action: InfinitesimalAction,
@@ -650,7 +655,6 @@ def pushforward_check(
     frame,
     samples=None,
     tol: float = 1e-6,
-    n_fiber_pairs: int = 10,
     seed: int = 0,
     check_closedness: bool = True,
 ) -> Report:
@@ -676,13 +680,13 @@ def pushforward_check(
     samples = chart.checked_samples(samples, margin=0.1)
     N, n, nbar, k = len(samples), chart.n, q.target.n, chart.leaf_count
 
-    # fiber partners: sample i % N with its leaf coordinates redrawn inside the box
+    # fiber partners, their leaf coordinates inside the box
     rng = np.random.default_rng(seed)
-    base = np.arange(n_fiber_pairs) % N
+    base = np.arange(FIBER_PAIRS) % N
     partners = samples[base]
     lo, hi = np.array(chart.box)[:k].T
     w = hi - lo
-    partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((n_fiber_pairs, k))
+    partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((FIBER_PAIRS, k))
     source = np.concatenate([samples, partners])
     values, _ = q._program.evaluate(source)
     qv, J = values[:nbar].T, stacked(values[nbar:], n)
@@ -695,12 +699,12 @@ def pushforward_check(
     # then per fiber q at the sample and partner and the Jacobian at a
     # partner on the fiber, then q at the closure targets; an error on the
     # way is raised once the frames gathered before it are evaluated.
-    gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(n_fiber_pairs)], axis=1)[on].ravel()])
+    gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(FIBER_PAIRS)], axis=1)[on].ravel()])
     before = N + 2 * np.concatenate([[0], np.cumsum(on)])  # points gathered before fiber i
     Q, JAC = range(nbar), q._program.partials
     targets = min(N, 6) if check_closedness else 0
     blocks = [(JAC, range(N))] + [
-        block for i in range(n_fiber_pairs) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
+        block for i in range(FIBER_PAIRS) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
     ] + [(Q, range(targets))]
     error = q._program.first_error(source, blocks)
     if error is not None:

@@ -20,15 +20,19 @@ The pipeline is numeric-by-evaluation on top of exact symbolic brackets:
 4. the correction coefficients Pi = -B R come from nested composite
    Simpson integrals of H^T beta_l along coordinate lines.
 
-Steps 1, 2 and 4 work on whole coordinate lines and batches of points,
-with values bit-identical to evaluating one point at a time.  Steps 1 and
-4 solve their linear systems at all nodes with one Householder kernel and
-one residual check (_decompose); Steps 2 and 4 group their points into
-coordinate lines the same way (_group_lines).  In Step 2, Step 1 runs once
-per distinct RK4 node, each step applies its propagator Phi = RK4(B, I, h),
-and a point within rounding of a grid node reads it.  Step 2's grids are
-the only line state a solver keeps: each Step-4 call sums the full panels
-of its lines from the zero slice.
+Steps 1 and 4 are one decomposition: each writes the leaf derivative of a
+section s as sigma_l (leaf fields) + beta_l (generators), s each generator
+in Step 1 (beta_l = B_l, sigma_l = A) and the extra section in Step 4.
+One method (_Solver._decomposition) solves it at all nodes at once, with
+one Householder kernel and one residual check (_decompose), from one
+program per section list.  Steps 1, 2 and 4 work on whole coordinate lines
+and batches of points, with values bit-identical to evaluating one point
+at a time; Steps 2 and 4 group their points into coordinate lines the same
+way (_group_lines).  In Step 2, Step 1 runs once per distinct RK4 node,
+each step applies its propagator Phi = RK4(B, I, h), and a point within
+rounding of a grid node reads it.  Step 2's grids are the only line state
+a solver keeps: each Step-4 call sums the full panels of its lines from
+the zero slice.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -194,26 +198,6 @@ def _lru_get(cache: OrderedDict, key, make):
     return value
 
 
-def _group_flags(bad, sizes, n_points: int) -> list:
-    """For each group of consecutive expressions (of the given sizes), the
-    points where one of them fails to evaluate."""
-    if bad is None:
-        return [np.zeros(n_points, dtype=bool)] * len(sizes)
-    bounds = np.cumsum([0] + sizes)
-    return [bad[a:b].any(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _first_failure(checks) -> tuple[int, int] | None:
-    """(point, check) of the first failure: points in order, and at a point
-    the checks in the order given (each a boolean array over the points)."""
-    failed = np.array(checks)
-    hits = np.flatnonzero(failed.any(axis=0))
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    return i, int(np.flatnonzero(failed[:, i])[0])
-
-
 # What evaluating a batch can raise at a failing point.
 _POINT_ERRORS = (DiracgenError, np.linalg.LinAlgError)
 
@@ -300,24 +284,18 @@ def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
     return [(tuple(keys[i, :-1].tolist()), bool(keys[i, -1])) for i in first.tolist()], first, line, largest
 
 
-def _dependent(point, stage: str) -> NonUniqueCoefficients:
-    return NonUniqueCoefficients("transverse components of the generators are pointwise dependent; re-present "
-                                 "the family with an independent local frame", point=plain(point), stage=stage)
-
-
-def _leaves_span(what: str, residual: float, point, stage: str) -> HypothesisViolated:
-    return HypothesisViolated(f"leaf derivative of {what} leaves the span (residual {residual:.3e})",
-                              point=plain(point), stage=stage)
-
-
 class _Solver:
-    """Batched evaluators for every stage.  Expressions are compiled and
-    differentiated once per problem: Step 1's the first time a node is
-    solved, the others here.  Steps 1 and 4 read their programs with the
-    node axis last and solve all nodes at once (_decompose).  Step 2 keeps
-    the integration grid of each coordinate line, so every later point on a
-    line only adds its own last partial step; these grids are the only line
-    state, and Step 4 reads H from them.
+    """Batched evaluators for every stage.  Expressions are differentiated
+    and compiled once per problem.  The generators and the extra section
+    compile when the solver is built.  The decomposition programs
+    (_decomposition_rows), one for Step 1 and one for Step 4, compile the
+    first time their step needs them; Step 1's rows are differentiated when
+    the solver is built, since constant_tilde reads them.  Steps 1 and 4
+    are one method, _decomposition: it reads its program with the node axis
+    last and solves all nodes at once (_decompose).  Step 2 keeps the
+    integration grid of each coordinate line, so every later point on a
+    line only adds its own last partial step; these grids are the only
+    line state, and Step 4 reads H from them.
 
     Batches check every node.  When one fails, the work is redone point by
     point with the same code, so the error raised is the one the per-point
@@ -327,77 +305,84 @@ class _Solver:
         # a copy: the problem holds its solver, and a reference back would make
         # a cycle that only the garbage collector frees
         self.p = p = copy.copy(problem)
-        n, k = p.n, p.k
-        # transverse coefficient expressions, stacked as in the linear system:
-        # rows are vector components k..n-1 then form components k..n-1,
-        # columns index the generators (FoliatedProblem checked the sections)
-        transverse = [*range(k, n), *range(n + k, 2 * n)]
-        comps = [_components(g) for g in p.generators]
-        self.tilde_exprs = [[c[j] for c in comps] for j in transverse]
-        T = self._T = [e for row in self.tilde_exprs for e in row]
-        self._dT = [e.diff(l) for l in range(k) for e in T]
-        self.constant_tilde = all(e == ZERO for e in self._dT)
-        X_leaf = self._X_leaf = [g.vf.coeffs[j] for j in range(k) for g in p.generators]  # k x r
+        M, k, r = 2 * (p.n - p.k), p.k, p.r
+        self._generator_rows = self._decomposition_rows(p.generators)
+        # every dT_l is structurally zero: each B_l is 0, and Step 2 integrates nothing
+        self.constant_tilde = all(e == ZERO for e in self._generator_rows[M * r : M * r * (k + 1)])
         if p.extra is not None:
-            extra = _components(p.extra)
-            d_extra = [e.diff(l) for l in range(k) for e in [extra[j] for j in transverse] + extra[:k]]
-            # Step 4 at a node evaluates T, the leaf parts, then per l the
-            # transverse and the leaf derivatives of the extra section
-            self._beta_exprs = CompiledExprs(T + X_leaf + d_extra)
             self._extra_exprs = CompiledExprs(_components(p.extra))
         # every generator component, generator by generator, in the order
         # evaluating one generator at a point takes them
         self._generator_exprs = CompiledExprs([c for g in p.generators for c in _components(g)])
         self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
 
-    @functools.cached_property
-    def _step1_exprs(self) -> CompiledExprs:
-        """Step 1 at a node evaluates T, then each dT_l, then the leaf parts
-        for A; compiled the first time a node is solved."""
+    def _decomposition_rows(self, sections) -> list:
+        """The rows of the program that decomposes the leaf derivatives d_l s
+        of the sections, in check order: T, the transverse components of the
+        generators (vector components k..n-1 then form components k..n-1,
+        each by generator); per l the same rows of d_l s, each by section;
+        the generators' leaf components (by leaf index, then generator); per
+        l the leaf vector components of d_l s, by section, then leaf index."""
         p, k = self.p, self.p.k
-        dX = [g.vf.coeffs[j].diff(l) for l in range(k) for g in p.generators for j in range(k)]
-        return CompiledExprs(([] if self.constant_tilde else self._T + self._dT) + self._X_leaf + dX)
+        transverse = [*range(k, p.n), *range(p.n + k, 2 * p.n)]
+        gens, comps = [_components(g) for g in p.generators], [_components(s) for s in sections]
+        return ([c[j] for j in transverse for c in gens]
+                + [c[j].diff(l) for l in range(k) for j in transverse for c in comps]
+                + [c[j] for j in range(k) for c in gens]
+                + [c[j].diff(l) for l in range(k) for c in comps for j in range(k)])
 
-    # -- Step 1 -----------------------------------------------------------
+    @functools.cached_property
+    def _generator_decomposition(self) -> CompiledExprs:
+        """Step 1's program, s each generator."""
+        return CompiledExprs(self._generator_rows)
 
-    def _step1(self, nodes: np.ndarray, with_A: bool = False):
-        """B_0..B_{k-1} at each node, shape (N, k, r, r), and A (N, k, r, k)
-        when asked for.  Every check runs at every node; the first failure
-        (nodes in order, at a node in the per-point order) raises."""
+    @functools.cached_property
+    def _extra_decomposition(self) -> CompiledExprs:
+        """Step 4's program, s the extra section."""
+        return CompiledExprs(self._decomposition_rows([self.p.extra]))
+
+    # -- Steps 1 and 4 ----------------------------------------------------
+
+    def _decomposition(self, program: CompiledExprs, S: int, nodes: np.ndarray, stage: str, what: str,
+                       leaf: bool = False):
+        """d_l s = sigma_l (leaf fields) + beta_l (generators) for the S
+        sections of program (_decomposition_rows) at each node: beta (N, k,
+        r, S) and, with leaf, sigma = d_l s_leaf - X_leaf beta_l (N, k, S, k),
+        else None.  Every check runs at every node, in check order: T
+        evaluates, T is not degenerate, per l the transverse rows of d_l s
+        evaluate and their residual holds, then the leaf rows evaluate.  The
+        first failure (nodes in order, at a node in check order) raises."""
         p = self.p
         N, k, r = len(nodes), p.k, p.r
         M = 2 * (p.n - k)
-        vals, bad = self._step1_exprs.evaluate(nodes)
-        tilde_rows = 0 if self.constant_tilde else M * r * (k + 1)
-        flags = _group_flags(bad, ([] if self.constant_tilde else [M * r] * (k + 1)) + [k * r, k * k * r], N)
-        if self.constant_tilde:
-            B = np.zeros((N, k, r, r))
-            checks = flags
-        else:
-            # the program's rows, node axis last: T (M, r, N) and every dT_l
-            # as right-hand sides (M, k*r, N), columns l*r + g
-            T = vals[: M * r].reshape(M, r, N)
-            dT = vals[M * r : M * r * (k + 1)].reshape(k, M, r, N).swapaxes(0, 1).reshape(M, k * r, N)
-            X, degenerate, residual, violated = _decompose(T, dT, r, p.tol)
-            B = X.reshape(r, k, r, N).transpose(3, 1, 0, 2)
-            checks = [flags[0], degenerate]
-            for l in range(k):
-                checks += [flags[1 + l], violated[:, l]]
-            checks += flags[-2:]
-        failure = _first_failure(checks)
-        if failure is not None:
-            i, c = failure
-            point = nodes[i]
-            if not self.constant_tilde and c == 1:
-                raise _dependent(point, "Step 1")
-            if not self.constant_tilde and c < 2 + 2 * k and c % 2 == 1:
-                raise _leaves_span("a generator", residual[i, c // 2 - 1], point, "Step 1")
-            self._step1_exprs.raise_first(nodes, [(range(len(bad)), [i])])
-        if not with_A:
-            return B, None
-        X_leaf = vals[tilde_rows : tilde_rows + k * r].T.reshape(N, k, r)
-        dX = vals[tilde_rows + k * r :].T.reshape(N, k, r, k)
-        return B, dX - np.swapaxes(X_leaf[:, None] @ B, -1, -2)
+        vals, bad = program.evaluate(nodes)
+        ends = M * r + M * S * np.arange(k + 1)  # of T and of each d_l s's transverse rows
+        # the program's rows, node axis last: T (M, r, N) and every d_l s as
+        # right-hand sides (M, k*S, N), columns l*S + s
+        T = vals[: M * r].reshape(M, r, N)
+        C = vals[M * r : ends[-1]].reshape(k, M, S, N).swapaxes(0, 1).reshape(M, k * S, N)
+        X, degenerate, residual, violated = _decompose(T, C, S, p.tol)
+        checks = np.empty((2 * k + 3, N), dtype=bool)
+        checks[0::2] = False if bad is None else [bad[a:b].any(axis=0) for a, b in zip([0, *ends], [*ends, len(vals)])]
+        checks[1::2] = np.vstack([degenerate, violated.T])
+        hits = np.flatnonzero(checks.any(axis=0))
+        if hits.size:
+            i = hits[0]
+            c, point = np.flatnonzero(checks[:, i])[0], plain(nodes[i])
+            if c == 1:
+                raise NonUniqueCoefficients("transverse components of the generators are pointwise dependent; "
+                                            "re-present the family with an independent local frame",
+                                            point=point, stage=stage)
+            if c % 2:
+                raise HypothesisViolated(f"leaf derivative of {what} leaves the span (residual "
+                                         f"{residual[i, c // 2 - 1]:.3e})", point=point, stage=stage)
+            program.raise_first(nodes, [(range(len(vals)), [i])])
+        beta = X.reshape(r, k, S, N).transpose(3, 1, 0, 2)
+        if not leaf:
+            return beta, None
+        X_leaf = vals[ends[-1] : ends[-1] + k * r].T.reshape(N, k, r)
+        d_leaf = vals[ends[-1] + k * r :].T.reshape(N, k, S, k)
+        return beta, d_leaf - np.swapaxes(X_leaf[:, None] @ beta, -1, -2)
 
     # -- Step 2 -----------------------------------------------------------
 
@@ -421,8 +406,9 @@ class _Solver:
         first = np.empty(len(nodes), dtype=int)
         first[order] = order[new][np.cumsum(new) - 1]
         solved = first == np.arange(len(nodes))
-        B = self._step1(nodes[solved])[0][:, j]
-        return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, self.p.r, self.p.r)
+        r = self.p.r
+        B = self._decomposition(self._generator_decomposition, r, nodes[solved], "Step 1", "a generator")[0][:, j]
+        return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, r, r)
 
     def _breakdown(self, point):
         return NumericalBreakdownError("non-finite values while integrating a fundamental matrix",
@@ -592,43 +578,10 @@ class _Solver:
 
     # -- Step 4 -----------------------------------------------------------
 
-    def _beta(self, points: np.ndarray, with_sigma: bool = False):
-        """Decomposition coefficients of the leaf derivatives of the extra
-        section at each point: beta (N, k, r, over the generators) and, when
-        asked for, sigma (N, k, k, over the leaf fields).  Every check runs
-        at every point; the first failure (points in order, at a point in
-        the per-point order) raises."""
-        p = self.p
-        if p.extra is None:
-            raise InputError("no extra section in this problem")
-        N, k, r = len(points), p.k, p.r
-        M = 2 * (p.n - k)
-        vals, bad = self._beta_exprs.evaluate(points)
-        flags = _group_flags(bad, [M * r, k * r] + [M, k] * k, N)
-        # the program's rows, node axis last: T (M, r, N), and per l the
-        # transverse then the leaf derivatives of the extra section
-        T = vals[: M * r].reshape(M, r, N)
-        d_extra = vals[(M + k) * r :].reshape(k, M + k, N)
-        X, degenerate, residual, violated = _decompose(T, d_extra[:, :M].swapaxes(0, 1), 1, p.tol)
-        checks = flags[:2] + [degenerate]
-        for l in range(k):
-            checks += [flags[2 + 2 * l], violated[:, l], flags[3 + 2 * l]]
-        failure = _first_failure(checks)
-        if failure is not None:
-            i, c = failure
-            if c == 2:
-                raise _dependent(points[i], "Step 4")
-            if c > 2 and c % 3 == 1:
-                raise _leaves_span("the extra section", residual[i, (c - 4) // 3], points[i], "Step 4")
-            self._beta_exprs.raise_first(points, [(range(len(bad)), [i])])
-        beta = X.transpose(2, 1, 0)
-        if not with_sigma:
-            return beta, None
-        X_leaf = vals[M * r : (M + k) * r].reshape(k, r, N)
-        return beta, d_extra[:, M:].transpose(2, 0, 1) - beta @ X_leaf.transpose(2, 1, 0)
-
     def _Hbeta(self, points: np.ndarray, l: int) -> np.ndarray:
-        beta = self._beta(points)[0][:, l]
+        if self.p.extra is None:
+            raise InputError("no extra section in this problem")
+        beta = self._decomposition(self._extra_decomposition, 1, points, "Step 4", "the extra section")[0][:, l, :, 0]
         return (np.swapaxes(self._H(points), 1, 2) @ beta[..., None])[..., 0]
 
     def _integrand(self, l: int, points: np.ndarray) -> np.ndarray:
@@ -718,7 +671,9 @@ def solve_coefficients(p: FoliatedProblem, m):
     """The matrices (A, B_0..B_{k-1}) of the pointwise linear system for
     the leaf derivatives of the generators at m: A (k x r x k) and each
     B_l (r x r)."""
-    B, A = p._solver._step1(p._solver._checked([m]), with_A=True)
+    solver = p._solver
+    B, A = solver._decomposition(solver._generator_decomposition, p.r, solver._checked([m]), "Step 1", "a generator",
+                                 leaf=True)
     return A[0], list(B[0])
 
 
@@ -758,13 +713,12 @@ def _difference(values, delta: float):
 @dataclass
 class InvariantFrameResult:
     """Outputs of the construction: the straightened frame, the optional
-    correction, the verification report for the span/invariance
+    corrected extra section, the verification report for the span/invariance
     properties, and the values run() evaluated at its N samples, row i at
     samples[i], bit-identical to the functions' values there."""
 
     problem: FoliatedProblem
     frame: object  # m -> 2n x r
-    correction: object | None  # m -> 2n vector (Z, gamma)
     combined: object | None  # m -> 2n vector (X + Z, alpha + gamma)
     report: Report = field(default_factory=Report)
     frames: object = None  # points (N x n) -> N x 2n x r, evaluated as one batch
@@ -829,7 +783,6 @@ def run(
         return InvariantFrameResult(
             problem=p,
             frame=solver.generator_matrix,
-            correction=None,
             combined=None,
             report=report,
             frames=solver.generator_matrices,
@@ -859,7 +812,7 @@ def run(
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
     report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
-    result = InvariantFrameResult(problem=p, frame=solver.frame, correction=None, combined=None, report=report,
+    result = InvariantFrameResult(problem=p, frame=solver.frame, combined=None, report=report,
                                   frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N])
     if p.extra is not None:
         Pi = _batch(points, lambda q: solver._Pi(q, B), solver.correction)
@@ -869,6 +822,6 @@ def run(
             "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))
         combined = solver.extra_values(points) + corrections
         report.extend(_leaf_invariance(combined, deltas, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
-        result.correction, result.combined = solver.correction, solver.combined
+        result.combined = solver.combined
         result.sample_Pi, result.sample_combined = Pi[:N], combined[:N]
     return result

@@ -343,7 +343,7 @@ def test_criterion_08_translation_reduction():
     problem = FoliatedProblem(chart=chart, generators=(gen,))
     result = descending_generators(D, action, problem)
     q = QuotientMap(chart, Chart(coord_names=("y",), leaf_count=0), (parse("x2", chart),))
-    report = pushforward_check(D, action, q, result, tol=1e-6, n_fiber_pairs=10)
+    report = pushforward_check(D, action, q, result, tol=1e-6)
     by_name = {r.check: r for r in report}
     rank_ok = by_name["reduced-rank"].passed
     iso = by_name["reduced-isotropy"].worst_residual

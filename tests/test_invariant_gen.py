@@ -49,11 +49,24 @@ def B_at(p, m):
     return p._solver._B(p._solver._checked([m]))[0]
 
 
+def step1(p, nodes, leaf=False):
+    """B (N, k, r, r) and, with leaf, A (N, k, r, k) at the nodes."""
+    solver = p._solver
+    return solver._decomposition(solver._generator_decomposition, p.r, nodes, "Step 1", "a generator", leaf=leaf)
+
+
+def step4(p, nodes, leaf=False):
+    """beta (N, k, r, 1) and, with leaf, sigma (N, k, 1, k) of the extra
+    section at the nodes."""
+    solver = p._solver
+    return solver._decomposition(solver._extra_decomposition, 1, nodes, "Step 4", "the extra section", leaf=leaf)
+
+
 def beta_fields(p, m):
     """sigma (k x k, over the leaf fields) and beta (k x r, over the
     generators) of the leaf derivatives of the extra section at m."""
-    beta, sigma = p._solver._beta(p._solver._checked([m]), with_sigma=True)
-    return sigma[0], beta[0]
+    beta, sigma = step4(p, p._solver._checked([m]), leaf=True)
+    return sigma[0, :, 0], beta[0, ..., 0]
 
 
 def e1_problem(chart3, **kw):
@@ -125,6 +138,17 @@ class TestSolveCoefficients:
         p = FoliatedProblem(chart=chart3, generators=(g1, g2))
         with pytest.raises(NonUniqueCoefficients):
             solve_coefficients(p, np.array([0.2, 0.0, 0.0]))
+
+    def test_dependent_tilde_components_constant_along_the_leaves(self, chart3):
+        # Step 2 integrates nothing for this family, but the coefficients
+        # still come from solving T, which a dependent T leaves undetermined
+        g1 = section(chart3, ("0", "1", "0"), ("0", "0", "0"))
+        g2 = section(chart3, ("0", "2", "0"), ("0", "0", "0"))
+        p = FoliatedProblem(chart=chart3, generators=(g1, g2))
+        assert p._solver.constant_tilde
+        with pytest.raises(NonUniqueCoefficients) as exc:
+            solve_coefficients(p, np.array([0.2, 0.0, 0.0]))
+        assert exc.value.stage == "Step 1"
 
 
 class TestFundamentalMatrix:
@@ -290,7 +314,7 @@ class TestComputePi:
         solver = p._solver
         m = np.array([0.43, 0.1, -0.2])
         dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
-        T = np.array([[e.eval(m) for e in row] for row in solver.tilde_exprs])
+        T = np.array([[e.eval(m) for e in row] for row in PointwiseReference(p).T])
         _, beta = beta_fields(p, m)
         lhs = T @ B_at(p, m) @ dR
         rhs = T @ beta[0]
@@ -699,10 +723,10 @@ class TestStep4Beta:
         points = np.array(random_points(rng, chart, nodes))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta = p._solver._beta(points)[0][:, 0]
+            beta = step4(p, points)[0][:, 0, :, 0]
         ref = PointwiseReference(p)
         for m, got in zip(points, beta):
-            assert np.array_equal(p._solver._beta(m[None])[0][0, 0], got)
+            assert np.array_equal(step4(p, m[None])[0][0, 0, :, 0], got)
             Tm = np.array([[x.eval(m) for x in row] for row in ref.T])
             expected = np.linalg.lstsq(Tm, np.array([x.diff(0).eval(m) for x in ref.ex]), rcond=None)[0]
             bound = 5e-13 * np.linalg.cond(Tm) * np.linalg.norm(expected)
@@ -722,15 +746,26 @@ class TestStep4Beta:
         assert exc.value.point == [0.12, 0.1, 0.2]
 
     def test_degenerate_T_constant_along_the_leaves_raises_in_step4(self):
-        # Step 1 has nothing to solve here (each B_l is 0) and checks no T, but
-        # Step 4 solves T beta = (leaf derivative of the extra section), which a
-        # dependent T leaves undetermined
+        # Step 2 has nothing to integrate here (each B_l is 0) and runs no Step 1,
+        # but Step 4 solves T beta = (leaf derivative of the extra section),
+        # which a dependent T leaves undetermined
         chart = make_chart(2, k=1)
         g = section(chart, ("0", "1"), ("0", "0"))
         p = FoliatedProblem(chart=chart, generators=(g, g), extra=section(chart, ("0", "sin(x1)"), ("0", "0")))
         with pytest.raises(NonUniqueCoefficients) as exc:
             beta_fields(p, [0.1, 0.2])
         assert exc.value.stage == "Step 4"
+
+    def test_T_is_judged_before_the_leaf_components(self, chart3):
+        # at the first Simpson node [0, 0, 0.2] T is dependent and the leaf
+        # component 1/x2 fails to evaluate: T's rank is checked first, as in Step 1
+        g1 = section(chart3, ("1/x2", "1", "0"), ("0", "0", "0"))
+        g2 = section(chart3, ("0", "2", "0"), ("0", "0", "0"))
+        extra = section(chart3, ("0", "sin(x1)", "0"), ("0", "0", "0"))
+        p = FoliatedProblem(chart=chart3, generators=(g1, g2), extra=extra)
+        with pytest.raises(NonUniqueCoefficients) as exc:
+            compute_Pi(p, np.array([0.3, 0.0, 0.2]))
+        assert exc.value.stage == "Step 4" and exc.value.point == [0.0, 0.0, 0.2]
 
     def test_nothing_to_solve_without_leaves(self):
         # k = 0: there is no leaf derivative to decompose, so a dependent T is no error
@@ -748,6 +783,100 @@ class TestStep4Beta:
         X, degenerate, residual, violated = _decompose(T, np.full((6, 1, 1), 8e307), 1, 1e-7)
         assert X[0, 0, 0] == 8e307 and not degenerate[0] and violated[0, 0]
         assert residual[0, 0] == pytest.approx(5**0.5 * 8e307, rel=1e-15)
+
+
+class TestOneDecomposition:
+    """Steps 1 and 4 are one method (_Solver._decomposition): each node's B
+    and beta are the same bits alone and in a batch, and where several
+    checks fail at one node the two steps raise the same kind of error,
+    the first in check order."""
+
+    @staticmethod
+    def problem(k, r, seed, inject=()):
+        """A family on n = k + 2 coordinates whose transverse part T0 G(x) has
+        G upper triangular with exp(...) on the diagonal, nonzero leaf
+        components, and an extra section sum_g c_g(x) (T0 G)_g.  inject names
+        failures at x_{k+1} = 0: "T" (T fails to evaluate), "degenerate"
+        (generator 0's transverse part vanishes), "residual" (the leaf
+        derivatives of generator 0 and of the extra section leave the span,
+        there and elsewhere) and "leaf" (a leaf component fails to evaluate)."""
+        rng = np.random.default_rng(seed)
+        chart = make_chart(k + 2, k=k)
+        x = chart.coord_names
+        t = x[k]
+
+        def linear(weights):
+            return " + ".join(f"({w!r})*{x[l]}" for l, w in enumerate(weights))
+
+        T0, c = rng.standard_normal((4, r)).tolist(), rng.standard_normal((r, r)).tolist()
+        exponents = rng.standard_normal((r, k)).tolist()
+        T = [[f"({T0[i][g]!r})*exp({linear(exponents[g])})"
+              + "".join(f" + ({T0[i][a]!r})*({c[a][g]!r})*{x[0]}" for a in range(g)) for i in range(4)]
+             for g in range(r)]
+        a, b, d = rng.standard_normal((3, r)).tolist()
+        e = [" + ".join(f"({a[g]!r})*sin(({b[g]!r})*{x[0]} + ({d[g]!r})*{x[k + 1]})*({T[g][i]})" for g in range(r))
+             for i in range(4)]
+
+        def leaf():  # nowhere zero: |u| (2 + sin) >= |u| >= 0.5
+            u, w = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])), float(rng.standard_normal())
+            return f"({u!r})*(2 + sin(({w!r})*{x[0]} + {x[k + 1]}))"
+
+        leaves = [[leaf() for _ in range(k)] for _ in range(r + 1)]
+        if "residual" in inject:
+            v = rng.standard_normal((2, 4)).tolist()
+            T[0] = [f"{T[0][i]} + ({v[0][i]!r})*{x[0]}" for i in range(4)]
+            e = [f"{e[i]} + ({v[1][i]!r})*{x[0]}" for i in range(4)]
+        if "degenerate" in inject:
+            T[0] = [f"{t}*({row})" for row in T[0]]
+        if "T" in inject:
+            T[0][0] = f"{T[0][0]} + 1/{t}"
+        if "leaf" in inject:
+            leaves[0][0] = f"{leaves[0][0]} + 1/{t}"
+        gens = tuple(section(chart, (*leaves[g], T[g][0], T[g][1]), ("0",) * k + (T[g][2], T[g][3]))
+                     for g in range(r))
+        return FoliatedProblem(chart=chart, generators=gens,
+                               extra=section(chart, (*leaves[r], e[0], e[1]), ("0",) * k + (e[2], e[3])))
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 2), r=st.integers(1, 3), nodes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_one_node_and_a_batch_give_the_same_bits(self, k, r, nodes, seed):
+        p = self.problem(k, r, seed)
+        points = np.array(random_points(np.random.default_rng(seed), p.chart, nodes))
+        assert not p._solver.constant_tilde
+        for step in (step1, step4):
+            beta = step(p, points)[0]
+            for i in range(nodes):
+                assert step(p, points[i : i + 1])[0][0].tobytes() == beta[i].tobytes()
+
+    CHECK_ORDER = (("T", EvalDomainError), ("degenerate", NonUniqueCoefficients),
+                   ("residual", HypothesisViolated), ("leaf", EvalDomainError))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 2),
+        r=st.integers(1, 3),
+        inject=st.sets(st.sampled_from([name for name, _ in CHECK_ORDER])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coincident_failures_raise_the_same_kind_in_both_steps(self, k, r, inject, seed):
+        p = self.problem(k, r, seed, inject)
+        points = np.array(random_points(np.random.default_rng(seed), p.chart, 3))
+        points[0, k] = 0.0  # every injected failure is at the first node
+        raised = []
+        for step in (step1, step4):
+            try:
+                step(p, points)
+                raised.append(None)
+            except (EvalDomainError, HypothesisViolated, NonUniqueCoefficients) as error:
+                raised.append(error)
+        kind = next((kind for name, kind in self.CHECK_ORDER if name in inject), None)
+        assert [type(error) if error else None for error in raised] == [kind, kind]
+        if kind is not None:
+            assert raised[0].point == raised[1].point == points[0].tolist()
+            if kind is EvalDomainError:  # from a row the two programs share
+                assert str(raised[0]) == str(raised[1])
+            else:
+                assert (raised[0].stage, raised[1].stage) == ("Step 1", "Step 4")
 
 
 def test_leaf_coefficients_match_the_sums_entry_by_entry(rng):
@@ -1078,13 +1207,13 @@ class TestStepOneOncePerNode:
         from diracgen.invariant_gen import _Solver
 
         solver, nodes = _Solver(p), []
-        step1 = solver._step1
+        decomposition = solver._decomposition
 
-        def spy(at, with_A=False):
+        def spy(program, S, at, *args, **kwargs):
             nodes.append(at.copy())
-            return step1(at, with_A)
+            return decomposition(program, S, at, *args, **kwargs)
 
-        solver._step1 = spy
+        solver._decomposition = spy
         W = solver._fundamental(j, np.array(points, dtype=float))
         # + 0.0 makes -0.0 and 0.0 one key, as == compares them
         return W, [tuple(row) for row in (np.concatenate(nodes) + 0.0).tolist()] if nodes else []
