@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -178,7 +179,7 @@ def load_problem(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read problem file: {exc}") from exc
     try:
         data = json.loads(text)
@@ -269,8 +270,8 @@ class _Emitter:
             self._fh.close()
 
     def line(self, obj: dict):
-        self._fh.write(json.dumps(obj, sort_keys=True, default=float))
-        self._fh.write("\n")
+        self._fh.write(json.dumps(obj, sort_keys=True, default=float) + "\n")
+        self._fh.flush()  # a stream that fails on write fails here, before the summary
 
     def provenance(self, command: str, raw_text: str, numerics: dict):
         digest = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()
@@ -451,23 +452,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Emitter(args.output)
     try:
-        data = load_problem(args.problem)
-        numerics = _numerics(data, args)
-        out.provenance(args.command, data["_raw_text"], numerics)
-        chart = _chart(_require(data, "chart", "problem"), "chart")
-        with _at("numerics.samples"):
-            samples = chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
-        return args.fn(data, chart, samples, numerics, args, out)
-    except InputError as exc:
-        return out.error(EXIT_INPUT, "input error", exc)
-    except (NumericalBreakdownError, EvalDomainError) as exc:
-        return out.error(EXIT_NUMERICAL, "numerical breakdown", exc)
-    except VerificationError as exc:
-        return out.error(EXIT_VERIFICATION, "verification failure", exc)
-    finally:
-        out.close()
+        out = _Emitter(args.output)
+        try:
+            data = load_problem(args.problem)
+            numerics = _numerics(data, args)
+            out.provenance(args.command, data["_raw_text"], numerics)
+            chart = _chart(_require(data, "chart", "problem"), "chart")
+            with _at("numerics.samples"):
+                samples = chart.sample_points(seed=numerics["seed"], n_random=numerics["samples"], margin=0.1)
+            return args.fn(data, chart, samples, numerics, args, out)
+        except InputError as exc:
+            return out.error(EXIT_INPUT, "input error", exc)
+        except (NumericalBreakdownError, EvalDomainError) as exc:
+            return out.error(EXIT_NUMERICAL, "numerical breakdown", exc)
+        except VerificationError as exc:
+            return out.error(EXIT_VERIFICATION, "verification failure", exc)
+        finally:
+            out.close()
+    except OSError as exc:  # the report stream cannot be opened or fails on write
+        if not args.output:
+            # what stdout still buffers goes nowhere, so exiting adds no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -31,8 +31,11 @@ at a time; Steps 2 and 4 group their points into coordinate lines the same
 way (_group_lines).  In Step 2, Step 1 runs once per distinct RK4 node,
 each step applies its propagator Phi = RK4(B, I, h), and a point within
 rounding of a grid node reads it.  Step 2's grids are the only line state
-a solver keeps: each Step-4 call sums the full panels of its lines from
-the zero slice.
+a solver keeps: Step 4 plans the Simpson nodes of every leaf coordinate
+first (_simpson), evaluates H^T beta at all of them in one batch and sums
+the full panels of each line from the zero slice.  With an extra section,
+run() makes one Step-2 pass: one H over its points and those nodes gives
+B and the integrand.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -216,13 +219,6 @@ def _batch(points, compute, one):
         raise
 
 
-def _line_points(point: np.ndarray, j: int, xs) -> np.ndarray:
-    """Copies of point with coordinate j set to each of xs."""
-    out = np.repeat(point[None], len(xs), axis=0)
-    out[:, j] = xs
-    return out
-
-
 def _householder(T: np.ndarray, C: np.ndarray):
     """Least-squares solve of T X = C by Householder QR at every node, node
     axis last: T (M, r, N), C (M, c, N).  Returns X (r, c, N) and |R_jj|
@@ -268,6 +264,15 @@ def _decompose(T: np.ndarray, C: np.ndarray, width: int, tol: float):
         return X, degenerate, s * residual, residual > tol * (1.0 / s + norms)
 
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of the first row equal (==) to each row of a finite matrix."""
+    order = np.lexsort(rows.T)  # stable: each run of equal rows starts at its first
+    new = np.r_[True, (np.diff(rows[order], axis=0) != 0.0).any(axis=1)]  # finite: x - y == 0 iff x == y
+    first = np.empty(len(rows), dtype=int)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
 def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
     """Group points (x^j nonzero) into x^j lines, one per (other coordinates,
     sign of x^j), in order of first appearance.  Returns the key (other
@@ -275,13 +280,12 @@ def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
     point and the largest count on each line."""
     # + 0.0 turns -0.0 into 0.0, equal to it as a key
     keys = np.column_stack([np.delete(points, j, axis=1) + 0.0, points[:, j] > 0.0])
-    _, first, line = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    line = np.argsort(order)[line.reshape(-1)]
-    first = first[order]
+    of = _first_rows(keys)
+    heads = of == np.arange(len(keys))
+    first, line = np.flatnonzero(heads), (np.cumsum(heads) - 1)[of]
     largest = np.zeros(len(first), dtype=int)
     np.maximum.at(largest, line, counts)
-    return [(tuple(keys[i, :-1].tolist()), bool(keys[i, -1])) for i in first.tolist()], first, line, largest
+    return [(tuple(key[:-1]), bool(key[-1])) for key in keys[first].tolist()], first, line, largest
 
 
 class _Solver:
@@ -295,7 +299,8 @@ class _Solver:
     last and solves all nodes at once (_decompose).  Step 2 keeps the
     integration grid of each coordinate line, so every later point on a
     line only adds its own last partial step; these grids are the only
-    line state, and Step 4 reads H from them.
+    line state.  Step 4 reads H from them, in run() from the same _H call
+    that gives B (_corrected_parts).
 
     Batches check every node.  When one fails, the work is redone point by
     point with the same code, so the error raised is the one the per-point
@@ -401,10 +406,7 @@ class _Solver:
     def _B_on_line(self, nodes: np.ndarray, j: int) -> np.ndarray:
         """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r).  Step 1
         runs once per distinct node (==), at its first occurrence in order."""
-        order = np.lexsort(nodes.T)  # stable: each run of equal rows starts at its first
-        new = np.r_[True, (np.diff(nodes[order], axis=0) != 0.0).any(axis=1)]  # finite: x - y == 0 iff x == y
-        first = np.empty(len(nodes), dtype=int)
-        first[order] = order[new][np.cumsum(new) - 1]
+        first = _first_rows(nodes)
         solved = first == np.arange(len(nodes))
         r = self.p.r
         B = self._decomposition(self._generator_decomposition, r, nodes[solved], "Step 1", "a generator")[0][:, j]
@@ -532,10 +534,11 @@ class _Solver:
             H = H @ self._fundamental(j - 1, q)
         return H
 
-    def _B(self, points: np.ndarray) -> np.ndarray:
+    def _B(self, points: np.ndarray, H=None) -> np.ndarray:
+        """(H^T)^-1 at each point, from H there when it is given."""
         if self.constant_tilde:  # H = I, so B is I, bit for bit as the solve below gives it
             return np.repeat(np.eye(self.p.r)[None], len(points), axis=0)
-        H = self._H(points)
+        H = self._H(points) if H is None else H
         eye = np.broadcast_to(np.eye(self.p.r), H.shape)
         return self._solve_square(np.swapaxes(H, 1, 2), eye, points, "Step 2")
 
@@ -578,75 +581,86 @@ class _Solver:
 
     # -- Step 4 -----------------------------------------------------------
 
-    def _Hbeta(self, points: np.ndarray, l: int) -> np.ndarray:
-        if self.p.extra is None:
-            raise InputError("no extra section in this problem")
-        beta = self._decomposition(self._extra_decomposition, 1, points, "Step 4", "the extra section")[0][:, l, :, 0]
-        return (np.swapaxes(self._H(points), 1, 2) @ beta[..., None])[..., 0]
-
-    def _integrand(self, l: int, points: np.ndarray) -> np.ndarray:
-        """H^T beta_l at each point, in one batch."""
-        return _batch(points, lambda q: self._Hbeta(q, l), lambda m: self._Hbeta(m[None], l))
-
-    def _simpson(self, l: int, bases: np.ndarray) -> np.ndarray:
-        """For each base point, composite Simpson quadrature of H^T beta_l
-        along x^l from 0 to its x^l, panels of width 2*quad_step, final
-        partial panel allowed.  The full panels of each line, up to its
-        farthest upper limit, are summed once in panel order, and every upper
-        limit on it reads the running total there.  The full panels of all
-        lines, then the partial panels of all points, are evaluated in one
-        batch each."""
+    def _simpson(self, points: np.ndarray):
+        """Plan R at each point, the sum over l = k-1 .. 0 of the composite
+        Simpson quadratures of H^T beta_l along x^l from 0 to the point's
+        x^l, with the later leaf coordinates zeroed: panels of width
+        2*quad_step, final partial panel allowed.  Returns the nodes of every
+        l, per line the zero slice and each full panel's midpoint and end up
+        to the line's farthest upper limit, then each point's partial panel;
+        and the function that turns H^T beta there (_Hbeta) into R.  It sums
+        each line's full panels once in panel order, and every upper limit
+        reads the running total there."""
         p = self.p
         step = p.quad_step
         panel = 2.0 * step
-        out = np.zeros((len(bases), p.r))
-        length = np.abs(bases[:, l])
-        n_full = (length // panel).astype(int)
-        live = np.flatnonzero((n_full > 0) | (length > 1e-15 * np.maximum(1.0, length)))
-        if not live.size:
-            return out
-        p.chart.require_inside(bases[live])
-        sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
-        _, first, line, target = _group_lines(l, bases[live], n_full)
-        # the panel boundaries, accumulated panel by panel from the zero slice
-        x = np.cumsum(np.r_[0.0, np.full(target.max(), panel)])
-        # per line: the zero slice, then the midpoint and end of each panel
-        taus = [np.r_[0.0, np.column_stack([x[:t] + step, x[1 : t + 1]]).ravel()] for t in target.tolist()]
-        nodes = [_line_points(bases[live[i]], l, sign[i] * tau) for i, tau in zip(first.tolist(), taus)]
-        fs, totals = [], []
-        for f in np.split(self._integrand(l, np.concatenate(nodes)), np.cumsum([len(q) for q in nodes])[:-1]):
-            fs.append(f[::2])  # at the boundaries
-            part = (panel / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
-            totals.append(np.cumsum(np.concatenate([np.zeros((1, p.r)), part]), axis=0))
-        # each upper limit: the total of its full panels, plus its partial panel
-        total = np.array([totals[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
-        fa = np.array([fs[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
-        x = x[n_full]
-        rem = length - x
-        at = np.flatnonzero(rem > 1e-15 * np.maximum(1.0, length))
-        if at.size:
-            nodes = np.repeat(bases[live[at]], 2, axis=0)
-            nodes[:, l] = np.column_stack([sign[at] * (x[at] + 0.5 * rem[at]), sign[at] * length[at]]).ravel()
-            fmid, fb = self._integrand(l, nodes).reshape(-1, 2, p.r).swapaxes(0, 1)
-            total[at] += (rem[at, None] / 6.0) * (fa[at] + 4.0 * fmid + fb)
-        out[live] = sign[:, None] * total
-        return out
-
-    def _R(self, points: np.ndarray) -> np.ndarray:
-        """Sum over leaf coordinates of line integrals of H^T beta_l, at each
-        point: the l-th integral runs along x^l from the zero slice, with all
-        later leaf coordinates zeroed."""
-        p = self.p
-        R = np.zeros((len(points), p.r))
+        plans, nodes = [], [np.empty((0, p.n))]
         for l in range(p.k - 1, -1, -1):
             bases = points.copy()
             bases[:, l + 1 : p.k] = 0.0
-            R += self._simpson(l, bases)
-        return R
+            length = np.abs(bases[:, l])
+            n_full = (length // panel).astype(int)
+            live = np.flatnonzero((n_full > 0) | (length > 1e-15 * np.maximum(1.0, length)))
+            if not live.size:
+                continue
+            sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
+            _, first, line, target = _group_lines(l, bases[live], n_full)
+            # the panel boundaries, accumulated panel by panel from the zero slice
+            x = np.cumsum(np.r_[0.0, np.full(target.max(), panel)])
+            rem = length - x[n_full]
+            at = np.flatnonzero(rem > 1e-15 * np.maximum(1.0, length))
+            q = np.repeat(bases[live[np.r_[first, at]]], np.r_[2 * target + 1, np.full(at.size, 2)], axis=0)
+            # per line the zero slice, then the midpoint and end of each panel; then the partial panels
+            q[:, l] = np.concatenate(
+                [s * np.r_[0.0, np.column_stack([x[:t] + step, x[1 : t + 1]]).ravel()] for s, t in zip(sign[first], target)]
+                + [np.column_stack([sign[at] * (x[n_full[at]] + 0.5 * rem[at]), sign[at] * length[at]]).ravel()])
+            nodes.append(q)
+            plans.append((l, live, sign, n_full, line, np.cumsum(2 * target + 1), rem, at))
+
+        def R(f):
+            R = np.zeros((len(points), p.r))
+            for (l, live, sign, n_full, line, ends, rem, at), g in zip(
+                    plans, np.split(f, np.cumsum([len(q) for q in nodes[1:]], dtype=int)[:-1])):
+                lines = np.split(g[: ends[-1], l], ends[:-1])  # each line's full panels
+                part = [(panel / 6.0) * (h[:-1:2] + 4.0 * h[1::2] + h[2::2]) for h in lines]
+                totals = [np.cumsum(np.concatenate([np.zeros((1, p.r)), a]), axis=0) for a in part]
+                # each upper limit: the total of its full panels, plus its partial panel
+                total = np.array([totals[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
+                fa = g[np.r_[0, ends[:-1]][line[at]] + 2 * n_full[at], l]  # at each partial panel's start
+                fmid, fb = g[ends[-1] :, l].reshape(-1, 2, p.r).swapaxes(0, 1)
+                total[at] += (rem[at, None] / 6.0) * (fa + 4.0 * fmid + fb)
+                R[live] += sign[:, None] * total
+            return R
+
+        return np.concatenate(nodes), R
+
+    def _Hbeta(self, nodes: np.ndarray, H=None) -> np.ndarray:
+        """H^T beta_l at each node for every leaf index l (N, k, r), from H
+        there when it is given."""
+        p = self.p
+        if not len(nodes):  # no panel to integrate: nothing is evaluated
+            return np.empty((0, p.k, p.r))
+        if p.extra is None:
+            raise InputError("no extra section in this problem")
+        beta = self._decomposition(self._extra_decomposition, 1, nodes, "Step 4", "the extra section")[0]
+        H = self._H(nodes) if H is None else H
+        return (np.swapaxes(H, 1, 2)[:, None] @ beta)[..., 0]
 
     def _Pi(self, points: np.ndarray, B=None) -> np.ndarray:
+        """Pi = -B R at each point: B unless it is given, then H^T beta at
+        the Simpson nodes of every leaf coordinate in one batch."""
         B = self._B(self._checked(points)) if B is None else B
-        return (-B @ self._R(points)[..., None])[..., 0]
+        nodes, R = self._simpson(points)
+        return (-B @ R(_batch(nodes, self._Hbeta, lambda m: self._Hbeta(m[None])))[..., None])[..., 0]
+
+    def _corrected_parts(self, points: np.ndarray):
+        """G, B and Pi at each point from one Step-2 pass: one H over the
+        points (for B) and the Simpson nodes of every leaf coordinate."""
+        G, points = self.generator_matrices(points), self._checked(points)  # in the box before any planning
+        nodes, R = self._simpson(points)
+        H = self._H(np.concatenate([points, nodes]))
+        B = self._B(points, H[: len(points)])
+        return G, B, (-B @ R(self._Hbeta(nodes, H[len(points) :]))[..., None])[..., 0]
 
     def _corrections(self, points: np.ndarray) -> np.ndarray:
         """(Z, gamma) = G Pi at each point."""
@@ -796,8 +810,17 @@ def run(
     stencils = [_stencil(p.chart, samples, l) for l in range(k)]
     points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
     deltas = [delta for _, delta in stencils]
-    # G and B once, for the frames and the corrections
-    G, B = _batch(points, solver._parts, solver.frame)
+    # G and B once, for the frames and the corrections, and with an extra
+    # section Pi from the same Step-2 pass
+    if p.extra is None:
+        G, B = _batch(points, solver._parts, solver.frame)
+    else:
+        try:
+            G, B, Pi = solver._corrected_parts(points)
+        except _POINT_ERRORS:  # raise what the parts, then the corrections, meet first point by point
+            G, B = _batch(points, solver._parts, solver.frame)
+            _batch(points, lambda q: solver._Pi(q, B), solver.correction)
+            raise
     frames = G @ B
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical
@@ -815,7 +838,6 @@ def run(
     result = InvariantFrameResult(problem=p, frame=solver.frame, combined=None, report=report,
                                   frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N])
     if p.extra is not None:
-        Pi = _batch(points, lambda q: solver._Pi(q, B), solver.correction)
         corrections = (G @ Pi[..., None])[..., 0]
         defects = span_defects(G_columns[:, None], corrections[:N, None])[:, 0]
         report.add(record_from_samples(

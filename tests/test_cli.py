@@ -625,6 +625,60 @@ def test_error_in_a_later_stage_prints_one_line(tmp_path):
     assert err.startswith("input error: sections.dkperp: form component 0")
 
 
+class TestStreamFaults:
+    """Input and output streams that used to end in a traceback and exit 1:
+    each exits 2 with one stderr line, and stdout holds no partial record."""
+
+    @staticmethod
+    def run(*args, **streams):
+        return subprocess.run([sys.executable, "-m", "diracgen.cli", *args], stderr=subprocess.PIPE, cwd=ROOT,
+                              env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}, **streams)
+
+    def test_problem_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff\xfe{}")
+        out = self.run("check", str(path), stdout=subprocess.PIPE)
+        message = "cannot read problem file: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert out.returncode == 2
+        assert out.stderr == f"input error: {message}\n".encode()
+        verdict = {"exit_code": 2, "failed_stage": "", "message": message, "passed": False, "point": None,
+                   "record": "verdict"}
+        assert out.stdout == (json.dumps(verdict, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("target, reason", [
+        ("", "[Errno 21] Is a directory"),
+        ("missing/report.jsonl", "[Errno 2] No such file or directory"),
+    ])
+    def test_output_that_cannot_be_opened(self, tmp_path, target, reason):
+        path = str(tmp_path / target) if target else str(tmp_path)
+        out = self.run("check", problem("e1.json"), "--output", path, stdout=subprocess.PIPE)
+        assert (out.returncode, out.stdout) == (2, b"")
+        assert out.stderr == f"output error: cannot write the report: {reason}: {path!r}\n".encode()
+
+    @pytest.mark.parametrize("stream", ["closed pipe", "full device", "full device as --output"])
+    def test_report_stream_that_fails_on_write(self, stream):
+        if stream == "closed pipe":
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                out = self.run("check", problem("e1.json"), stdout=write)
+            finally:
+                os.close(write)
+            reason = "[Errno 32] Broken pipe"
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            with open("/dev/full", "w") as full:
+                if stream == "full device":
+                    out = self.run("check", problem("e1.json"), stdout=full)
+                else:
+                    out = self.run("check", problem("e1.json"), "--output", "/dev/full", stdout=subprocess.PIPE)
+                    assert out.stdout == b""
+            reason = "[Errno 28] No space left on device"
+        assert out.returncode == 2
+        assert out.stderr == f"output error: cannot write the report: {reason}\n".encode()
+
+
 class TestBoundedWork:
     """Sizes that would bound no work are input errors before any work."""
 

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
-from diracgen.errors import EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients
+from diracgen.errors import (
+    DiracgenError, EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients, OutsideBoxError,
+)
 from diracgen.invariant_gen import (
     MAX_LINE_STEPS,
     FoliatedProblem,
     _decompose,
     _householder,
+    _stencil,
     compute_Pi,
     fundamental_matrix,
     run,
@@ -47,6 +50,13 @@ def H_at(p, m):
 
 def B_at(p, m):
     return p._solver._B(p._solver._checked([m]))[0]
+
+
+def R_at(p, points):
+    """R (N, r) at each point, from one integrand batch over the Simpson
+    nodes of every leaf coordinate."""
+    nodes, R = p._solver._simpson(np.asarray(points, dtype=float))
+    return R(p._solver._Hbeta(nodes))
 
 
 def step1(p, nodes, leaf=False):
@@ -313,7 +323,7 @@ class TestComputePi:
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra)
         solver = p._solver
         m = np.array([0.43, 0.1, -0.2])
-        dR = leaf_directional_derivative(lambda q: solver._R(np.asarray([q]))[0], chart3, m, 0, delta=1e-3)
+        dR = leaf_directional_derivative(lambda q: R_at(p, [q])[0], chart3, m, 0, delta=1e-3)
         T = np.array([[e.eval(m) for e in row] for row in PointwiseReference(p).T])
         _, beta = beta_fields(p, m)
         lhs = T @ B_at(p, m) @ dR
@@ -562,9 +572,9 @@ def simpson_problem(k: int):
 
 class TestSimpsonTotals:
     """_simpson sums the panels of each line from the zero slice as the
-    composite Simpson reference does node by node: the same bits (up to the
-    sign of a zero), whether its upper limits come in one batch, one at a
-    time or in shuffled chunks."""
+    composite Simpson reference does node by node, and adds the integrals
+    from l = k-1 down: the same bits (up to the sign of a zero), whether its
+    upper limits come in one batch, one at a time or in shuffled chunks."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -593,24 +603,27 @@ class TestSimpsonTotals:
             points.append(m)
         points = np.array(points)
 
-        def one(m):
+        def one(m, l):
             def f(tau):
                 q = m.copy()
                 q[l] = tau
-                return solver._integrand(l, q[None])[0]
+                return solver._Hbeta(q[None])[0, l]
 
             return np.zeros(p.r) + composite_simpson(f, float(m[l]), p.quad_step)  # 0.0 with no panel
 
-        want = np.array([one(m) for m in points]) + 0.0
+        want = np.zeros_like(points[:, : p.r])
+        for j in range(p.k - 1, -1, -1):
+            bases = points.copy()
+            bases[:, j + 1 : p.k] = 0.0
+            want += [one(m, j) for m in bases]
         shuffled = list(range(len(points)))
         order.shuffle(shuffled)
         chunks = np.array_split(shuffled, order.randint(1, len(points)))
         in_chunks = np.empty_like(want)
         for chunk in chunks:
-            in_chunks[chunk] = solver._simpson(l, points[chunk])
-        for got in (solver._simpson(l, points), np.array([solver._simpson(l, m[None])[0] for m in points]),
-                    in_chunks):
-            assert (got + 0.0).tobytes() == want.tobytes()
+            in_chunks[chunk] = R_at(p, points[chunk])
+        for got in (R_at(p, points), np.array([R_at(p, m[None])[0] for m in points]), in_chunks):
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestHouseholder:
@@ -1038,21 +1051,23 @@ class TestRunEvaluatesEachPointOnce:
         from diracgen.invariant_gen import _Solver
 
         p = self.problem(chart3, name)
-        calls = []
-        original = _Solver._B
+        calls = {"_B": [], "_H": []}
+        for method in calls:
+            def spy(solver, points, *args, _method=method, _original=getattr(_Solver, method)):
+                calls[_method].append(np.array(points))
+                return _original(solver, points, *args)
 
-        def spy(solver, points):
-            calls.append(np.array(points))
-            return original(solver, points)
-
-        monkeypatch.setattr(_Solver, "_B", spy)
+            monkeypatch.setattr(_Solver, method, spy)
         samples = p.chart.sample_points(seed=3, n_random=6, margin=0.1)
         run(p, samples=samples)
-        # one batch, whose B the corrections share when there is an extra section
-        assert len(calls) == 1
-        for points in calls:
-            assert len(points) == len(samples) * (1 + 4 * p.k)
-            assert len(np.unique(points, axis=0)) == len(points)
+        # one batch, whose H the corrections share when there is an extra
+        # section: the Simpson nodes follow the points in it
+        assert len(calls["_B"]) == len(calls["_H"]) == 1
+        points = calls["_B"][0]
+        assert len(points) == len(samples) * (1 + 4 * p.k)
+        assert len(np.unique(points, axis=0)) == len(points)
+        assert np.array_equal(calls["_H"][0][: len(points)], points)
+        assert len(calls["_H"][0]) == len(points) + (p.extra is not None) * len(p._solver._simpson(points)[0])
 
     @pytest.mark.parametrize("name", ["e1", "e2", "k2"])
     def test_report_matches_the_pointwise_construction(self, chart3, rng, name):
@@ -1105,6 +1120,118 @@ class TestRunEvaluatesEachPointOnce:
         ]
         for r, want in zip(got, expected):
             assert r.worst_residual == pytest.approx(want.worst_residual, rel=1e-6, abs=1e-12)
+
+
+def run_points(p, samples) -> np.ndarray:
+    """The points run() evaluates the frame at: the samples, then the
+    stencil points of every sample for each leaf coordinate."""
+    samples = np.asarray(samples, dtype=float)
+    return np.concatenate([samples] + [_stencil(p.chart, samples, l)[0].reshape(-1, p.n) for l in range(p.k)])
+
+
+def pointwise_error(p, points):
+    """The error a point-by-point pass over run()'s points meets first, or
+    None: the frame at each point, then, with an extra section, each
+    point's Step-4 nodes in composite Simpson order for l from k-1 down,
+    each node's decomposition before its H.  On a fresh solver."""
+    p = dataclasses.replace(p)
+    try:
+        for m in points:
+            p._solver.frame(m)
+        for m in points if p.extra is not None else ():
+            for l in range(p.k - 1, -1, -1):
+                base = m.copy()
+                base[l + 1 : p.k] = 0.0
+
+                def f(tau):
+                    q = base.copy()
+                    q[l] = tau
+                    step4(p, q[None])
+                    H_at(p, q)
+                    return 0.0
+
+                composite_simpson(f, float(base[l]), p.quad_step)
+    except (DiracgenError, np.linalg.LinAlgError) as exc:
+        return exc
+    return None
+
+
+@st.composite
+def one_pass_problems(draw, fail=st.sampled_from(["none", "point", "node", "both"])):
+    """(problem, samples): k leaf and r transverse coordinates, generator i
+    sum_j mix_ij f_j (d/dx^{k+j} + dx^{k+j}) with mix unit lower triangular
+    and f_j = exp(a_j . x_leaf) (2 + sin x^{k+j}), so each leaf derivative
+    stays in the family's span, and an extra section with drawn
+    components.  A failure may be placed at a sample (a generator divides
+    by zero there) and past a drawn x1 on Step-4 nodes (the extra
+    section's leaf derivative leaves the span)."""
+    k, r, fail = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(fail)
+    n = k + r
+    x = [f"x{i + 1}" for i in range(n)]
+    c = st.sampled_from(["-0.7", "-0.3", "0.4", "0.9"])
+    samples = draw(st.lists(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n), min_size=1, max_size=3))
+    f = ["*".join([f"exp({c_j}*{x[l]})" for l, c_j in zip(range(k), draw(st.lists(c, min_size=k, max_size=k)))]
+                  + [f"(2 + sin({x[k + j]}))"]) for j in range(r)]
+    if fail in ("point", "both"):
+        f[0] += f"/({x[k]} - {samples[draw(st.integers(0, len(samples) - 1))][k]!r})"
+    gens = []
+    for i in range(r):
+        mix = [draw(st.sampled_from(["0", "0.5", "-0.5"])) for _ in range(i)] + ["1"]
+        slots = [f"{a}*{f_j}" for a, f_j in zip(mix, f)] + ["0"] * (r - i - 1)
+        gens.append(section(make_chart(n, k=k), ["0"] * k + slots, ["0"] * k + slots))
+    chart = gens[0].chart
+    term = st.sampled_from(["sin({c}*{a})", "{c}*{a}*{b}", "exp({c}*{a})*{b}"])
+    vector = [draw(term).format(c=draw(c), a=draw(st.sampled_from(x)), b=draw(st.sampled_from(x))) for _ in range(n)]
+    form = ["0"] * k + vector[k:]
+    if fail in ("node", "both") and k:  # on the vector component alone
+        vector[k] += f" + 1e-9*exp(40*(x1 - {draw(st.sampled_from(['-0.3', '0.1', '0.5']))}))"
+    extra = section(chart, vector, form)
+    return FoliatedProblem(chart=chart, generators=tuple(gens), extra=extra, ode_step=0.1, quad_step=0.1), samples
+
+
+class TestOneStep2Pass:
+    """With an extra section, run() evaluates H once, over its points and
+    the Simpson nodes of every leaf coordinate, and the extra section's
+    decomposition once, over the nodes; it keeps the values of the one-point
+    functions and raises what the point-by-point order meets first."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_round_counts(self, k, monkeypatch):
+        from diracgen.invariant_gen import _Solver
+
+        calls = {"_fundamental": 0, "_B_on_line": 0, "_decomposition": 0}
+        for method in calls:
+            def spy(solver, *args, _method=method, _original=getattr(_Solver, method), **kwargs):
+                calls[_method] += 1
+                return _original(solver, *args, **kwargs)
+
+            monkeypatch.setattr(_Solver, method, spy)
+        p = dataclasses.replace(simpson_problem(k))  # a fresh solver
+        run(p, samples=p.chart.sample_points(seed=3, n_random=6, margin=0.1))
+        # one Step-2 round per leaf coordinate; Step 1 once in each, Step 4 once
+        assert calls == {"_fundamental": k, "_B_on_line": k, "_decomposition": k + 1}
+
+    def test_a_sample_outside_the_box_fails_before_step_4_plans_its_panels(self, chart3):
+        # planned from 1e12, the line would take 2.5e14 panels
+        with pytest.raises(OutsideBoxError, match=r"point \[1000000000000.0, 0.0, 0.0\] outside chart box"):
+            run(e2_problem(chart3), samples=[[0.5, 0.0, 0.0], [1e12, 0.0, 0.0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=one_pass_problems())
+    def test_run_keeps_the_one_point_values_and_errors(self, case):
+        p, samples = case
+        expected = pointwise_error(p, run_points(p, samples))
+        if expected is None:
+            result = run(p, samples=samples)
+            for i, m in enumerate(result.samples):
+                assert result.sample_Pi[i].tobytes() == compute_Pi(p, m).tobytes()
+                if p.k:
+                    assert result.sample_combined[i].tobytes() == result.combined(m).tobytes()
+        else:
+            with pytest.raises(type(expected)) as raised:
+                run(p, samples=samples)
+            assert (str(raised.value), raised.value.point, raised.value.stage) == (
+                str(expected), expected.point, expected.stage)
 
 
 class TestLockstepLines:
