@@ -356,9 +356,8 @@ def cmd_invariant_generators(data: dict, chart: Chart, samples, numerics: dict, 
             rec["combined"] = result.sample_combined[i].tolist()
         out.line(rec)
     if args.dump_intermediates:
-        H = problem._solver._H(result.samples)  # from the Step-2 grids run() grew
         for i, m in enumerate(samples):
-            rec = {"record": "intermediates", "point": m.tolist(), "H": H[i].tolist(),
+            rec = {"record": "intermediates", "point": m.tolist(), "H": result.sample_H[i].tolist(),
                    "B": result.sample_B[i].tolist()}
             if result.sample_Pi is not None:
                 rec["Pi"] = result.sample_Pi[i].tolist()

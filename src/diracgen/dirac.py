@@ -350,18 +350,22 @@ def constant_rank_scan(D: DiracStructure, action: InfinitesimalAction, samples, 
     return record, ranks
 
 
-def _frame_jets(frames, chart: Chart, samples):
+def _frame_jets(frames, chart: Chart, samples, directions):
     """1-jets of the frame columns at the samples, as _jets lays them out
-    (a frame of r columns is r sections); the partials are fourth-order
-    finite differences of the whole frame, one per coordinate.  The frames
-    at all samples and stencil points are one batch, in the order a
-    point-by-point pass evaluates them."""
+    (a frame of r columns is r sections); the partials along each of the
+    coordinates directions are fourth-order finite differences of the whole
+    frame, and 0 along the others.  The frames at all samples and stencil
+    points are one batch, in the order a point-by-point pass evaluates
+    them."""
     samples = np.asarray(samples, dtype=float)
     N, n = samples.shape
-    stencils = [_stencil(chart, samples, i) for i in range(n)]
+    stencils = [_stencil(chart, samples, i) for i in directions]
     points = np.concatenate([samples[:, None], *(q for q, _ in stencils)], axis=1)
-    values = np.asarray(frames(points.reshape(-1, n)), dtype=float).reshape(N, 1 + 4 * n, 2 * n, -1)
-    return _stencil_jets(values, np.array([delta for _, delta in stencils]))
+    values = np.asarray(frames(points.reshape(-1, n)), dtype=float).reshape(N, 1 + 4 * len(directions), 2 * n, -1)
+    F, dF = _stencil_jets(values, np.array([delta for _, delta in stencils]))
+    partials = np.zeros(F.shape[:2] + (n, 2 * n))
+    partials[:, :, directions] = dF
+    return F, partials
 
 
 def _stencil_jets(values, deltas):
@@ -419,8 +423,11 @@ def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, 
     """Courant brackets [(xi, 0), (Z, gamma)] = ([xi, Z], L_xi gamma) of
     each action generator xi (exact jets) with each frame column (finite-
     difference jets) at the samples: shape (N, #generators, r, 2n); and
-    1 + the largest absolute frame entry at each sample."""
-    F, dF = _frame_jets(result.frames, result.problem.chart, samples)
+    1 + the largest absolute frame entry at each sample.  The bracket
+    reads the frame's partial along x^i only times xi^i, so the frame is
+    differenced only where some xi^i is not structurally zero."""
+    directions = [i for i in range(result.problem.n) if any(xi.coeffs[i] != ZERO for xi in action.generators)]
+    F, dF = _frame_jets(result.frames, result.problem.chart, samples, directions)
     xi, dxi = action._jets(samples)
     brackets = _courant(xi[:, :, None], dxi[:, :, None], F[:, None], dF[:, None])
     return brackets, 1.0 + _worst(F)

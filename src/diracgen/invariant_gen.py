@@ -30,12 +30,13 @@ and batches of points, with values bit-identical to evaluating one point
 at a time; Steps 2 and 4 group their points into coordinate lines the same
 way (_group_lines).  In Step 2, Step 1 runs once per distinct RK4 node,
 each step applies its propagator Phi = RK4(B, I, h), and a point within
-rounding of a grid node reads it.  Step 2's grids are the only line state
-a solver keeps: Step 4 plans the Simpson nodes of every leaf coordinate
-first (_simpson), evaluates H^T beta at all of them in one batch and sums
-the full panels of each line from the zero slice.  With an extra section,
-run() makes one Step-2 pass: one H over its points and those nodes gives
-B and the integrand.
+rounding of a grid node reads it.  A solver keeps no line state: Step 2
+integrates its lines from the zero slice, and Step 4 plans the Simpson
+nodes of every leaf coordinate first (_simpson), evaluates H^T beta at
+all of them in one batch and sums the full panels of each line from the
+zero slice.  With an extra section, run() and the one-point correction
+make one Step-2 pass: one H over the points and those nodes gives B and
+the integrand.
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -45,7 +46,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +168,7 @@ class FoliatedProblem:
     @functools.cached_property
     def _solver(self) -> _Solver:
         """The batched evaluators of every stage, built the first time a stage
-        needs them; they keep this problem's compiled programs and line caches."""
+        needs them; they keep this problem's compiled programs."""
         return _Solver(self)
 
     @property
@@ -182,23 +182,6 @@ class FoliatedProblem:
     @property
     def r(self) -> int:
         return len(self.generators)
-
-
-# Step-2 integration grids each solver keeps.  Past this many, the least
-# recently used line is dropped; it is recomputed from the zero slice, with
-# the same values, when it is needed again.
-LINE_CACHE_SIZE = 128
-
-
-def _lru_get(cache: OrderedDict, key, make):
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = make()
-        if len(cache) > LINE_CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
 
 
 # What evaluating a batch can raise at a failing point.
@@ -275,17 +258,14 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
 
 def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
     """Group points (x^j nonzero) into x^j lines, one per (other coordinates,
-    sign of x^j), in order of first appearance.  Returns the key (other
-    coordinates, x^j > 0) and first point of each line, the line of each
-    point and the largest count on each line."""
-    # + 0.0 turns -0.0 into 0.0, equal to it as a key
-    keys = np.column_stack([np.delete(points, j, axis=1) + 0.0, points[:, j] > 0.0])
-    of = _first_rows(keys)
-    heads = of == np.arange(len(keys))
+    sign of x^j), in order of first appearance.  Returns the first point of
+    each line, the line of each point and the largest count on each line."""
+    of = _first_rows(np.column_stack([np.delete(points, j, axis=1), points[:, j] > 0.0]))
+    heads = of == np.arange(len(points))
     first, line = np.flatnonzero(heads), (np.cumsum(heads) - 1)[of]
     largest = np.zeros(len(first), dtype=int)
     np.maximum.at(largest, line, counts)
-    return [(tuple(key[:-1]), bool(key[-1])) for key in keys[first].tolist()], first, line, largest
+    return first, line, largest
 
 
 class _Solver:
@@ -296,11 +276,11 @@ class _Solver:
     first time their step needs them; Step 1's rows are differentiated when
     the solver is built, since constant_tilde reads them.  Steps 1 and 4
     are one method, _decomposition: it reads its program with the node axis
-    last and solves all nodes at once (_decompose).  Step 2 keeps the
-    integration grid of each coordinate line, so every later point on a
-    line only adds its own last partial step; these grids are the only
-    line state.  Step 4 reads H from them, in run() from the same _H call
-    that gives B (_corrected_parts).
+    last and solves all nodes at once (_decompose).  Step 2 keeps no line
+    state: each _fundamental call integrates the grid of every coordinate
+    line through its points from the zero slice, as one array (_extend),
+    and memory is bounded by the batch.  Step 4 reads H from the same _H
+    call that gives B (_corrected).
 
     Batches check every node.  When one fails, the work is redone point by
     point with the same code, so the error raised is the one the per-point
@@ -319,7 +299,6 @@ class _Solver:
         # every generator component, generator by generator, in the order
         # evaluating one generator at a point takes them
         self._generator_exprs = CompiledExprs([c for g in p.generators for c in _components(g)])
-        self._lines: OrderedDict = OrderedDict()  # (j, frozen, x > 0) -> [W at i*h]
 
     def _decomposition_rows(self, sections) -> list:
         """The rows of the program that decomposes the leaf derivatives d_l s
@@ -403,10 +382,12 @@ class _Solver:
             k4 = Bt[:, 2] @ (W + h * k3)
             return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def _B_on_line(self, nodes: np.ndarray, j: int) -> np.ndarray:
-        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r).  Step 1
-        runs once per distinct node (==), at its first occurrence in order."""
-        first = _first_rows(nodes)
+    def _B_on_line(self, nodes: np.ndarray, ids: np.ndarray, j: int) -> np.ndarray:
+        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r).  A
+        node is the line id (one per set of other coordinates) and x^j it
+        lies at; Step 1 runs once per distinct node (==), at its first
+        occurrence in order."""
+        first = _first_rows(np.column_stack([ids, nodes[:, j]]))
         solved = first == np.arange(len(nodes))
         r = self.p.r
         B = self._decomposition(self._generator_decomposition, r, nodes[solved], "Step 1", "a generator")[0][:, j]
@@ -416,71 +397,76 @@ class _Solver:
         return NumericalBreakdownError("non-finite values while integrating a fundamental matrix",
                                        point=plain(point), stage="Step 2")
 
-    def _extend(self, j: int, lines: list, h, tails=()) -> np.ndarray:
-        """Grow each grid Ws of lines (Ws, point, target), which holds W at
-        i*h on the x^j line through point (h one step, or one per line), to
-        index target; return the propagator of each tail (line, n, dx), the
-        step of length dx from node n of that line.  Every step is W <- Phi W
-        with Phi = _rk4(B, I, dx) from its own nodes, all formed in one batch;
-        the lines step in lockstep, longest first (the lines still growing
-        lead), and finiteness is checked once: non-finite stays non-finite."""
-        r, L = self.p.r, len(lines)
+    def _extend(self, j: int, heads: np.ndarray, counts, h, tails=()):
+        """The grid of W at i*h, i = 1 .. counts[a], on the x^j line through
+        each head a (h one step, or one per line), from I on the zero slice:
+        one array, W at i*h of line a in row starts[a] + i - 1, with starts
+        the running sum of counts; and the propagator of each tail (line, n,
+        dx), the step of length dx from node n of that line.  Every step is
+        W <- Phi W with Phi = _rk4(B, I, dx) from its own nodes, all formed in
+        one batch; the lines step in lockstep, longest first (the lines still
+        growing lead), and finiteness is checked once: non-finite stays
+        non-finite."""
+        r, L = self.p.r, len(heads)
         h = np.broadcast_to(np.asarray(h, dtype=float), L)
-        counts = np.array([max(target - len(Ws) + 1, 0) for Ws, _, target in lines], dtype=int)
-        starts = np.cumsum([0, *counts])
-        grid = np.repeat(np.arange(L), counts)  # the line of each new grid step
+        counts = np.asarray(counts, dtype=int)
+        starts = np.cumsum(counts) - counts
+        grid = np.repeat(np.arange(L), counts)  # the line of each grid step
+        step = np.arange(len(grid)) - starts[grid]  # the node each grid step starts from
         tails = np.reshape(tails, (-1, 3))
         line = np.concatenate([grid, tails[:, 0].astype(int)])
         if not len(line):
-            return np.empty((0, r, r))
-        n = np.concatenate([np.array([len(Ws) - 1 for Ws, _, _ in lines])[grid] + np.arange(len(grid)) - starts[grid],
-                            tails[:, 1]])
+            return np.empty((0, r, r)), np.empty((0, r, r))
+        n = np.concatenate([step, tails[:, 1]])
         dx = np.concatenate([h[grid], tails[:, 2]])
         x0 = n * h[line]
-        nodes = np.repeat(np.stack([point for _, point, _ in lines])[line][:, None], 3, axis=1)
+        nodes = np.repeat(heads[line][:, None], 3, axis=1)
         nodes[:, :, j] = np.stack([x0, x0 + 0.5 * dx, x0 + dx], axis=1)
+        # the ± lines through the same other coordinates share an id, and so their zero-slice node
+        ids = np.repeat(_first_rows(np.delete(heads, j, axis=1))[line], 3)
         eye = np.repeat(np.eye(r)[None], len(line), axis=0)
         try:
-            Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), j), eye, dx[:, None, None])
+            Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), ids, j), eye, dx[:, None, None])
         except _POINT_ERRORS:
             if L > 1 or not len(grid):
                 raise  # the caller redoes its points one at a time
             Phi = None  # redone step by step below, where the per-point order raises
         if not len(grid):
-            return Phi
+            return np.empty((0, r, r)), Phi
         by_length = np.argsort(-counts, kind="stable")
         # growing[s]: how many lines take step s (the leading ones in by_length)
-        growing = np.searchsorted(-counts[by_length], -np.arange(counts.max(initial=0)))
-        first = starts[by_length]  # row in Phi (and in grown) of each line's first step
-        grown = np.empty((starts[-1], r, r))
-        W = np.stack([Ws[-1] for Ws, _, _ in lines])[by_length]
+        growing = np.searchsorted(-counts[by_length], -np.arange(counts.max()))
+        # the grid rows step by step, each step's lines longest first
+        order = np.lexsort((np.argsort(by_length)[grid], step))
+        W, grown = np.repeat(np.eye(r)[None], L, axis=0), np.empty((len(grid), r, r))
+        by_step = None if Phi is None else Phi[order]
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
-            for s, live in enumerate(growing):
-                rows = first[:live] + s
+            for s, (a, live) in enumerate(zip(np.cumsum(growing) - growing, growing)):
                 if Phi is None:
-                    W = self._rk4(self._B_on_line(nodes[s], j), eye[:1], h[0]) @ W
+                    W = self._rk4(self._B_on_line(nodes[s], ids[:3], j), eye[:1], h[0]) @ W
                     if not np.isfinite(W).all():
-                        raise self._breakdown(lines[0][1])
+                        raise self._breakdown(heads[0])
                 else:
-                    W = Phi[rows] @ W[:live]
-                grown[rows] = W
-        broken = np.flatnonzero(~np.isfinite(grown).all(axis=(1, 2)))
+                    W = by_step[a : a + live] @ W[:live]
+                grown[a : a + live] = W
+        Ws = np.empty_like(grown)
+        Ws[order] = grown
+        broken = np.flatnonzero(~np.isfinite(Ws).all(axis=(1, 2)))
         if broken.size:  # the first line, in input order, to break at the earliest step
             at = grid[broken]
-            raise self._breakdown(lines[at[np.lexsort((at, broken - starts[at]))[0]]][1])
-        for (Ws, _, _), start, count in zip(lines, starts, counts):
-            # a copy: a line dropped from the cache frees its own steps
-            Ws.extend(grown[start : start + count].copy())
+            raise self._breakdown(heads[at[np.lexsort((at, step[broken]))[0]]])
         if Phi is None:  # the grid stepped: the failing node is a tail's
             tail = slice(len(grid), None)
-            return self._rk4(self._B_on_line(nodes[tail].reshape(-1, nodes.shape[-1]), j), eye[tail], dx[tail, None, None])
-        return Phi[len(grid) :]
+            return Ws, self._rk4(self._B_on_line(nodes[tail].reshape(-1, nodes.shape[-1]), ids[3 * len(grid) :], j),
+                                 eye[tail], dx[tail, None, None])
+        return Ws, Phi[len(grid) :]
 
     def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
-        """W_j at each point (N x n).  One _extend call grows the grids of all
-        lines through the points and forms the propagator of each point's
-        last partial step.  A point within rounding of a grid node reads the
-        grid there rather than take a full-length partial step."""
+        """W_j at each point (N x n), from one _extend call over all lines
+        through the points, each integrated from the zero slice to its
+        farthest point, and the propagator of each point's last partial step.
+        A point within rounding of a grid node reads the grid there rather
+        than take a full-length partial step."""
         r, step = self.p.r, self.p.ode_step
         out = np.empty((len(points), r, r))
         out[:] = np.eye(r)
@@ -491,15 +477,12 @@ class _Solver:
         count, rounding = (np.abs(x) // step).astype(int), 1e-15 * np.maximum(1.0, np.abs(x))
         count += np.abs((count + 1) * step - np.abs(x)) <= rounding  # one rounding below a grid node: read it
         dx = x - np.copysign(count * step, x)
-        keys, first, line, target = _group_lines(j, points[live], count)
-        # each line looked up once, in order of first appearance, which
-        # decides what the cache evicts (a big batch may evict its own lines)
-        grids = [_lru_get(self._lines, (j, *key), lambda: [np.eye(r)]) for key in keys]
-        lines = [[Ws, points[live[i]], grid_to] for Ws, i, grid_to in zip(grids, first.tolist(), target.tolist())]
+        first, line, target = _group_lines(j, points[live], count)
         tails = np.flatnonzero(np.abs(dx) > rounding)
-        Phi = self._extend(j, lines, np.where(x[first] > 0.0, step, -step),
-                           np.column_stack([line[tails], count[tails], dx[tails]]))
-        out[live] = np.reshape([grids[a][c] for a, c in zip(line.tolist(), count.tolist())], (-1, r, r))
+        grid, Phi = self._extend(j, points[live[first]], target, np.where(x[first] > 0.0, step, -step),
+                                 np.column_stack([line[tails], count[tails], dx[tails]]))
+        on = np.flatnonzero(count)  # past the zero slice: read the grid
+        out[live[on]] = grid[(np.cumsum(target) - target)[line[on]] + count[on] - 1]
         if tails.size:
             at = live[tails]
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
@@ -563,11 +546,13 @@ class _Solver:
         return self.generator_matrices([m])[0]
 
     def _parts(self, points: np.ndarray):
-        """The generator matrices G and the transform B at each point."""
-        return self.generator_matrices(points), self._B(self._checked(points))
+        """The generator matrices G, H and the transform B at each point."""
+        G, points = self.generator_matrices(points), self._checked(points)
+        H = self._H(points)
+        return G, H, self._B(points, H)
 
     def _frames(self, points: np.ndarray) -> np.ndarray:
-        G, B = self._parts(points)
+        G, _, B = self._parts(points)
         return G @ B
 
     def frames(self, points) -> np.ndarray:
@@ -604,7 +589,7 @@ class _Solver:
             if not live.size:
                 continue
             sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
-            _, first, line, target = _group_lines(l, bases[live], n_full)
+            first, line, target = _group_lines(l, bases[live], n_full)
             # the panel boundaries, accumulated panel by panel from the zero slice
             x = np.cumsum(np.r_[0.0, np.full(target.max(), panel)])
             rem = length - x[n_full]
@@ -653,19 +638,26 @@ class _Solver:
         nodes, R = self._simpson(points)
         return (-B @ R(_batch(nodes, self._Hbeta, lambda m: self._Hbeta(m[None])))[..., None])[..., 0]
 
-    def _corrected_parts(self, points: np.ndarray):
-        """G, B and Pi at each point from one Step-2 pass: one H over the
-        points (for B) and the Simpson nodes of every leaf coordinate."""
-        G, points = self.generator_matrices(points), self._checked(points)  # in the box before any planning
-        nodes, R = self._simpson(points)
-        H = self._H(np.concatenate([points, nodes]))
-        B = self._B(points, H[: len(points)])
-        return G, B, (-B @ R(self._Hbeta(nodes, H[len(points) :]))[..., None])[..., 0]
+    def _corrected(self, points: np.ndarray):
+        """G, H, B and Pi at each point from one Step-2 pass: one H over the
+        points (for B) and the Simpson nodes of every leaf coordinate.  If it
+        fails, raise what the parts, then the corrections, meet first point
+        by point."""
+        try:
+            G, checked = self.generator_matrices(points), self._checked(points)  # in the box before any planning
+            nodes, R = self._simpson(checked)
+            H = self._H(np.concatenate([checked, nodes]))
+            B = self._B(checked, H[: len(checked)])
+            return G, H[: len(checked)], B, (-B @ R(self._Hbeta(nodes, H[len(checked) :]))[..., None])[..., 0]
+        except _POINT_ERRORS:
+            _, _, B = _batch(points, self._parts, self.frame)
+            _batch(points, lambda q: self._Pi(q, B), self.correction)
+            raise
 
     def _corrections(self, points: np.ndarray) -> np.ndarray:
         """(Z, gamma) = G Pi at each point."""
-        G, B = self._parts(points)
-        return (G @ self._Pi(points, B)[..., None])[..., 0]
+        G, _, _, Pi = self._corrected(points)
+        return (G @ Pi[..., None])[..., 0]
 
     def correction(self, m) -> np.ndarray:
         """Value of (Z, gamma) at m."""
@@ -739,6 +731,7 @@ class InvariantFrameResult:
     samples: np.ndarray | None = None  # N x n
     sample_frames: np.ndarray | None = None  # N x 2n x r
     sample_B: np.ndarray | None = None  # N x r x r, the transform (H^T)^-1
+    sample_H: np.ndarray | None = None  # N x r x r, the nested product H of Step 2
     sample_Pi: np.ndarray | None = None  # N x r, with an extra section
     sample_combined: np.ndarray | None = None  # N x 2n, with an extra section and k >= 1
 
@@ -793,7 +786,7 @@ def run(
                 detail="no leaf coordinates: generators returned unchanged",
             )
         )
-        B = solver._B(samples)
+        G, H, B = solver._parts(samples)
         return InvariantFrameResult(
             problem=p,
             frame=solver.generator_matrix,
@@ -801,8 +794,9 @@ def run(
             report=report,
             frames=solver.generator_matrices,
             samples=samples,
-            sample_frames=solver.generator_matrices(samples),
+            sample_frames=G,
             sample_B=B,
+            sample_H=H,
             sample_Pi=None if p.extra is None else solver._Pi(samples, B),
         )
 
@@ -810,17 +804,12 @@ def run(
     stencils = [_stencil(p.chart, samples, l) for l in range(k)]
     points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
     deltas = [delta for _, delta in stencils]
-    # G and B once, for the frames and the corrections, and with an extra
-    # section Pi from the same Step-2 pass
+    # G, H and B once, for the frames and the corrections, and with an
+    # extra section Pi from the same Step-2 pass
     if p.extra is None:
-        G, B = _batch(points, solver._parts, solver.frame)
+        G, H, B = _batch(points, solver._parts, solver.frame)
     else:
-        try:
-            G, B, Pi = solver._corrected_parts(points)
-        except _POINT_ERRORS:  # raise what the parts, then the corrections, meet first point by point
-            G, B = _batch(points, solver._parts, solver.frame)
-            _batch(points, lambda q: solver._Pi(q, B), solver.correction)
-            raise
+        G, H, B, Pi = solver._corrected(points)
     frames = G @ B
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical
@@ -836,7 +825,8 @@ def run(
     report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
 
     result = InvariantFrameResult(problem=p, frame=solver.frame, combined=None, report=report,
-                                  frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N])
+                                  frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N],
+                                  sample_H=H[:N])
     if p.extra is not None:
         corrections = (G @ Pi[..., None])[..., 0]
         defects = span_defects(G_columns[:, None], corrections[:N, None])[:, 0]

@@ -4,6 +4,7 @@ the reduction pipeline."""
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,6 +368,107 @@ class TestInvariantAnnihilator:
         problem = FoliatedProblem(chart=chart, generators=(gen,))
         with pytest.raises(InputError):
             invariant_annihilator_generators(action, problem)
+
+
+@st.composite
+def action_problems(draw):
+    """(action, forms, family, D, samples) on k leaf and t transverse
+    coordinates.  Family member i is f_i (d/dx^{k+i} + dx^{k+i}) and form i
+    f_i dx^{k+i}, f_i = exp(a_i . x_leaf) (2 + sin x^{k+i}) exp(b_i x^n),
+    so each leaf derivative stays in the span and the frame varies across
+    the leaves; D is spanned by (d/dx^j, dx^j).  Action generator l < k is
+    d/dx^l times a drawn factor, with drawn other leaf components; an
+    optional last one has no leaf components.  Each transverse component is
+    drawn structurally zero, a tiny constant or a tiny non-constant
+    expression."""
+    k, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n, r = k + t, draw(st.integers(1, t))
+    chart = make_chart(n, k=k)
+    x = chart.coord_names
+    c = st.sampled_from(["-0.7", "-0.3", "0.4", "0.9"])
+    f = ["*".join([f"exp({draw(c)}*{x[l]})" for l in range(k)] + [f"(2 + sin({x[k + i]}))", f"exp({draw(c)}*{x[-1]})"])
+         for i in range(r)]
+
+    def slots(i):
+        return ["0"] * (k + i) + [f[i]] + ["0"] * (t - i - 1)
+
+    family = tuple(section(chart, slots(i), slots(i)) for i in range(r))
+    forms = tuple(section(chart, ["0"] * n, slots(i)) for i in range(r))
+    D = DiracStructure(chart, tuple(section(chart, [str(float(i == j)) for i in range(n)],
+                                            [str(float(i == j)) for i in range(n)]) for j in range(n)))
+    transverse = st.sampled_from(["0", "1e-12", f"1e-12*sin({x[-1]})", f"1e-13*{x[0]}*{x[-1]}"])
+    leaf = [[draw(st.sampled_from(["1", f"(2 + sin({x[-1]}))", f"exp(0.3*{x[0]})"])) if l == a
+             else draw(st.sampled_from(["0", "0.5"])) for l in range(k)] for a in range(k)]
+    if draw(st.booleans()):
+        leaf.append(["0"] * k)
+    xis = tuple(VectorField(chart, tuple(parse(e, chart) for e in comps + [draw(transverse) for _ in range(t)]))
+                for comps in leaf)
+    samples = draw(st.lists(st.lists(st.floats(-0.8, 0.8), min_size=n, max_size=n), min_size=1, max_size=3))
+    return InfinitesimalAction(chart, xis), forms, family, D, samples
+
+
+class TestJetsAlongTheAction:
+    """The criterion-6 brackets difference the frame only along the
+    coordinates where the action has a component that is not structurally
+    zero: the bracket multiplies the frame's partial along x^i by xi^i."""
+
+    @staticmethod
+    def reports(action, forms, family, D, samples):
+        invariant = invariant_annihilator_generators(action, FoliatedProblem(chart=action.chart, generators=forms,
+                                                                             ode_step=0.05), samples=samples)
+        descending = descending_generators(D, action, FoliatedProblem(chart=action.chart, generators=family,
+                                                                      ode_step=0.05), samples=samples)
+        return [repr(r.as_dict()) for r in [*invariant.report, *descending.report]]
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=action_problems())
+    def test_records_equal_differencing_along_every_coordinate(self, case):
+        frame_jets = dirac._frame_jets
+
+        def every_coordinate(frames, chart, samples, directions):
+            return frame_jets(frames, chart, samples, list(range(chart.n)))
+
+        along_the_action = self.reports(*case)
+        with mock.patch.object(dirac, "_frame_jets", every_coordinate):
+            assert self.reports(*case) == along_the_action
+
+    @pytest.mark.parametrize("check", ["annihilator", "descending"])
+    def test_a_frame_overflowing_only_across_the_action_passes(self, check):
+        # at x1 = 0.4 the family overflows past x2 = 0.8871, which only the
+        # x2 stencil of the sample reaches (at 0.89 and 0.91); the bracket with
+        # d/dx1 does not read the frame's partial along x2
+        chart = make_chart(2, k=1)
+        action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
+        form = section(chart, ("0", "0"), ("0", "exp(0.3*x1 + 800*x2)"))
+        problem = FoliatedProblem(chart=chart, generators=(form,), ode_step=0.05)
+        samples = [[0.4, 0.87]]
+        if check == "annihilator":
+            result = invariant_annihilator_generators(action, problem, samples=samples)
+        else:
+            D = DiracStructure(chart, (section(chart, ("0", "0"), ("1", "0")), section(chart, ("0", "0"), ("0", "1"))))
+            result = descending_generators(D, action, problem, samples=samples)
+        with pytest.raises(EvalDomainError, match="overflow"):
+            result.frames([[0.4, 0.89]])
+        assert result.report.passed
+        assert any("action-invariant" in r.check for r in result.report)
+
+    def test_an_action_with_no_generators_without_leaves(self):
+        chart = make_chart(2)
+        action = InfinitesimalAction(chart, ())
+        forms = (section(chart, ("0", "0"), ("0", "exp(x1)")),)
+        D = DiracStructure(chart, (section(chart, ("1", "0"), ("0", "0")), section(chart, ("0", "1"), ("0", "0"))))
+        family = D.generators
+        samples = [[0.1, 0.2], [-0.3, 0.5]]
+        invariant = invariant_annihilator_generators(action, FoliatedProblem(chart=chart, generators=forms),
+                                                     samples=samples)
+        descending = descending_generators(D, action, FoliatedProblem(chart=chart, generators=family), samples=samples)
+        assert [r.check for r in invariant.report] == ["trivial-foliation"]
+        assert [r.check for r in descending.report] == ["trivial-foliation", "supplied-family-in-intersection",
+                                                       "supplied-family-spans-intersection"]
+        assert invariant.report.passed and descending.report.passed
+        F, dF = dirac._frame_jets(invariant.frames, chart, samples, [])
+        assert np.array_equal(F, invariant.sample_frames.swapaxes(1, 2)) and not dF.any()
+        assert dF.shape == (2, 1, 2, 4)  # N, r, n, 2n
 
 
 class TestOverflowIsJudgedQuietly:

@@ -400,6 +400,7 @@ class TestRun:
         for i, m in enumerate(result.samples):
             assert result.sample_frames[i].tobytes() == result.frame(m).tobytes()
             assert result.sample_B[i].tobytes() == B_at(p, m).tobytes()
+            assert result.sample_H[i].tobytes() == H_at(p, m).tobytes()
             if p.extra is not None:
                 assert result.sample_Pi[i].tobytes() == compute_Pi(p, m).tobytes()
             if result.combined is not None:
@@ -998,40 +999,28 @@ class TestBatchedAgainstPointwise:
         assert exc.value.point == [10 * 0.05 + 0.5 * 0.05, 0.1, 0.2]
 
 
-class TestLineCachesAreBounded:
-    def test_many_points_keep_the_caches_bounded(self, chart3, rng):
-        from diracgen.invariant_gen import LINE_CACHE_SIZE, _Solver
+class TestNoLineState:
+    def test_a_solver_keeps_nothing_of_the_lines_it_integrates(self, chart3, rng):
+        from diracgen.invariant_gen import _Solver
 
         g = section(chart3, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
         extra = section(chart3, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
         solver = _Solver(p)
-        points = random_points(rng, chart3, 2000)
-        first = [(solver.frame(m), solver._Pi(m[None])[0]) for m in points[:5]]
+        points = np.array(random_points(rng, chart3, 60))
+        F, Pi = solver.frames(points[:5]), solver._Pi(points[:5])  # builds every program
+        state = {key: (value, len(value) if isinstance(value, list) else None) for key, value in vars(solver).items()}
         for m in points[5:]:
             solver.frame(m)
             solver._Pi(m[None])
-        assert len(solver._lines) <= LINE_CACHE_SIZE
+        solver.frames(points)
+        solver._Pi(points)
+        assert vars(solver).keys() == state.keys()
+        for key, (value, length) in state.items():
+            assert vars(solver)[key] is value and (length is None or len(value) == length)
         fresh = _Solver(p)
-        for m, (F, Pi) in zip(points[:5], first):  # long evicted: recomputed from the zero slice
-            assert np.array_equal(solver.frame(m), F) and np.array_equal(fresh.frame(m), F)
-            assert np.array_equal(solver._Pi(m[None])[0], Pi) and np.array_equal(fresh._Pi(m[None])[0], Pi)
-
-    def test_batch_with_more_lines_than_the_cache_holds(self, chart3, rng):
-        from diracgen.invariant_gen import LINE_CACHE_SIZE, _Solver
-
-        g = section(chart3, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
-        extra = section(chart3, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
-        p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
-        points = random_points(rng, chart3, LINE_CACHE_SIZE + 40)
-        # every line twice, the second time further out
-        points += [np.array([0.5 * m[0], m[1], m[2]]) for m in points]
-        solver = _Solver(p)
-        frames = solver.frames(points)
-        combined = solver.extra_values(np.array(points)) + solver._corrections(np.array(points))
-        fresh = _Solver(p)
-        for m, F, c in zip(points, frames, combined):
-            assert np.array_equal(fresh.frame(m), F) and np.array_equal(fresh.combined(m), c)
+        assert np.array_equal(solver.frames(points[:5]), F) and np.array_equal(fresh.frames(points[:5]), F)
+        assert np.array_equal(solver._Pi(points[:5]), Pi) and np.array_equal(fresh._Pi(points[:5]), Pi)
 
 
 class TestRunEvaluatesEachPointOnce:
@@ -1211,6 +1200,19 @@ class TestOneStep2Pass:
         # one Step-2 round per leaf coordinate; Step 1 once in each, Step 4 once
         assert calls == {"_fundamental": k, "_B_on_line": k, "_decomposition": k + 1}
 
+    def test_the_one_point_correction_makes_one_round(self, monkeypatch):
+        from diracgen.invariant_gen import _Solver
+
+        calls = []
+        H = _Solver._H
+        monkeypatch.setattr(_Solver, "_H", lambda solver, points: calls.append(len(points)) or H(solver, points))
+        p = k2_problem()
+        m = p.chart.sample_points(seed=3, n_random=1, margin=0.1)[-1]
+        p._solver.combined(m)
+        p._solver.correction(m)
+        # the point and its Simpson nodes, in one H each
+        assert calls == [1 + len(p._solver._simpson(m[None])[0])] * 2
+
     def test_a_sample_outside_the_box_fails_before_step_4_plans_its_panels(self, chart3):
         # planned from 1e12, the line would take 2.5e14 panels
         with pytest.raises(OutsideBoxError, match=r"point \[1000000000000.0, 0.0, 0.0\] outside chart box"):
@@ -1235,7 +1237,8 @@ class TestOneStep2Pass:
 
 
 class TestLockstepLines:
-    """_extend steps the lines of a batch together, longest first."""
+    """_extend steps the lines of a batch together, longest first, and
+    returns their grids as one array."""
 
     @staticmethod
     def solver(chart3):
@@ -1247,42 +1250,37 @@ class TestLockstepLines:
         return _Solver(FoliatedProblem(chart=chart3, generators=(g,)))
 
     @staticmethod
-    def line(point, target):
-        return [[np.eye(1)], np.array(point, dtype=float), target]
+    def extend(solver, lines):
+        """_extend on lines [(head, count)] with step ode_step."""
+        heads, counts = zip(*lines)
+        return solver._extend(0, np.array(heads, dtype=float), list(counts), solver.p.ode_step)
 
     def test_lines_overflowing_at_the_same_step_raise_at_the_first(self, chart3):
         from diracgen.errors import NumericalBreakdownError
 
         solver = self.solver(chart3)
-        h = solver.p.ode_step
-        lines = [self.line([0.0, 1.0, 0.3], 475), self.line([0.0, 1.0, -0.4], 475)]
         with pytest.raises(NumericalBreakdownError) as exc:
-            solver._extend(0, lines, h)
+            self.extend(solver, [([0.0, 1.0, 0.3], 475), ([0.0, 1.0, -0.4], 475)])
         assert exc.value.point == [0.0, 1.0, 0.3] and exc.value.stage == "Step 2"
 
     def test_the_line_overflowing_first_raises(self, chart3):
         from diracgen.errors import NumericalBreakdownError
 
         solver = self.solver(chart3)
-        h = solver.p.ode_step
-        lines = [self.line([0.0, 0.9, 0.3], 475), self.line([0.0, 1.0, -0.4], 475)]
         with pytest.raises(NumericalBreakdownError) as exc:
-            solver._extend(0, lines, h)
+            self.extend(solver, [([0.0, 0.9, 0.3], 475), ([0.0, 1.0, -0.4], 475)])
         assert exc.value.point == [0.0, 1.0, -0.4]
 
     def test_each_line_as_if_integrated_alone(self, chart3):
         solver = self.solver(chart3)
-        h = solver.p.ode_step
-        # lines of different lengths, one of them already part-grown
-        lines = [self.line([0.0, 0.2, 0.1], 40), self.line([0.0, 0.5, 0.0], 250), self.line([0.0, 0.7, 0.6], 7)]
-        solver._extend(0, lines[2:], h)
-        alone = [self.line(line[1], line[2]) for line in lines]
-        solver._extend(0, lines, h)
-        for line in alone:
-            solver._extend(0, [line], h)
-        for line, ref in zip(lines, alone):
-            assert len(line[0]) == line[2] + 1
-            assert all(np.array_equal(a, b) for a, b in zip(line[0], ref[0]))
+        # lines of different lengths, one of them with no step
+        lines = [([0.0, 0.2, 0.1], 40), ([0.0, 0.5, 0.0], 250), ([0.0, 0.9, 0.5], 0), ([0.0, 0.7, 0.6], 7)]
+        grid, _ = self.extend(solver, lines)
+        starts = np.cumsum([0] + [count for _, count in lines])
+        assert grid.shape == (starts[-1], 1, 1)
+        for (head, count), start in zip(lines, starts):
+            alone, _ = self.extend(solver, [(head, count)])
+            assert np.array_equal(grid[start : start + count], alone)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.75, 0.8, 0.9, 1.0]), st.sampled_from([-0.4, 0.3]),
@@ -1291,12 +1289,11 @@ class TestLockstepLines:
         from diracgen.errors import NumericalBreakdownError
 
         solver = self.solver(make_chart(3, k=1))
-        h = solver.p.ode_step
 
         def breaks_at(point, target):  # the step a line alone breaks at, or None
             def raises(t):
                 try:
-                    solver._extend(0, [self.line(point, t)], h)
+                    self.extend(solver, [(point, t)])
                 except NumericalBreakdownError:
                     return True
                 return False
@@ -1309,15 +1306,15 @@ class TestLockstepLines:
                 lo, hi = (lo, mid) if raises(mid) else (mid, hi)
             return hi
 
-        lines = [self.line([0.0, x2, x3], target) for x2, x3, target in shape]
-        steps = [breaks_at(line[1], line[2]) for line in lines]
+        lines = [([0.0, x2, x3], target) for x2, x3, target in shape]
+        steps = [breaks_at(*line) for line in lines]
         broken = [(step, a) for a, step in enumerate(steps) if step is not None]
         if not broken:
-            solver._extend(0, lines, h)
+            self.extend(solver, lines)
             return
         with pytest.raises(NumericalBreakdownError) as exc:
-            solver._extend(0, lines, h)
-        assert exc.value.point == list(lines[min(broken)[1]][1])
+            self.extend(solver, lines)
+        assert exc.value.point == lines[min(broken)[1]][0]
 
 
 def problem_with_step(name, h):
@@ -1382,8 +1379,8 @@ class TestStepOneOncePerNode:
         solver = _Solver(p)
         points = np.array([[x, 0.1, 0.2] for x in (np.nextafter(node, 0.0), np.nextafter(node, 2.0 * node))])
         W = solver._fundamental(0, points)
-        Ws = solver._lines[(0, (0.1, 0.2), sign > 0)]
-        assert np.array_equal(W[0], Ws[i]) and np.array_equal(W[1], Ws[i])
+        grid, _ = solver._extend(0, np.array([[0.0, 0.1, 0.2]]), [i], sign * p.ode_step)
+        assert np.array_equal(W[0], grid[i - 1]) and np.array_equal(W[1], grid[i - 1])
 
 
 @pytest.mark.parametrize("key", ["ode_step", "quad_step", "tol"])
