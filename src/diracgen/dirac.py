@@ -68,17 +68,16 @@ __all__ = [
 
 def _read(samples, *parts) -> list:
     """The values (rows, N) of each part (program, rows) at the samples, from
-    each program's last evaluation when that was at the same samples.
-    Raises what evaluating point by point raises first: at each sample in
-    turn, the rows of each part in order."""
-    evaluated = [program.evaluate(samples) for program, _ in parts]
-    if any(bad is not None for _, bad in evaluated):
-        hits = np.array([np.zeros(len(samples), dtype=bool) if bad is None else bad[rows.start : rows.stop].any(axis=0)
-                         for (_, rows), (_, bad) in zip(parts, evaluated)])
-        for at in np.flatnonzero(hits.any(axis=0))[:1]:
-            part = np.flatnonzero(hits[:, at])[0]
-            parts[part][0].raise_first(samples, [(parts[part][1], [at])])
-    return [values[rows.start : rows.stop] for (_, rows), (values, _) in zip(parts, evaluated)]
+    each program's last evaluation when that was at the same samples.  The
+    parts are read in order, and a part that fails raises at its first
+    failing sample, there at its first failing row."""
+    out = []
+    for program, rows in parts:
+        values, bad = program.evaluate(samples)
+        if bad is not None and bad[rows.start : rows.stop].any():
+            program.raise_first(samples, rows)
+        out.append(values[rows.start : rows.stop])
+    return out
 
 
 class _Sections(CompiledExprs):
@@ -135,7 +134,7 @@ class DiracStructure:
         (ranks) at every sample are read first, then the pairings."""
         samples = self.chart.checked_samples(samples)
         n, program = self.chart.n, self._program
-        (values,), (pairs,) = _read(samples, (program, program.values)), _read(samples, (program, program.more))
+        values, pairs = _read(samples, (program, program.values), (program, program.more))
         ranks = svd_rank(stacked(values, 2 * n), tol)
         return Report([
             record_from_samples("lagrangian-rank", zip(np.where(ranks == n, 0.0, 1.0), samples), 0.0,
@@ -256,7 +255,8 @@ class QuotientMap:
 
     def validate(self, action: InfinitesimalAction, samples=None, tol: float = 1e-7) -> Report:
         """Full rank of the Jacobian and the action generators in its kernel
-        at every sample, read point by point, the Jacobian first."""
+        at every sample: the Jacobian at every sample is read first, then
+        the action."""
         samples = self.source.checked_samples(samples)
         n, nbar = self.source.n, self.target.n
         J, X = (stacked(v, n) for v in _read(samples, (self._program, self._program.partials),
@@ -311,8 +311,8 @@ def _as_columns(rows: np.ndarray) -> np.ndarray:
 
 
 def _dirac_and_action_values(D: DiracStructure, action: InfinitesimalAction, samples):
-    """D's generators as columns (N, 2n, n), then the action's (N, d, n),
-    read point by point, D first."""
+    """D's generators as columns (N, 2n, n), then the action's (N, d, n):
+    D at every sample is read first, then the action."""
     M, X = _read(samples, (D._program, D._program.values), (action._program, action._program.values))
     return _as_columns(stacked(M, 2 * D.chart.n)), stacked(X, D.chart.n)
 
@@ -355,8 +355,8 @@ def _frame_jets(frames, chart: Chart, samples, directions):
     (a frame of r columns is r sections); the partials along each of the
     coordinates directions are fourth-order finite differences of the whole
     frame, and 0 along the others.  The frames at all samples and stencil
-    points are one batch, in the order a point-by-point pass evaluates
-    them."""
+    points are one batch: the samples, then per direction each sample's
+    stencil points."""
     samples = np.asarray(samples, dtype=float)
     N, n = samples.shape
     stencils = [_stencil(chart, samples, i) for i in directions]
@@ -444,7 +444,7 @@ def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedP
             raise InputError("action has no generators but the chart declares leaves")
         return
     values, _ = program.evaluate(samples)
-    program.raise_first(samples, [(program.values, range(min(len(samples), 8)))])
+    program.raise_first(samples, program.values, range(min(len(samples), 8)))
     X = stacked(values[program.values.start : program.values.stop, :8], problem.n)
     transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
     for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
@@ -476,12 +476,11 @@ def descending_generators(
     _check_foliated_presentation(action, problem, samples)
     n, k, r = problem.n, problem.k, problem.r
 
-    # the first member, D, the action, then the other members: the order a
-    # point-by-point pass first evaluates them in at a sample
+    # the family, D, then the action, each at every sample
     family = problem._solver._generator_exprs
-    first, rows, X, rest = _read(samples, (family, range(2 * n)), (D._program, D._program.values),
-                                 (action._program, action._program.values), (family, range(2 * n, 2 * n * r)))
-    G, X, rows = stacked(np.concatenate([first, rest]), 2 * n), stacked(X, n), stacked(rows, 2 * n)
+    G, rows, X = _read(samples, (family, range(2 * n * r)), (D._program, D._program.values),
+                       (action._program, action._program.values))
+    G, X, rows = stacked(G, 2 * n), stacked(X, n), stacked(rows, 2 * n)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN defect fails its record
         # each member in D's span and its form against each action generator,
         # then each basis vector of the intersection in the family's span
@@ -674,7 +673,11 @@ def pushforward_check(
     targets and their stencils) is evaluated in one batch when frame is an
     InvariantFrameResult, else point by point; q and its Jacobian in one
     compiled batch before the lifts and one per halving of the stacked lift,
-    which returns the Jacobians at the lifted points."""
+    which returns the Jacobians at the lifted points.  An error is raised
+    at its first failing point, in this order: q where the checks read it
+    (the samples with a fiber partner, which hold the closure targets, then
+    the partners), the Jacobian at the samples and the on-fiber partners,
+    the lifts in target order, then the frames."""
     if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
         frames = frame.frames
     else:
@@ -695,56 +698,37 @@ def pushforward_check(
     w = hi - lo
     partners[:, :k] = lo + 0.1 * w + 0.8 * w * rng.random((FIBER_PAIRS, k))
     source = np.concatenate([samples, partners])
-    values, _ = q._program.evaluate(source)
+    program, JAC = q._program, q._program.partials
+    values, _ = program.evaluate(source)
+    program.raise_first(source, range(nbar), np.r_[base, N + np.arange(FIBER_PAIRS)])
     qv, J = values[:nbar].T, stacked(values[nbar:], n)
-    with np.errstate(over="ignore", invalid="ignore"):  # where q fails to evaluate, it raises below
+    with np.errstate(over="ignore"):  # an overflowing difference is off the fiber
         qdiff = np.abs(qv[base] - qv[N:]).max(axis=1, initial=0.0)
     on = ~(qdiff > 1e-9)
-    # The points whose frames the checks need, in the order a point-by-point
-    # pass meets them: the samples, then each partner on its sample's fiber
-    # after that sample.  That pass evaluates the Jacobian at every sample,
-    # then per fiber q at the sample and partner and the Jacobian at a
-    # partner on the fiber, then q at the closure targets; an error on the
-    # way is raised once the frames gathered before it are evaluated.
+    # the points whose frames the checks need: the samples, then each
+    # partner on its sample's fiber after that sample
     gathered = np.concatenate([np.arange(N), np.stack([base, N + np.arange(FIBER_PAIRS)], axis=1)[on].ravel()])
-    before = N + 2 * np.concatenate([[0], np.cumsum(on)])  # points gathered before fiber i
-    Q, JAC = range(nbar), q._program.partials
-    targets = min(N, 6) if check_closedness else 0
-    blocks = [(JAC, range(N))] + [
-        block for i in range(FIBER_PAIRS) for block in ((Q, [base[i]]), (Q, [N + i]), (JAC, [N + i] if on[i] else []))
-    ] + [(Q, range(targets))]
-    error = q._program.first_error(source, blocks)
-    if error is not None:
-        block, p, error = error
-        fiber = (block - 1) // 3  # the block's fiber; past the last for the targets
-        gathered = gathered[: p + 1 if block == 0 else before[fiber + (block - 1) % 3 // 2]]
+    program.raise_first(source, JAC, gathered)
 
     # closure: each target, then its stencil points, lifted from the first sample
+    targets = min(N, 6) if check_closedness else 0
     lifted, lifted_J = np.empty((0, n)), np.empty((0, nbar, n))
-
-    def error_at(x, rows):  # what evaluating rows of q at one point x raises
-        return q._program.first_error(x[None], [(rows, [0])])[2]
-
-    if targets and error is None:
+    if targets:
         stencils = [_stencil(q.target, qv[:targets], i) for i in range(nbar)]
         deltas = np.array([delta for _, delta in stencils])
         ys = np.concatenate([qv[:targets, None], *(s for s, _ in stencils)], axis=1).reshape(-1, nbar)
         lifted, residual, lifted_J = least_squares(q, ys, samples[0], values[:, 0])
-        for t in np.flatnonzero(~(residual <= LIFT_TOL))[:1]:  # the first target whose lift fails
-            if np.isnan(residual[t]):  # it met a point where q or its Jacobian cannot be evaluated
-                error = error_at(lifted[t], range(len(q._program.exprs)))
-            else:
-                error = VerificationError(f"could not lift target point {plain(ys[t])} through the "
-                                          f"quotient map (residual {residual[t]:.3e})")
-            lifted = lifted[:t]
-    for p in np.flatnonzero(np.isnan(lifted_J[: len(lifted)]).any(axis=(1, 2)))[:1]:  # met before any later lift
-        error, lifted = error_at(lifted[p], JAC), lifted[: p + 1]
+        # the first target whose lift fails or ends where the Jacobian cannot be evaluated
+        for t in np.flatnonzero(~(residual <= LIFT_TOL) | np.isnan(lifted_J).any(axis=(1, 2)))[:1]:
+            if residual[t] <= LIFT_TOL:
+                program.raise_first(lifted[t][None], JAC)
+            if not np.isnan(residual[t]):
+                raise VerificationError(f"could not lift target point {plain(ys[t])} through the "
+                                        f"quotient map (residual {residual[t]:.3e})")
+            program.raise_first(lifted[t][None])  # it met a point where q or its Jacobian cannot be evaluated
 
     values = frames(np.concatenate([source[gathered], lifted]))
-    if error is not None:
-        raise error
-    Xbar, abar, residual = _push(q, np.asarray(values, dtype=float),
-                                 np.concatenate([J[gathered], lifted_J[: len(lifted)]]))
+    Xbar, abar, residual = _push(q, np.asarray(values, dtype=float), np.concatenate([J[gathered], lifted_J]))
     sections = np.concatenate([Xbar, abar], axis=1)  # pushed (Xbar, abar), 2 nbar x r each
 
     # abar_j . Xbar_i at each sample, one dot product each: P[:, j, i]

@@ -153,8 +153,9 @@ def check_bracket_hypothesis(
 
     The brackets and the span are one compiled batch, the residuals one
     stacked least-squares call.  Failures are report entries, not
-    exceptions; an evaluation error is raised where a pass over the
-    brackets, each at every sample before the span there, meets it first.
+    exceptions; an evaluation error is raised at the first sample where a
+    bracket or the span fails, there at the first failing bracket, else
+    the span.
     """
     chart = D.chart
     samples = chart.checked_samples(samples)
@@ -166,11 +167,7 @@ def check_bracket_hypothesis(
     leaves = [ONE if j == l else ZERO for l in range(chart.leaf_count) for j in range(width)]
     compiled = CompiledExprs([c for _, b in brackets for c in b] + leaves
                              + [c for g in D.generators for c in _components(g)])
-    values, _ = compiled.evaluate(samples)
-    P = len(brackets)
-    span = range(P * width, len(values))
-    compiled.raise_first(samples, [([*range(p * width, (p + 1) * width), *span], range(len(samples)))
-                                        for p in range(P)])
+    values, P = compiled(samples), len(brackets)
     V = stacked(values[: P * width], width)
     # the span laid out as the transpose of row-major values, as a one-point
     # np.linalg.lstsq on the generator columns takes it

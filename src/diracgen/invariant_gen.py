@@ -34,9 +34,10 @@ rounding of a grid node reads it.  A solver keeps no line state: Step 2
 integrates its lines from the zero slice, and Step 4 plans the Simpson
 nodes of every leaf coordinate first (_simpson), evaluates H^T beta at
 all of them in one batch and sums the full panels of each line from the
-zero slice.  With an extra section, run() and the one-point correction
-make one Step-2 pass: one H over the points and those nodes gives B and
-the integrand.
+zero slice.  With an extra section, run() and combined(m) make one Step-2
+pass: one H over the points and those nodes gives B and the integrand.
+Every stage checks its whole batch and raises at its first failing point,
+and the stages run in one fixed order (_Solver).
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -53,7 +54,6 @@ import numpy as np
 from .calculus import OneForm, PontryaginSection, VectorField, _components
 from .distribution import _norms, _scale, _scaled, span_defects
 from .errors import (
-    DiracgenError,
     HypothesisViolated,
     InputError,
     NonUniqueCoefficients,
@@ -97,7 +97,7 @@ def require_vanishing(expr, chart: Chart, message: str):
     program, probes = CompiledExprs([expr]), np.array(chart.sample_points())
     values, bad = program.evaluate(probes)
     for i in np.flatnonzero((np.abs(values[0]) > 1e-12) | (False if bad is None else bad[0]))[:1]:
-        program.raise_first(probes, [([0], [i])])
+        program.raise_first(probes, [0], [i])
         raise InputError(f"{message} (value {values[0, i]:.3e} at {plain(probes[i])})")
 
 
@@ -184,24 +184,6 @@ class FoliatedProblem:
         return len(self.generators)
 
 
-# What evaluating a batch can raise at a failing point.
-_POINT_ERRORS = (DiracgenError, np.linalg.LinAlgError)
-
-
-def _batch(points, compute, one):
-    """compute(points) on a batch of points.  If it fails, one(m) runs at
-    each point in turn, so the error raised is the one a point-by-point pass
-    meets first."""
-    points = np.asarray(points, dtype=float)
-    try:
-        return compute(points)
-    except _POINT_ERRORS:
-        if len(points) > 1:
-            for m in points:
-                one(m)
-        raise
-
-
 def _householder(T: np.ndarray, C: np.ndarray):
     """Least-squares solve of T X = C by Householder QR at every node, node
     axis last: T (M, r, N), C (M, c, N).  Returns X (r, c, N) and |R_jj|
@@ -282,9 +264,12 @@ class _Solver:
     and memory is bounded by the batch.  Step 4 reads H from the same _H
     call that gives B (_corrected).
 
-    Batches check every node.  When one fails, the work is redone point by
-    point with the same code, so the error raised is the one the per-point
-    order meets first."""
+    Each stage checks its whole batch and raises at its first failing point
+    or node, and the stages run in this order: every point in the box; per
+    leaf index j from k-1 down, Step 1 at the RK4 nodes (_B_on_line's
+    order: lines in order of their first point, their grid steps, then the
+    tails) and then Step 2's breakdown check; B's condition; the generators
+    at the points (Step 3); Step 4's decomposition at the Simpson nodes."""
 
     def __init__(self, problem: FoliatedProblem):
         # a copy: the problem holds its solver, and a reference back would make
@@ -360,7 +345,7 @@ class _Solver:
             if c % 2:
                 raise HypothesisViolated(f"leaf derivative of {what} leaves the span (residual "
                                          f"{residual[i, c // 2 - 1]:.3e})", point=point, stage=stage)
-            program.raise_first(nodes, [(range(len(vals)), [i])])
+            program.raise_first(nodes, at=[i])
         beta = X.reshape(r, k, S, N).transpose(3, 1, 0, 2)
         if not leaf:
             return beta, None
@@ -425,12 +410,7 @@ class _Solver:
         # the ± lines through the same other coordinates share an id, and so their zero-slice node
         ids = np.repeat(_first_rows(np.delete(heads, j, axis=1))[line], 3)
         eye = np.repeat(np.eye(r)[None], len(line), axis=0)
-        try:
-            Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), ids, j), eye, dx[:, None, None])
-        except _POINT_ERRORS:
-            if L > 1 or not len(grid):
-                raise  # the caller redoes its points one at a time
-            Phi = None  # redone step by step below, where the per-point order raises
+        Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), ids, j), eye, dx[:, None, None])
         if not len(grid):
             return np.empty((0, r, r)), Phi
         by_length = np.argsort(-counts, kind="stable")
@@ -438,16 +418,10 @@ class _Solver:
         growing = np.searchsorted(-counts[by_length], -np.arange(counts.max()))
         # the grid rows step by step, each step's lines longest first
         order = np.lexsort((np.argsort(by_length)[grid], step))
-        W, grown = np.repeat(np.eye(r)[None], L, axis=0), np.empty((len(grid), r, r))
-        by_step = None if Phi is None else Phi[order]
+        W, grown, by_step = np.repeat(np.eye(r)[None], L, axis=0), np.empty((len(grid), r, r)), Phi[order]
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
-            for s, (a, live) in enumerate(zip(np.cumsum(growing) - growing, growing)):
-                if Phi is None:
-                    W = self._rk4(self._B_on_line(nodes[s], ids[:3], j), eye[:1], h[0]) @ W
-                    if not np.isfinite(W).all():
-                        raise self._breakdown(heads[0])
-                else:
-                    W = by_step[a : a + live] @ W[:live]
+            for a, live in zip(np.cumsum(growing) - growing, growing):
+                W = by_step[a : a + live] @ W[:live]
                 grown[a : a + live] = W
         Ws = np.empty_like(grown)
         Ws[order] = grown
@@ -455,10 +429,6 @@ class _Solver:
         if broken.size:  # the first line, in input order, to break at the earliest step
             at = grid[broken]
             raise self._breakdown(heads[at[np.lexsort((at, step[broken]))[0]]])
-        if Phi is None:  # the grid stepped: the failing node is a tail's
-            tail = slice(len(grid), None)
-            return Ws, self._rk4(self._B_on_line(nodes[tail].reshape(-1, nodes.shape[-1]), ids[3 * len(grid) :], j),
-                                 eye[tail], dx[tail, None, None])
         return Ws, Phi[len(grid) :]
 
     def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
@@ -514,7 +484,8 @@ class _Solver:
         for j in range(p.k - 1, 0, -1):
             q = points.copy()
             q[:, j : p.k] = 0.0
-            H = H @ self._fundamental(j - 1, q)
+            with np.errstate(over="ignore", invalid="ignore"):  # _B judges a non-finite H singular
+                H = H @ self._fundamental(j - 1, q)
         return H
 
     def _B(self, points: np.ndarray, H=None) -> np.ndarray:
@@ -546,23 +517,22 @@ class _Solver:
         return self.generator_matrices([m])[0]
 
     def _parts(self, points: np.ndarray):
-        """The generator matrices G, H and the transform B at each point."""
-        G, points = self.generator_matrices(points), self._checked(points)
+        """The generator matrices G, H and the transform B at each point, in
+        stage order: the box, H, B, then G."""
+        points = self._checked(points)
         H = self._H(points)
-        return G, H, self._B(points, H)
-
-    def _frames(self, points: np.ndarray) -> np.ndarray:
-        G, _, B = self._parts(points)
-        return G @ B
+        B = self._B(points, H)
+        return self.generator_matrices(points), H, B
 
     def frames(self, points) -> np.ndarray:
         """The straightened frame at each point (N, 2n, r), with the lines of
         all points integrated together."""
-        return _batch(np.reshape(points, (-1, self.p.n)), self._frames, self.frame)
+        G, _, B = self._parts(np.reshape(points, (-1, self.p.n)))
+        return G @ B
 
     def frame(self, m) -> np.ndarray:
         """The straightened frame: columns i are the values of (Z_i, gamma_i)."""
-        return self._frames(np.asarray([m], dtype=float))[0]
+        return self.frames([m])[0]
 
     # -- Step 4 -----------------------------------------------------------
 
@@ -621,14 +591,14 @@ class _Solver:
 
     def _Hbeta(self, nodes: np.ndarray, H=None) -> np.ndarray:
         """H^T beta_l at each node for every leaf index l (N, k, r), from H
-        there when it is given."""
+        there when it is given, else H (Step 2) before beta (Step 4)."""
         p = self.p
         if not len(nodes):  # no panel to integrate: nothing is evaluated
             return np.empty((0, p.k, p.r))
         if p.extra is None:
             raise InputError("no extra section in this problem")
-        beta = self._decomposition(self._extra_decomposition, 1, nodes, "Step 4", "the extra section")[0]
         H = self._H(nodes) if H is None else H
+        beta = self._decomposition(self._extra_decomposition, 1, nodes, "Step 4", "the extra section")[0]
         return (np.swapaxes(H, 1, 2)[:, None] @ beta)[..., 0]
 
     def _Pi(self, points: np.ndarray, B=None) -> np.ndarray:
@@ -636,32 +606,24 @@ class _Solver:
         the Simpson nodes of every leaf coordinate in one batch."""
         B = self._B(self._checked(points)) if B is None else B
         nodes, R = self._simpson(points)
-        return (-B @ R(_batch(nodes, self._Hbeta, lambda m: self._Hbeta(m[None])))[..., None])[..., 0]
+        return (-B @ R(self._Hbeta(nodes))[..., None])[..., 0]
 
     def _corrected(self, points: np.ndarray):
         """G, H, B and Pi at each point from one Step-2 pass: one H over the
-        points (for B) and the Simpson nodes of every leaf coordinate.  If it
-        fails, raise what the parts, then the corrections, meet first point
-        by point."""
-        try:
-            G, checked = self.generator_matrices(points), self._checked(points)  # in the box before any planning
-            nodes, R = self._simpson(checked)
-            H = self._H(np.concatenate([checked, nodes]))
-            B = self._B(checked, H[: len(checked)])
-            return G, H[: len(checked)], B, (-B @ R(self._Hbeta(nodes, H[len(checked) :]))[..., None])[..., 0]
-        except _POINT_ERRORS:
-            _, _, B = _batch(points, self._parts, self.frame)
-            _batch(points, lambda q: self._Pi(q, B), self.correction)
-            raise
+        points (for B) and the Simpson nodes of every leaf coordinate, in
+        stage order (_Solver)."""
+        checked = self._checked(points)  # in the box before any planning
+        N = len(checked)
+        nodes, R = self._simpson(checked)
+        H = self._H(np.concatenate([checked, nodes]))
+        B = self._B(checked, H[:N])
+        G = self.generator_matrices(checked)
+        return G, H[:N], B, (-B @ R(self._Hbeta(nodes, H[N:]))[..., None])[..., 0]
 
     def _corrections(self, points: np.ndarray) -> np.ndarray:
         """(Z, gamma) = G Pi at each point."""
         G, _, _, Pi = self._corrected(points)
         return (G @ Pi[..., None])[..., 0]
-
-    def correction(self, m) -> np.ndarray:
-        """Value of (Z, gamma) at m."""
-        return self._corrections(np.asarray([m], dtype=float))[0]
 
     def extra_values(self, points) -> np.ndarray:
         """Values of the extra section (X, alpha) at each point (N, 2n)."""
@@ -807,7 +769,7 @@ def run(
     # G, H and B once, for the frames and the corrections, and with an
     # extra section Pi from the same Step-2 pass
     if p.extra is None:
-        G, H, B = _batch(points, solver._parts, solver.frame)
+        G, H, B = solver._parts(points)
     else:
         G, H, B, Pi = solver._corrected(points)
     frames = G @ B

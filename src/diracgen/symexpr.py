@@ -650,24 +650,26 @@ class CompiledExprs:
             return _domain_error("non-finite value for", expr, pts[i])
         return _domain_error(words_at[s], self._nodes[s] if words_at[s] == _ZERO_DIVISION else expr, pts[i])
 
-    def first_error(self, points, blocks=None):
-        """(block, point index, EvalDomainError) of the first failure at the
-        points, or None.  Blocks (expression indices, point indices) are met
-        in order, each point by point and at a point expression by
-        expression; by default one block holds everything."""
+    def first_error(self, points, exprs=None, at=None):
+        """The EvalDomainError of the first failure of the expressions exprs
+        (indices, default all) at the points at (indices, default all), or
+        None: point by point in the order of at, and at a point expression
+        by expression."""
         _, bad = self.evaluate(points)
-        for b, (exprs, at) in enumerate([] if bad is None else blocks or [(range(bad.shape[0]), range(bad.shape[1]))]):
-            hit = bad[np.ix_(exprs, at)]
-            if hit.any():
-                p = np.flatnonzero(hit.any(axis=0))[0]
-                return b, at[p], self._error(exprs[np.flatnonzero(hit[:, p])[0]], at[p])
+        if bad is None:
+            return None
+        exprs = range(bad.shape[0]) if exprs is None else exprs
+        at = range(bad.shape[1]) if at is None else at
+        hit = bad[np.ix_(exprs, at)]
+        for p in np.flatnonzero(hit.any(axis=0))[:1]:
+            return self._error(exprs[np.flatnonzero(hit[:, p])[0]], at[p])
         return None
 
-    def raise_first(self, points, blocks=None):
+    def raise_first(self, points, exprs=None, at=None):
         """Raise the error of first_error, if any."""
-        hit = self.first_error(points, blocks)
-        if hit is not None:
-            raise hit[2]
+        error = self.first_error(points, exprs, at)
+        if error is not None:
+            raise error
 
     def __call__(self, points) -> np.ndarray:
         """Values at a batch of points; raises the error at the first point,

@@ -25,7 +25,7 @@ from diracgen.calculus import OneForm, PontryaginSection, VectorField, _same_cha
 from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _pair_brackets, _stencil_jets
 from diracgen.distribution import GeneralizedDistribution, span_defects
 from diracgen.errors import InputError, VerificationError
-from diracgen.invariant_gen import _POINT_ERRORS, InvariantFrameResult, _difference, _stencil
+from diracgen.invariant_gen import InvariantFrameResult, _difference, _stencil
 from diracgen.report import CheckRecord, Report, record_from_samples
 from diracgen.symexpr import ZERO, Add, CompiledExprs, Const, Div, Func, Mul, Neg, Pow, Sub, Var, plain
 
@@ -443,7 +443,8 @@ def push(q, F, J):
 def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, seed=0,
                       check_closedness=True) -> Report:
     """pushforward_check gathering and judging one point at a time; the
-    frame values are still one call, over the points in the order met."""
+    frame values are still one call, over the points in the order met,
+    once every point is gathered."""
     _require_samples(samples)
     if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
         frames = frame.frames
@@ -466,38 +467,32 @@ def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, 
         return len(points) - 1
 
     fibers, closure = [], []
-    error = None
-    try:
-        for m in samples:
-            need(m)
-        for i in range(n_fiber_pairs):
-            m = samples[i % len(samples)]
-            m2 = np.asarray(m, dtype=float).copy()
-            for l in range(k):
-                lo, hi = chart.box[l]
-                w = hi - lo
-                m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
-            qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
-            if qdiff > 1e-9:
-                fibers.append((m2, qdiff, None))
-                continue
-            fibers.append((m2, qdiff, need(m)))
-            need(m2)
-        if check_closedness:
-            for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
-                at = need(lift(q, samples[0], ybar))
-                deltas = []
-                for i in range(nbar):
-                    stencil, delta = _stencil(q.target, ybar, i)
-                    for y in stencil:
-                        need(lift(q, samples[0], y))
-                    deltas.append(delta)
-                closure.append((ybar, at))
-    except _POINT_ERRORS as exc:
-        error = exc
+    for m in samples:
+        need(m)
+    for i in range(n_fiber_pairs):
+        m = samples[i % len(samples)]
+        m2 = np.asarray(m, dtype=float).copy()
+        for l in range(k):
+            lo, hi = chart.box[l]
+            w = hi - lo
+            m2[l] = lo + 0.1 * w + 0.8 * w * rng.random()
+        qdiff = float(np.abs(q(m) - q(m2)).max(initial=0.0))
+        if qdiff > 1e-9:
+            fibers.append((m2, qdiff, None))
+            continue
+        fibers.append((m2, qdiff, need(m)))
+        need(m2)
+    if check_closedness:
+        for ybar in [q(m) for m in samples[: min(len(samples), 6)]]:
+            at = need(lift(q, samples[0], ybar))
+            deltas = []
+            for i in range(nbar):
+                stencil, delta = _stencil(q.target, ybar, i)
+                for y in stencil:
+                    need(lift(q, samples[0], y))
+                deltas.append(delta)
+            closure.append((ybar, at))
     values = frames(points)
-    if error is not None:
-        raise error
     pushed = [push(q, np.asarray(F, dtype=float), J) for F, J in zip(values, jacobians)]
     sections = np.stack([np.vstack(p[:2]) for p in pushed])
 

@@ -625,6 +625,29 @@ def test_error_in_a_later_stage_prints_one_line(tmp_path):
     assert err.startswith("input error: sections.dkperp: form component 0")
 
 
+def test_an_overflowing_H_prints_one_line(tmp_path):
+    """W_1 along x2 overflows where H multiplies it into W_0's product: the
+    run exits 3 at B's condition check, and stderr holds only the error,
+    with no RuntimeWarning from the product."""
+    s, theta = "exp(770*(x1 + x2) - 705)", "(x1 + x2)"
+    data = {
+        "format_version": 1,
+        "chart": {"names": ["x1", "x2", "x3", "x4"], "k": 2, "box": [[0, 1], [0, 1], [-1, 1], [-1, 1]]},
+        "sections": {"D": [
+            {"vector": ["0", "0", f"{s}*cos{theta}", f"{s}*sin{theta}"], "form": ["0", "0", "0", "0"]},
+            {"vector": ["0", "0", f"-{s}*sin{theta}", f"{s}*cos{theta}"], "form": ["0", "0", "0", "0"]},
+        ]},
+        "numerics": {"tol": 1e-7, "seed": 0},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    out = run_cli("invariant-generators", str(path))
+    assert out.returncode == 3
+    verdict = records(out.stdout)[-1]
+    assert verdict["failed_stage"] == "Step 2"
+    assert out.stderr.splitlines() == [f"numerical breakdown [Step 2]: {verdict['message']}"]
+
+
 class TestStreamFaults:
     """Input and output streams that used to end in a traceback and exit 1:
     each exits 2 with one stderr line, and stdout holds no partial record."""

@@ -530,25 +530,27 @@ class TestPushforward:
         # samples, 10 fiber pairs, 6 lifted targets with a 4-point stencil each
         assert batches == [len(chart.sample_points(margin=0.1)) + 2 * 10 + 6 * 5]
 
-    def test_errors_keep_the_point_by_point_order(self):
+    def test_a_failed_lift_raises_before_any_frame_is_evaluated(self):
         # the stencil of the first target reaches past q(box) = [-2, 2], so
-        # its lift fails; point by point, the frame error at the second
-        # sample comes first
+        # its lift fails; the frame, which fails at the second sample, is
+        # evaluated only once every lift holds
         chart, D, action, problem = translation_setup()
         target = Chart(coord_names=("y",), leaf_count=0, box=((-3.0, 3.0),))
         q = QuotientMap(chart, target, (parse("x2 + x2^3", chart),))
         samples = [np.array([0.0, 0.99]), np.array([0.2, 0.5])]
         F = np.array([[0.0], [0.0], [0.0], [1.0]])
+        seen = []
 
         def frame(m):
+            seen.append(m)
             if m[1] == 0.5:
                 raise NumericalBreakdownError("frame fails here", point=list(m))
             return F
 
-        with pytest.raises(NumericalBreakdownError):
-            pushforward_check(D, action, q, frame, samples=samples)
-        with pytest.raises(VerificationError):
-            pushforward_check(D, action, q, lambda m: F, samples=samples)
+        for one in (frame, lambda m: F):
+            with pytest.raises(VerificationError, match="^could not lift target point"):
+                pushforward_check(D, action, q, one, samples=samples)
+        assert seen == []
 
     def test_every_record_names_its_stage(self):
         chart, D, action, problem = translation_setup()

@@ -336,7 +336,7 @@ class TestCorrectedSection:
         p = e2_problem(chart3)
         solver = p._solver
         for m in random_points(rng, chart3, 6):
-            corr = solver.correction(m)
+            corr = solver._corrections(m[None])[0]
             assert np.allclose(corr[1], -m[0], atol=1e-9)  # -x1 on the d2 slot
             assert np.allclose(corr[5], -m[0], atol=1e-9)  # -x1 on the dx3 slot
             assert np.allclose(solver.combined(m), 0.0, atol=1e-9)
@@ -348,7 +348,7 @@ class TestCorrectedSection:
         p = FoliatedProblem(chart=chart3, generators=(g1, g2), extra=extra)
         solver = p._solver
         m = np.array([0.6, 0.2, -0.1])
-        assert np.allclose(solver.correction(m), 0.0)
+        assert np.allclose(solver._corrections(m[None])[0], 0.0)
         assert np.allclose(solver.combined(m), p.extra(m))
 
 
@@ -746,17 +746,19 @@ class TestStep4Beta:
             bound = 5e-13 * np.linalg.cond(Tm) * np.linalg.norm(expected)
             assert np.linalg.norm(got - expected) <= bound
 
-    def test_degenerate_T_at_a_quadrature_node_raises_in_step4(self):
+    def test_degenerate_T_at_a_quadrature_node_raises_in_step1(self):
         # T = x1 - 0.12 vanishes at the Simpson node 0.08 + 0.04 == 0.12 (quad
-        # step 0.04); the RK4 nodes (steps of 0.1, midpoints, the tails to
-        # the sample and its stencil points) stay at least 0.02 from it
+        # step 0.04); the RK4 nodes of the sample and its stencil points
+        # (steps of 0.1, midpoints, their tails) stay at least 0.02 from it,
+        # but Step 2 integrates H to the Simpson nodes too, and the tail to
+        # that node ends there: Step 1 meets it before Step 4 does
         chart = make_chart(3, k=1)
         g = section(chart, ("0", "x1 - 0.12", "0"), ("0", "0", "0"))
         extra = section(chart, ("0", "sin(x1)*(x1 - 0.12)", "0"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.04)
         with pytest.raises(NonUniqueCoefficients) as exc:
             run(p, samples=[[0.3, 0.1, 0.2]])
-        assert exc.value.stage == "Step 4"
+        assert exc.value.stage == "Step 1"
         assert exc.value.point == [0.12, 0.1, 0.2]
 
     def test_degenerate_T_constant_along_the_leaves_raises_in_step4(self):
@@ -989,13 +991,15 @@ class TestBatchedAgainstPointwise:
             assert str(raised.value) == str(expected.value)
             assert raised.value.point == expected.value.point
 
-    def test_batch_raises_the_per_point_first_error(self, chart3):
-        # a batch checks the box of every point before integrating, but point
-        # by point the Step-1 failure on the first point's line comes first
+    def test_a_batch_checks_the_box_before_step_1(self, chart3):
+        # the first point's line fails Step 1 past x1 = 0.5, the second point
+        # is outside the box: the box of every point is checked first
         g = section(chart3, ("0", "1", "5e-9*exp(20*x1 - 10)"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart3, generators=(g,), ode_step=0.05)
-        with pytest.raises(HypothesisViolated) as exc:
+        with pytest.raises(OutsideBoxError, match=r"^point \[0.0, 2.0, 0.0\] outside chart box"):
             p._solver.frames([[0.9, 0.1, 0.2], [0.0, 2.0, 0.0]])
+        with pytest.raises(HypothesisViolated) as exc:
+            p._solver.frames([[0.9, 0.1, 0.2]])
         assert exc.value.point == [10 * 0.05 + 0.5 * 0.05, 0.1, 0.2]
 
 
@@ -1118,31 +1122,36 @@ def run_points(p, samples) -> np.ndarray:
     return np.concatenate([samples] + [_stencil(p.chart, samples, l)[0].reshape(-1, p.n) for l in range(p.k)])
 
 
+def outcome(exc) -> tuple:
+    """An error as (type, message, point, stage)."""
+    return type(exc).__name__, str(exc), exc.point, exc.stage
+
+
 def pointwise_error(p, points):
-    """The error a point-by-point pass over run()'s points meets first, or
-    None: the frame at each point, then, with an extra section, each
-    point's Step-4 nodes in composite Simpson order for l from k-1 down,
-    each node's decomposition before its H.  On a fresh solver."""
-    p = dataclasses.replace(p)
-    try:
-        for m in points:
-            p._solver.frame(m)
-        for m in points if p.extra is not None else ():
-            for l in range(p.k - 1, -1, -1):
-                base = m.copy()
-                base[l + 1 : p.k] = 0.0
-
-                def f(tau):
-                    q = base.copy()
-                    q[l] = tau
-                    step4(p, q[None])
-                    H_at(p, q)
-                    return 0.0
-
-                composite_simpson(f, float(base[l]), p.quad_step)
-    except (DiracgenError, np.linalg.LinAlgError) as exc:
-        return exc
-    return None
+    """The stage-major reference for run() on a problem with an extra
+    section.  Each point of run()'s batch goes alone through run()'s
+    stages, in their order (_Solver): 0 the box, 1 H over the point and its
+    Simpson nodes (Steps 1 and 2), 2 B's condition, 3 the generators at the
+    point (Step 3), 4 Step 4 at the nodes.  Returns the earliest stage any
+    point fails in and the outcomes of the errors raised there, or (None,
+    []) when no point fails."""
+    solver, failed = p._solver, []
+    for m in points:
+        m = m[None]
+        for stage, check in enumerate([
+            lambda: solver._checked(m),
+            lambda: solver._H(np.concatenate([m, solver._simpson(m)[0]])),
+            lambda: solver._B(m),
+            lambda: solver.generator_matrices(m),
+            lambda: step4(p, solver._simpson(m)[0]),
+        ]):
+            try:
+                check()
+            except DiracgenError as exc:
+                failed.append((stage, outcome(exc)))
+                break
+    first = min((stage for stage, _ in failed), default=None)
+    return first, [error for stage, error in failed if stage == first]
 
 
 @st.composite
@@ -1182,7 +1191,8 @@ class TestOneStep2Pass:
     """With an extra section, run() evaluates H once, over its points and
     the Simpson nodes of every leaf coordinate, and the extra section's
     decomposition once, over the nodes; it keeps the values of the one-point
-    functions and raises what the point-by-point order meets first."""
+    functions, and it raises an error that one of its points raises alone,
+    in the earliest stage any of them fails in."""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_round_counts(self, k, monkeypatch):
@@ -1209,7 +1219,7 @@ class TestOneStep2Pass:
         p = k2_problem()
         m = p.chart.sample_points(seed=3, n_random=1, margin=0.1)[-1]
         p._solver.combined(m)
-        p._solver.correction(m)
+        p._solver._corrections(m[None])
         # the point and its Simpson nodes, in one H each
         assert calls == [1 + len(p._solver._simpson(m[None])[0])] * 2
 
@@ -1222,18 +1232,92 @@ class TestOneStep2Pass:
     @given(case=one_pass_problems())
     def test_run_keeps_the_one_point_values_and_errors(self, case):
         p, samples = case
-        expected = pointwise_error(p, run_points(p, samples))
-        if expected is None:
+        stage, expected = pointwise_error(p, run_points(p, samples))
+        if stage is None:
             result = run(p, samples=samples)
             for i, m in enumerate(result.samples):
                 assert result.sample_Pi[i].tobytes() == compute_Pi(p, m).tobytes()
                 if p.k:
                     assert result.sample_combined[i].tobytes() == result.combined(m).tobytes()
         else:
-            with pytest.raises(type(expected)) as raised:
+            with pytest.raises(DiracgenError) as raised:
                 run(p, samples=samples)
-            assert (str(raised.value), raised.value.point, raised.value.stage) == (
-                str(expected), expected.point, expected.stage)
+            assert outcome(raised.value) in expected
+
+
+# the stage (pointwise_error) each injected failure is raised in
+INJECTED = {"box": 0, "step1": 1, "step2": 2, "step3": 3, "step4": 4}
+
+
+@st.composite
+def injected_problems(draw):
+    """(problem, samples, stages): k = 1 or 2 leaf and two transverse
+    coordinates, generator j f_j (d/dx^{k+j} + dx^{k+j}) with f_j =
+    exp(a_j x1 + c_j x_k) (2 + sin x^{k+j}), an extra section with drawn
+    components, and a failure injected in each drawn stage:
+    - box: a sample lies outside the box;
+    - step1: the first generator's leaf derivative leaves the span past a
+      drawn x1;
+    - step2: a_0 is large, so B's condition number passes 1 / tol past a
+      drawn |x1|;
+    - step3: the first generator's dx1 component divides by zero on the
+      x^{k+1} slice of a drawn sample; no decomposition reads it, so only
+      the generators at the points evaluate it;
+    - step4: the extra section's leaf derivative leaves the span past a
+      drawn x1."""
+    k, stages = draw(st.integers(1, 2)), draw(st.sets(st.sampled_from(["step1", "step2", "step3", "step4"])))
+    if draw(st.integers(0, 4)) == 0:  # rarer: it comes first wherever it is drawn
+        stages.add("box")
+    n = k + 2
+    x = [f"x{i + 1}" for i in range(n)]
+    # off the default samples' grid (-0.5, 0, 0.5), where the step3 component must vanish
+    value = st.sampled_from([-0.85, -0.55, -0.35, -0.15, 0.15, 0.35, 0.65, 0.85])
+    samples = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=3))
+    small = st.sampled_from(["-0.7", "0.4", "0.9"])
+    # a_0 = 25 passes 1 / tol from |x1| = 0.65; T stays far from degenerate
+    a = [draw(st.sampled_from(["18", "25"])) if "step2" in stages else draw(small), "0"]
+    f = [f"exp({a_j}*x1 + {draw(small)}*{x[k - 1]})*(2 + sin({x[k + j]}))" for j, a_j in enumerate(a)]
+    past = st.sampled_from(["-0.3", "0.1", "0.5"])
+    vectors, forms = [["0"] * n for _ in f], [["0"] * n for _ in f]
+    for j, f_j in enumerate(f):
+        vectors[j][k + j] = forms[j][k + j] = f_j
+    if "step1" in stages:  # on the vector component alone
+        vectors[0][k] += f" + 1e-9*exp(40*(x1 - {draw(past)}))"
+    if "step3" in stages:
+        forms[0][0] = f"(x1 - x1)/({x[k]} - {draw(st.sampled_from(samples))[k]!r})"
+    chart = make_chart(n, k=k)
+    gens = tuple(section(chart, vector, form) for vector, form in zip(vectors, forms))
+    term = st.sampled_from(["sin({c}*{a})", "{c}*{a}*{b}", "exp({c}*{a})*{b}"])
+    vector = [draw(term).format(c=draw(small), a=draw(st.sampled_from(x)), b=draw(st.sampled_from(x)))
+              for _ in range(n)]
+    form = ["0"] * k + vector[k:]
+    if "step4" in stages:
+        vector[k] += f" + 1e-9*exp(40*(x1 - {draw(past)}))"
+    if "box" in stages:
+        samples[draw(st.integers(0, len(samples) - 1))][k] = 1.5
+    extra = section(chart, vector, form)
+    return FoliatedProblem(chart=chart, generators=gens, extra=extra, ode_step=0.1, quad_step=0.1), samples, stages
+
+
+class TestOneErrorOrder:
+    """Each stage checks its whole batch and raises at its first failing
+    point, and the stages run in a fixed order (_Solver): with failures
+    injected at drawn points in drawn stages, run() raises if and only if
+    one of its points raises alone, and then an error that one of them
+    raises alone, from the earliest stage any of them fails in."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=injected_problems())
+    def test_the_earliest_stage_raises_at_a_point_that_raises_alone(self, case):
+        p, samples, stages = case
+        stage, expected = pointwise_error(p, run_points(p, samples))
+        try:
+            run(p, samples=samples)
+        except DiracgenError as exc:
+            assert outcome(exc) in expected
+            assert stage in {INJECTED[name] for name in stages}
+        else:
+            assert stage is None
 
 
 class TestLockstepLines:

@@ -445,7 +445,9 @@ class TestStackedLift:
 
 def _two_failures():
     """Check -> (stacked call, pointwise call, test of the raised error's
-    point).  Four samples; the two with x2 = 0 make 1/x2 fail.  The lift
+    point); where the stacked check reads an input first that the one-point
+    check reads later at a sample, the pointwise call evaluates that input
+    alone, sample by sample.  Four samples; the two with x2 = 0 make 1/x2 fail.  The lift
     entries use a quotient that evaluates at their samples but overflows
     past x2 = 7.1e-6, its Jacobian from x2 = 6.92e-6: the closure targets
     of a sample at 0 are lifted from the first sample through there, while
@@ -492,13 +494,15 @@ def _two_failures():
         "hypothesis": (lambda: check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), None, samples, 1e-9),
                        lambda: pointwise.check_bracket_hypothesis(GeneralizedDistribution(chart, bad_family), None,
                                                                   samples, 1e-9)),
+        # q, read first, fails at the samples where its Jacobian does
         "pushforward": (lambda: pushforward_check(D, action, bad_q, frame, samples=samples),
-                        lambda: pointwise.pushforward_check(D, action, bad_q, frame, samples)),
+                        lambda: [bad_q(m) for m in samples]),
     }
-    # one program per input: the first failure at a sample is the first input
-    # a point-by-point pass evaluates there.  The foliation check reads the
-    # action at the first eight samples, so a ninth sample holds the failures
-    # of the descending cases; every input fails with its own expression
+    # each input is one program, and a check reads its inputs in a fixed
+    # order, each at every sample: the first failing input raises at its
+    # first failing sample.  The foliation check reads the action at the
+    # first eight samples, so a ninth sample holds the failures of the
+    # descending cases; every input fails with its own expression
     ninth = [np.array([0.1 * (i + 1), 0.5 + 0.01 * i]) for i in range(8)] + [np.array([0.2, 0.0])]
     fam_D = DiracStructure(chart, (D.generators[0], section(chart, ("0", "1"), ("-1", "3/x2"))))
     fam_action = InfinitesimalAction(chart, (VectorField(chart, (parse("x2/x2", chart), parse("0", chart))),))
@@ -510,10 +514,12 @@ def _two_failures():
         return (lambda: descending_generators(D, action, p, samples=ninth),
                 lambda: pointwise.supplied_family(D, action, p, ninth, 1e-7))
 
+    # the family is read before D and the action, so its second member fails first
+    family_first = lambda: [pointwise.matrix_at(members, m) for m in ninth]  # noqa: E731
     table.update({
         "descending-family-before-D": descending(fam_D, fam_action, [bad_family[0], members[1]]),
-        "descending-D-before-action": descending(fam_D, fam_action, members),
-        "descending-action-before-member": descending(D, fam_action, members),
+        "descending-D-before-action": (descending(fam_D, fam_action, members)[0], family_first),
+        "descending-action-before-member": (descending(D, fam_action, members)[0], family_first),
         "rank-scan-D-before-action": (lambda: constant_rank_scan(fam_D, fam_action, samples),
                                       lambda: pointwise.constant_rank_scan(fam_D, fam_action, samples)),
         "quotient-jacobian-before-action": (lambda: fam_q.validate(fam_action, samples),

@@ -354,7 +354,7 @@ class TestEvaluatorProperties:
         compiled = CompiledExprs(exprs)
         values, bad = compiled.evaluate(points)
         bad = np.zeros(values.shape, dtype=bool) if bad is None else bad
-        errors = {(e, i): str(compiled.first_error(points, [([e], [i])])[2]) for e, i in zip(*np.nonzero(bad))}
+        errors = {(e, i): str(compiled.first_error(points, [e], [i])) for e, i in zip(*np.nonzero(bad))}
         for i, m in enumerate(points):
             one, one_bad = compiled.evaluate(m[None])
             assert np.array_equal(bad[:, i], np.zeros(len(exprs), bool) if one_bad is None else one_bad[:, 0])
