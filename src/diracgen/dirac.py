@@ -435,17 +435,16 @@ def _action_brackets(action: InfinitesimalAction, result: InvariantFrameResult, 
 
 def _check_foliated_presentation(action: InfinitesimalAction, problem: FoliatedProblem, samples):
     """The chart must present the vertical distribution as the span of the
-    first k coordinate fields: checked at the first eight samples, read
-    from the action's evaluation at all of them, and reported at the first
-    that breaks it."""
+    first k coordinate fields: checked at every sample, from one evaluation
+    of the action, and reported at the first that breaks it."""
     k, program = problem.k, action._program
     if not action.generators:
         if k != 0:
             raise InputError("action has no generators but the chart declares leaves")
         return
     values, _ = program.evaluate(samples)
-    program.raise_first(samples, program.values, range(min(len(samples), 8)))
-    X = stacked(values[program.values.start : program.values.stop, :8], problem.n)
+    program.raise_first(samples, program.values)
+    X = stacked(values[program.values.start : program.values.stop], problem.n)
     transverse = np.abs(X[..., k:]).max(axis=(1, 2), initial=0.0) > 1e-9 * (1.0 + np.abs(X).max(axis=(1, 2)))
     for i in np.flatnonzero(transverse | (svd_rank(X[..., :k]) != k))[:1]:
         if transverse[i]:
@@ -469,7 +468,9 @@ def descending_generators(
 
     That the family lies in and spans the intersection is checked from the
     programs of the family (its solver's), D and the action, with one
-    stacked least-squares call per direction."""
+    stacked least-squares call per direction.  The inputs are read in this
+    order, each at every sample: the action (the foliated-chart check),
+    the family, then D."""
     tol = problem.tol if tol is None else tol
     chart = problem.chart
     samples = chart.checked_samples(samples, margin=0.1)
@@ -669,23 +670,17 @@ def pushforward_check(
     is isotropic, and (when requested) target Courant brackets of the
     pushed sections stay in their span.
 
-    Every frame value the checks need (samples, fiber pairs, lifted closure
-    targets and their stencils) is evaluated in one batch when frame is an
-    InvariantFrameResult, else point by point; q and its Jacobian in one
+    frame is an InvariantFrameResult or a function from points (N, n) to
+    frames (N, 2n, r).  Every frame value the checks need (samples, fiber
+    pairs, lifted closure targets and their stencils) is evaluated in one
+    batch, through its frames when it is a result; q and its Jacobian in one
     compiled batch before the lifts and one per halving of the stacked lift,
     which returns the Jacobians at the lifted points.  An error is raised
     at its first failing point, in this order: q where the checks read it
     (the samples with a fiber partner, which hold the closure targets, then
     the partners), the Jacobian at the samples and the on-fiber partners,
     the lifts in target order, then the frames."""
-    if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
-        frames = frame.frames
-    else:
-        one = frame.frame if isinstance(frame, InvariantFrameResult) else frame
-
-        def frames(points):
-            return [one(m) for m in points]
-
+    frames = frame.frames if isinstance(frame, InvariantFrameResult) else frame
     chart = q.source
     samples = chart.checked_samples(samples, margin=0.1)
     N, n, nbar, k = len(samples), chart.n, q.target.n, chart.leaf_count

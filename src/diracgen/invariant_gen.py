@@ -34,10 +34,10 @@ rounding of a grid node reads it.  A solver keeps no line state: Step 2
 integrates its lines from the zero slice, and Step 4 plans the Simpson
 nodes of every leaf coordinate first (_simpson), evaluates H^T beta at
 all of them in one batch and sums the full panels of each line from the
-zero slice.  With an extra section, run() and combined(m) make one Step-2
-pass: one H over the points and those nodes gives B and the integrand.
-Every stage checks its whole batch and raises at its first failing point,
-and the stages run in one fixed order (_Solver).
+zero slice.  Every caller makes one Step-2 pass (_Solver._evaluate): one H
+over the points and, for the correction, those nodes gives B and the
+integrand.  Every stage checks its whole batch and raises at its first
+failing point, and the stages run in one fixed order (_Solver).
 
 Leaf coordinate indices are 0-based (0 .. k-1).
 """
@@ -261,8 +261,8 @@ class _Solver:
     last and solves all nodes at once (_decompose).  Step 2 keeps no line
     state: each _fundamental call integrates the grid of every coordinate
     line through its points from the zero slice, as one array (_extend),
-    and memory is bounded by the batch.  Step 4 reads H from the same _H
-    call that gives B (_corrected).
+    and memory is bounded by the batch.  Every caller takes G, H, B and Pi
+    from one _evaluate call, whose Step 4 reads H from the _H that gives B.
 
     Each stage checks its whole batch and raises at its first failing point
     or node, and the stages run in this order: every point in the box; per
@@ -378,10 +378,6 @@ class _Solver:
         B = self._decomposition(self._generator_decomposition, r, nodes[solved], "Step 1", "a generator")[0][:, j]
         return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, r, r)
 
-    def _breakdown(self, point):
-        return NumericalBreakdownError("non-finite values while integrating a fundamental matrix",
-                                       point=plain(point), stage="Step 2")
-
     def _extend(self, j: int, heads: np.ndarray, counts, h, tails=()):
         """The grid of W at i*h, i = 1 .. counts[a], on the x^j line through
         each head a (h one step, or one per line), from I on the zero slice:
@@ -390,8 +386,8 @@ class _Solver:
         dx), the step of length dx from node n of that line.  Every step is
         W <- Phi W with Phi = _rk4(B, I, dx) from its own nodes, all formed in
         one batch; the lines step in lockstep, longest first (the lines still
-        growing lead), and finiteness is checked once: non-finite stays
-        non-finite."""
+        growing lead).  Nothing is judged here: non-finite stays non-finite
+        under Phi W, so _fundamental judges the W its points read."""
         r, L = self.p.r, len(heads)
         h = np.broadcast_to(np.asarray(h, dtype=float), L)
         counts = np.asarray(counts, dtype=int)
@@ -425,10 +421,6 @@ class _Solver:
                 grown[a : a + live] = W
         Ws = np.empty_like(grown)
         Ws[order] = grown
-        broken = np.flatnonzero(~np.isfinite(Ws).all(axis=(1, 2)))
-        if broken.size:  # the first line, in input order, to break at the earliest step
-            at = grid[broken]
-            raise self._breakdown(heads[at[np.lexsort((at, step[broken]))[0]]])
         return Ws, Phi[len(grid) :]
 
     def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
@@ -436,7 +428,8 @@ class _Solver:
         through the points, each integrated from the zero slice to its
         farthest point, and the propagator of each point's last partial step.
         A point within rounding of a grid node reads the grid there rather
-        than take a full-length partial step."""
+        than take a full-length partial step.  The first point, in input
+        order, whose W is not finite raises."""
         r, step = self.p.r, self.p.ode_step
         out = np.empty((len(points), r, r))
         out[:] = np.eye(r)
@@ -456,11 +449,10 @@ class _Solver:
         if tails.size:
             at = live[tails]
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
-                last = Phi @ out[at]
-            broken = np.flatnonzero(~np.isfinite(last).all(axis=(1, 2)))
-            if broken.size:
-                raise self._breakdown(points[at[broken[0]]])
-            out[at] = last
+                out[at] = Phi @ out[at]
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))[:1]:
+            raise NumericalBreakdownError("non-finite values while integrating a fundamental matrix",
+                                          point=plain(points[i]), stage="Step 2")
         return out
 
     def _solve_square(self, A, B, points, stage):
@@ -488,11 +480,10 @@ class _Solver:
                 H = H @ self._fundamental(j - 1, q)
         return H
 
-    def _B(self, points: np.ndarray, H=None) -> np.ndarray:
-        """(H^T)^-1 at each point, from H there when it is given."""
+    def _B(self, points: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """(H^T)^-1 at each point, from H there."""
         if self.constant_tilde:  # H = I, so B is I, bit for bit as the solve below gives it
             return np.repeat(np.eye(self.p.r)[None], len(points), axis=0)
-        H = self._H(points) if H is None else H
         eye = np.broadcast_to(np.eye(self.p.r), H.shape)
         return self._solve_square(np.swapaxes(H, 1, 2), eye, points, "Step 2")
 
@@ -516,18 +507,10 @@ class _Solver:
     def generator_matrix(self, m) -> np.ndarray:
         return self.generator_matrices([m])[0]
 
-    def _parts(self, points: np.ndarray):
-        """The generator matrices G, H and the transform B at each point, in
-        stage order: the box, H, B, then G."""
-        points = self._checked(points)
-        H = self._H(points)
-        B = self._B(points, H)
-        return self.generator_matrices(points), H, B
-
     def frames(self, points) -> np.ndarray:
         """The straightened frame at each point (N, 2n, r), with the lines of
         all points integrated together."""
-        G, _, B = self._parts(np.reshape(points, (-1, self.p.n)))
+        G, _, B, _ = self._evaluate(np.reshape(points, (-1, self.p.n)))
         return G @ B
 
     def frame(self, m) -> np.ndarray:
@@ -589,41 +572,27 @@ class _Solver:
 
         return np.concatenate(nodes), R
 
-    def _Hbeta(self, nodes: np.ndarray, H=None) -> np.ndarray:
-        """H^T beta_l at each node for every leaf index l (N, k, r), from H
-        there when it is given, else H (Step 2) before beta (Step 4)."""
-        p = self.p
+    def _Hbeta(self, nodes: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """H^T beta_l at each node for every leaf index l (N, k, r), from H there."""
         if not len(nodes):  # no panel to integrate: nothing is evaluated
-            return np.empty((0, p.k, p.r))
-        if p.extra is None:
-            raise InputError("no extra section in this problem")
-        H = self._H(nodes) if H is None else H
+            return np.empty((0, self.p.k, self.p.r))
         beta = self._decomposition(self._extra_decomposition, 1, nodes, "Step 4", "the extra section")[0]
         return (np.swapaxes(H, 1, 2)[:, None] @ beta)[..., 0]
 
-    def _Pi(self, points: np.ndarray, B=None) -> np.ndarray:
-        """Pi = -B R at each point: B unless it is given, then H^T beta at
-        the Simpson nodes of every leaf coordinate in one batch."""
-        B = self._B(self._checked(points)) if B is None else B
-        nodes, R = self._simpson(points)
-        return (-B @ R(self._Hbeta(nodes))[..., None])[..., 0]
-
-    def _corrected(self, points: np.ndarray):
-        """G, H, B and Pi at each point from one Step-2 pass: one H over the
-        points (for B) and the Simpson nodes of every leaf coordinate, in
-        stage order (_Solver)."""
-        checked = self._checked(points)  # in the box before any planning
-        N = len(checked)
-        nodes, R = self._simpson(checked)
-        H = self._H(np.concatenate([checked, nodes]))
-        B = self._B(checked, H[:N])
-        G = self.generator_matrices(checked)
-        return G, H[:N], B, (-B @ R(self._Hbeta(nodes, H[N:]))[..., None])[..., 0]
-
-    def _corrections(self, points: np.ndarray) -> np.ndarray:
-        """(Z, gamma) = G Pi at each point."""
-        G, _, _, Pi = self._corrected(points)
-        return (G @ Pi[..., None])[..., 0]
+    def _evaluate(self, points, corrected: bool = False):
+        """G, H, B and, when corrected, Pi = -B R at each point (else None),
+        from one Step-2 pass: one H over the points (for B) and, when
+        corrected, the Simpson nodes of every leaf coordinate (for H^T
+        beta).  The stages run in order (_Solver): the box, Steps 1 and 2,
+        B, G (Step 3), then Step 4."""
+        points = self._checked(points)  # in the box before any planning
+        N = len(points)
+        nodes, R = self._simpson(points) if corrected else (points[:0], None)
+        H = self._H(np.concatenate([points, nodes]))
+        B = self._B(points, H[:N])
+        G = self.generator_matrices(points)
+        Pi = None if R is None else (-B @ R(self._Hbeta(nodes, H[N:]))[..., None])[..., 0]
+        return G, H[:N], B, Pi
 
     def extra_values(self, points) -> np.ndarray:
         """Values of the extra section (X, alpha) at each point (N, 2n)."""
@@ -632,7 +601,9 @@ class _Solver:
     def combined(self, m) -> np.ndarray:
         """Value of (X + Z, alpha + gamma) at m."""
         point = np.asarray([m], dtype=float)
-        return (self.extra_values(point) + self._corrections(point))[0]
+        X = self.extra_values(point)
+        G, _, _, Pi = self._evaluate(point, corrected=True)
+        return (X + (G @ Pi[..., None])[..., 0])[0]
 
 
 def solve_coefficients(p: FoliatedProblem, m):
@@ -654,7 +625,10 @@ def fundamental_matrix(p: FoliatedProblem, j: int, m) -> np.ndarray:
 
 
 def compute_Pi(p: FoliatedProblem, m) -> np.ndarray:
-    return p._solver._Pi(np.asarray([m], dtype=float))[0]
+    """Pi = -B R at m, from the one Step-2 pass of combined(m)."""
+    if p.extra is None:
+        raise InputError("no extra section in this problem")
+    return p._solver._evaluate([m], corrected=True)[3][0]
 
 
 def _stencil(chart: Chart, m, l: int, delta: float | None = None):
@@ -688,8 +662,8 @@ class InvariantFrameResult:
     problem: FoliatedProblem
     frame: object  # m -> 2n x r
     combined: object | None  # m -> 2n vector (X + Z, alpha + gamma)
+    frames: object  # points (N x n) -> N x 2n x r, evaluated as one batch
     report: Report = field(default_factory=Report)
-    frames: object = None  # points (N x n) -> N x 2n x r, evaluated as one batch
     samples: np.ndarray | None = None  # N x n
     sample_frames: np.ndarray | None = None  # N x 2n x r
     sample_B: np.ndarray | None = None  # N x r x r, the transform (H^T)^-1
@@ -738,7 +712,13 @@ def run(
     solver = p._solver
     samples = p.chart.checked_samples(samples, seed=seed, margin=0.1)
     report = Report()
-    k = p.k
+    N, k = len(samples), p.k
+    stencils = [_stencil(p.chart, samples, l) for l in range(k)]
+    points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
+    deltas = [delta for _, delta in stencils]
+    # G, H and B once, for the frames and the corrections, and with an
+    # extra section Pi from the same Step-2 pass
+    G, H, B, Pi = solver._evaluate(points, corrected=p.extra is not None)
 
     if k == 0:
         report.add(
@@ -748,7 +728,6 @@ def run(
                 detail="no leaf coordinates: generators returned unchanged",
             )
         )
-        G, H, B = solver._parts(samples)
         return InvariantFrameResult(
             problem=p,
             frame=solver.generator_matrix,
@@ -759,19 +738,9 @@ def run(
             sample_frames=G,
             sample_B=B,
             sample_H=H,
-            sample_Pi=None if p.extra is None else solver._Pi(samples, B),
+            sample_Pi=Pi,
         )
 
-    N = len(samples)
-    stencils = [_stencil(p.chart, samples, l) for l in range(k)]
-    points = np.concatenate([samples] + [q.reshape(-1, p.n) for q, _ in stencils])
-    deltas = [delta for _, delta in stencils]
-    # G, H and B once, for the frames and the corrections, and with an
-    # extra section Pi from the same Step-2 pass
-    if p.extra is None:
-        G, H, B = solver._parts(points)
-    else:
-        G, H, B, Pi = solver._corrected(points)
     frames = G @ B
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical

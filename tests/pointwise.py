@@ -358,7 +358,7 @@ def constant_rank_scan(D, action, samples, tol: float = RANK_TOL):
 
 def check_foliated_presentation(action, problem, samples):
     k = problem.k
-    for m in samples[: min(len(samples), 8)]:
+    for m in samples:
         vals = np.array([xi(m) for xi in action.generators])
         if vals.size == 0:
             if k != 0:
@@ -446,14 +446,7 @@ def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, 
     frame values are still one call, over the points in the order met,
     once every point is gathered."""
     _require_samples(samples)
-    if isinstance(frame, InvariantFrameResult) and frame.frames is not None:
-        frames = frame.frames
-    else:
-        one = frame.frame if isinstance(frame, InvariantFrameResult) else frame
-
-        def frames(points):
-            return [one(m) for m in points]
-
+    frames = frame.frames if isinstance(frame, InvariantFrameResult) else frame
     chart = q.source
     report = Report()
     nbar = q.target.n

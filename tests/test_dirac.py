@@ -46,6 +46,7 @@ from conftest import (
     random_vector_field,
     wide_quotient,
 )
+import pointwise
 from pointwise import contains, courant_bracket, lie_bracket, lie_derivative_form, matrix_at, span_residual
 
 
@@ -369,6 +370,20 @@ class TestInvariantAnnihilator:
         with pytest.raises(InputError):
             invariant_annihilator_generators(action, problem)
 
+    def test_the_foliation_is_checked_at_every_sample(self):
+        # the action's transverse component exp(-1000 (x2 - 0.85)^2) is above
+        # the threshold only near x2 = 0.85: at the 23rd default sample, and
+        # it raises wherever that sample stands among the others
+        chart = make_chart(2, k=1)
+        action = InfinitesimalAction(chart, (VectorField(chart, (parse("1", chart),
+                                                                 parse("exp(-1000*(x2 - 0.85)^2)", chart))),))
+        problem = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "1")),))
+        samples = chart.sample_points(seed=0, margin=0.1)
+        for order in (samples, np.concatenate([samples[22:23], samples[:22], samples[23:]])):
+            with pytest.raises(InputError, match="^chart is not foliated for this action") as exc:
+                invariant_annihilator_generators(action, problem, samples=order)
+            assert exc.value.args[0].endswith(f"at {samples[22].tolist()}")
+
 
 @st.composite
 def action_problems(draw):
@@ -525,8 +540,9 @@ class TestPushforward:
 
         result.frames = counted
         batched = pushforward_check(D, action, q, result)
-        pointwise = pushforward_check(D, action, q, result.frame)
-        assert [r.as_dict() for r in batched] == [r.as_dict() for r in pointwise]
+        one_at_a_time = pointwise.pushforward_check(D, action, q, lambda points: [result.frame(m) for m in points],
+                                                    chart.sample_points(margin=0.1))
+        assert [r.as_dict() for r in batched] == [r.as_dict() for r in one_at_a_time]
         # samples, 10 fiber pairs, 6 lifted targets with a 4-point stencil each
         assert batches == [len(chart.sample_points(margin=0.1)) + 2 * 10 + 6 * 5]
 

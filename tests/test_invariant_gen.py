@@ -49,14 +49,25 @@ def H_at(p, m):
 
 
 def B_at(p, m):
-    return p._solver._B(p._solver._checked([m]))[0]
+    return p._solver._evaluate([m])[2][0]
+
+
+def Hbeta_at(p, nodes):
+    """H^T beta_l (N, k, r) at the nodes, H (Step 2) before beta (Step 4)."""
+    return p._solver._Hbeta(nodes, p._solver._H(nodes))
 
 
 def R_at(p, points):
     """R (N, r) at each point, from one integrand batch over the Simpson
     nodes of every leaf coordinate."""
     nodes, R = p._solver._simpson(np.asarray(points, dtype=float))
-    return R(p._solver._Hbeta(nodes))
+    return R(Hbeta_at(p, nodes))
+
+
+def correction_at(p, m):
+    """(Z, gamma) = G Pi at m."""
+    G, _, _, Pi = p._solver._evaluate([m], corrected=True)
+    return (G @ Pi[..., None])[0, :, 0]
 
 
 def step1(p, nodes, leaf=False):
@@ -316,6 +327,14 @@ class TestComputePi:
         p = e2_problem(chart3)
         assert np.allclose(compute_Pi(p, np.array([0.0, 0.4, -0.3])), 0.0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_no_extra_section_is_input_error(self, k):
+        # on the zero slice too, where there is no panel to integrate
+        chart = make_chart(3, k=k)
+        p = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "1", "0"), ("0", "0", "1")),))
+        with pytest.raises(InputError, match="^no extra section in this problem$"):
+            compute_Pi(p, np.array([0.0, 0.4, -0.3]))
+
     def test_R_identity_by_differences(self, chart3):
         # (tilde frame) B (d_l R) equals (tilde generators) beta_l
         g = section(chart3, ("0", "exp(x1)", "0"), ("0", "0", "0"))
@@ -336,7 +355,7 @@ class TestCorrectedSection:
         p = e2_problem(chart3)
         solver = p._solver
         for m in random_points(rng, chart3, 6):
-            corr = solver._corrections(m[None])[0]
+            corr = correction_at(p, m)
             assert np.allclose(corr[1], -m[0], atol=1e-9)  # -x1 on the d2 slot
             assert np.allclose(corr[5], -m[0], atol=1e-9)  # -x1 on the dx3 slot
             assert np.allclose(solver.combined(m), 0.0, atol=1e-9)
@@ -348,7 +367,7 @@ class TestCorrectedSection:
         p = FoliatedProblem(chart=chart3, generators=(g1, g2), extra=extra)
         solver = p._solver
         m = np.array([0.6, 0.2, -0.1])
-        assert np.allclose(solver._corrections(m[None])[0], 0.0)
+        assert np.allclose(correction_at(p, m), 0.0)
         assert np.allclose(solver.combined(m), p.extra(m))
 
 
@@ -608,7 +627,7 @@ class TestSimpsonTotals:
             def f(tau):
                 q = m.copy()
                 q[l] = tau
-                return solver._Hbeta(q[None])[0, l]
+                return Hbeta_at(p, q[None])[0, l]
 
             return np.zeros(p.r) + composite_simpson(f, float(m[l]), p.quad_step)  # 0.0 with no panel
 
@@ -773,14 +792,14 @@ class TestStep4Beta:
         assert exc.value.stage == "Step 4"
 
     def test_T_is_judged_before_the_leaf_components(self, chart3):
-        # at the first Simpson node [0, 0, 0.2] T is dependent and the leaf
-        # component 1/x2 fails to evaluate: T's rank is checked first, as in Step 1
+        # at the node [0, 0, 0.2] T is dependent and the leaf component 1/x2
+        # fails to evaluate: T's rank is checked first, as in Step 1
         g1 = section(chart3, ("1/x2", "1", "0"), ("0", "0", "0"))
         g2 = section(chart3, ("0", "2", "0"), ("0", "0", "0"))
         extra = section(chart3, ("0", "sin(x1)", "0"), ("0", "0", "0"))
         p = FoliatedProblem(chart=chart3, generators=(g1, g2), extra=extra)
         with pytest.raises(NonUniqueCoefficients) as exc:
-            compute_Pi(p, np.array([0.3, 0.0, 0.2]))
+            step4(p, np.array([[0.0, 0.0, 0.2]]))
         assert exc.value.stage == "Step 4" and exc.value.point == [0.0, 0.0, 0.2]
 
     def test_nothing_to_solve_without_leaves(self):
@@ -1012,19 +1031,23 @@ class TestNoLineState:
         p = FoliatedProblem(chart=chart3, generators=(g,), extra=extra, ode_step=0.1, quad_step=0.1)
         solver = _Solver(p)
         points = np.array(random_points(rng, chart3, 60))
-        F, Pi = solver.frames(points[:5]), solver._Pi(points[:5])  # builds every program
+
+        def Pis(solver, points):
+            return solver._evaluate(points, corrected=True)[3]
+
+        F, Pi = solver.frames(points[:5]), Pis(solver, points[:5])  # builds every program
         state = {key: (value, len(value) if isinstance(value, list) else None) for key, value in vars(solver).items()}
         for m in points[5:]:
             solver.frame(m)
-            solver._Pi(m[None])
+            Pis(solver, m[None])
         solver.frames(points)
-        solver._Pi(points)
+        Pis(solver, points)
         assert vars(solver).keys() == state.keys()
         for key, (value, length) in state.items():
             assert vars(solver)[key] is value and (length is None or len(value) == length)
         fresh = _Solver(p)
         assert np.array_equal(solver.frames(points[:5]), F) and np.array_equal(fresh.frames(points[:5]), F)
-        assert np.array_equal(solver._Pi(points[:5]), Pi) and np.array_equal(fresh._Pi(points[:5]), Pi)
+        assert np.array_equal(Pis(solver, points[:5]), Pi) and np.array_equal(Pis(fresh, points[:5]), Pi)
 
 
 class TestRunEvaluatesEachPointOnce:
@@ -1141,7 +1164,7 @@ def pointwise_error(p, points):
         for stage, check in enumerate([
             lambda: solver._checked(m),
             lambda: solver._H(np.concatenate([m, solver._simpson(m)[0]])),
-            lambda: solver._B(m),
+            lambda: solver._B(m, solver._H(m)),
             lambda: solver.generator_matrices(m),
             lambda: step4(p, solver._simpson(m)[0]),
         ]):
@@ -1214,14 +1237,23 @@ class TestOneStep2Pass:
         from diracgen.invariant_gen import _Solver
 
         calls = []
-        H = _Solver._H
-        monkeypatch.setattr(_Solver, "_H", lambda solver, points: calls.append(len(points)) or H(solver, points))
+        for method in ("_H", "_fundamental", "_decomposition"):
+            def spy(solver, *args, _method=method, _original=getattr(_Solver, method), **kwargs):
+                calls.append((_method, len(args[0])) if _method == "_H" else _method)
+                return _original(solver, *args, **kwargs)
+
+            monkeypatch.setattr(_Solver, method, spy)
         p = k2_problem()
         m = p.chart.sample_points(seed=3, n_random=1, margin=0.1)[-1]
-        p._solver.combined(m)
-        p._solver._corrections(m[None])
-        # the point and its Simpson nodes, in one H each
-        assert calls == [1 + len(p._solver._simpson(m[None])[0])] * 2
+        rounds = []
+        for evaluate in (p._solver.combined, lambda m: compute_Pi(p, m)):
+            calls.clear()
+            evaluate(m)
+            rounds.append(list(calls))
+        # the point and its Simpson nodes in one H; one W per leaf index,
+        # each solving Step 1, then Step 4 once
+        H = ("_H", 1 + len(p._solver._simpson(m[None])[0]))
+        assert rounds == [[H] + ["_fundamental", "_decomposition"] * 2 + ["_decomposition"]] * 2
 
     def test_a_sample_outside_the_box_fails_before_step_4_plans_its_panels(self, chart3):
         # planned from 1e12, the line would take 2.5e14 panels
@@ -1245,8 +1277,8 @@ class TestOneStep2Pass:
             assert outcome(raised.value) in expected
 
 
-# the stage (pointwise_error) each injected failure is raised in
-INJECTED = {"box": 0, "step1": 1, "step2": 2, "step3": 3, "step4": 4}
+# the stages (pointwise_error) each injected failure may be raised in
+INJECTED = {"box": {0}, "step1": {1}, "step2": {2}, "step3": {3}, "step4": {4}, "overflow": {1, 2}}
 
 
 @st.composite
@@ -1264,8 +1296,14 @@ def injected_problems(draw):
       x^{k+1} slice of a drawn sample; no decomposition reads it, so only
       the generators at the points evaluate it;
     - step4: the extra section's leaf derivative leaves the span past a
-      drawn x1."""
-    k, stages = draw(st.integers(1, 2)), draw(st.sets(st.sampled_from(["step1", "step2", "step3", "step4"])))
+      drawn x1;
+    - overflow: the first two generators turn into each other at the rate
+      w along x1, (cos, sin) and (-sin, cos) on (f_0, f_1), so their values
+      stay bounded while each RK4 step multiplies W by about (0.1 w)^4 / 24,
+      and W overflows (Step 2) past a drawn number of steps; for k = 2 the
+      product H of finite W's may overflow instead (B's condition)."""
+    stages = draw(st.sets(st.sampled_from(["step1", "step2", "step3", "step4", "overflow"])))
+    k = draw(st.integers(1, 2))
     if draw(st.integers(0, 4)) == 0:  # rarer: it comes first wherever it is drawn
         stages.add("box")
     n = k + 2
@@ -1281,6 +1319,13 @@ def injected_problems(draw):
     vectors, forms = [["0"] * n for _ in f], [["0"] * n for _ in f]
     for j, f_j in enumerate(f):
         vectors[j][k + j] = forms[j][k + j] = f_j
+    if "overflow" in stages:
+        steps = draw(st.sampled_from([3, 5, 7]))
+        w = (24.0 * 10.0 ** (308.25 / (steps - 0.5))) ** 0.25 / 0.1
+        c, s = f"cos({w!r}*x1)", f"sin({w!r}*x1)"
+        turned = [[f"{c}*{f[0]}", f"{s}*{f[1]}"], [f"-{s}*{f[0]}", f"{c}*{f[1]}"]]
+        for j in range(2):
+            vectors[j][k : k + 2] = forms[j][k : k + 2] = turned[j]
     if "step1" in stages:  # on the vector component alone
         vectors[0][k] += f" + 1e-9*exp(40*(x1 - {draw(past)}))"
     if "step3" in stages:
@@ -1315,14 +1360,15 @@ class TestOneErrorOrder:
             run(p, samples=samples)
         except DiracgenError as exc:
             assert outcome(exc) in expected
-            assert stage in {INJECTED[name] for name in stages}
+            assert stage in set().union(*(INJECTED[name] for name in stages))
         else:
             assert stage is None
 
 
 class TestLockstepLines:
     """_extend steps the lines of a batch together, longest first, and
-    returns their grids as one array."""
+    returns their grids as one array; _fundamental raises at the first
+    point, in input order, whose W is not finite."""
 
     @staticmethod
     def solver(chart3):
@@ -1339,21 +1385,26 @@ class TestLockstepLines:
         heads, counts = zip(*lines)
         return solver._extend(0, np.array(heads, dtype=float), list(counts), solver.p.ode_step)
 
-    def test_lines_overflowing_at_the_same_step_raise_at_the_first(self, chart3):
+    def test_points_overflowing_at_the_same_step_raise_at_the_first(self, chart3):
         from diracgen.errors import NumericalBreakdownError
 
         solver = self.solver(chart3)
         with pytest.raises(NumericalBreakdownError) as exc:
-            self.extend(solver, [([0.0, 1.0, 0.3], 475), ([0.0, 1.0, -0.4], 475)])
-        assert exc.value.point == [0.0, 1.0, 0.3] and exc.value.stage == "Step 2"
+            solver._fundamental(0, np.array([[0.95, 1.0, 0.3], [0.95, 1.0, -0.4]]))
+        assert exc.value.point == [0.95, 1.0, 0.3] and exc.value.stage == "Step 2"
 
-    def test_the_line_overflowing_first_raises(self, chart3):
+    def test_the_first_point_in_input_order_raises(self, chart3):
         from diracgen.errors import NumericalBreakdownError
 
+        # the line of the first point breaks first (x2 = 1), at a step past
+        # that point, which passes alone; of the points that break, the
+        # second comes first in input order, though its line breaks later
         solver = self.solver(chart3)
+        points = np.array([[0.3, 1.0, 0.3], [0.9, 0.9, 0.3], [0.9, 1.0, 0.3]])
+        solver._fundamental(0, points[:1])
         with pytest.raises(NumericalBreakdownError) as exc:
-            self.extend(solver, [([0.0, 0.9, 0.3], 475), ([0.0, 1.0, -0.4], 475)])
-        assert exc.value.point == [0.0, 1.0, -0.4]
+            solver._fundamental(0, points)
+        assert exc.value.point == [0.9, 0.9, 0.3]
 
     def test_each_line_as_if_integrated_alone(self, chart3):
         solver = self.solver(chart3)
@@ -1367,38 +1418,28 @@ class TestLockstepLines:
             assert np.array_equal(grid[start : start + count], alone)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([0.75, 0.8, 0.9, 1.0]), st.sampled_from([-0.4, 0.3]),
-                              st.sampled_from([300, 380, 475])), min_size=1, max_size=4, unique=True))
-    def test_the_first_line_to_break_raises(self, shape):
+    @given(st.lists(st.tuples(st.sampled_from([0.3, 0.6, 0.75, 0.95]), st.sampled_from([0.75, 0.8, 0.9, 1.0]),
+                              st.sampled_from([-0.4, 0.3])), min_size=1, max_size=4))
+    def test_the_first_point_to_break_raises(self, points):
         from diracgen.errors import NumericalBreakdownError
 
         solver = self.solver(make_chart(3, k=1))
+        points = np.array(points)
 
-        def breaks_at(point, target):  # the step a line alone breaks at, or None
-            def raises(t):
-                try:
-                    self.extend(solver, [(point, t)])
-                except NumericalBreakdownError:
-                    return True
-                return False
-
-            if not raises(target):
+        def alone(m):  # W at m, or None where it breaks
+            try:
+                return solver._fundamental(0, m[None])[0]
+            except NumericalBreakdownError:
                 return None
-            lo, hi = 0, target  # raises(hi), not raises(lo)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if raises(mid) else (mid, hi)
-            return hi
 
-        lines = [([0.0, x2, x3], target) for x2, x3, target in shape]
-        steps = [breaks_at(*line) for line in lines]
-        broken = [(step, a) for a, step in enumerate(steps) if step is not None]
+        each = [alone(m) for m in points]
+        broken = [m.tolist() for m, W in zip(points, each) if W is None]
         if not broken:
-            self.extend(solver, lines)
+            assert all(np.array_equal(W, Wm) for W, Wm in zip(solver._fundamental(0, points), each))
             return
         with pytest.raises(NumericalBreakdownError) as exc:
-            self.extend(solver, lines)
-        assert exc.value.point == lines[min(broken)[1]][0]
+            solver._fundamental(0, points)
+        assert exc.value.point == broken[0]
 
 
 def problem_with_step(name, h):
@@ -1516,7 +1557,7 @@ def test_family_constant_along_the_leaves_skips_the_transform(chart3):
     points = np.array(random_points(np.random.default_rng(5), chart3, 6))
     H = solver._H(points)
     solved = solver._solve_square(np.swapaxes(H, 1, 2), np.broadcast_to(np.eye(2), H.shape), points, "Step 2")
-    assert solver.constant_tilde and solver._B(points).tobytes() == solved.tobytes()
+    assert solver.constant_tilde and solver._B(points, H).tobytes() == solved.tobytes()
 
 
 def test_solver_goes_with_its_problem(chart3):

@@ -310,11 +310,11 @@ class TestRandomSections:
                     lambda: [pointwise.intersect_D_Kperp(D, action, m) for m in samples])
         columns = [random_section(rng, chart) for _ in range(r + 1)]
 
-        def frame(m):  # C-contiguous, as a batch of frames is: a product's rounding follows the layout
-            return np.ascontiguousarray(pointwise.matrix_at(columns, m).T)
+        def frames(points):  # C-contiguous, as a batch of frames is: a product's rounding follows the layout
+            return [np.ascontiguousarray(pointwise.matrix_at(columns, m).T) for m in points]
 
-        assert same(lambda: pushforward_check(D, action, q, frame, samples=samples, seed=seed, check_closedness=False),
-                    lambda: pointwise.pushforward_check(D, action, q, frame, samples, seed=seed,
+        assert same(lambda: pushforward_check(D, action, q, frames, samples=samples, seed=seed, check_closedness=False),
+                    lambda: pointwise.pushforward_check(D, action, q, frames, samples, seed=seed,
                                                         check_closedness=False))
         family = GeneralizedDistribution(chart, tuple(columns))
         assert same(lambda: check_bracket_hypothesis(family, columns[0], samples, 1e-9),
@@ -500,10 +500,9 @@ def _two_failures():
     }
     # each input is one program, and a check reads its inputs in a fixed
     # order, each at every sample: the first failing input raises at its
-    # first failing sample.  The foliation check reads the action at the
-    # first eight samples, so a ninth sample holds the failures of the
-    # descending cases; every input fails with its own expression
-    ninth = [np.array([0.1 * (i + 1), 0.5 + 0.01 * i]) for i in range(8)] + [np.array([0.2, 0.0])]
+    # first failing sample (descending_generators: the action, in the
+    # foliation check, then the family, then D); every input fails with its
+    # own expression
     fam_D = DiracStructure(chart, (D.generators[0], section(chart, ("0", "1"), ("-1", "3/x2"))))
     fam_action = InfinitesimalAction(chart, (VectorField(chart, (parse("x2/x2", chart), parse("0", chart))),))
     members = [section(chart, ("1", "0"), ("0", "1")), section(chart, ("0", "4/x2"), ("0", "1"))]
@@ -511,15 +510,15 @@ def _two_failures():
 
     def descending(D, action, family):
         p = FoliatedProblem(chart=chart, generators=tuple(family))
-        return (lambda: descending_generators(D, action, p, samples=ninth),
-                lambda: pointwise.supplied_family(D, action, p, ninth, 1e-7))
+        return (lambda: descending_generators(D, action, p, samples=samples),
+                lambda: pointwise.supplied_family(D, action, p, samples, 1e-7))
 
-    # the family is read before D and the action, so its second member fails first
-    family_first = lambda: [pointwise.matrix_at(members, m) for m in ninth]  # noqa: E731
+    # the family is read at every sample before D, so its second member fails first
+    family_first = lambda: [pointwise.matrix_at(members, m) for m in samples]  # noqa: E731
     table.update({
-        "descending-family-before-D": descending(fam_D, fam_action, [bad_family[0], members[1]]),
-        "descending-D-before-action": (descending(fam_D, fam_action, members)[0], family_first),
-        "descending-action-before-member": (descending(D, fam_action, members)[0], family_first),
+        "descending-action-before-family": descending(fam_D, fam_action, members),
+        "descending-action-before-D": descending(fam_D, fam_action, family),
+        "descending-family-before-D": (descending(fam_D, action, members)[0], family_first),
         "rank-scan-D-before-action": (lambda: constant_rank_scan(fam_D, fam_action, samples),
                                       lambda: pointwise.constant_rank_scan(fam_D, fam_action, samples)),
         "quotient-jacobian-before-action": (lambda: fam_q.validate(fam_action, samples),
@@ -574,9 +573,10 @@ class TestOverflowingDefectsFailTheirRecords:
         F = np.zeros((6, 1))
         F[3:, 0] = form
         assert push_frame(q, lambda m: F, self.samples[0], 1e-7)[2] == pytest.approx(worst, rel=1e-14)
-        self._judged(lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples,
+        frames = lambda points: [F] * len(points)  # noqa: E731
+        self._judged(lambda: pushforward_check(self.D, self.action, q, frames, samples=self.samples,
                                                check_closedness=False),
-                     lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples,
+                     lambda: pointwise.pushforward_check(self.D, self.action, q, frames, self.samples,
                                                          check_closedness=False),
                      "pushed-forms-are-pullbacks", worst)
 
@@ -586,8 +586,9 @@ class TestOverflowingDefectsFailTheirRecords:
         q = QuotientMap(self.chart, Chart(coord_names=("y", "z")), (parse("x2", self.chart), parse("x3", self.chart)))
         F = np.zeros((6, 2))
         F[2, 0], F[4, 0], F[1, 1], F[5, 1] = 1e200, 1e200, 1e200, -1e200
-        got = lambda: pushforward_check(self.D, self.action, q, lambda m: F, samples=self.samples)
-        want = lambda: pointwise.pushforward_check(self.D, self.action, q, lambda m: F, self.samples)
+        frames = lambda points: [F] * len(points)  # noqa: E731
+        got = lambda: pushforward_check(self.D, self.action, q, frames, samples=self.samples)
+        want = lambda: pointwise.pushforward_check(self.D, self.action, q, frames, self.samples)
         with np.errstate(over="ignore", invalid="ignore"):
             assert outcome(got) == outcome(want)
         self._judged(got, want, "reduced-isotropy", np.nan)
