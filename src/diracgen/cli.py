@@ -412,8 +412,8 @@ def cmd_dirac_reduce(data: dict, chart: Chart, samples, numerics: dict, args, ou
     )
     out.checks(pushed)
     if args.dump_intermediates:
-        # one batch, bit-identical to quotient(m) and push_frame at each sample
-        targets, Xbar, abar, _ = _push_at(quotient, result.frames(samples), samples)
+        # one batch from run()'s frames, bit-identical to quotient(m) and push_frame at each sample
+        targets, Xbar, abar, _ = _push_at(quotient, result.sample_frames, samples)
         for i, m in enumerate(samples):
             out.line({"record": "pushed-frame", "point": m.tolist(), "target_point": targets[i].tolist(),
                       "vectors": Xbar[i].T.tolist(), "forms": abar[i].T.tolist()})

@@ -657,7 +657,9 @@ class InvariantFrameResult:
     """Outputs of the construction: the straightened frame, the optional
     corrected extra section, the verification report for the span/invariance
     properties, and the values run() evaluated at its N samples, row i at
-    samples[i], bit-identical to the functions' values there."""
+    samples[i], and at their leaf stencils, row [l, i, j] at the j-th
+    _stencil point of samples[i] along x^l (default step), bit-identical to
+    the functions' values there."""
 
     problem: FoliatedProblem
     frame: object  # m -> 2n x r
@@ -666,6 +668,7 @@ class InvariantFrameResult:
     report: Report = field(default_factory=Report)
     samples: np.ndarray | None = None  # N x n
     sample_frames: np.ndarray | None = None  # N x 2n x r
+    stencil_frames: np.ndarray | None = None  # k x N x 4 x 2n x r, empty when k = 0
     sample_B: np.ndarray | None = None  # N x r x r, the transform (H^T)^-1
     sample_H: np.ndarray | None = None  # N x r x r, the nested product H of Step 2
     sample_Pi: np.ndarray | None = None  # N x r, with an extra section
@@ -673,22 +676,21 @@ class InvariantFrameResult:
 
 
 def _leaf_invariance(
-    values, deltas, p: FoliatedProblem, samples, tol: float, check: str, stage: str
+    values, stencils, deltas, p: FoliatedProblem, samples, tol: float, check: str, stage: str
 ) -> Report:
     """One record per leaf coordinate l: the l-th leaf derivative of the
     section (or frame) must have vanishing transverse vector components and
     vanishing form components.  values holds the section at the N samples,
-    then at the _stencil points of every sample for each leaf coordinate in
-    turn (N x 4 rows each, with step deltas[l]).  Each sample's stencil is
-    differenced at the _scale s of its values, where no difference overflows."""
+    stencils[l] at the _stencil points of each sample along x^l (N x 4, with
+    step deltas[l]).  Each sample's stencil is differenced at the _scale s of
+    its values, where no difference overflows."""
     n, N = p.n, len(samples)
     axes = tuple(range(1, values.ndim))
-    top = np.abs(values[:N]).max(axis=axes, initial=0.0)
+    top = np.abs(values).max(axis=axes, initial=0.0)
     s = _scale(top)
     scale = 1.0 / s + top / s
     report = Report()
-    for l, delta in enumerate(deltas):
-        stencil = values[N * (1 + 4 * l) : N * (5 + 4 * l)].reshape(N, 4, *values.shape[1:])
+    for l, (stencil, delta) in enumerate(zip(stencils, deltas)):
         d = np.abs(_difference(np.moveaxis(stencil / s.reshape(N, 1, *[1] * len(axes)), 1, 0), delta))
         defect = np.maximum(d[:, p.k : n].max(axis=axes, initial=0.0), d[:, n:].max(axis=axes, initial=0.0))
         report.add(record_from_samples(f"{check}[{l}]", zip(defect / scale, samples), tol, stage=stage))
@@ -707,7 +709,8 @@ def run(
 
     The frame (and the correction) is evaluated once, in one batch, at the
     samples and at the stencil points of every leaf-invariance check; the
-    result keeps the values at the samples."""
+    result keeps the frames at both (sample_frames, stencil_frames) and the
+    other values at the samples."""
     tol = p.tol if tol is None else tol
     solver = p._solver
     samples = p.chart.checked_samples(samples, seed=seed, margin=0.1)
@@ -720,51 +723,42 @@ def run(
     # extra section Pi from the same Step-2 pass
     G, H, B, Pi = solver._evaluate(points, corrected=p.extra is not None)
 
-    if k == 0:
-        report.add(
-            CheckRecord(
-                check="trivial-foliation",
-                passed=True,
-                detail="no leaf coordinates: generators returned unchanged",
-            )
-        )
-        return InvariantFrameResult(
-            problem=p,
-            frame=solver.generator_matrix,
-            combined=None,
-            report=report,
-            frames=solver.generator_matrices,
-            samples=samples,
-            sample_frames=G,
-            sample_B=B,
-            sample_H=H,
-            sample_Pi=Pi,
-        )
+    def at_stencils(values):  # the rows past the samples: k x N x 4 x ...
+        return values[N:].reshape(k, N, 4, *values.shape[1:])
 
-    frames = G @ B
+    frames = G @ B if k else G
+    F = frames[:N]
+    result = InvariantFrameResult(
+        problem=p, frame=solver.frame if k else solver.generator_matrix, combined=None, report=report,
+        frames=solver.frames if k else solver.generator_matrices, samples=samples, sample_frames=F,
+        stencil_frames=at_stencils(frames), sample_B=B[:N], sample_H=H[:N])
+    if k == 0:
+        report.add(CheckRecord(check="trivial-foliation", passed=True,
+                               detail="no leaf coordinates: generators returned unchanged"))
+        result.sample_Pi = Pi
+        return result
+
     # the generators laid out as the transpose of a row-major matrix, as the
     # one-point lstsq on the generator columns takes them: bit-identical
     G_columns = np.ascontiguousarray(np.swapaxes(G[:N], 1, 2)).swapaxes(1, 2)
 
     # (i) span equality at each sample, by mutual membership
-    F = frames[:N]
     worst = np.maximum(span_defects(G_columns[:, None], np.swapaxes(F, 1, 2)).max(axis=1),
                        span_defects(F[:, None], np.swapaxes(G[:N], 1, 2)).max(axis=1))
     report.add(record_from_samples("frame-spans-distribution", zip(worst, samples), tol, stage="Step 3"))
 
     # (ii) brackets of the frame with the leaf fields stay tangent to the leaves
-    report.extend(_leaf_invariance(frames, deltas, p, samples, tol, "frame-leaf-invariance", "Step 2"))
+    report.extend(_leaf_invariance(F, result.stencil_frames, deltas, p, samples, tol, "frame-leaf-invariance",
+                                   "Step 2"))
 
-    result = InvariantFrameResult(problem=p, frame=solver.frame, combined=None, report=report,
-                                  frames=solver.frames, samples=samples, sample_frames=F, sample_B=B[:N],
-                                  sample_H=H[:N])
     if p.extra is not None:
         corrections = (G @ Pi[..., None])[..., 0]
         defects = span_defects(G_columns[:, None], corrections[:N, None])[:, 0]
         report.add(record_from_samples(
             "correction-in-distribution", zip(defects, samples), tol, stage="Step 4"))
         combined = solver.extra_values(points) + corrections
-        report.extend(_leaf_invariance(combined, deltas, p, samples, tol, "corrected-leaf-invariance", "Step 4"))
+        report.extend(_leaf_invariance(combined[:N], at_stencils(combined), deltas, p, samples, tol,
+                                       "corrected-leaf-invariance", "Step 4"))
         result.combined = solver.combined
         result.sample_Pi, result.sample_combined = Pi[:N], combined[:N]
     return result

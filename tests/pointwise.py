@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField, _same_chart, pairing
-from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _pair_brackets, _stencil_jets
+from diracgen.dirac import LIFT_MAX_HALVINGS, LIFT_MAX_ITER, LIFT_TOL, _courant, _pair_brackets, _stencil_jets
 from diracgen.distribution import GeneralizedDistribution, span_defects
 from diracgen.errors import InputError, VerificationError
 from diracgen.invariant_gen import InvariantFrameResult, _difference, _stencil
@@ -357,21 +357,38 @@ def constant_rank_scan(D, action, samples, tol: float = RANK_TOL):
 
 
 def check_foliated_presentation(action, problem, samples):
-    k = problem.k
+    k, names = problem.k, problem.chart.coord_names
+    if not action.generators:
+        if k != 0:
+            raise InputError("action has no generators but the chart declares leaves")
+        return
+    for a, xi in enumerate(action.generators):
+        for i in range(k, problem.n):
+            if xi.coeffs[i] != ZERO:
+                raise InputError(
+                    f"chart is not foliated for this action: generator {a} has a component along {names[i]} "
+                    f"(coordinate {i}), beyond the leaf block; write 0 for a component that vanishes"
+                )
     for m in samples:
         vals = np.array([xi(m) for xi in action.generators])
-        if vals.size == 0:
-            if k != 0:
-                raise InputError("action has no generators but the chart declares leaves")
-            return
-        transverse = float(np.abs(vals[:, k:]).max(initial=0.0))
-        if transverse > 1e-9 * (1.0 + np.abs(vals).max()):
-            raise InputError(
-                "chart is not foliated for this action: a generator has components "
-                f"beyond the leaf block at {plain(m)}"
-            )
         if rank(vals[:, :k]) != k:
             raise InputError(f"action generators do not span the leaf block at {plain(m)}")
+
+
+def action_brackets(action, result):
+    """dirac._action_brackets with the frame differenced along every
+    coordinate, from a second evaluation of result.frames at the samples and
+    at their stencils along each coordinate."""
+    samples = result.samples
+    (N, n), chart = samples.shape, result.problem.chart
+    stencils = [_stencil(chart, samples, i) for i in range(n)]
+    points = np.concatenate([samples[:, None], *(q for q, _ in stencils)], axis=1).reshape(-1, n)
+    values = np.asarray(result.frames(points), dtype=float).reshape(N, 1 + 4 * n, 2 * n, -1)
+    F, dF = _stencil_jets(values[:, 0], values[:, 1:].reshape(N, n, 4, *values.shape[2:]),
+                          np.array([delta for _, delta in stencils]))
+    xi, dxi = action._jets(samples)
+    brackets = _courant(xi[:, :, None], dxi[:, :, None], F[:, None], dF[:, None])
+    return brackets, 1.0 + np.abs(F).reshape(N, -1).max(axis=1, initial=0.0)
 
 
 def supplied_family(D, action, problem, samples, tol) -> Report:
@@ -516,7 +533,8 @@ def pushforward_check(D, action, q, frame, samples, tol=1e-6, n_fiber_pairs=10, 
     if check_closedness:
         lifts = np.array([at for _, at in closure])
         values = sections[lifts[:, None] + np.arange(1 + 4 * nbar)]
-        V, dV = _stencil_jets(values, np.array(deltas))
+        V, dV = _stencil_jets(values[:, 0], values[:, 1:].reshape(len(values), nbar, 4, *values.shape[2:]),
+                              np.array(deltas))
         r = V.shape[1]
         brackets = _pair_brackets(V, dV, [(i, j) for i in range(r) for j in range(r) if i != j])
         residuals = span_defects(values[:, 0, None], brackets)

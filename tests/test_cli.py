@@ -389,6 +389,44 @@ class TestDiracReduce:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_a_tiny_transverse_action_component_is_input_error(self, tmp_path):
+        # the action must be written on the leaf block: run() integrates no
+        # line across it, so however small, a transverse component is rejected
+        def edit(data):
+            data["action"]["generators"] = [["1", "1e-12"]]
+
+        code, out, err = _main_in_process(["dirac-reduce", edited(tmp_path, "translation_reduce.json", edit)])
+        message = ("chart is not foliated for this action: generator 0 has a component along x2 (coordinate 1), "
+                   "beyond the leaf block; write 0 for a component that vanishes")
+        assert code == 2
+        assert records(out)[-1] == {"record": "verdict", "passed": False, "exit_code": 2, "failed_stage": "",
+                                    "point": None, "message": message}
+        assert err.splitlines() == [f"input error: {message}"]
+
+    @pytest.mark.parametrize("command, name, rounds", [
+        ("invariant-generators", "e1.json", 1),
+        ("invariant-generators", "e2.json", 1),
+        ("dirac-reduce", "translation_reduce.json", 2),
+        ("dirac-reduce", "rotation_reduce.json", 2),
+    ])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_step_2_rounds_per_command(self, monkeypatch, command, name, rounds, dump):
+        """One Step-2 round (a _Solver._H call) in run(), which the criterion-6
+        checks and the dump read, and one more in dirac-reduce's pushforward
+        check."""
+        from diracgen.invariant_gen import _Solver
+
+        calls = []
+
+        def spy(solver, points, _original=_Solver._H):
+            calls.append(len(points))
+            return _original(solver, points)
+
+        monkeypatch.setattr(_Solver, "_H", spy)
+        code, _, _ = _main_in_process([command, problem(name), *(["--dump-intermediates"] if dump else [])])
+        assert code == 0
+        assert len(calls) == rounds
+
     def test_output_flag_writes_file(self, tmp_path):
         target = tmp_path / "report.jsonl"
         out = run_cli(
@@ -609,6 +647,52 @@ def test_every_size_keeps_the_exit_contract(run, size):
     code = _keeps_the_exit_contract(*run, "--samples=2", f"{flag}={value!r}")
     if value > MAX_SAMPLES if flag == "--samples" else not value > 0.0:
         assert code == 2
+
+
+# Values a problem file may hold where another is expected: null, bools,
+# huge and non-finite numbers, expressions that fail, unknown names, empty lists.
+_ODD_VALUE = st.sampled_from([None, True, False, 1e308, -1e308, 10**400, math.inf, -math.inf, math.nan,
+                              "1/0", "exp(1000)", "y9", "nowhere(x1)", []])
+
+
+@st.composite
+def _damaged(draw):
+    """(command, problem file bytes): a shipped problem the command reads
+    through, with one or two of its key paths (no one inside the other) set
+    to an odd value, or with one byte of its text flipped."""
+    command = draw(st.sampled_from(sorted(_RUNS)))
+    data = problem_data(draw(st.sampled_from(_RUNS[command])))
+    if draw(st.booleans()):
+        text = bytearray(json.dumps(data).encode())
+        text[draw(st.integers(0, len(text) - 1))] ^= draw(st.integers(1, 255))
+        return command, bytes(text)
+    paths = [p for p in _paths(data) if p]
+    first = draw(st.sampled_from(paths))
+    chosen = [first] + draw(st.lists(st.sampled_from([p for p in paths if p[: len(first)] != first
+                                                      and first[: len(p)] != p]), max_size=1))
+    for path in chosen:
+        _set(data, path, draw(_ODD_VALUE))
+    return command, json.dumps(data).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged())
+def test_damaged_problems_keep_the_exit_contract(tmp_path_factory, damaged):
+    """Through cli.main with --output, a damaged problem file exits 0-3 and
+    raises nothing; stderr holds no traceback, and exit 1 ends the report
+    with a failed verdict."""
+    command, text = damaged
+    tmp = tmp_path_factory.mktemp("damaged")
+    path, report = tmp / "problem.json", tmp / "report.jsonl"
+    path.write_bytes(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = cli.main([command, str(path), "--output", str(report), "--ode-step", "0.05"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        verdict = records(report.read_text())[-1]
+        assert verdict["record"] == "verdict" and verdict["passed"] is False
 
 
 def test_error_in_a_later_stage_prints_one_line(tmp_path):

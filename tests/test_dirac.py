@@ -32,7 +32,7 @@ from diracgen.distribution import GeneralizedDistribution
 from diracgen.errors import EvalDomainError, InputError, NumericalBreakdownError, VerificationError
 from diracgen.invariant_gen import FoliatedProblem, run
 from diracgen.report import record_from_samples
-from diracgen.symexpr import Chart, Const, parse
+from diracgen.symexpr import ZERO, Chart, Const, parse
 
 from conftest import (
     box_point,
@@ -371,18 +371,46 @@ class TestInvariantAnnihilator:
             invariant_annihilator_generators(action, problem)
 
     def test_the_foliation_is_checked_at_every_sample(self):
-        # the action's transverse component exp(-1000 (x2 - 0.85)^2) is above
-        # the threshold only near x2 = 0.85: at the 23rd default sample, and
-        # it raises wherever that sample stands among the others
+        # the action's leaf component x1 - a vanishes only at the 23rd default
+        # sample, whose x1 is a: there the action does not span the leaf
+        # block, and it raises wherever that sample stands among the others
         chart = make_chart(2, k=1)
-        action = InfinitesimalAction(chart, (VectorField(chart, (parse("1", chart),
-                                                                 parse("exp(-1000*(x2 - 0.85)^2)", chart))),))
-        problem = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "1")),))
         samples = chart.sample_points(seed=0, margin=0.1)
+        action = InfinitesimalAction(chart, (VectorField(chart, (parse(f"x1 - {float(samples[22][0])!r}", chart),
+                                                                 parse("0", chart))),))
+        problem = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "1")),))
         for order in (samples, np.concatenate([samples[22:23], samples[:22], samples[23:]])):
-            with pytest.raises(InputError, match="^chart is not foliated for this action") as exc:
+            with pytest.raises(InputError, match="^action generators do not span the leaf block") as exc:
                 invariant_annihilator_generators(action, problem, samples=order)
             assert exc.value.args[0].endswith(f"at {samples[22].tolist()}")
+            with pytest.raises(InputError) as reference:
+                pointwise.check_foliated_presentation(action, problem, order)
+            assert reference.value.args == exc.value.args
+
+    @pytest.mark.parametrize("component", ["1e-12", "x1 - x1", "1e-300*x1"])
+    @pytest.mark.parametrize("check", ["annihilator", "descending"])
+    def test_a_transverse_component_must_be_written_0(self, check, component):
+        # run() integrates no line across the leaves, so a transverse
+        # component, however small, is rejected as written, before the action
+        # or the family is evaluated (the family's 1/x2 fails at x2 = 0)
+        chart = make_chart(3, k=1)
+        action = InfinitesimalAction(chart, (VectorField(chart, (parse("1", chart), parse("0", chart),
+                                                                 parse(component, chart))),))
+        family = (section(chart, ("0", "1/x2", "0"), ("0", "1", "0")),)
+        problem = FoliatedProblem(chart=chart, generators=family)
+        samples = [[0.1, 0.0, 0.2]]
+        message = ("chart is not foliated for this action: generator 0 has a component along x3 (coordinate 2), "
+                   "beyond the leaf block; write 0 for a component that vanishes")
+        D = DiracStructure(chart, tuple(section(chart, [str(float(i == j)) for i in range(3)], ["0"] * 3)
+                                        for j in range(3)))
+        with pytest.raises(InputError) as exc:
+            if check == "annihilator":
+                invariant_annihilator_generators(action, problem, samples=samples)
+            else:
+                descending_generators(D, action, problem, samples=samples)
+        assert exc.value.args[0] == message
+        with pytest.raises(InputError, match=r"^chart is not foliated for this action: generator 0 has a comp"):
+            pointwise.check_foliated_presentation(action, problem, samples)
 
 
 @st.composite
@@ -393,9 +421,9 @@ def action_problems(draw):
     so each leaf derivative stays in the span and the frame varies across
     the leaves; D is spanned by (d/dx^j, dx^j).  Action generator l < k is
     d/dx^l times a drawn factor, with drawn other leaf components; an
-    optional last one has no leaf components.  Each transverse component is
-    drawn structurally zero, a tiny constant or a tiny non-constant
-    expression."""
+    optional last one has no leaf components.  The transverse components are
+    all written 0 (a foliated presentation) or each drawn as 0, a tiny
+    constant or a tiny non-constant expression."""
     k, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     n, r = k + t, draw(st.integers(1, t))
     chart = make_chart(n, k=k)
@@ -412,6 +440,8 @@ def action_problems(draw):
     D = DiracStructure(chart, tuple(section(chart, [str(float(i == j)) for i in range(n)],
                                             [str(float(i == j)) for i in range(n)]) for j in range(n)))
     transverse = st.sampled_from(["0", "1e-12", f"1e-12*sin({x[-1]})", f"1e-13*{x[0]}*{x[-1]}"])
+    if draw(st.booleans()):
+        transverse = st.just("0")
     leaf = [[draw(st.sampled_from(["1", f"(2 + sin({x[-1]}))", f"exp(0.3*{x[0]})"])) if l == a
              else draw(st.sampled_from(["0", "0.5"])) for l in range(k)] for a in range(k)]
     if draw(st.booleans()):
@@ -425,7 +455,9 @@ def action_problems(draw):
 class TestJetsAlongTheAction:
     """The criterion-6 brackets difference the frame only along the
     coordinates where the action has a component that is not structurally
-    zero: the bracket multiplies the frame's partial along x^i by xi^i."""
+    zero, from the frames run() kept at its leaf stencils: the bracket
+    multiplies the frame's partial along x^i by xi^i, and every other
+    component must be written 0."""
 
     @staticmethod
     def reports(action, forms, family, D, samples):
@@ -435,17 +467,49 @@ class TestJetsAlongTheAction:
                                                                       ode_step=0.05), samples=samples)
         return [repr(r.as_dict()) for r in [*invariant.report, *descending.report]]
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(case=action_problems())
     def test_records_equal_differencing_along_every_coordinate(self, case):
-        frame_jets = dirac._frame_jets
-
-        def every_coordinate(frames, chart, samples, directions):
-            return frame_jets(frames, chart, samples, list(range(chart.n)))
-
+        action = case[0]
+        k, n = action.chart.leaf_count, action.chart.n
+        if any(xi.coeffs[i] != ZERO for xi in action.generators for i in range(k, n)):
+            with pytest.raises(InputError, match="^chart is not foliated for this action"):
+                invariant_annihilator_generators(action, FoliatedProblem(chart=action.chart, generators=case[1]),
+                                                 samples=case[4])
+            with pytest.raises(InputError, match="^chart is not foliated for this action"):
+                descending_generators(case[3], action, FoliatedProblem(chart=action.chart, generators=case[2]),
+                                      samples=case[4])
+            return
         along_the_action = self.reports(*case)
-        with mock.patch.object(dirac, "_frame_jets", every_coordinate):
+        with mock.patch.object(dirac, "_action_brackets", pointwise.action_brackets):
             assert self.reports(*case) == along_the_action
+
+    @pytest.mark.parametrize("check", ["annihilator", "descending"])
+    def test_one_step_2_round_per_verdict(self, monkeypatch, check):
+        """run() makes the one Step-2 round (a _Solver._H call) of a
+        criterion-6 verdict: the brackets read the frames it kept at the
+        samples and their leaf stencils."""
+        from diracgen.invariant_gen import _Solver
+
+        calls = []
+
+        def spy(solver, points, _original=_Solver._H):
+            calls.append(len(points))
+            return _original(solver, points)
+
+        monkeypatch.setattr(_Solver, "_H", spy)
+        chart = make_chart(2, k=1)
+        action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
+        samples = chart.sample_points(seed=0, n_random=3, margin=0.1)
+        if check == "annihilator":
+            problem = FoliatedProblem(chart=chart, generators=(section(chart, ("0", "0"), ("0", "exp(x1)")),))
+            result = invariant_annihilator_generators(action, problem, samples=samples)
+        else:
+            D = graph_of_poisson(canonical_pi(chart))
+            problem = FoliatedProblem(chart=chart, generators=(section(chart, ("exp(x1)", "0"), ("0", "exp(x1)")),))
+            result = descending_generators(D, action, problem, samples=samples)
+        assert result.report.passed
+        assert calls == [5 * len(samples)]  # each sample and its four stencil points along x1
 
     @pytest.mark.parametrize("check", ["annihilator", "descending"])
     def test_a_frame_overflowing_only_across_the_action_passes(self, check):
@@ -481,9 +545,10 @@ class TestJetsAlongTheAction:
         assert [r.check for r in descending.report] == ["trivial-foliation", "supplied-family-in-intersection",
                                                        "supplied-family-spans-intersection"]
         assert invariant.report.passed and descending.report.passed
-        F, dF = dirac._frame_jets(invariant.frames, chart, samples, [])
-        assert np.array_equal(F, invariant.sample_frames.swapaxes(1, 2)) and not dF.any()
-        assert dF.shape == (2, 1, 2, 4)  # N, r, n, 2n
+        assert invariant.stencil_frames.shape == (0, 2, 4, 4, 1)  # k, N, 4, 2n, r
+        brackets, scale = dirac._action_brackets(action, invariant)
+        assert brackets.shape == (2, 0, 1, 4)  # N, generators, r, 2n
+        assert np.array_equal(scale, 1.0 + np.abs(invariant.sample_frames).max(axis=(1, 2)))
 
 
 class TestOverflowIsJudgedQuietly:
