@@ -1,6 +1,7 @@
 """Shared helpers: random expression and section corpora for the
-bracket-identity suites, the quotient maps of the lift tests, and the
-stacked intersection of a Dirac structure with the vertical orthogonal."""
+bracket-identity suites, the quotient maps of the lift tests, the
+stacked intersection of a Dirac structure with the vertical orthogonal,
+and a spy on the Step-2 rounds."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.dirac import QuotientMap, _dirac_and_action_values, _intersections
+from diracgen.invariant_gen import _Solver
 from diracgen.symexpr import Chart, Const, Var, cos, exp, parse, sin
 
 
@@ -106,3 +108,17 @@ def box_point(chart, fractions):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def step_2_rounds(monkeypatch):
+    """The number of points of each _Solver._H call (one per Step-2 round)
+    made while the test runs."""
+    calls = []
+
+    def spy(solver, points, _original=_Solver._H):
+        calls.append(len(points))
+        return _original(solver, points)
+
+    monkeypatch.setattr(_Solver, "_H", spy)
+    return calls

@@ -410,22 +410,13 @@ class TestDiracReduce:
         ("dirac-reduce", "rotation_reduce.json", 2),
     ])
     @pytest.mark.parametrize("dump", [False, True])
-    def test_step_2_rounds_per_command(self, monkeypatch, command, name, rounds, dump):
+    def test_step_2_rounds_per_command(self, step_2_rounds, command, name, rounds, dump):
         """One Step-2 round (a _Solver._H call) in run(), which the criterion-6
         checks and the dump read, and one more in dirac-reduce's pushforward
         check."""
-        from diracgen.invariant_gen import _Solver
-
-        calls = []
-
-        def spy(solver, points, _original=_Solver._H):
-            calls.append(len(points))
-            return _original(solver, points)
-
-        monkeypatch.setattr(_Solver, "_H", spy)
         code, _, _ = _main_in_process([command, problem(name), *(["--dump-intermediates"] if dump else [])])
         assert code == 0
-        assert len(calls) == rounds
+        assert len(step_2_rounds) == rounds
 
     def test_output_flag_writes_file(self, tmp_path):
         target = tmp_path / "report.jsonl"

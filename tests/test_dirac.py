@@ -485,19 +485,10 @@ class TestJetsAlongTheAction:
             assert self.reports(*case) == along_the_action
 
     @pytest.mark.parametrize("check", ["annihilator", "descending"])
-    def test_one_step_2_round_per_verdict(self, monkeypatch, check):
+    def test_one_step_2_round_per_verdict(self, step_2_rounds, check):
         """run() makes the one Step-2 round (a _Solver._H call) of a
         criterion-6 verdict: the brackets read the frames it kept at the
         samples and their leaf stencils."""
-        from diracgen.invariant_gen import _Solver
-
-        calls = []
-
-        def spy(solver, points, _original=_Solver._H):
-            calls.append(len(points))
-            return _original(solver, points)
-
-        monkeypatch.setattr(_Solver, "_H", spy)
         chart = make_chart(2, k=1)
         action = InfinitesimalAction(chart, (VectorField.coordinate(chart, 0),))
         samples = chart.sample_points(seed=0, n_random=3, margin=0.1)
@@ -509,7 +500,7 @@ class TestJetsAlongTheAction:
             problem = FoliatedProblem(chart=chart, generators=(section(chart, ("exp(x1)", "0"), ("0", "exp(x1)")),))
             result = descending_generators(D, action, problem, samples=samples)
         assert result.report.passed
-        assert calls == [5 * len(samples)]  # each sample and its four stencil points along x1
+        assert step_2_rounds == [5 * len(samples)]  # each sample and its four stencil points along x1
 
     @pytest.mark.parametrize("check", ["annihilator", "descending"])
     def test_a_frame_overflowing_only_across_the_action_passes(self, check):
