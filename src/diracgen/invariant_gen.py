@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import OneForm, PontryaginSection, VectorField, _components
-from .distribution import _norms, _scale, _scaled, span_defects
+from .distribution import _scale, span_defects
 from .errors import (
     HypothesisViolated,
     InputError,
@@ -215,18 +215,22 @@ def _decompose(T: np.ndarray, C: np.ndarray, width: int, tol: float):
     """Steps 1 and 4: T X = C by _householder, T (M, r, N), C (M, c, N) in
     groups of width columns, one per leaf index.  Returns X (r, c, N), the
     degenerate nodes (none when there is nothing to solve, c = 0), and per
-    node and group |T X - C| and whether it exceeds tol * (1 + |C|), which
-    is judged at _scaled's scale."""
+    group and node |T X - C| and whether it exceeds tol * (1 + |C|), at the
+    _scale of C; lengths sum squares node axis last, not in the bits of
+    np.linalg.norm (the residual shows only in HypothesisViolated)."""
     (M, r, N), groups = T.shape, C.shape[1] // width
     X, diag = _householder(T, C)
     degenerate = (diag.min(axis=0) <= 1e-12 * np.maximum(diag.max(axis=0), 1.0e-300)) & (groups > 0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is compared as inf
         TX = sum(T[:, a, None] * X[a] for a in range(r))
-        rows = np.stack([TX - C, C]).reshape(2, M, groups, width, N).transpose(0, 4, 2, 1, 3)
-        R, V = rows.reshape(2, N, groups, M * width)
-        s, _, norms = _scaled(V)
-        residual = _norms(R / s[..., None])
-        return X, degenerate, s * residual, residual > tol * (1.0 / s + norms)
+        R, V = (TX - C).reshape(M, groups, width, N), C.reshape(M, groups, width, N)
+        s = _scale(np.abs(V).max(axis=(0, 2), initial=0.0))
+        R, V = R / s[:, None], V / s[:, None]
+        residual = np.sqrt(np.square(R).sum(axis=(0, 2)))
+        if np.isinf(residual).any():  # a finite residual whose squares overflow: sum them at its own _scale
+            t = _scale(np.abs(R).max(axis=(0, 2)))
+            residual = np.where(np.isinf(residual), t * np.sqrt(np.square(R / t[:, None]).sum(axis=(0, 2))), residual)
+        return X, degenerate, s * residual, residual > tol * (1.0 / s + np.sqrt(np.square(V).sum(axis=(0, 2))))
 
 
 def _first_rows(rows: np.ndarray) -> np.ndarray:
@@ -238,11 +242,25 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
     return first
 
 
-def _group_lines(j: int, points: np.ndarray, counts: np.ndarray):
-    """Group points (x^j nonzero) into x^j lines, one per (other coordinates,
-    sign of x^j), in order of first appearance.  Returns the first point of
-    each line, the line of each point and the largest count on each line."""
-    of = _first_rows(np.column_stack([np.delete(points, j, axis=1), points[:, j] > 0.0]))
+def _others(j, points: np.ndarray, key) -> np.ndarray:
+    """Rows (the point with x^j zeroed, key), equal (==) where the other coordinates and key are."""
+    others = np.column_stack([points, key])
+    others[np.arange(len(points)), j] = 0.0
+    return others
+
+
+def _runs(counts: np.ndarray):
+    """For runs of counts[a] items end to end: the run of each item, and its place there."""
+    of = np.repeat(np.arange(len(counts)), counts)
+    return of, np.arange(len(of)) - (np.cumsum(counts) - counts)[of]
+
+
+def _group_lines(j, points: np.ndarray, counts: np.ndarray):
+    """Group points (x^j nonzero, j one leaf index or one per point) into
+    x^j lines, one per (j, other coordinates, sign of x^j), in order of first
+    appearance.  Returns the first point of each line, the line of each point
+    and the largest count on each line."""
+    of = _first_rows(_others(j, points, 2 * np.asarray(j) + (points[np.arange(len(points)), j] > 0.0)))
     heads = of == np.arange(len(points))
     first, line = np.flatnonzero(heads), (np.cumsum(heads) - 1)[of]
     largest = np.zeros(len(first), dtype=int)
@@ -259,17 +277,19 @@ class _Solver:
     the solver is built, since constant_tilde reads them.  Steps 1 and 4
     are one method, _decomposition: it reads its program with the node axis
     last and solves all nodes at once (_decompose).  Step 2 keeps no line
-    state: each _fundamental call integrates the grid of every coordinate
-    line through its points from the zero slice, as one array (_extend),
-    and memory is bounded by the batch.  Every caller takes G, H, B and Pi
-    from one _evaluate call, whose Step 4 reads H from the _H that gives B.
+    state: each _H makes one _fundamental pass, which integrates the grid of
+    every coordinate line of every leaf index through its points from the
+    zero slice, as one array (_extend), and memory is bounded by the batch.
+    Every caller takes G, H, B and Pi from one _evaluate call, whose Step 4
+    reads H from the _H that gives B.
 
     Each stage checks its whole batch and raises at its first failing point
-    or node, and the stages run in this order: every point in the box; per
-    leaf index j from k-1 down, Step 1 at the RK4 nodes (_B_on_line's
-    order: lines in order of their first point, their grid steps, then the
-    tails) and then Step 2's breakdown check; B's condition; the generators
-    at the points (Step 3); Step 4's decomposition at the Simpson nodes."""
+    or node, and the stages run in this order: every point in the box; Step
+    1 at the RK4 nodes of every leaf index j from k-1 down (per j,
+    _B_on_line's order: lines in order of their first point, their grid
+    steps, then the tails); Step 2's breakdown check, per j from k-1 down;
+    B's condition; the generators at the points (Step 3); Step 4's
+    decomposition at the Simpson nodes."""
 
     def __init__(self, problem: FoliatedProblem):
         # a copy: the problem holds its solver, and a reference back would make
@@ -333,7 +353,7 @@ class _Solver:
         X, degenerate, residual, violated = _decompose(T, C, S, p.tol)
         checks = np.empty((2 * k + 3, N), dtype=bool)
         checks[0::2] = False if bad is None else [bad[a:b].any(axis=0) for a, b in zip([0, *ends], [*ends, len(vals)])]
-        checks[1::2] = np.vstack([degenerate, violated.T])
+        checks[1::2] = np.vstack([degenerate, violated])
         hits = np.flatnonzero(checks.any(axis=0))
         if hits.size:
             i = hits[0]
@@ -344,7 +364,7 @@ class _Solver:
                                             point=point, stage=stage)
             if c % 2:
                 raise HypothesisViolated(f"leaf derivative of {what} leaves the span (residual "
-                                         f"{residual[i, c // 2 - 1]:.3e})", point=point, stage=stage)
+                                         f"{residual[c // 2 - 1, i]:.3e})", point=point, stage=stage)
             program.raise_first(nodes, at=[i])
         beta = X.reshape(r, k, S, N).transpose(3, 1, 0, 2)
         if not leaf:
@@ -367,33 +387,39 @@ class _Solver:
             k4 = Bt[:, 2] @ (W + h * k3)
             return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def _B_on_line(self, nodes: np.ndarray, ids: np.ndarray, j: int) -> np.ndarray:
-        """B_j at RK4 nodes taken three per step: shape (steps, 3, r, r).  A
-        node is the line id (one per set of other coordinates) and x^j it
-        lies at; Step 1 runs once per distinct node (==), at its first
-        occurrence in order."""
-        first = _first_rows(np.column_stack([ids, nodes[:, j]]))
-        solved = first == np.arange(len(nodes))
-        r = self.p.r
-        B = self._decomposition(self._generator_decomposition, r, nodes[solved], "Step 1", "a generator")[0][:, j]
-        return B[(np.cumsum(solved) - 1)[first]].reshape(-1, 3, r, r)
+    def _B_on_line(self, heads: np.ndarray, j: np.ndarray, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """B_j at the three RK4 nodes of each step a, on the x^j line through
+        heads[a] at x^j = x[a], j = j[a]: shape (steps, 3, r, r).  A node is
+        its line's id ids[a] (one per j and set of other coordinates) and its
+        x^j; Step 1 runs once per distinct node (==), at its first
+        occurrence, in one batch ordered by j from k-1 down."""
+        step = np.repeat(np.arange(len(heads)), 3)  # the step of each node
+        first = _first_rows(np.column_stack([ids[step], x.ravel()]))
+        solved = np.flatnonzero(first == np.arange(len(first)))
+        solved = solved[np.argsort(-j[step[solved]], kind="stable")]
+        nodes = heads[step[solved]]
+        nodes[np.arange(len(solved)), j[step[solved]]] = x.ravel()[solved]
+        row = np.empty(len(first), dtype=int)  # the row of each solved node in the batch
+        row[solved] = np.arange(len(solved))
+        B = self._decomposition(self._generator_decomposition, self.p.r, nodes, "Step 1", "a generator")[0]
+        return B[row[first], j[step]].reshape(-1, 3, *B.shape[2:])
 
-    def _extend(self, j: int, heads: np.ndarray, counts, h, tails=()):
+    def _extend(self, j, heads: np.ndarray, counts, h, tails=()):
         """The grid of W at i*h, i = 1 .. counts[a], on the x^j line through
-        each head a (h one step, or one per line), from I on the zero slice:
-        one array, W at i*h of line a in row starts[a] + i - 1, with starts
-        the running sum of counts; and the propagator of each tail (line, n,
-        dx), the step of length dx from node n of that line.  Every step is
-        W <- Phi W with Phi = _rk4(B, I, dx) from its own nodes, all formed in
-        one batch; the lines step in lockstep, longest first (the lines still
-        growing lead).  Nothing is judged here: non-finite stays non-finite
-        under Phi W, so _fundamental judges the W its points read."""
+        each head a (j one leaf index, or one per line; h one step, or one
+        per line), from I on the zero slice: one array, W at i*h of line a in
+        row starts[a] + i - 1, with starts the running sum of counts; and the
+        propagator of each tail (line, n, dx), the step of length dx from
+        node n of that line.  Every step is W <- Phi W with Phi = _rk4(B, I,
+        dx) from its own nodes, all formed in one batch; the lines step in
+        lockstep, longest first (the lines still growing lead).  Nothing is
+        judged here: non-finite stays non-finite under Phi W, so _fundamental
+        judges the W its points read."""
         r, L = self.p.r, len(heads)
         h = np.broadcast_to(np.asarray(h, dtype=float), L)
+        j = np.broadcast_to(j, L)
         counts = np.asarray(counts, dtype=int)
-        starts = np.cumsum(counts) - counts
-        grid = np.repeat(np.arange(L), counts)  # the line of each grid step
-        step = np.arange(len(grid)) - starts[grid]  # the node each grid step starts from
+        grid, step = _runs(counts)  # the line of each grid step, and the node it starts from
         tails = np.reshape(tails, (-1, 3))
         line = np.concatenate([grid, tails[:, 0].astype(int)])
         if not len(line):
@@ -401,12 +427,11 @@ class _Solver:
         n = np.concatenate([step, tails[:, 1]])
         dx = np.concatenate([h[grid], tails[:, 2]])
         x0 = n * h[line]
-        nodes = np.repeat(heads[line][:, None], 3, axis=1)
-        nodes[:, :, j] = np.stack([x0, x0 + 0.5 * dx, x0 + dx], axis=1)
         # the ± lines through the same other coordinates share an id, and so their zero-slice node
-        ids = np.repeat(_first_rows(np.delete(heads, j, axis=1))[line], 3)
+        ids = _first_rows(_others(j, heads, j))[line]
         eye = np.repeat(np.eye(r)[None], len(line), axis=0)
-        Phi = self._rk4(self._B_on_line(nodes.reshape(-1, nodes.shape[-1]), ids, j), eye, dx[:, None, None])
+        x = np.stack([x0, x0 + 0.5 * dx, x0 + dx], axis=1)
+        Phi = self._rk4(self._B_on_line(heads[line], j[line], ids, x), eye, dx[:, None, None])
         if not len(grid):
             return np.empty((0, r, r)), Phi
         by_length = np.argsort(-counts, kind="stable")
@@ -423,26 +448,26 @@ class _Solver:
         Ws[order] = grown
         return Ws, Phi[len(grid) :]
 
-    def _fundamental(self, j: int, points: np.ndarray) -> np.ndarray:
-        """W_j at each point (N x n), from one _extend call over all lines
-        through the points, each integrated from the zero slice to its
-        farthest point, and the propagator of each point's last partial step.
-        A point within rounding of a grid node reads the grid there rather
-        than take a full-length partial step.  The first point, in input
-        order, whose W is not finite raises."""
+    def _fundamental(self, j, points: np.ndarray) -> np.ndarray:
+        """W_j at each point (N x n), j one leaf index or one per point, from
+        one _extend call over all lines through the points, each integrated
+        from the zero slice to its farthest point, and the propagator of each
+        point's last partial step.  A point within rounding of a grid node
+        reads the grid there rather than take a full-length partial step.
+        The first point, in input order, whose W is not finite raises."""
         r, step = self.p.r, self.p.ode_step
-        out = np.empty((len(points), r, r))
-        out[:] = np.eye(r)
-        live = np.flatnonzero(points[:, j] != 0.0)
+        out, j = np.repeat(np.eye(r)[None], len(points), axis=0), np.broadcast_to(j, len(points))
+        x = points[np.arange(len(points)), j]
+        live = np.flatnonzero(x != 0.0)
         if self.constant_tilde or not live.size:
             return out
-        x = points[live, j]
+        x = x[live]
         count, rounding = (np.abs(x) // step).astype(int), 1e-15 * np.maximum(1.0, np.abs(x))
         count += np.abs((count + 1) * step - np.abs(x)) <= rounding  # one rounding below a grid node: read it
         dx = x - np.copysign(count * step, x)
-        first, line, target = _group_lines(j, points[live], count)
+        first, line, target = _group_lines(j[live], points[live], count)
         tails = np.flatnonzero(np.abs(dx) > rounding)
-        grid, Phi = self._extend(j, points[live[first]], target, np.where(x[first] > 0.0, step, -step),
+        grid, Phi = self._extend(j[live[first]], points[live[first]], target, np.where(x[first] > 0.0, step, -step),
                                  np.column_stack([line[tails], count[tails], dx[tails]]))
         on = np.flatnonzero(count)  # past the zero slice: read the grid
         out[live[on]] = grid[(np.cumsum(target) - target)[line[on]] + count[on] - 1]
@@ -468,16 +493,18 @@ class _Solver:
         """Nested product of fundamental-matrix ratios with successively
         zeroed leaf coordinates, at each point: W_{k-1}(x) W_{k-2}(q) ...
         W_0(q), q with leaf coordinates j..k-1 zeroed for W_{j-1}, as each
-        ratio's denominator W_j(q) is I on the x^j = 0 slice."""
-        p = self.p
+        ratio's denominator W_j(q) is I on the x^j = 0 slice.  One
+        _fundamental pass gives every W, leaf index by leaf index from k-1."""
+        p, N = self.p, len(points)
         if p.k == 0:
-            return np.broadcast_to(np.eye(p.r), (len(points), p.r, p.r)).copy()
-        H = self._fundamental(p.k - 1, points)
-        for j in range(p.k - 1, 0, -1):
-            q = points.copy()
-            q[:, j : p.k] = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):  # _B judges a non-finite H singular
-                H = H @ self._fundamental(j - 1, q)
+            return np.broadcast_to(np.eye(p.r), (N, p.r, p.r)).copy()
+        q = np.repeat(points[None], p.k, axis=0)
+        for s in range(p.k):  # W_j reads x^{j+1} .. x^{k-1} zeroed, j = k-1-s
+            q[s, :, p.k - s : p.k] = 0.0
+        H, *W = self._fundamental(np.repeat(np.arange(p.k)[::-1], N), q.reshape(-1, p.n)).reshape(p.k, N, p.r, p.r)
+        with np.errstate(over="ignore", invalid="ignore"):  # _B judges a non-finite H singular
+            for W_j in W:
+                H = H @ W_j
         return H
 
     def _B(self, points: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -525,10 +552,11 @@ class _Solver:
         x^l, with the later leaf coordinates zeroed: panels of width
         2*quad_step, final partial panel allowed.  Returns the nodes of every
         l, per line the zero slice and each full panel's midpoint and end up
-        to the line's farthest upper limit, then each point's partial panel;
-        and the function that turns H^T beta there (_Hbeta) into R.  It sums
-        each line's full panels once in panel order, and every upper limit
-        reads the running total there."""
+        to the line's farthest upper limit (one lattice, signed per line),
+        then each point's partial panel; and the function that turns H^T
+        beta there (_Hbeta) into R.  It sums every full panel at once, runs
+        each line's total in panel order (zero-padded past its last panel),
+        and every upper limit reads the running total there."""
         p = self.p
         step = p.quad_step
         panel = 2.0 * step
@@ -543,29 +571,33 @@ class _Solver:
                 continue
             sign, length, n_full = np.copysign(1.0, bases[live, l]), length[live], n_full[live]
             first, line, target = _group_lines(l, bases[live], n_full)
-            # the panel boundaries, accumulated panel by panel from the zero slice
+            # the panel boundaries from the zero slice, one by one, and the midpoint before each
             x = np.cumsum(np.r_[0.0, np.full(target.max(), panel)])
+            lattice = np.empty(2 * len(x) - 1)
+            lattice[0::2], lattice[1::2] = x, x[:-1] + step
             rem = length - x[n_full]
             at = np.flatnonzero(rem > 1e-15 * np.maximum(1.0, length))
             q = np.repeat(bases[live[np.r_[first, at]]], np.r_[2 * target + 1, np.full(at.size, 2)], axis=0)
-            # per line the zero slice, then the midpoint and end of each panel; then the partial panels
-            q[:, l] = np.concatenate(
-                [s * np.r_[0.0, np.column_stack([x[:t] + step, x[1 : t + 1]]).ravel()] for s, t in zip(sign[first], target)]
-                + [np.column_stack([sign[at] * (x[n_full[at]] + 0.5 * rem[at]), sign[at] * length[at]]).ravel()])
+            of, i = _runs(2 * target + 1)
+            # per line its lattice, then the partial panels
+            q[:, l] = np.concatenate([sign[first][of] * lattice[i], np.column_stack(
+                [sign[at] * (x[n_full[at]] + 0.5 * rem[at]), sign[at] * length[at]]).ravel()])
             nodes.append(q)
-            plans.append((l, live, sign, n_full, line, np.cumsum(2 * target + 1), rem, at))
+            plans.append((l, live, sign, n_full, line, target, rem, at))
 
         def R(f):
             R = np.zeros((len(points), p.r))
-            for (l, live, sign, n_full, line, ends, rem, at), g in zip(
+            for (l, live, sign, n_full, line, target, rem, at), g in zip(
                     plans, np.split(f, np.cumsum([len(q) for q in nodes[1:]], dtype=int)[:-1])):
-                lines = np.split(g[: ends[-1], l], ends[:-1])  # each line's full panels
-                part = [(panel / 6.0) * (h[:-1:2] + 4.0 * h[1::2] + h[2::2]) for h in lines]
-                totals = [np.cumsum(np.concatenate([np.zeros((1, p.r)), a]), axis=0) for a in part]
+                g, starts = g[:, l], np.cumsum(2 * target + 1) - (2 * target + 1)
+                of, i = _runs(target)  # the line of each full panel, and its place there
+                a = starts[of] + 2 * i  # its first node
+                totals = np.zeros((len(target), target.max() + 1, p.r))
+                totals[of, i + 1] = (panel / 6.0) * (g[a] + 4.0 * g[a + 1] + g[a + 2])
                 # each upper limit: the total of its full panels, plus its partial panel
-                total = np.array([totals[a][c] for a, c in zip(line.tolist(), n_full.tolist())])
-                fa = g[np.r_[0, ends[:-1]][line[at]] + 2 * n_full[at], l]  # at each partial panel's start
-                fmid, fb = g[ends[-1] :, l].reshape(-1, 2, p.r).swapaxes(0, 1)
+                total = np.cumsum(totals, axis=1)[line, n_full]
+                fa = g[starts[line[at]] + 2 * n_full[at]]  # at each partial panel's start
+                fmid, fb = g[starts[-1] + 2 * target[-1] + 1 :].reshape(-1, 2, p.r).swapaxes(0, 1)
                 total[at] += (rem[at, None] / 6.0) * (fa + 4.0 * fmid + fb)
                 R[live] += sign[:, None] * total
             return R

@@ -556,37 +556,37 @@ class CompiledExprs:
         self._last = None  # (points, values, bad, failures) of the last evaluation
         slots: dict = {}  # structural key -> slot
         seen: dict = {}  # id(node) -> slot; every node stays alive in self.exprs
+        self._out = [self._slot(e, slots, seen) for e in self.exprs]  # slot of each expression
 
-        def slot(e) -> int:
-            s = seen.get(id(e))
-            if s is not None:
-                return s
-            kind = type(e)
-            if kind is Const:
-                key = (kind, float(e.value).hex())
-            elif kind is Var:
-                key = (kind, e.index)
-            elif kind is Func:
-                key = (kind, e.name, slot(e.arg), None)
-            elif kind is Pow:
-                key = (kind, e.exponent, slot(e.base), None)
-            elif kind is Neg:
-                key = (kind, None, slot(e.arg), None)
-            else:
-                key = (kind, None, slot(e.left), slot(e.right))
-            s = slots.get(key)
-            if s is None:
-                s = slots[key] = len(self._init)
-                self._init.append(np.float64(e.value) if kind is Const else None)
-                self._nodes.append(e)
-                if kind is Var:
-                    self._vars.append((s, e.index))
-                elif kind is not Const:
-                    self._code.append((s, *_instruction(e), *key[2:]))
-            seen[id(e)] = s
+    def _slot(self, e, slots: dict, seen: dict) -> int:
+        """The slot of node e, its operands' first (a closure would hold itself in a cycle)."""
+        s = seen.get(id(e))
+        if s is not None:
             return s
-
-        self._out = [slot(e) for e in self.exprs]  # slot of each expression
+        kind = type(e)
+        if kind is Const:
+            key = (kind, float(e.value).hex())
+        elif kind is Var:
+            key = (kind, e.index)
+        elif kind is Func:
+            key = (kind, e.name, self._slot(e.arg, slots, seen), None)
+        elif kind is Pow:
+            key = (kind, e.exponent, self._slot(e.base, slots, seen), None)
+        elif kind is Neg:
+            key = (kind, None, self._slot(e.arg, slots, seen), None)
+        else:
+            key = (kind, None, self._slot(e.left, slots, seen), self._slot(e.right, slots, seen))
+        s = slots.get(key)
+        if s is None:
+            s = slots[key] = len(self._init)
+            self._init.append(np.float64(e.value) if kind is Const else None)
+            self._nodes.append(e)
+            if kind is Var:
+                self._vars.append((s, e.index))
+            elif kind is not Const:
+                self._code.append((s, *_instruction(e), *key[2:]))
+        seen[id(e)] = s
+        return s
 
     def evaluate(self, points):
         """(values, bad) at a batch of points (N x n): ``values[e, i]`` is

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from diracgen.calculus import OneForm, PontryaginSection, VectorField
 from diracgen.errors import (
-    DiracgenError, EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients, OutsideBoxError,
+    DiracgenError, EvalDomainError, HypothesisViolated, InputError, NonUniqueCoefficients, NumericalBreakdownError,
+    OutsideBoxError,
 )
 from diracgen.invariant_gen import (
     MAX_LINE_STEPS,
@@ -578,12 +579,23 @@ def k2_problem():
     return FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra, ode_step=0.05, quad_step=0.05)
 
 
+def k3_problem():
+    chart = make_chart(5, k=3)
+    a = "exp(0.7*x1 - 0.4*x2 + 0.3*x3)"
+    b = "exp(-0.3*x1 + 0.5*x2 - 0.6*x3)*(1 + 0.2*sin(x4))"
+    zero = ("0",) * 5
+    g1 = section(chart, ("0", "0", "0", a, f"0.5*{b}"), zero)
+    g2 = section(chart, ("0", "0", "0", f"0.2*{a}", b), zero)
+    extra = section(chart, ("0", "0", "0", f"sin(x1)*{a}", f"sin(x3)*0.5*{b}"), zero)
+    return FoliatedProblem(chart=chart, generators=(g1, g2), extra=extra, ode_step=0.05, quad_step=0.05)
+
+
 @functools.cache
 def simpson_problem(k: int):
-    """A leaf-dependent family with an extra section, k = 1 or 2: one
+    """A leaf-dependent family with an extra section, k = 1, 2 or 3: one
     problem (and solver) per k for every example drawn."""
-    if k == 2:
-        return k2_problem()
+    if k > 1:
+        return k2_problem() if k == 2 else k3_problem()
     chart = make_chart(3, k=1)
     g = section(chart, ("0", "exp(x1)*(2 + x2)", "0"), ("0", "0", "exp(x1)*(1 + x3)"))
     extra = section(chart, ("0", "x1*exp(x1)*(2 + x2)", "0"), ("0", "0", "x1*exp(x1)*(1 + x3)"))
@@ -818,6 +830,35 @@ class TestStep4Beta:
         X, degenerate, residual, violated = _decompose(T, np.full((6, 1, 1), 8e307), 1, 1e-7)
         assert X[0, 0, 0] == 8e307 and not degenerate[0] and violated[0, 0]
         assert residual[0, 0] == pytest.approx(5**0.5 * 8e307, rel=1e-15)
+
+    def test_a_residual_whose_squares_overflow_stays_finite(self):
+        # T nearly singular (a row near 1e-300): X near 1e300, and T X - C is
+        # near 1e284 from rounding alone, so its sum of squares overflows
+        rng = np.random.default_rng(1)
+        T = rng.standard_normal((3, 3))
+        T[2] *= 1e-300
+        C = rng.standard_normal((3, 1))
+        X, degenerate, residual, violated = _decompose(T[..., None], C[..., None], 1, 1e-7)
+        R = sum(T[:, a, None] * X[a, :, 0] for a in range(3)) - C  # as _decompose forms it
+        with np.errstate(over="ignore"):
+            assert np.abs(X).max() > 1e299 and np.isfinite(R).all() and np.isinf(np.square(R).sum())
+        assert residual[0, 0] == pytest.approx(np.linalg.norm(R / 2.0**600) * 2.0**600, rel=1e-14)
+        assert degenerate[0] and violated[0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.integers(1, 3), width=st.integers(1, 2), nodes=st.integers(1, 4),
+           tiny=st.sampled_from([1.0, 1e-150, 1e-300]), seed=st.integers(0, 2**32 - 1))
+    def test_the_residual_is_the_norm_within_rounding(self, groups, width, nodes, tiny, seed):
+        # a row of T scaled by tiny: X up to 1 / tiny, and T X - C up to about
+        # 1e-16 / tiny, whose sum of squares overflows near tiny = 1e-300
+        rng = np.random.default_rng(seed)
+        T, C = rng.standard_normal((3, 3, nodes)), rng.standard_normal((3, groups * width, nodes))
+        T[2] *= tiny
+        X, _, residual, _ = _decompose(T, C, width, 1e-7)
+        R = (sum(T[:, a, None] * X[a] for a in range(3)) - C).reshape(3, groups, width, nodes)
+        for g, i in np.ndindex(groups, nodes):
+            top = np.abs(R[:, g, :, i]).max() or 1.0  # np.linalg.norm at the scale of its largest entry
+            assert residual[g, i] == pytest.approx(top * np.linalg.norm(R[:, g, :, i] / top), rel=1e-13)
 
 
 class TestOneDecomposition:
@@ -1217,11 +1258,11 @@ class TestOneStep2Pass:
     functions, and it raises an error that one of its points raises alone,
     in the earliest stage any of them fails in."""
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_round_counts(self, k, monkeypatch):
         from diracgen.invariant_gen import _Solver
 
-        calls = {"_fundamental": 0, "_B_on_line": 0, "_decomposition": 0}
+        calls = {"_H": 0, "_fundamental": 0, "_B_on_line": 0, "_decomposition": 0}
         for method in calls:
             def spy(solver, *args, _method=method, _original=getattr(_Solver, method), **kwargs):
                 calls[_method] += 1
@@ -1230,8 +1271,8 @@ class TestOneStep2Pass:
             monkeypatch.setattr(_Solver, method, spy)
         p = dataclasses.replace(simpson_problem(k))  # a fresh solver
         run(p, samples=p.chart.sample_points(seed=3, n_random=6, margin=0.1))
-        # one Step-2 round per leaf coordinate; Step 1 once in each, Step 4 once
-        assert calls == {"_fundamental": k, "_B_on_line": k, "_decomposition": k + 1}
+        # one Step-2 pass over every leaf coordinate, solving Step 1 once; Step 4 once
+        assert calls == {"_H": 1, "_fundamental": 1, "_B_on_line": 1, "_decomposition": 2}
 
     def test_the_one_point_correction_makes_one_round(self, monkeypatch):
         from diracgen.invariant_gen import _Solver
@@ -1250,10 +1291,10 @@ class TestOneStep2Pass:
             calls.clear()
             evaluate(m)
             rounds.append(list(calls))
-        # the point and its Simpson nodes in one H; one W per leaf index,
-        # each solving Step 1, then Step 4 once
+        # the point and its Simpson nodes in one H; the W of every leaf index
+        # in one pass, solving Step 1 once, then Step 4 once
         H = ("_H", 1 + len(p._solver._simpson(m[None])[0]))
-        assert rounds == [[H] + ["_fundamental", "_decomposition"] * 2 + ["_decomposition"]] * 2
+        assert rounds == [[H, "_fundamental", "_decomposition", "_decomposition"]] * 2
 
     def test_a_sample_outside_the_box_fails_before_step_4_plans_its_panels(self, chart3):
         # planned from 1e12, the line would take 2.5e14 panels
@@ -1365,6 +1406,31 @@ class TestOneErrorOrder:
             assert stage is None
 
 
+def test_step_1_at_every_leaf_index_comes_before_each_breakdown():
+    # k = 2: along x2 the generators turn into each other at the rate w, so
+    # each coarse RK4 step multiplies W_1 by about (0.1 w)^4 / 24 and W_1
+    # overflows (Step 2) within the x2 line through m; the bump in x1 makes
+    # generator 0's leaf derivative leave the span (Step 1) only near x1 =
+    # 0.3, on the x1 line of W_0.  Step 1 runs at the nodes of every leaf
+    # index before any leaf index's breakdown is checked, so Step 1 raises.
+    chart = make_chart(4, k=2)
+    w = (24.0 * 10.0 ** (308.25 / 4.5)) ** 0.25 / 0.1
+    c, s, f = f"cos({w!r}*x2)", f"sin({w!r}*x2)", ["(2 + sin(x3))", "(2 + sin(x4))"]
+    turned = [[f"{c}*{f[0]}", f"{s}*{f[1]}"], [f"-{s}*{f[0]}", f"{c}*{f[1]}"]]
+    bump = " + 1e-3*exp(-400*(x1 - 0.3)^2)"
+    gens = (section(chart, ("0", "0", turned[0][0] + bump, turned[0][1]), ("0", "0", *turned[0])),
+            section(chart, ("0", "0", *turned[1]), ("0", "0", *turned[1])))
+    p = FoliatedProblem(chart=chart, generators=gens, ode_step=0.1)
+    m = [0.8, 0.95, 0.1, 0.2]
+    with pytest.raises(NumericalBreakdownError) as alone:
+        fundamental_matrix(p, 1, m)
+    assert alone.value.point == m
+    with pytest.raises(HypothesisViolated) as exc:
+        p._solver._H(np.array([m]))
+    assert exc.value.stage == "Step 1"
+    assert 0.0 < exc.value.point[0] < 0.8 and exc.value.point[1:] == [0.0, 0.1, 0.2]
+
+
 class TestLockstepLines:
     """_extend steps the lines of a batch together, longest first, and
     returns their grids as one array; _fundamental raises at the first
@@ -1440,6 +1506,61 @@ class TestLockstepLines:
         with pytest.raises(NumericalBreakdownError) as exc:
             solver._fundamental(0, points)
         assert exc.value.point == broken[0]
+
+
+class TestOnePassOverEveryLeafIndex:
+    """_H integrates the lines of every leaf index in one _fundamental pass:
+    H is, bit for bit, the product of the W_j fundamental_matrix gives one
+    leaf index and one point at a time, and Step 1 solves the nodes a pass
+    per leaf index solves, in that order, where the ± lines through the
+    same other coordinates share their zero-slice node."""
+
+    @staticmethod
+    def step_1_nodes(p, call):
+        """call(solver)'s value on a fresh solver, and the nodes of every
+        Step-1 decomposition it made."""
+        from diracgen.invariant_gen import _Solver
+
+        solver, nodes = _Solver(p), [np.empty((0, p.n))]
+        decomposition = solver._decomposition
+
+        def spy(program, S, at, *args, **kwargs):
+            nodes.append(at.copy())
+            return decomposition(program, S, at, *args, **kwargs)
+
+        solver._decomposition = spy
+        return call(solver), np.concatenate(nodes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 3), r=st.integers(1, 2), h=st.sampled_from([0.05, 0.13]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_one_pass_equals_a_pass_per_leaf_index(self, k, r, h, seed, data):
+        p = dataclasses.replace(TestOneDecomposition.problem(k, r, seed), ode_step=h)
+        assert not p._solver.constant_tilde
+        reach = int(0.9 // h)
+        leaf = st.one_of(st.floats(-0.9, 0.9), st.integers(-reach, reach).map(lambda i: i * h),
+                         st.sampled_from([0.0, -0.0]))
+        other = st.sampled_from([0.1, -0.3, 0.0])  # few values, so points share lines
+        points = np.array(data.draw(st.lists(st.tuples(*[leaf] * k, other, other), min_size=1, max_size=4)))
+        points = np.concatenate([points, points * np.r_[-np.ones(k), 1.0, 1.0]])  # and the mirrored lines
+        H, nodes = self.step_1_nodes(p, lambda solver: solver._H(points))
+        for m, H_m in zip(points, H):
+            product = None
+            for j in range(k - 1, -1, -1):
+                q = m.copy()
+                q[j + 1 : k] = 0.0
+                W = fundamental_matrix(p, j, q)
+                product = W if product is None else product @ W
+            assert np.array_equal(H_m, product)
+        per_index = []
+        for j in range(k - 1, -1, -1):
+            q = points.copy()
+            q[:, j + 1 : k] = 0.0
+            _, used = self.step_1_nodes(p, lambda solver: solver._fundamental(j, q))
+            # + 0.0 makes -0.0 and 0.0 one key: each node once, the zero slice shared by the ± lines
+            assert len(np.unique(used + 0.0, axis=0)) == len(used)
+            per_index.append(used)
+        assert np.concatenate(per_index).tobytes() == nodes.tobytes()
 
 
 def problem_with_step(name, h):

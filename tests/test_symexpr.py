@@ -1,5 +1,6 @@
 """Expression trees: parsing, evaluation, exact differentiation, charts."""
 
+import gc
 import math
 
 import numpy as np
@@ -336,6 +337,23 @@ class TestCompiledExprs:
         assert compiled.evaluate(m.copy())[0] is first and not first.flags.writeable
         m[1, 0] = -0.0  # a point that differs only in the sign of a zero is another point
         assert compiled.evaluate(m)[0] is not first
+
+    def test_a_dropped_program_leaves_no_cyclic_garbage(self, chart3):
+        # a program with its kept evaluation is freed when dropped, not by the
+        # cyclic collector
+        e = parse("exp(x1)*sin(x2) + x3^2/(1 + x1)", chart3)
+        exprs = [e, e.diff(0), e.diff(2)]
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            compiled = CompiledExprs(exprs)
+            compiled.evaluate(np.array([[0.3, -0.2, 0.1], [0.0, 0.2, -0.3]]))
+            del compiled
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_error_points_are_plain_floats(self):
         chart = make_chart(2)
